@@ -42,7 +42,6 @@ def _common_flags(parser):
         default=10**6,
         help="refuse to enumerate groups larger than this",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker parallelism")
 
 
 def _family_spec(args) -> FamilySpec:
@@ -113,6 +112,8 @@ def cmd_orbits(args) -> int:
 def cmd_poly(args) -> int:
     if args.family not in FAMILY_NAMES:
         raise UsageError(f"unknown polynomial family {args.family!r}")
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
     value = poly.family(args.family, args.n)
     if args.format == "latex":
         print(value.latex())
@@ -187,7 +188,7 @@ def cmd_verify(args) -> int:
         ids = args.id
     elif not args.all:
         raise UsageError("pass --all or --id")
-    report = identities.run_all(profile=args.profile, jobs=args.jobs, ids=ids)
+    report = identities.run_all(profile=args.profile, ids=ids)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -239,12 +240,11 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
+    if args.name not in FAMILY_NAMES:
+        raise UsageError(f"unknown polynomial family {args.name!r}")
     try:
         report = oeis.oeis_check(args.name, args.id, args.offset, args.n_max, args.bfile)
-    except oeis.OeisIOError as exc:
-        print(f"arcact: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (oeis.BFileError, ValueError) as exc:
+    except (oeis.OeisIOError, ValueError) as exc:  # BFileError is a ValueError
         print(f"arcact: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.format == "json":

@@ -10,21 +10,31 @@ Checks come in three modes:
 * structural  - bijectivity, orbit and rank statements checked by exhaustive
                 image comparison.
 
+The paper's bivariate identities are polynomials in x and y that count
+labeled partitions at x = |A|-1, y = |B|-1.  Each is defined once, as a
+function of an evaluation context that supplies x, y, the family terms and
+the witness tag, and that one definition is registered in two modes: as
+``<id>`` it is evaluated in the symbolic context (x, y the polynomials X, Y;
+family terms from transfer recursions and closed formulas), as ``<id>-enum``
+in one enumerative context per group pair (x, y integers; family terms
+exhaustive counts).  The two routes share no family term, so neither side
+of a check is ever compared with itself.
+
 All arithmetic is exact; a failing check carries a minimal witness.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
+from types import SimpleNamespace
 
 from . import action, maps, poly
 from .core import classify, ground_a
 from .families import FamilySpec, count_by, enumerate_dyck, enumerate_family, family_shapes
 from .groups import DirectSum, GroupSpec
-from .poly import BiPoly, X, Y, catalan, transfer_family
+from .poly import FAMILY_CODES, BiPoly, X, Y, catalan, transfer_family
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -116,13 +126,9 @@ class Report:
         }
 
 
-def run_all(profile: str = "desk", jobs: int | None = None, ids=None) -> Report:
+def run_all(profile: str = "desk", ids=None) -> Report:
     ids = registry_ids() if ids is None else tuple(ids)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda i: run(i, profile), ids))
-    else:
-        results = [run(i, profile) for i in ids]
+    results = [run(i, profile) for i in ids]
     return Report(tuple(sorted(results, key=lambda r: r.id)))
 
 
@@ -142,20 +148,12 @@ def _eq(witnesses, tag, *values):
             return
 
 
-def _yp1(k: int) -> BiPoly:
-    return (Y + 1) ** k
-
-
-def _cnt(family, n, groups) -> int:
-    return len(tuple(enumerate_family(FamilySpec(family, n, groups))))
-
-
-def _cnt_flag(family, n, groups, flag) -> int:
-    return sum(
-        1
-        for p in enumerate_family(FamilySpec(family, n, groups))
-        if getattr(classify(p), flag)
-    )
+def _cnt(family, n, groups, flag=None) -> int:
+    """Members of the family, or only those whose classification has flag."""
+    members = enumerate_family(FamilySpec(family, n, groups))
+    if flag is None:
+        return len(tuple(members))
+    return sum(1 for p in members if getattr(classify(p), flag))
 
 
 def _embed_a(p, ds: DirectSum):
@@ -219,114 +217,6 @@ def _riordan(n_max):
         _eq(out, f"n={n}", lhs, rhs)
     return out
 
-
-@_register(
-    "A-identities-1",
-    "symbolic",
-    "Bell[n+1](x,y) == sum binom(n,k) Bell[k](x) y^(n-k)"
-    " == sum binom(n,k) F[k](x) (y+1)^(n-k)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _a_identities_1(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Bell", n + 1)
-        mid = sum(
-            (
-                comb(n, k) * poly.bell_univariate(k) * Y ** (n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = sum(
-            (comb(n, k) * poly.feasible_closed(k) * _yp1(n - k) for k in range(n + 1)),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, mid, rhs)
-    return out
-
-
-@_register(
-    "A-identities-2",
-    "symbolic",
-    "Cat[n+1](x,y) == sum binom(n,k) M[k](x) y^(n-k)"
-    " == sum C_k binom(n,2k) x^k (y+1)^(n-2k)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _a_identities_2(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Cat", n + 1)
-        mid = sum(
-            (
-                comb(n, k) * poly.motzkin_closed(k) * Y ** (n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = sum(
-            (
-                catalan(k) * comb(n, 2 * k) * BiPoly.term(1, k) * _yp1(n - 2 * k)
-                for k in range(n // 2 + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, mid, rhs)
-    return out
-
-
-@_register(
-    "A-incl-excl-1",
-    "symbolic",
-    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Bell[k+1](x,y) == F[n](x)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _a_incl_excl_1(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = sum(
-            (
-                (-1) ** (n - k)
-                * comb(n, k)
-                * _yp1(n - k)
-                * transfer_family("Bell", k + 1)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, poly.feasible_closed(n))
-    return out
-
-
-@_register(
-    "A-incl-excl-2",
-    "symbolic",
-    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Cat[k+1](x,y)"
-    " == C_(n/2) x^(n/2) for even n, else 0",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _a_incl_excl_2(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = sum(
-            (
-                (-1) ** (n - k)
-                * comb(n, k)
-                * _yp1(n - k)
-                * transfer_family("Cat", k + 1)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = (
-            BiPoly.term(catalan(n // 2), n // 2) if n % 2 == 0 else BiPoly.zero()
-        )
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
 
 
 @_register(
@@ -522,599 +412,307 @@ def _tilde_2(n_max):
     return out
 
 
-@_register(
-    "B-identities-1",
-    "symbolic",
-    "Bell_B[n](x,y) == sum binom(n,k) Bell[k](2x) y^(n-k)"
-    " == sum binom(n,k) F[k](2x) (y+1)^(n-k)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_identities_1(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Bell_B", n)
-        mid = sum(
-            (
-                comb(n, k) * poly.bell_univariate(k).scale_x(2) * Y ** (n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = sum(
-            (
-                comb(n, k) * poly.feasible_closed(k).scale_x(2) * _yp1(n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, mid, rhs)
-    return out
-
-
-@_register(
-    "B-identities-2",
-    "symbolic",
-    "Bell_D[n+1](x,y) == sum binom(n,k) Bell_B[k](x) y^(n-k)"
-    " == sum binom(n,k) F~_B[k](x) (y+1)^(n-k)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_identities_2(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Bell_D", n + 1)
-        mid = sum(
-            (
-                comb(n, k) * poly.bellb_univariate(k) * Y ** (n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = sum(
-            (
-                comb(n, k) * poly.feasibleb_tilde_closed(k) * _yp1(n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, mid, rhs)
-    return out
-
-
-@_register(
-    "B-identities-3",
-    "symbolic",
-    "Cat_B[n](x,y) == sum binom(n,k) M_B[k](x) y^(n-k)"
-    " == sum binom(2k,k) binom(n,2k) x^k (y+1)^(n-2k)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_identities_3(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Cat_B", n)
-        mid = sum(
-            (
-                comb(n, k) * poly.motzkinb_closed(k) * Y ** (n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = sum(
-            (
-                comb(2 * k, k)
-                * comb(n, 2 * k)
-                * BiPoly.term(1, k)
-                * _yp1(n - 2 * k)
-                for k in range(n // 2 + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, mid, rhs)
-    return out
-
-
-@_register(
-    "B-identities-4",
-    "symbolic",
-    "Cat_D[n+1](x,y) == sum binom(n,k) M~_B[k](x) y^(n-k)"
-    " == sum binom(n,k) binom(k,floor(k/2)) x^ceil(k/2) (y+1)^(n-k)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_identities_4(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Cat_D", n + 1)
-        mid = sum(
-            (
-                comb(n, k) * poly.motzkinb_tilde_closed(k) * Y ** (n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = sum(
-            (
-                comb(n, k)
-                * comb(k, k // 2)
-                * BiPoly.term(1, (k + 1) // 2)
-                * _yp1(n - k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, mid, rhs)
-    return out
-
-
-@_register(
-    "hanging-1",
-    "symbolic",
-    "Cat_B[n+1](x,y) == (y+1) Cat_B[n](x,y) + 2n x Cat[n](x,y)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _hanging_1(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Cat_B", n + 1)
-        rhs = (Y + 1) * transfer_family("Cat_B", n) + 2 * n * X * transfer_family(
-            "Cat", n
-        )
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
-
-
-@_register(
-    "hanging-2",
-    "symbolic",
-    "Cat_D[n+1](x,y) == Cat_B[n](x,y) + n x Cat[n](x,y)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _hanging_2(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Cat_D", n + 1)
-        rhs = transfer_family("Cat_B", n) + n * X * transfer_family("Cat", n)
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
-
-
-@_register(
-    "B-incl-excl-1",
-    "symbolic",
-    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Bell_B[k](x,y) == F[n](2x)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_incl_excl_1(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = sum(
-            (
-                (-1) ** (n - k)
-                * comb(n, k)
-                * _yp1(n - k)
-                * transfer_family("Bell_B", k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, poly.feasible_closed(n).scale_x(2))
-    return out
-
-
-@_register(
-    "B-incl-excl-2",
-    "symbolic",
-    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Bell_D[k+1](x,y) == F~_B[n](x)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_incl_excl_2(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = sum(
-            (
-                (-1) ** (n - k)
-                * comb(n, k)
-                * _yp1(n - k)
-                * transfer_family("Bell_D", k + 1)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, poly.feasibleb_tilde_closed(n))
-    return out
-
-
-@_register(
-    "B-incl-excl-3",
-    "symbolic",
-    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Cat_B[k](x,y)"
-    " == binom(n,n/2) x^(n/2) for even n, else 0",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_incl_excl_3(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = sum(
-            (
-                (-1) ** (n - k)
-                * comb(n, k)
-                * _yp1(n - k)
-                * transfer_family("Cat_B", k)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        rhs = (
-            BiPoly.term(comb(n, n // 2), n // 2) if n % 2 == 0 else BiPoly.zero()
-        )
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
-
-
-@_register(
-    "B-incl-excl-4",
-    "symbolic",
-    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Cat_D[k+1](x,y)"
-    " == binom(n,floor(n/2)) x^ceil(n/2)",
-    {"n_max": 10},
-    {"n_max": 6},
-)
-def _b_incl_excl_4(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = sum(
-            (
-                (-1) ** (n - k)
-                * comb(n, k)
-                * _yp1(n - k)
-                * transfer_family("Cat_D", k + 1)
-                for k in range(n + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, BiPoly.term(comb(n, n // 2), (n + 1) // 2))
-    return out
-
-
-@_register(
-    "three-term-1",
-    "symbolic",
-    "(n+1) Cat[n] == (y+1)(2n-1) Cat[n-1] + (4x-(y+1)^2)(n-2) Cat[n-2]",
-    {"n_min": 2, "n_max": 10},
-)
-def _three_term_1(n_min, n_max):
-    out = []
-    for n in range(n_min, n_max + 1):
-        lhs = (n + 1) * transfer_family("Cat", n)
-        rhs = (Y + 1) * (2 * n - 1) * transfer_family("Cat", n - 1) + (
-            4 * X - (Y + 1) ** 2
-        ) * (n - 2) * transfer_family("Cat", n - 2)
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
-
-
-@_register(
-    "three-term-2",
-    "symbolic",
-    "n Cat_B[n] == (y+1)(2n-1) Cat_B[n-1] + (4x-(y+1)^2)(n-1) Cat_B[n-2]",
-    {"n_min": 2, "n_max": 10},
-)
-def _three_term_2(n_min, n_max):
-    out = []
-    for n in range(n_min, n_max + 1):
-        lhs = n * transfer_family("Cat_B", n)
-        rhs = (Y + 1) * (2 * n - 1) * transfer_family("Cat_B", n - 1) + (
-            4 * X - (Y + 1) ** 2
-        ) * (n - 1) * transfer_family("Cat_B", n - 2)
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
-
 # ---------------------------------------------------------------------------
-# enumerative instantiations
+# paired identities
 #
-# Each bivariate identity is replayed with concrete label groups: the family
-# side becomes an exhaustive count and the formula side an integer evaluation
-# at x = |A|-1, y = |B|-1.
+# Each function below returns the sides its identity asserts equal at one n,
+# read through a context c with c.x, c.y, c.biv(name, n), c.uni(name, n) and
+# c.tag(n).  ``<id>`` evaluates it in the symbolic context, ``<id>-enum`` in
+# one enumerative context per group pair.
 
 ENUM_A_NMAX = 5
 ENUM_BD_NMAX = 3
 
+# the closed formula of every univariate family an identity names
+_CLOSED = {
+    "Bell": poly.bell_univariate,
+    "Bell_B": poly.bellb_univariate,
+    "Bell_D": lambda n: poly.bell_univariate(n).scale_x(2),
+    "F": poly.feasible_closed,
+    "F_D": lambda n: poly.feasible_closed(n).scale_x(2),
+    "F_B_tilde": poly.feasibleb_tilde_closed,
+    "M": poly.motzkin_closed,
+    "M_B": poly.motzkinb_closed,
+    "M_B_tilde": poly.motzkinb_tilde_closed,
+}
 
-def _register_enum(id, statement, a_type):
-    def wrap(fn):
-        desk = {"n_max": ENUM_A_NMAX if a_type else ENUM_BD_NMAX, "pairs": GROUP_PAIRS}
-        quick = {"n_max": 2, "pairs": GROUP_PAIRS[:2]}
-        _register(id, "enumerative", statement, desk, quick)(fn)
-        return fn
+# x, y are the polynomials X, Y; bivariate terms come from the transfer
+# recursion (called by name, so a rebinding of transfer_family is seen) and
+# univariate terms from their closed formulas.
+_SYMBOLIC = SimpleNamespace(
+    x=X,
+    y=Y,
+    biv=lambda name, n: transfer_family(name, n),
+    uni=lambda name, n: _CLOSED[name](n),
+    tag=lambda n: f"n={n}",
+)
+
+
+def _counting(ga: GroupSpec, gb: GroupSpec) -> SimpleNamespace:
+    """x = |A|-1, y = |B|-1, and every family term an exhaustive count: the
+    two-group family for a bivariate term, the single-group family filtered
+    by its classification flag for a univariate one."""
+
+    def uni(name, n):
+        code, flag = FAMILY_CODES[name]
+        return _cnt(code, n, (ga,), flag)
+
+    return SimpleNamespace(
+        x=ga.order - 1,
+        y=gb.order - 1,
+        biv=lambda name, n: _cnt(FAMILY_CODES[name][0] + "_AB", n, (ga, gb)),
+        uni=uni,
+        tag=lambda n: f"n={n},A={ga},B={gb}",
+    )
+
+
+def _evaluate(sides, contexts, n_min, n_max):
+    out = []
+    for c in contexts:
+        for n in range(n_min, n_max + 1):
+            _eq(out, c.tag(n), *sides(c, n))
+    return out
+
+
+def _identity(id, statement, enum_n_max, n_min=0, quick_n_max=6):
+    """Register sides(c, n) as the checks ``id`` and ``id-enum``."""
+
+    def wrap(sides):
+        def symbolic(n_max, n_min=n_min):
+            return _evaluate(sides, (_SYMBOLIC,), n_min, n_max)
+
+        def enumerative(n_max, pairs):
+            return _evaluate(sides, [_counting(ga, gb) for ga, gb in pairs], n_min, n_max)
+
+        start = {"n_min": n_min} if n_min else {}
+        _register(
+            id, "symbolic", statement,
+            {**start, "n_max": 10}, {**start, "n_max": quick_n_max},
+        )(symbolic)
+        _register(
+            f"{id}-enum", "enumerative",
+            f"{statement}, counted at x = |A|-1, y = |B|-1",
+            {"n_max": enum_n_max, "pairs": GROUP_PAIRS},
+            {"n_max": 2, "pairs": GROUP_PAIRS[:2]},
+        )(enumerative)
+        return sides
 
     return wrap
 
 
-def _enum_check(fn_per_instance):
-    def runner(n_max, pairs):
-        out = []
-        for ga, gb in pairs:
-            a, b = ga.order - 1, gb.order - 1
-            for n in range(n_max + 1):
-                fn_per_instance(out, n, ga, gb, a, b)
-        return out
-
-    return runner
+def _binomial(c, name, n, y):
+    """sum binom(n,k) name[k](x) y^(n-k)"""
+    return sum(comb(n, k) * c.uni(name, k) * y ** (n - k) for k in range(n + 1))
 
 
-@_register_enum(
-    "A-identities-1-enum",
-    "|PI(n+1,A,B)| == sum binom(n,k) |PI(k,A)| b^(n-k)"
-    " == sum binom(n,k) #feasible(k,A) (b+1)^(n-k)",
-    True,
-)
-@_enum_check
-def _a_identities_1_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("PI_AB", n + 1, (ga, gb))
-    mid = sum(comb(n, k) * _cnt("PI", k, (ga,)) * b ** (n - k) for k in range(n + 1))
-    rhs = sum(
-        comb(n, k) * _cnt_flag("PI", k, (ga,), "feasible") * (b + 1) ** (n - k)
+def _incl_excl(c, name, n, shift):
+    """sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) name[k+shift](x,y)"""
+    return sum(
+        (-1) ** (n - k) * comb(n, k) * (c.y + 1) ** (n - k) * c.biv(name, k + shift)
         for k in range(n + 1)
     )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, mid, rhs)
 
 
-@_register_enum(
-    "A-identities-2-enum",
-    "|NC(n+1,A,B)| == sum binom(n,k) #poor-NC(k,A) b^(n-k)"
-    " == sum C_k binom(n,2k) a^k (b+1)^(n-2k)",
-    True,
+@_identity(
+    "A-identities-1",
+    "Bell[n+1](x,y) == sum binom(n,k) Bell[k](x) y^(n-k)"
+    " == sum binom(n,k) F[k](x) (y+1)^(n-k)",
+    ENUM_A_NMAX,
 )
-@_enum_check
-def _a_identities_2_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("NC_AB", n + 1, (ga, gb))
-    mid = sum(
-        comb(n, k) * _cnt_flag("NC", k, (ga,), "poor") * b ** (n - k)
-        for k in range(n + 1)
+def _a_identities_1(c, n):
+    return (
+        c.biv("Bell", n + 1),
+        _binomial(c, "Bell", n, c.y),
+        _binomial(c, "F", n, c.y + 1),
     )
-    rhs = sum(
-        catalan(k) * comb(n, 2 * k) * a**k * (b + 1) ** (n - 2 * k)
-        for k in range(n // 2 + 1)
-    )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, mid, rhs)
 
 
-@_register_enum(
-    "A-incl-excl-1-enum",
-    "sum (-1)^(n-k) binom(n,k) (b+1)^(n-k) |PI(k+1,A,B)| == #feasible(n,A)",
-    True,
+@_identity(
+    "A-identities-2",
+    "Cat[n+1](x,y) == sum binom(n,k) M[k](x) y^(n-k)"
+    " == sum C_k binom(n,2k) x^k (y+1)^(n-2k)",
+    ENUM_A_NMAX,
 )
-@_enum_check
-def _a_incl_excl_1_enum(out, n, ga, gb, a, b):
-    lhs = sum(
-        (-1) ** (n - k) * comb(n, k) * (b + 1) ** (n - k) * _cnt("PI_AB", k + 1, (ga, gb))
-        for k in range(n + 1)
+def _a_identities_2(c, n):
+    return (
+        c.biv("Cat", n + 1),
+        _binomial(c, "M", n, c.y),
+        sum(
+            catalan(k) * comb(n, 2 * k) * c.x**k * (c.y + 1) ** (n - 2 * k)
+            for k in range(n // 2 + 1)
+        ),
     )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, _cnt_flag("PI", n, (ga,), "feasible"))
 
 
-@_register_enum(
-    "A-incl-excl-2-enum",
-    "sum (-1)^(n-k) binom(n,k) (b+1)^(n-k) |NC(k+1,A,B)|"
-    " == C_(n/2) a^(n/2) for even n, else 0",
-    True,
+@_identity(
+    "A-incl-excl-1",
+    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Bell[k+1](x,y) == F[n](x)",
+    ENUM_A_NMAX,
 )
-@_enum_check
-def _a_incl_excl_2_enum(out, n, ga, gb, a, b):
-    lhs = sum(
-        (-1) ** (n - k) * comb(n, k) * (b + 1) ** (n - k) * _cnt("NC_AB", k + 1, (ga, gb))
-        for k in range(n + 1)
+def _a_incl_excl_1(c, n):
+    return _incl_excl(c, "Bell", n, 1), c.uni("F", n)
+
+
+@_identity(
+    "A-incl-excl-2",
+    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Cat[k+1](x,y)"
+    " == C_(n/2) x^(n/2) for even n, else 0",
+    ENUM_A_NMAX,
+)
+def _a_incl_excl_2(c, n):
+    return _incl_excl(c, "Cat", n, 1), (catalan(n // 2) * c.x ** (n // 2) if n % 2 == 0 else 0)
+
+
+@_identity(
+    "B-identities-1",
+    "Bell_B[n](x,y) == sum binom(n,k) Bell[k](2x) y^(n-k)"
+    " == sum binom(n,k) F[k](2x) (y+1)^(n-k)",
+    ENUM_BD_NMAX,
+)
+def _b_identities_1(c, n):
+    return (
+        c.biv("Bell_B", n),
+        _binomial(c, "Bell_D", n, c.y),
+        _binomial(c, "F_D", n, c.y + 1),
     )
-    rhs = catalan(n // 2) * a ** (n // 2) if n % 2 == 0 else 0
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, rhs)
 
 
-@_register_enum(
-    "B-identities-1-enum",
-    "|P_B(n,A,B)| == sum binom(n,k) |P_D(k,A)| b^(n-k)"
-    " == sum binom(n,k) #feasible-P_D(k,A) (b+1)^(n-k)",
-    False,
+@_identity(
+    "B-identities-2",
+    "Bell_D[n+1](x,y) == sum binom(n,k) Bell_B[k](x) y^(n-k)"
+    " == sum binom(n,k) F~_B[k](x) (y+1)^(n-k)",
+    ENUM_BD_NMAX,
 )
-@_enum_check
-def _b_identities_1_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("P_B_AB", n, (ga, gb))
-    mid = sum(comb(n, k) * _cnt("P_D", k, (ga,)) * b ** (n - k) for k in range(n + 1))
-    rhs = sum(
-        comb(n, k) * _cnt_flag("P_D", k, (ga,), "feasible") * (b + 1) ** (n - k)
-        for k in range(n + 1)
+def _b_identities_2(c, n):
+    return (
+        c.biv("Bell_D", n + 1),
+        _binomial(c, "Bell_B", n, c.y),
+        _binomial(c, "F_B_tilde", n, c.y + 1),
     )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, mid, rhs)
 
 
-@_register_enum(
-    "B-identities-2-enum",
-    "|P_D(n+1,A,B)| == sum binom(n,k) |P_B(k,A)| b^(n-k)"
-    " == sum binom(n,k) #B-feasible-P_B(k,A) (b+1)^(n-k)",
-    False,
+@_identity(
+    "B-identities-3",
+    "Cat_B[n](x,y) == sum binom(n,k) M_B[k](x) y^(n-k)"
+    " == sum binom(2k,k) binom(n,2k) x^k (y+1)^(n-2k)",
+    ENUM_BD_NMAX,
 )
-@_enum_check
-def _b_identities_2_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("P_D_AB", n + 1, (ga, gb))
-    mid = sum(comb(n, k) * _cnt("P_B", k, (ga,)) * b ** (n - k) for k in range(n + 1))
-    rhs = sum(
-        comb(n, k) * _cnt_flag("P_B", k, (ga,), "b_feasible") * (b + 1) ** (n - k)
-        for k in range(n + 1)
+def _b_identities_3(c, n):
+    return (
+        c.biv("Cat_B", n),
+        _binomial(c, "M_B", n, c.y),
+        sum(
+            comb(2 * k, k) * comb(n, 2 * k) * c.x**k * (c.y + 1) ** (n - 2 * k)
+            for k in range(n // 2 + 1)
+        ),
     )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, mid, rhs)
 
 
-@_register_enum(
-    "B-identities-3-enum",
-    "|NC~_B(n,A,B)| == sum binom(n,k) #poor-NC~_B(k,A) b^(n-k)"
-    " == sum binom(2k,k) binom(n,2k) a^k (b+1)^(n-2k)",
-    False,
+@_identity(
+    "B-identities-4",
+    "Cat_D[n+1](x,y) == sum binom(n,k) M~_B[k](x) y^(n-k)"
+    " == sum binom(n,k) binom(k,floor(k/2)) x^ceil(k/2) (y+1)^(n-k)",
+    ENUM_BD_NMAX,
 )
-@_enum_check
-def _b_identities_3_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("NC_TILDE_B_AB", n, (ga, gb))
-    mid = sum(
-        comb(n, k) * _cnt_flag("NC_TILDE_B", k, (ga,), "poor") * b ** (n - k)
-        for k in range(n + 1)
+def _b_identities_4(c, n):
+    return (
+        c.biv("Cat_D", n + 1),
+        _binomial(c, "M_B_tilde", n, c.y),
+        sum(
+            comb(n, k) * comb(k, k // 2) * c.x ** ((k + 1) // 2) * (c.y + 1) ** (n - k)
+            for k in range(n + 1)
+        ),
     )
-    rhs = sum(
-        comb(2 * k, k) * comb(n, 2 * k) * a**k * (b + 1) ** (n - 2 * k)
-        for k in range(n // 2 + 1)
+
+
+@_identity(
+    "hanging-1",
+    "Cat_B[n+1](x,y) == (y+1) Cat_B[n](x,y) + 2n x Cat[n](x,y)",
+    ENUM_BD_NMAX,
+)
+def _hanging_1(c, n):
+    return (
+        c.biv("Cat_B", n + 1),
+        (c.y + 1) * c.biv("Cat_B", n) + 2 * n * c.x * c.biv("Cat", n),
     )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, mid, rhs)
 
 
-@_register_enum(
-    "B-identities-4-enum",
-    "|NC~_D(n+1,A,B)| == sum binom(n,k) #B-poor-NC~_B(k,A) b^(n-k)"
-    " == sum binom(n,k) binom(k,floor(k/2)) a^ceil(k/2) (b+1)^(n-k)",
-    False,
+@_identity(
+    "hanging-2",
+    "Cat_D[n+1](x,y) == Cat_B[n](x,y) + n x Cat[n](x,y)",
+    ENUM_BD_NMAX,
 )
-@_enum_check
-def _b_identities_4_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("NC_TILDE_D_AB", n + 1, (ga, gb))
-    mid = sum(
-        comb(n, k) * _cnt_flag("NC_TILDE_B", k, (ga,), "b_poor") * b ** (n - k)
-        for k in range(n + 1)
+def _hanging_2(c, n):
+    return c.biv("Cat_D", n + 1), c.biv("Cat_B", n) + n * c.x * c.biv("Cat", n)
+
+
+@_identity(
+    "B-incl-excl-1",
+    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Bell_B[k](x,y) == F[n](2x)",
+    ENUM_BD_NMAX,
+)
+def _b_incl_excl_1(c, n):
+    return _incl_excl(c, "Bell_B", n, 0), c.uni("F_D", n)
+
+
+@_identity(
+    "B-incl-excl-2",
+    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Bell_D[k+1](x,y) == F~_B[n](x)",
+    ENUM_BD_NMAX,
+)
+def _b_incl_excl_2(c, n):
+    return _incl_excl(c, "Bell_D", n, 1), c.uni("F_B_tilde", n)
+
+
+@_identity(
+    "B-incl-excl-3",
+    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Cat_B[k](x,y)"
+    " == binom(n,n/2) x^(n/2) for even n, else 0",
+    ENUM_BD_NMAX,
+)
+def _b_incl_excl_3(c, n):
+    return _incl_excl(c, "Cat_B", n, 0), (comb(n, n // 2) * c.x ** (n // 2) if n % 2 == 0 else 0)
+
+
+@_identity(
+    "B-incl-excl-4",
+    "sum (-1)^(n-k) binom(n,k) (y+1)^(n-k) Cat_D[k+1](x,y)"
+    " == binom(n,floor(n/2)) x^ceil(n/2)",
+    ENUM_BD_NMAX,
+)
+def _b_incl_excl_4(c, n):
+    return _incl_excl(c, "Cat_D", n, 1), comb(n, n // 2) * c.x ** ((n + 1) // 2)
+
+
+@_identity(
+    "three-term-1",
+    "(n+1) Cat[n] == (y+1)(2n-1) Cat[n-1] + (4x-(y+1)^2)(n-2) Cat[n-2]",
+    ENUM_A_NMAX,
+    n_min=2,
+    quick_n_max=10,
+)
+def _three_term_1(c, n):
+    return (
+        (n + 1) * c.biv("Cat", n),
+        (c.y + 1) * (2 * n - 1) * c.biv("Cat", n - 1)
+        + (4 * c.x - (c.y + 1) ** 2) * (n - 2) * c.biv("Cat", n - 2),
     )
-    rhs = sum(
-        comb(n, k) * comb(k, k // 2) * a ** ((k + 1) // 2) * (b + 1) ** (n - k)
-        for k in range(n + 1)
+
+
+@_identity(
+    "three-term-2",
+    "n Cat_B[n] == (y+1)(2n-1) Cat_B[n-1] + (4x-(y+1)^2)(n-1) Cat_B[n-2]",
+    ENUM_BD_NMAX,
+    n_min=2,
+    quick_n_max=10,
+)
+def _three_term_2(c, n):
+    return (
+        n * c.biv("Cat_B", n),
+        (c.y + 1) * (2 * n - 1) * c.biv("Cat_B", n - 1)
+        + (4 * c.x - (c.y + 1) ** 2) * (n - 1) * c.biv("Cat_B", n - 2),
     )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, mid, rhs)
 
-
-@_register_enum(
-    "hanging-1-enum",
-    "|NC~_B(n+1,A,B)| == (b+1) |NC~_B(n,A,B)| + 2n a |NC(n,A,B)|",
-    False,
-)
-@_enum_check
-def _hanging_1_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("NC_TILDE_B_AB", n + 1, (ga, gb))
-    rhs = (b + 1) * _cnt("NC_TILDE_B_AB", n, (ga, gb)) + 2 * n * a * _cnt(
-        "NC_AB", n, (ga, gb)
-    )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, rhs)
-
-
-@_register_enum(
-    "hanging-2-enum",
-    "|NC~_D(n+1,A,B)| == |NC~_B(n,A,B)| + n a |NC(n,A,B)|",
-    False,
-)
-@_enum_check
-def _hanging_2_enum(out, n, ga, gb, a, b):
-    lhs = _cnt("NC_TILDE_D_AB", n + 1, (ga, gb))
-    rhs = _cnt("NC_TILDE_B_AB", n, (ga, gb)) + n * a * _cnt("NC_AB", n, (ga, gb))
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, rhs)
-
-
-@_register_enum(
-    "B-incl-excl-1-enum",
-    "sum (-1)^(n-k) binom(n,k) (b+1)^(n-k) |P_B(k,A,B)| == #feasible-P_D(n,A)",
-    False,
-)
-@_enum_check
-def _b_incl_excl_1_enum(out, n, ga, gb, a, b):
-    lhs = sum(
-        (-1) ** (n - k) * comb(n, k) * (b + 1) ** (n - k) * _cnt("P_B_AB", k, (ga, gb))
-        for k in range(n + 1)
-    )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, _cnt_flag("P_D", n, (ga,), "feasible"))
-
-
-@_register_enum(
-    "B-incl-excl-2-enum",
-    "sum (-1)^(n-k) binom(n,k) (b+1)^(n-k) |P_D(k+1,A,B)| == #B-feasible-P_B(n,A)",
-    False,
-)
-@_enum_check
-def _b_incl_excl_2_enum(out, n, ga, gb, a, b):
-    lhs = sum(
-        (-1) ** (n - k)
-        * comb(n, k)
-        * (b + 1) ** (n - k)
-        * _cnt("P_D_AB", k + 1, (ga, gb))
-        for k in range(n + 1)
-    )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, _cnt_flag("P_B", n, (ga,), "b_feasible"))
-
-
-@_register_enum(
-    "B-incl-excl-3-enum",
-    "sum (-1)^(n-k) binom(n,k) (b+1)^(n-k) |NC~_B(k,A,B)|"
-    " == binom(n,n/2) a^(n/2) for even n, else 0",
-    False,
-)
-@_enum_check
-def _b_incl_excl_3_enum(out, n, ga, gb, a, b):
-    lhs = sum(
-        (-1) ** (n - k)
-        * comb(n, k)
-        * (b + 1) ** (n - k)
-        * _cnt("NC_TILDE_B_AB", k, (ga, gb))
-        for k in range(n + 1)
-    )
-    rhs = comb(n, n // 2) * a ** (n // 2) if n % 2 == 0 else 0
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, rhs)
-
-
-@_register_enum(
-    "B-incl-excl-4-enum",
-    "sum (-1)^(n-k) binom(n,k) (b+1)^(n-k) |NC~_D(k+1,A,B)|"
-    " == binom(n,floor(n/2)) a^ceil(n/2)",
-    False,
-)
-@_enum_check
-def _b_incl_excl_4_enum(out, n, ga, gb, a, b):
-    lhs = sum(
-        (-1) ** (n - k)
-        * comb(n, k)
-        * (b + 1) ** (n - k)
-        * _cnt("NC_TILDE_D_AB", k + 1, (ga, gb))
-        for k in range(n + 1)
-    )
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, comb(n, n // 2) * a ** ((n + 1) // 2))
-
-
-@_register_enum(
-    "three-term-1-enum",
-    "(n+1)|NC(n,A,B)| == (b+1)(2n-1)|NC(n-1,A,B)| + (4a-(b+1)^2)(n-2)|NC(n-2,A,B)|",
-    True,
-)
-@_enum_check
-def _three_term_1_enum(out, n, ga, gb, a, b):
-    if n < 2:
-        return
-    lhs = (n + 1) * _cnt("NC_AB", n, (ga, gb))
-    rhs = (b + 1) * (2 * n - 1) * _cnt("NC_AB", n - 1, (ga, gb)) + (
-        4 * a - (b + 1) ** 2
-    ) * (n - 2) * _cnt("NC_AB", n - 2, (ga, gb))
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, rhs)
-
-
-@_register_enum(
-    "three-term-2-enum",
-    "n|NC~_B(n,A,B)| == (b+1)(2n-1)|NC~_B(n-1,A,B)|"
-    " + (4a-(b+1)^2)(n-1)|NC~_B(n-2,A,B)|",
-    False,
-)
-@_enum_check
-def _three_term_2_enum(out, n, ga, gb, a, b):
-    if n < 2:
-        return
-    lhs = n * _cnt("NC_TILDE_B_AB", n, (ga, gb))
-    rhs = (b + 1) * (2 * n - 1) * _cnt("NC_TILDE_B_AB", n - 1, (ga, gb)) + (
-        4 * a - (b + 1) ** 2
-    ) * (n - 1) * _cnt("NC_TILDE_B_AB", n - 2, (ga, gb))
-    _eq(out, f"n={n},A={ga},B={gb}", lhs, rhs)
 
 # ---------------------------------------------------------------------------
 # structural checks

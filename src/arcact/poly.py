@@ -494,22 +494,26 @@ def _motzkinx_tilde_poly(n: int) -> BiPoly:
     return sum(states.values(), BiPoly.zero())
 
 
-FAMILY_NAMES = (
-    "Bell",
-    "Cat",
-    "F",
-    "M",
-    "Bell_B",
-    "Bell_D",
-    "Cat_B",
-    "Cat_D",
-    "F_B",
-    "F_D",
-    "M_B",
-    "M_D",
-    "F_B_tilde",
-    "M_B_tilde",
-)
+# name -> (partition family, classification flag).  The flagged families are
+# univariate: they count the members that carry the flag, by arcs alone.
+FAMILY_CODES = {
+    "Bell": ("PI", None),
+    "Cat": ("NC", None),
+    "F": ("PI", "feasible"),
+    "M": ("NC", "poor"),
+    "Bell_B": ("P_B", None),
+    "Bell_D": ("P_D", None),
+    "Cat_B": ("NC_TILDE_B", None),
+    "Cat_D": ("NC_TILDE_D", None),
+    "F_B": ("P_B", "feasible"),
+    "F_D": ("P_D", "feasible"),
+    "M_B": ("NC_TILDE_B", "poor"),
+    "M_D": ("NC_TILDE_D", "poor"),
+    "F_B_tilde": ("P_B", "b_feasible"),
+    "M_B_tilde": ("NC_TILDE_B", "b_poor"),
+}
+
+FAMILY_NAMES = tuple(FAMILY_CODES)
 
 
 def transfer_family(name: str, n: int) -> BiPoly:
@@ -658,25 +662,9 @@ def enumerated_family(name: str, n: int) -> BiPoly:
     from .core import classify, ground_a, ground_b, ground_d, unlabeled
     from .families import family_shapes
 
-    table = {
-        "Bell": ("PI", None, False),
-        "Cat": ("NC", None, False),
-        "F": ("PI", "feasible", True),
-        "M": ("NC", "poor", True),
-        "Bell_B": ("P_B", None, False),
-        "Bell_D": ("P_D", None, False),
-        "Cat_B": ("NC_TILDE_B", None, False),
-        "Cat_D": ("NC_TILDE_D", None, False),
-        "F_B": ("P_B", "feasible", True),
-        "F_D": ("P_D", "feasible", True),
-        "F_B_tilde": ("P_B", "b_feasible", True),
-        "M_B": ("NC_TILDE_B", "poor", True),
-        "M_D": ("NC_TILDE_D", "poor", True),
-        "M_B_tilde": ("NC_TILDE_B", "b_poor", True),
-    }
-    if name not in table:
+    if name not in FAMILY_CODES:
         raise ValueError(f"unknown family {name!r}")
-    code, flag, univariate = table[name]
+    code, flag = FAMILY_CODES[name]
     ground = {"A": ground_a, "B": ground_b, "D": ground_d}[
         "A" if code in ("PI", "NC") else ("B" if code.endswith("_B") or code == "P_B" else "D")
     ](n)
@@ -691,7 +679,7 @@ def enumerated_family(name: str, n: int) -> BiPoly:
         if mirrored:
             arcs //= 2
             covs //= 2
-        if univariate:
+        if flag is not None:
             total = total + BiPoly.term(1, arcs)
         else:
             total = total + BiPoly.term(1, arcs - covs, covs)

@@ -126,6 +126,18 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 2
 
 
+def test_oeis_check_unknown_name_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["oeis-check", "--name", "Nope", "--id", "A007405"])
+    assert err.value.code == 2
+
+
+def test_poly_negative_n_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["poly", "--family", "Cat_B", "--n", "-1"])
+    assert err.value.code == 2
+
+
 def test_io_error_exit_code(capsys):
     code = main(
         ["oeis-check", "--name", "Bell_B", "--id", "A999999", "--offset", "0"]

@@ -73,6 +73,19 @@ def test_failures_carry_witnesses():
     assert out == []
 
 
+def test_witness_shape_in_both_contexts():
+    def wrong(c, n):
+        *sides, rhs = identities._a_identities_1(c, n)
+        return (*sides, rhs + 1)
+
+    symbolic = identities._evaluate(wrong, (identities._SYMBOLIC,), 0, 2)
+    assert symbolic[0] == "n=0: 1 != 2"
+    counting = identities._counting(identities.Z2, identities.Z2)
+    enumerative = identities._evaluate(wrong, (counting,), 0, 2)
+    assert enumerative[0] == "n=0,A=Z2,B=Z2: 1 != 2"
+    assert len(symbolic) == len(enumerative) == 3
+
+
 def test_run_reports_pass():
     result = identities.run("touchard", n_max=6)
     assert result.ok and result.status == "pass" and result.witness is None
@@ -81,7 +94,7 @@ def test_run_reports_pass():
 
 def test_run_override_params():
     result = identities.run("coker", n_max=3)
-    assert "n_max', 3" in result.params or "n_max" in result.params
+    assert result.params == "('n_max', 3)"
 
 
 def test_quick_profile_all_green():
@@ -91,17 +104,113 @@ def test_quick_profile_all_green():
     assert len(report.results) == len(identities.registry_ids())
 
 
-def test_parallel_run_matches_serial():
-    ids = ["coker", "riordan", "touchard", "motzkin-closed"]
-    serial = identities.run_all(profile="quick", ids=ids)
-    parallel = identities.run_all(profile="quick", jobs=4, ids=ids)
-    assert [r.id for r in serial.results] == [r.id for r in parallel.results]
-    assert serial.ok and parallel.ok
-
-
 def test_report_json_shape():
     report = identities.run_all(profile="quick", ids=["touchard"])
     data = report.to_json_dict()
     assert data["ok"] is True
     entry = data["results"][0]
     assert {"id", "mode", "range", "status", "millis"} <= set(entry)
+
+
+_Z2, _Z3, _Z2Z2 = "GroupSpec(moduli=(2,))", "GroupSpec(moduli=(3,))", "GroupSpec(moduli=(2, 2))"
+_ALL_PAIRS = (
+    f"(({_Z2}, {_Z2}), ({_Z2}, {_Z3}), ({_Z3}, {_Z2}), ({_Z2Z2}, {_Z2}))"
+)
+_TWO_PAIRS = f"(({_Z2}, {_Z2}), ({_Z2}, {_Z3}))"
+
+
+def _n(n_max):
+    return f"('n_max', {n_max})"
+
+
+def _pairs(n_max, pairs):
+    return f"{_n(n_max)}; ('pairs', {pairs})"
+
+
+_SYM = ("symbolic", _n(10), _n(6))
+_SYM_FULL = ("symbolic", _n(10), _n(10))
+_ENUM_A = ("enumerative", _pairs(5, _ALL_PAIRS), _pairs(2, _TWO_PAIRS))
+_ENUM_BD = ("enumerative", _pairs(3, _ALL_PAIRS), _pairs(2, _TWO_PAIRS))
+_THREE_TERM = ("symbolic", "('n_max', 10); ('n_min', 2)", "('n_max', 10); ('n_min', 2)")
+
+# id -> (mode, desk range, quick range), exactly as the verify report prints them
+PINNED_REGISTRY = {
+    "2blocks-1": ("enumerative", _n(3), _n(2)),
+    "2blocks-2": ("enumerative", _n(2), _n(2)),
+    "2blocks-3": ("enumerative", _n(5), _n(5)),
+    "A-identities-1": _SYM,
+    "A-identities-1-enum": _ENUM_A,
+    "A-identities-2": _SYM,
+    "A-identities-2-enum": _ENUM_A,
+    "A-incl-excl-1": _SYM,
+    "A-incl-excl-1-enum": _ENUM_A,
+    "A-incl-excl-2": _SYM,
+    "A-incl-excl-2-enum": _ENUM_A,
+    "B-identities-1": _SYM,
+    "B-identities-1-enum": _ENUM_BD,
+    "B-identities-2": _SYM,
+    "B-identities-2-enum": _ENUM_BD,
+    "B-identities-3": _SYM,
+    "B-identities-3-enum": _ENUM_BD,
+    "B-identities-4": _SYM,
+    "B-identities-4-enum": _ENUM_BD,
+    "B-incl-excl-1": _SYM,
+    "B-incl-excl-1-enum": _ENUM_BD,
+    "B-incl-excl-2": _SYM,
+    "B-incl-excl-2-enum": _ENUM_BD,
+    "B-incl-excl-3": _SYM,
+    "B-incl-excl-3-enum": _ENUM_BD,
+    "B-incl-excl-4": _SYM,
+    "B-incl-excl-4-enum": _ENUM_BD,
+    "NNB-counts": ("enumerative", _n(5), _n(3)),
+    "bell-binom-transform": _SYM_FULL,
+    "bellD-eq": _SYM_FULL,
+    "catB-closed": _SYM_FULL,
+    "catD-closed": _SYM_FULL,
+    "coker": _SYM_FULL,
+    "hanging-1": _SYM,
+    "hanging-1-enum": _ENUM_BD,
+    "hanging-2": _SYM,
+    "hanging-2-enum": _ENUM_BD,
+    "mob-rec": _SYM_FULL,
+    "motzkin-closed": _SYM_FULL,
+    "motzkinB-closed": _SYM_FULL,
+    "orbit-B": ("structural", _pairs(4, _ALL_PAIRS), _pairs(2, _TWO_PAIRS)),
+    "orbit-D": ("structural", _pairs(4, _ALL_PAIRS), _pairs(2, _TWO_PAIRS)),
+    "orbit-main": ("structural", _pairs(4, _ALL_PAIRS), _pairs(3, _TWO_PAIRS)),
+    "rank-invert-A": ("structural", _n(8), _n(5)),
+    "rank-invert-B": ("structural", _n(5), _n(3)),
+    "rank-invert-D": ("structural", _n(5), _n(3)),
+    "riordan": _SYM_FULL,
+    "shift-bij-A": (
+        "structural",
+        f"('group', {_Z3}); {_n(5)}",
+        f"('group', {_Z2}); {_n(4)}",
+    ),
+    "shift-bij-BD": (
+        "structural",
+        f"('group', {_Z3}); {_n(3)}",
+        f"('group', {_Z2}); {_n(2)}",
+    ),
+    "spivey-1": ("symbolic", "('m_max', 4); ('n_max', 4)", "('m_max', 4); ('n_max', 4)"),
+    "spivey-2": ("symbolic", "('m_max', 4); ('n_max', 4)", "('m_max', 4); ('n_max', 4)"),
+    "sym-dyck": ("enumerative", _n(5), _n(3)),
+    "three-term-1": _THREE_TERM,
+    "three-term-1-enum": _ENUM_A,
+    "three-term-2": _THREE_TERM,
+    "three-term-2-enum": _ENUM_BD,
+    "tilde-1": _SYM_FULL,
+    "tilde-2": _SYM_FULL,
+    "touchard": _SYM_FULL,
+    "uncrossB-props": ("structural", _n(4), _n(3)),
+}
+
+
+def test_registry_is_pinned():
+    assert identities.registry_ids() == tuple(sorted(PINNED_REGISTRY))
+    quick = {r.id: (r.mode, r.params) for r in identities.run_all(profile="quick").results}
+    for cid, (mode, desk, quick_range) in PINNED_REGISTRY.items():
+        assert quick[cid] == (mode, quick_range), cid
+        check = identities._REGISTRY[cid]
+        assert check.mode == mode, cid
+        assert "; ".join(str(p) for p in sorted(check.desk.items())) == desk, cid
