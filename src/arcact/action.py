@@ -9,6 +9,7 @@ implementations are provided, one on arc sets and one on rook matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     GroundSet,
@@ -64,8 +65,9 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
             continue
         new_labels[arc] = combined.get(arc, value)
     new_labels.update(inserted)
+    # blocks_from_arcs validates the new arc set; every label is nonzero.
     blocks = blocks_from_arcs(lam.ground, new_labels.keys())
-    return LabeledSetPartition(lam.ground, group, blocks, new_labels)
+    return LabeledSetPartition._trusted(lam.ground, group, blocks, new_labels)
 
 
 def plus_via_matrix(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPartition:
@@ -104,6 +106,7 @@ def plus_involution(p: LabeledSetPartition) -> LabeledSetPartition:
     return plus(top, p)
 
 
+@lru_cache
 def _top_linear(ground: GroundSet) -> LabeledSetPartition:
     elements = ground.elements()
     if ground.kind == "D":

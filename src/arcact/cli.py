@@ -13,7 +13,13 @@ import sys
 
 from . import identities, maps, oeis, poly, unitriangular
 from .action import orbit_decomposition, plus_involution
-from .core import partition_from_json, render_ascii
+from .core import (
+    StructuralError,
+    UnsupportedGroundError,
+    partition_from_json,
+    render_ascii,
+)
+from .cyclotomic import is_prime
 from .families import ALL_FAMILIES, FamilySpec, enumerate_family
 from .groups import GroupError, parse_group
 from .poly import FAMILY_NAMES
@@ -202,6 +208,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chartable(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
+    if not is_prime(args.p):
+        raise UsageError(f"--p must be a prime, got {args.p}")
+    if args.p == 2 and args.kind != "A":
+        raise UsageError(f"kind {args.kind} needs an odd prime --p")
     try:
         table = unitriangular.build_chartable(
             args.kind, args.n, args.p, args.max_group_order
@@ -334,11 +346,8 @@ def main(argv=None) -> int:
     random.seed(args.seed)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, GroupError, StructuralError, UnsupportedGroundError) as exc:
         parser.error(str(exc))  # exits with code 2
-        return EXIT_USAGE
-    except GroupError as exc:
-        parser.error(str(exc))
         return EXIT_USAGE
 
 

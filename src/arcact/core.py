@@ -165,14 +165,32 @@ class LabeledSetPartition:
             group.check(value)
             if value == group.zero:
                 raise StructuralError(f"arc {arc} carries the zero label")
+        self._fill(ground, group, blocks, label_map)
+
+    @classmethod
+    def _trusted(cls, ground, group, blocks, label_map) -> "LabeledSetPartition":
+        """Build a value its producer has already made valid, checking nothing.
+
+        ``blocks`` must be canonical (as ``canonical_blocks`` returns them)
+        and partition the ground; ``label_map`` must be a fresh dict mapping
+        exactly the arcs of ``blocks`` to nonzero elements of ``group``.  Only
+        the sorted label tuple and the hash are computed.  This is for the
+        family generators and ``plus``; everything else, including the
+        independent routes that verification compares against, goes
+        through the validating constructor.
+        """
+        self = object.__new__(cls)
+        self._fill(ground, group, blocks, label_map)
+        return self
+
+    def _fill(self, ground, group, blocks, label_map):
+        labels = tuple(sorted((i, j, v) for (i, j), v in label_map.items()))
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(
-            self, "labels", tuple(sorted((i, j, label_map[(i, j)]) for i, j in arcs))
-        )
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_label_map", label_map)
-        object.__setattr__(self, "_hash", hash((ground, group, blocks, self.labels)))
+        object.__setattr__(self, "_hash", hash((ground, group, blocks, labels)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
@@ -247,13 +265,23 @@ def format_element(v: Element) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
+def _json_int(x, what: str) -> int:
+    # bool is a subclass of int, and 1.0 == 1 hashes alike: refuse both.
+    if type(x) is not int:
+        raise StructuralError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def partition_from_json_dict(data: dict) -> LabeledSetPartition:
+    """Read the canonical JSON form; every integer field must be a JSON integer."""
     try:
-        ground = GroundSet(data["ground"]["kind"], data["ground"]["n"])
-        group = GroupSpec(tuple(data["group"]))
-        blocks = [tuple(b) for b in data["blocks"]]
+        ground = GroundSet(data["ground"]["kind"], _json_int(data["ground"]["n"], "n"))
+        group = GroupSpec(tuple(_json_int(m, "group modulus") for m in data["group"]))
+        blocks = [tuple(_json_int(x, "block element") for x in b) for b in data["blocks"]]
         labels = {
-            (entry["i"], entry["j"]): tuple(entry["value"])
+            (_json_int(entry["i"], "i"), _json_int(entry["j"], "j")): tuple(
+                _json_int(v, "label value") for v in entry["value"]
+            )
             for entry in data["labels"]
         }
     except (KeyError, TypeError) as exc:
@@ -418,16 +446,19 @@ def rook_noncrossing(rook: RookMatrix) -> bool:
 
 
 def rook_sort_key(p: LabeledSetPartition):
-    """Flattened row-major reading of the rook matrix; the enumeration order."""
-    width = len(p.group.moduli)
-    zero = (0,) * width
-    entry = to_rook(p).entry_map()
-    key = []
-    m = p.ground.size
-    for r in range(1, m + 1):
-        for c in range(r + 1, m + 1):
-            key.extend(entry.get((r, c), zero))
-    return tuple(key)
+    """Row-major reading of the rook matrix; the enumeration order.
+
+    The key is sparse: one ``(-i, -j, value)`` per arc, in arc order.  It
+    orders partitions of one ground and group exactly as the zero-filled
+    row-major reading of the rook matrix does.  Ground positions preserve
+    order, so arc order is row-major order; at the first cell where two
+    matrices differ, either both hold labels, compared directly, or only
+    one does, and its nonzero label beats the other's zero.  The sparse
+    keys give the same verdict: that label's entry meets either the
+    other's next entry, which sits at a later cell and so has a smaller
+    ``(-i, -j)``, or the end of the other's key.
+    """
+    return tuple((-i, -j, v) for i, j, v in p.labels)
 
 
 # ---------------------------------------------------------------------------

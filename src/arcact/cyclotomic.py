@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -28,7 +28,7 @@ class CycValue:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if len(self.coeffs) != self.p - 1:
             raise ValueError("coefficient vector has wrong length")

@@ -257,17 +257,10 @@ def _labelings(spec: FamilySpec, blocks):
 
     if spec.is_ab:
         ds = DirectSum(spec.groups[0], spec.groups[1])
-
-        def choices(arc):
-            is_cover = arc[1] == arc[0] + 1
-            pool = ds.b if is_cover else ds.a
-            embed = ds.embed_b if is_cover else ds.embed_a
-            return tuple(embed(v) for v in pool.nonzero_elements())
-
+        cover_pool = tuple(ds.embed_b(v) for v in ds.b.nonzero_elements())
+        other_pool = tuple(ds.embed_a(v) for v in ds.a.nonzero_elements())
     else:
-
-        def choices(arc):
-            return group.nonzero_elements()
+        cover_pool = other_pool = group.nonzero_elements()
 
     if spec.ground.kind == "A":
         free = arcs
@@ -278,7 +271,8 @@ def _labelings(spec: FamilySpec, blocks):
         if len(free) + len(mirrored) != len(arcs):
             raise ValueError("self-mirrored arc in a mirror-labeled family")
 
-    for values in itertools.product(*(choices(a) for a in free)):
+    pools = (cover_pool if j == i + 1 else other_pool for i, j in free)
+    for values in itertools.product(*pools):
         labels = dict(zip(free, values))
         for i, j in mirrored:
             labels[(i, j)] = neg(group, labels[(-j, -i)])
@@ -292,7 +286,7 @@ def _enumerated(spec: FamilySpec) -> tuple[LabeledSetPartition, ...]:
     out = []
     for blocks in family_shapes(spec.family, spec.n):
         for labels in _labelings(spec, blocks):
-            out.append(LabeledSetPartition(ground, group, blocks, labels))
+            out.append(LabeledSetPartition._trusted(ground, group, blocks, labels))
     out.sort(key=rook_sort_key)
     return tuple(out)
 

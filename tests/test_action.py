@@ -92,15 +92,28 @@ def test_plus_argument_errors():
         plus(wrong_group, lam)
 
 
+MATRIX_ROUTE_CASES = (
+    (FamilySpec("L", 4, (Z3,)), FamilySpec("PI", 4, (Z3,))),
+    (FamilySpec("L_B", 2, (Z3,)), FamilySpec("P_B", 2, (Z3,))),
+    (FamilySpec("L_D", 3, (Z2,)), FamilySpec("P_D", 3, (Z2,))),
+)
+
+
 def test_matrix_route_agrees_exhaustively():
-    for lspec, pspec in (
-        (FamilySpec("L", 4, (Z3,)), FamilySpec("PI", 4, (Z3,))),
-        (FamilySpec("L_B", 2, (Z3,)), FamilySpec("P_B", 2, (Z3,))),
-        (FamilySpec("L_D", 3, (Z2,)), FamilySpec("P_D", 3, (Z2,))),
-    ):
+    for lspec, pspec in MATRIX_ROUTE_CASES:
         for alpha in enumerate_family(lspec):
             for lam in enumerate_family(pspec):
                 assert plus(alpha, lam) == plus_via_matrix(alpha, lam)
+
+
+def test_plus_builds_what_the_public_constructor_builds():
+    for lspec, pspec in MATRIX_ROUTE_CASES:
+        for alpha in enumerate_family(lspec):
+            for lam in enumerate_family(pspec):
+                p = plus(alpha, lam)
+                q = LabeledSetPartition(p.ground, p.group, p.blocks, p.label_map())
+                assert q == p and hash(q) == hash(p), (alpha, lam)
+                assert q.label_map() == p.label_map()
 
 
 def test_group_action_laws():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -175,3 +176,85 @@ def test_chartable_scale_guard(capsys):
          "--max-group-order", "1000"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "A", "--n", "2", "--p", "4"],
+        ["--kind", "B", "--n", "2", "--p", "2"],
+        ["--kind", "D", "--n", "2", "--p", "2"],
+        ["--kind", "A", "--n", "-1", "--p", "3"],
+    ],
+    ids=["non-prime-p", "B-at-p2", "D-at-p2", "negative-n"],
+)
+def test_chartable_bad_parameters_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["chartable", *argv])
+    assert err.value.code == 2
+
+
+def test_map_on_ineligible_partition_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(unlabeled(ground_a(3), [(1, 2), (3,)]).to_json())
+    for op in ("halve", "uncross_B", "unshift"):
+        with pytest.raises(SystemExit) as err:
+            main(["map", "--op", op, "--input", str(path)])
+        assert err.value.code == 2
+
+
+def test_partition_json_with_bool_label_is_usage_error(capsys, tmp_path):
+    data = unlabeled(ground_a(2), [(1, 2)]).to_json_dict()
+    data["labels"][0]["value"] = [True]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        main(["render", "--input", str(path)])
+    assert err.value.code == 2
+
+
+# sha256 of `arcact enum --format jsonl` per family code, over the code's
+# desk-scale instances in order, each stream headed by its --n/--group flags.
+# Recorded before the trusted constructor and the sparse rook key existed.
+ENUM_JSONL_SHA256 = {
+    "L": "c9ceef6de2ae6c42d019e2c990b15661c109830f713bf7e5f0a41f52426d2743",
+    "L_AB": "0d1c9a5b58f87120382c5b33cc4925b07433482bbfea3f7180ac1b0140d9508d",
+    "L_B": "20252a936fb17991c41251ec94b9f1bf1bad47330079dd6cc595cc7ceee23a72",
+    "L_B_AB": "9f85aa5c40a0e468679ef6cedd5943c49df8f9ae2791be1a6cfc98f59faef245",
+    "L_D": "5f933612089ecaa13c063cf3fa09e221a946180efaceee3c8a6562341288f43f",
+    "L_D_AB": "69d53aa6d7cbd6b69df17e1b898dd27575953a4f362b18db126a9477c62b1561",
+    "NC": "3c3bcad8eef55557710d9d085d7434742f28b58a104c8c81f327a39ba4028f12",
+    "NC_AB": "1aad71b9d140f730bff62920d3974c14428d4b66d7a02a481da8494668bfcfd7",
+    "NC_TILDE_B": "a7e0a869444a4a9ffa9b8703a8f695c6b96cf0aee27f13d771b353e0ff1ea1e3",
+    "NC_TILDE_B_AB": "9da68aab2e92cf7e7d7fefb6c4bab7264e56926512dce57e1b4f6f407ff1fced",
+    "NC_TILDE_D": "7e4f7a39484c19f29e4c7e3552a01f2769c6b92b1db08cbe4804978cac7fb2b9",
+    "NC_TILDE_D_AB": "3be19e1df257dbbb2cf663f2fb341761faaad66718502134dc06d0fe3cabcd9d",
+    "NN": "1a793dafc06243a034a9c1ce090797130d495236f221598ef8ed2802b717a319",
+    "NN_B": "b2259ab4638b00053ebcaa8af4ae175cdc0f44160ba5922c3fb5fe7e0d2bef92",
+    "PI": "3c3bcad8eef55557710d9d085d7434742f28b58a104c8c81f327a39ba4028f12",
+    "PI_AB": "1aad71b9d140f730bff62920d3974c14428d4b66d7a02a481da8494668bfcfd7",
+    "P_B": "9f9253333465329f0947258e4006c492af1d9874b68a8f02c60464402ea2c6d6",
+    "P_B_AB": "4a74b7f0956e107a5eb427bd062a06cc23e07dac1b58941c07a7ebadb9c9a1da",
+    "P_D": "afcc4820f7a100955456fa28f7dba3d453692e18bb834119476d2ca53ea26682",
+    "P_D_AB": "37b85d4ff7c219b5cb193feb6fb9a66206849b5921c6fbff9098fc3abff155c5",
+}
+
+
+def _size_and_group_flags(spec):
+    flags = ["--n", str(spec.n)]
+    if spec.is_ab:
+        return flags + ["--groupA", str(spec.groups[0]), "--groupB", str(spec.groups[1])]
+    return flags + [f for g in spec.groups for f in ("--group", str(g))]
+
+
+def test_enum_jsonl_streams_are_pinned(capsys, all_desk_specs):
+    digests = {}
+    for spec in all_desk_specs:
+        flags = _size_and_group_flags(spec)
+        code, out = run_cli(
+            capsys, "enum", "--family", spec.family, "--format", "jsonl", *flags
+        )
+        assert code == 0
+        digest = digests.setdefault(spec.family, hashlib.sha256())
+        digest.update(" ".join(flags).encode() + b"\n" + out.encode())
+    assert {k: d.hexdigest() for k, d in digests.items()} == ENUM_JSONL_SHA256

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from arcact.core import (
@@ -17,6 +19,7 @@ from arcact.core import (
     negate,
     negate_labels,
     partition_from_json,
+    partition_from_json_dict,
     render_ascii,
     rook_noncrossing,
     rook_sort_key,
@@ -174,6 +177,28 @@ def test_label_validation():
         LabeledSetPartition(ground_a(3), Z2, [(1, 2)], {(1, 2): (1,)})
 
 
+def test_partition_json_is_read_strictly():
+    good = LabeledSetPartition(ground_b(1), Z3, [(-1, 1), (0,)], {(-1, 1): (2,)})
+    assert partition_from_json_dict(good.to_json_dict()) == good
+    for path, bad in (
+        (("ground", "n"), True),
+        (("ground", "n"), 1.0),
+        (("group", 0), True),
+        (("blocks", 0, 0), True),
+        (("blocks", 1, 0), False),
+        (("labels", 0, "i"), 1.0),
+        (("labels", 0, "j"), True),
+        (("labels", 0, "value", 0), True),
+    ):
+        data = good.to_json_dict()
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = bad
+        with pytest.raises(StructuralError):
+            partition_from_json_dict(data)
+
+
 def test_canonical_text_and_json():
     p = LabeledSetPartition(
         ground_d(2),
@@ -185,11 +210,15 @@ def test_canonical_text_and_json():
     assert partition_from_json(p.to_json()) == p
 
 
-def test_rook_sort_key_is_total():
-    parts = list(enumerate_family(FamilySpec("PI", 3, (Z3,))))
-    keys = [rook_sort_key(p) for p in parts]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(parts)
+def test_rook_sort_key_is_total(all_desk_specs, dense_rook_reading):
+    # the sparse key orders every pair of family members as the dense reading does
+    for spec in [*all_desk_specs, FamilySpec("PI", 4, (Z3,))]:
+        parts = list(enumerate_family(spec))
+        keys = [rook_sort_key(p) for p in parts]
+        dense = [dense_rook_reading(p) for p in parts]
+        assert len(set(keys)) == len(parts), spec
+        for a, b in itertools.combinations(range(len(parts)), 2):
+            assert (keys[a] < keys[b]) == (dense[a] < dense[b]), (parts[a], parts[b])
 
 
 def test_render_golden_singletons():

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from arcact.core import classify, rook_sort_key
+from arcact.core import LabeledSetPartition, classify
 from arcact.families import (
     DyckPath,
     FamilySpec,
@@ -99,16 +99,25 @@ def test_ab_label_condition():
                 assert ds.in_a_nonzero(value)
 
 
-def test_streams_sorted_and_duplicate_free():
-    for spec in (
+def test_streams_sorted_and_duplicate_free(all_desk_specs, dense_rook_reading):
+    for spec in [
+        *all_desk_specs,
         FamilySpec("PI", 4, (Z3,)),
         FamilySpec("P_D", 3, (Z2,)),
         FamilySpec("NC_TILDE_B_AB", 2, (Z2, Z3)),
-    ):
+    ]:
         members = list(enumerate_family(spec))
-        keys = [rook_sort_key(p) for p in members]
-        assert keys == sorted(keys)
-        assert len(set(members)) == len(members)
+        keys = [dense_rook_reading(p) for p in members]
+        assert keys == sorted(keys), spec
+        assert len(set(members)) == len(members), spec
+
+
+def test_generated_members_match_the_public_constructor(all_desk_specs):
+    for spec in all_desk_specs:
+        for p in enumerate_family(spec):
+            q = LabeledSetPartition(p.ground, p.group, p.blocks, p.label_map())
+            assert q == p and hash(q) == hash(p), p
+            assert q.label_map() == p.label_map()
 
 
 def test_type_families_satisfy_defining_conditions():
