@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import identities, maps, oeis, poly, unitriangular
@@ -41,13 +40,7 @@ def _common_flags(parser):
         choices=("json", "jsonl", "csv", "table", "latex"),
         help="output format",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized trials")
-    parser.add_argument(
-        "--max-group-order",
-        type=int,
-        default=10**6,
-        help="refuse to enumerate groups larger than this",
-    )
+    parser.add_argument("--seed", type=int, default=0, help="accepted; no command reads it")
 
 
 def _family_spec(args) -> FamilySpec:
@@ -325,6 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("A", "B", "D"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
+    p.add_argument(
+        "--max-group-order",
+        type=int,
+        default=10**6,
+        help="refuse to enumerate groups larger than this",
+    )
     _common_flags(p)
     p.set_defaults(fn=cmd_chartable)
 
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except (UsageError, GroupError, StructuralError, UnsupportedGroundError) as exc:

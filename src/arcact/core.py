@@ -219,9 +219,6 @@ class LabeledSetPartition:
     def cover_arcs(self) -> frozenset[Arc]:
         return frozenset(a for a in self._label_map if a[1] == a[0] + 1)
 
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b for b in self.blocks if len(b) == 1)
 

@@ -8,7 +8,6 @@ representation is unique, so equality and rationality tests are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def is_prime(p: int) -> bool:
@@ -114,7 +113,3 @@ class CycValue:
 def theta(p: int, t: int) -> CycValue:
     """The character t -> zeta_p^t of the additive group of F_p."""
     return CycValue.zeta_power(p, t % p)
-
-
-def exact_ratio(value: CycValue, denominator: int) -> Fraction:
-    return Fraction(value.rational_value(), denominator)

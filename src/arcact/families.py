@@ -41,6 +41,15 @@ UNLABELED_FAMILIES = {"NN", "NN_B"}
 ALL_FAMILIES = A_FAMILIES | B_FAMILIES | D_FAMILIES
 
 
+def family_ground(family: str, n: int) -> GroundSet:
+    """The ground set a family of parameter n lives on."""
+    if family in A_FAMILIES:
+        return ground_a(n)
+    if family in B_FAMILIES:
+        return ground_b(n)
+    return ground_d(n)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -64,11 +73,7 @@ class FamilySpec:
 
     @property
     def ground(self) -> GroundSet:
-        if self.family in A_FAMILIES:
-            return ground_a(self.n)
-        if self.family in B_FAMILIES:
-            return ground_b(self.n)
-        return ground_d(self.n)
+        return family_ground(self.family, self.n)
 
     @property
     def label_group(self) -> GroupSpec:

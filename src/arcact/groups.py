@@ -41,7 +41,7 @@ class GroupSpec:
         return (
             isinstance(a, tuple)
             and len(a) == len(self.moduli)
-            and all(isinstance(x, int) and 0 <= x < m for x, m in zip(a, self.moduli))
+            and all(type(x) is int and 0 <= x < m for x, m in zip(a, self.moduli))
         )
 
     def check(self, a: Element) -> Element:

@@ -423,27 +423,14 @@ def _tilde_2(n_max):
 ENUM_A_NMAX = 5
 ENUM_BD_NMAX = 3
 
-# the closed formula of every univariate family an identity names
-_CLOSED = {
-    "Bell": poly.bell_univariate,
-    "Bell_B": poly.bellb_univariate,
-    "Bell_D": lambda n: poly.bell_univariate(n).scale_x(2),
-    "F": poly.feasible_closed,
-    "F_D": lambda n: poly.feasible_closed(n).scale_x(2),
-    "F_B_tilde": poly.feasibleb_tilde_closed,
-    "M": poly.motzkin_closed,
-    "M_B": poly.motzkinb_closed,
-    "M_B_tilde": poly.motzkinb_tilde_closed,
-}
-
 # x, y are the polynomials X, Y; bivariate terms come from the transfer
 # recursion (called by name, so a rebinding of transfer_family is seen) and
-# univariate terms from their closed formulas.
+# univariate terms from their closed formulas in poly.CLOSED.
 _SYMBOLIC = SimpleNamespace(
     x=X,
     y=Y,
     biv=lambda name, n: transfer_family(name, n),
-    uni=lambda name, n: _CLOSED[name](n),
+    uni=lambda name, n: poly.CLOSED[name](n),
     tag=lambda n: f"n={n}",
 )
 

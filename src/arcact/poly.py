@@ -2,14 +2,17 @@
 
 Every named family can be computed three ways:
 
-* ``family``          - the canonical route (closed formula where one exists,
-                        otherwise the transfer recursion);
 * ``transfer_family`` - a transfer recursion that builds partitions element
-                        by element and never consults a closed formula;
+                        by element and never consults a closed formula; all
+                        of them run on one driver, ``_transfer``;
+* ``CLOSED``          - the closed formula of each family at y = x (every
+                        family but F_B has one);
 * ``enumerated_family`` - a literal sum of statistics over the block
                         structures produced by the enumeration module.
 
-The three routes agree wherever they are all defined; the identity runner
+``family`` is the canonical route: the closed formula for a univariate
+(flagged) family that has one, the transfer recursion for every other.  The
+three routes agree wherever they are all defined; the identity runner
 exploits that independence.
 """
 
@@ -135,40 +138,31 @@ class BiPoly:
     def _ordered(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def __str__(self):
+    def _render(self, power: str, coeff: str, join: str) -> str:
+        """Terms in degree order: v^d is spelled ``power.format(v, d)``, a
+        coefficient other than +-1 is followed by ``coeff`` and the factors
+        of a term are joined by ``join``."""
         if not self.coeffs:
             return "0"
         parts = []
         for (dx, dy), c in self._ordered():
-            factors = []
-            if dx:
-                factors.append("x" if dx == 1 else f"x^{dx}")
-            if dy:
-                factors.append("y" if dy == 1 else f"y^{dy}")
+            factors = [
+                v if d == 1 else power.format(v, d)
+                for v, d in (("x", dx), ("y", dy))
+                if d
+            ]
             if not factors:
                 parts.append(str(c))
             else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(head + "*".join(factors))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+                head = "" if c == 1 else ("-" if c == -1 else f"{c}{coeff}")
+                parts.append(head + join.join(factors))
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __str__(self):
+        return self._render("{}^{}", "*", "*")
 
     def latex(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (dx, dy), c in self._ordered():
-            factors = []
-            if dx:
-                factors.append("x" if dx == 1 else f"x^{{{dx}}}")
-            if dy:
-                factors.append("y" if dy == 1 else f"y^{{{dy}}}")
-            if not factors:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c))
-                parts.append(head + " ".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._render("{}^{{{}}}", "", " ")
 
     def __repr__(self):
         return f"BiPoly({self})"
@@ -181,16 +175,6 @@ ONE = BiPoly.const(1)
 
 # ---------------------------------------------------------------------------
 # number tables
-
-NUMBER_KINDS = (
-    "stirling2",
-    "assoc_stirling2",
-    "narayana",
-    "whitney2_B",
-    "catalan",
-    "binomial",
-    "central_binomial",
-)
 
 
 @lru_cache(maxsize=None)
@@ -255,33 +239,27 @@ def central_binomial(n: int) -> int:
     return comb(2 * n, n)
 
 
-def _check_triangle(n: int, k: int):
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"indices ({n},{k}) out of range")
+_TRIANGLES = {
+    "stirling2": stirling2,
+    "assoc_stirling2": assoc_stirling2,
+    "narayana": narayana,
+    "whitney2_B": whitney2_B,
+    "binomial": comb,
+}
+_SEQUENCES = {"catalan": catalan, "central_binomial": central_binomial}
 
 
 def number_tables(kind: str, n: int, k: int = 0) -> int:
-    if kind == "stirling2":
-        _check_triangle(n, k)
-        return stirling2(n, k)
-    if kind == "assoc_stirling2":
-        _check_triangle(n, k)
-        return assoc_stirling2(n, k)
-    if kind == "narayana":
-        _check_triangle(n, k)
-        return narayana(n, k)
-    if kind == "whitney2_B":
-        _check_triangle(n, k)
-        return whitney2_B(n, k)
-    if kind == "catalan":
-        return catalan(n)
-    if kind == "binomial":
-        if n < 0 or k < 0:
-            raise ValueError(f"indices ({n},{k}) out of range")
-        return comb(n, k)
-    if kind == "central_binomial":
-        return central_binomial(n)
-    raise ValueError(f"unknown number table {kind!r}")
+    """Entry (n, k) of a number triangle, or term n of a sequence (k unused).
+
+    Only the binomial table admits k > n."""
+    if kind in _SEQUENCES:
+        return _SEQUENCES[kind](n)
+    if kind not in _TRIANGLES:
+        raise ValueError(f"unknown number table {kind!r}")
+    if n < 0 or k < 0 or (k > n and kind != "binomial"):
+        raise ValueError(f"indices ({n},{k}) out of range")
+    return _TRIANGLES[kind](n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -296,60 +274,57 @@ def number_tables(kind: str, n: int, k: int = 0) -> int:
 # covers.  The recursions are independent of any closed formula.
 
 
+def _transfer(start, step, n: int) -> dict:
+    """The states after n insertions, each with the polynomial of the ways to
+    reach it.  ``step(i, state, p)`` yields ``(next_state, polynomial)`` for
+    every way to insert element (pair) i into ``state`` reached with ``p``."""
+    states = {start: ONE}
+    for i in range(1, n + 1):
+        new = {}
+        for state, p in states.items():
+            for nxt, q in step(i, state, p):
+                new[nxt] = new[nxt] + q if nxt in new else q
+        states = new
+    return states
+
+
+def _total(states: dict, keep=lambda state: True) -> BiPoly:
+    return sum((p for s, p in states.items() if keep(s)), BiPoly.zero())
+
+
 @lru_cache(maxsize=None)
 def _bell_bivariate(n: int) -> BiPoly:
-    states = {0: ONE}  # key: number of blocks
-    for i in range(1, n + 1):
-        new: dict[int, BiPoly] = {}
+    def step(i, k, p):  # k: number of blocks
+        yield k + 1, p
+        if i >= 2:
+            yield k, p * Y  # join the block of the previous element
+            if k >= 2:
+                yield k, p * X * (k - 1)
 
-        def put(k, p):
-            new[k] = new.get(k, BiPoly.zero()) + p
-
-        for k, p in states.items():
-            put(k + 1, p)
-            if i >= 2:
-                put(k, p * Y)  # join the block of the previous element
-                if k >= 2:
-                    put(k, p * X * (k - 1))
-        states = new
-    return sum(states.values(), BiPoly.zero())
+    return _total(_transfer(0, step, n))
 
 
 @lru_cache(maxsize=None)
 def _cat_bivariate(n: int) -> BiPoly:
-    states = {0: ONE}  # key: number of attachment points not under an arc
-    for i in range(1, n + 1):
-        new: dict[int, BiPoly] = {}
+    def step(i, r, p):  # r: number of attachment points not under an arc
+        yield r + 1, p
+        for j in range(1, r + 1):
+            yield j, p * (Y if j == r else X)
 
-        def put(r, p):
-            new[r] = new.get(r, BiPoly.zero()) + p
-
-        for r, p in states.items():
-            put(r + 1, p)
-            for j in range(1, r + 1):
-                put(j, p * (Y if j == r else X))
-        states = new
-    return sum(states.values(), BiPoly.zero())
+    return _total(_transfer(0, step, n))
 
 
 @lru_cache(maxsize=None)
 def _bellx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    states = {1 if has_zero else 0: ONE}  # key: number of attachment ends
-    for i in range(1, n + 1):
-        new: dict[int, BiPoly] = {}
+    def step(i, e, p):  # e: number of attachment ends
+        yield e + 2, p
+        hot = has_zero or i >= 2
+        if hot and e >= 1:
+            yield e, p * Y
+            if e >= 2:
+                yield e, p * X * (e - 1)
 
-        def put(e, p):
-            new[e] = new.get(e, BiPoly.zero()) + p
-
-        for e, p in states.items():
-            put(e + 2, p)
-            hot = has_zero or i >= 2
-            if hot and e >= 1:
-                put(e, p * Y)
-                if e >= 2:
-                    put(e, p * X * (e - 1))
-        states = new
-    return sum(states.values(), BiPoly.zero())
+    return _total(_transfer(1 if has_zero else 0, step, n))
 
 
 # Slot alphabets for the noncrossing mirrored recursion.  A slot records the
@@ -359,65 +334,44 @@ def _bellx_bivariate(n: int, has_zero: bool) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _catx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    start = ("+",) if has_zero else ()
-    states = {start: ONE}
-    for i in range(1, n + 1):
-        new: dict[tuple, BiPoly] = {}
+    def step(i, s, p):
+        yield s + ("2",), p
+        for j, slot in enumerate(s):
+            if slot in ("+", "2"):
+                # a positive-side join covers exactly the ends of larger
+                # absolute value; the negative twin survives
+                weight = Y if j == len(s) - 1 else X
+                rest = ("-",) if slot == "2" else ()
+                yield s[:j] + rest + ("+",), p * weight
+            if slot in ("-", "2"):
+                # a negative-side join spans the centre: the two new
+                # mirrored arcs cover every other live end
+                yield ("+",), p * X
 
-        def put(s, p):
-            new[s] = new.get(s, BiPoly.zero()) + p
-
-        for s, p in states.items():
-            put(s + ("2",), p)
-            for j, slot in enumerate(s):
-                if slot in ("+", "2"):
-                    # a positive-side join covers exactly the ends of larger
-                    # absolute value; the negative twin survives
-                    weight = Y if j == len(s) - 1 else X
-                    rest = ("-",) if slot == "2" else ()
-                    put(s[:j] + rest + ("+",), p * weight)
-                if slot in ("-", "2"):
-                    # a negative-side join spans the centre: the two new
-                    # mirrored arcs cover every other live end
-                    put(("+",), p * X)
-        states = new
-    return sum(states.values(), BiPoly.zero())
+    return _total(_transfer(("+",) if has_zero else (), step, n))
 
 
 @lru_cache(maxsize=None)
 def _feasible_poly(n: int) -> BiPoly:
-    states = {(0, 0): ONE}  # (singleton blocks, larger blocks)
-    for i in range(1, n + 1):
-        new: dict[tuple, BiPoly] = {}
+    def step(i, s, p):  # s: (singleton blocks, larger blocks)
+        s1, s2 = s
+        yield (s1 + 1, s2), p
+        if s1:
+            yield (s1 - 1, s2 + 1), p * X * s1
+        if s2:
+            yield (s1, s2), p * X * s2
 
-        def put(s, p):
-            new[s] = new.get(s, BiPoly.zero()) + p
-
-        for (s1, s2), p in states.items():
-            put((s1 + 1, s2), p)
-            if s1:
-                put((s1 - 1, s2 + 1), p * X * s1)
-            if s2:
-                put((s1, s2), p * X * s2)
-        states = new
-    return sum((p for (s1, _), p in states.items() if s1 == 0), BiPoly.zero())
+    return _total(_transfer((0, 0), step, n), lambda s: s[0] == 0)
 
 
 @lru_cache(maxsize=None)
 def _motzkin_poly(n: int) -> BiPoly:
-    states = {0: ONE}  # key: open singleton blocks not under an arc
-    for i in range(1, n + 1):
-        new: dict[int, BiPoly] = {}
+    def step(i, r, p):  # r: open singleton blocks not under an arc
+        yield r + 1, p
+        for j in range(1, r + 1):
+            yield j - 1, p * X
 
-        def put(r, p):
-            new[r] = new.get(r, BiPoly.zero()) + p
-
-        for r, p in states.items():
-            put(r + 1, p)
-            for j in range(1, r + 1):
-                put(j - 1, p * X)
-        states = new
-    return sum(states.values(), BiPoly.zero())
+    return _total(_transfer(0, step, n))
 
 
 @lru_cache(maxsize=None)
@@ -429,28 +383,20 @@ def _feasiblex_poly(n: int, has_zero: bool) -> tuple[BiPoly, BiPoly]:
     central block, which is the B-feasible relaxation.  Without a central
     element both components agree.
     """
-    states = {(0, 0, 0): ONE}  # (singleton pairs, grown pairs, centre grown)
-    for i in range(1, n + 1):
-        new: dict[tuple, BiPoly] = {}
 
-        def put(s, p):
-            new[s] = new.get(s, BiPoly.zero()) + p
+    def step(i, s, p):  # s: (singleton pairs, grown pairs, centre grown)
+        p1, p2, z = s
+        yield (p1 + 1, p2, z), p
+        if p1:
+            yield (p1 - 1, p2 + 1, z), p * X * (2 * p1)
+        if p2:
+            yield (p1, p2, z), p * X * (2 * p2)
+        if has_zero:
+            yield (p1, p2, 1), p * X
 
-        for (p1, p2, z), p in states.items():
-            put((p1 + 1, p2, z), p)
-            if p1:
-                put((p1 - 1, p2 + 1, z), p * X * (2 * p1))
-            if p2:
-                put((p1, p2, z), p * X * (2 * p2))
-            if has_zero:
-                put((p1, p2, 1), p * X)
-        states = new
-    strict = sum(
-        (p for (p1, _, z), p in states.items() if p1 == 0 and (z or not has_zero)),
-        BiPoly.zero(),
-    )
-    relaxed = sum((p for (p1, _, _), p in states.items() if p1 == 0), BiPoly.zero())
-    return strict, relaxed
+    states = _transfer((0, 0, 0), step, n)
+    strict = _total(states, lambda s: s[0] == 0 and (s[2] or not has_zero))
+    return strict, _total(states, lambda s: s[0] == 0)
 
 
 @lru_cache(maxsize=None)
@@ -458,40 +404,127 @@ def _motzkinx_poly(n: int) -> BiPoly:
     # Poor mirrored noncrossing: a join fills both blocks of a pair, so the
     # pair retires on use; the central block is never extended.  Only the
     # number of live singleton pairs matters.
-    states = {0: ONE}
-    for i in range(1, n + 1):
-        new: dict[int, BiPoly] = {}
+    def step(i, r, p):
+        yield r + 1, p
+        for j in range(r):
+            yield j, p * X  # positive-side join of pair j
+            yield 0, p * X  # negative-side join spans the centre
 
-        def put(r, p):
-            new[r] = new.get(r, BiPoly.zero()) + p
-
-        for r, p in states.items():
-            put(r + 1, p)
-            for j in range(r):
-                put(j, p * X)  # positive-side join of pair j
-                put(0, p * X)  # negative-side join spans the centre
-        states = new
-    return sum(states.values(), BiPoly.zero())
+    return _total(_transfer(0, step, n))
 
 
 @lru_cache(maxsize=None)
 def _motzkinx_tilde_poly(n: int) -> BiPoly:
     # B-poor variant: the central block may be extended exactly once.
-    states: dict[tuple, BiPoly] = {("Z",): ONE}
-    for i in range(1, n + 1):
-        new: dict[tuple, BiPoly] = {}
+    def step(i, s, p):
+        yield s + ("2",), p
+        for j, slot in enumerate(s):
+            yield s[:j], p * X  # positive-side (or central) join
+            if slot != "Z":
+                yield (), p * X  # negative-side join spans the centre
 
-        def put(s, p):
-            new[s] = new.get(s, BiPoly.zero()) + p
+    return _total(_transfer(("Z",), step, n))
 
-        for s, p in states.items():
-            put(s + ("2",), p)
-            for j, slot in enumerate(s):
-                put(s[:j], p * X)  # positive-side (or central) join
-                if slot != "Z":
-                    put((), p * X)  # negative-side join spans the centre
-        states = new
-    return sum(states.values(), BiPoly.zero())
+
+# name -> transfer recursion, for every named family
+_TRANSFER = {
+    "Bell": _bell_bivariate,
+    "Cat": _cat_bivariate,
+    "F": _feasible_poly,
+    "M": _motzkin_poly,
+    "Bell_B": lambda n: _bellx_bivariate(n, True),
+    "Bell_D": lambda n: _bellx_bivariate(n, False),
+    "Cat_B": lambda n: _catx_bivariate(n, True),
+    "Cat_D": lambda n: _catx_bivariate(n, False),
+    "F_B": lambda n: _feasiblex_poly(n, True)[0],
+    "F_D": lambda n: _feasiblex_poly(n, False)[0],
+    "M_B": _motzkinx_poly,
+    "M_D": _motzkinx_poly,
+    "F_B_tilde": lambda n: _feasiblex_poly(n, True)[1],
+    "M_B_tilde": _motzkinx_tilde_poly,
+}
+
+
+def transfer_family(name: str, n: int) -> BiPoly:
+    """The transfer-recursion route for every named family."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if name not in _TRANSFER:
+        raise ValueError(f"unknown family {name!r}")
+    return _TRANSFER[name](n)
+
+
+# ---------------------------------------------------------------------------
+# closed formulas
+
+
+def bell_univariate(n: int) -> BiPoly:
+    return BiPoly({(n - k, 0): stirling2(n, k) for k in range(n + 1)})
+
+
+def cat_univariate(n: int) -> BiPoly:
+    return BiPoly({(n - k, 0): narayana(n, k) for k in range(n + 1)})
+
+
+def bellb_univariate(n: int) -> BiPoly:
+    return BiPoly({(n - k, 0): whitney2_B(n, k) for k in range(n + 1)})
+
+
+def feasible_closed(n: int) -> BiPoly:
+    return BiPoly({(n - k, 0): assoc_stirling2(n, k) for k in range(n + 1)})
+
+
+def motzkin_closed(n: int) -> BiPoly:
+    return BiPoly({(k, 0): catalan(k) * comb(n, 2 * k) for k in range(n // 2 + 1)})
+
+
+def catb_closed(n: int) -> BiPoly:
+    return BiPoly({(k, 0): comb(n, k) ** 2 for k in range(n + 1)})
+
+
+def catd_closed(n: int) -> BiPoly:
+    if n == 0:
+        return ONE
+    return BiPoly({(k, 0): comb(n - 1, k) * comb(n, k) for k in range(n)})
+
+
+def motzkinb_closed(n: int) -> BiPoly:
+    return BiPoly({(k, 0): comb(2 * k, k) * comb(n, 2 * k) for k in range(n // 2 + 1)})
+
+
+def motzkinb_tilde_closed(n: int) -> BiPoly:
+    return BiPoly(
+        {(k, 0): comb(n, k) * comb(n + 1 - k, k) for k in range((n + 1) // 2 + 1)}
+    )
+
+
+def feasibleb_tilde_closed(n: int) -> BiPoly:
+    return sum(
+        (
+            comb(n, k) * feasible_closed(k).scale_x(2) * BiPoly.term(1, n - k)
+            for k in range(0, n + 1)
+        ),
+        BiPoly.zero(),
+    )
+
+
+# name -> closed formula of the family at y = x (the family itself when it is
+# univariate), for every named family except F_B, which has none
+CLOSED = {
+    "Bell": bell_univariate,
+    "Cat": cat_univariate,
+    "F": feasible_closed,
+    "M": motzkin_closed,
+    "Bell_B": bellb_univariate,
+    "Bell_D": lambda n: bell_univariate(n).scale_x(2),
+    "Cat_B": catb_closed,
+    "Cat_D": catd_closed,
+    "F_D": lambda n: feasible_closed(n).scale_x(2),
+    "M_B": motzkinb_closed,
+    "M_D": motzkinb_closed,
+    "F_B_tilde": feasibleb_tilde_closed,
+    "M_B_tilde": motzkinb_tilde_closed,
+}
 
 
 # name -> (partition family, classification flag).  The flagged families are
@@ -516,141 +549,17 @@ FAMILY_CODES = {
 FAMILY_NAMES = tuple(FAMILY_CODES)
 
 
-def transfer_family(name: str, n: int) -> BiPoly:
-    """The transfer-recursion route for every named family."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if name == "Bell":
-        return _bell_bivariate(n)
-    if name == "Cat":
-        return _cat_bivariate(n)
-    if name == "Bell_B":
-        return _bellx_bivariate(n, True)
-    if name == "Bell_D":
-        return _bellx_bivariate(n, False)
-    if name == "Cat_B":
-        return _catx_bivariate(n, True)
-    if name == "Cat_D":
-        return _catx_bivariate(n, False)
-    if name == "F":
-        return _feasible_poly(n)
-    if name == "M":
-        return _motzkin_poly(n)
-    if name == "F_B":
-        return _feasiblex_poly(n, True)[0]
-    if name == "F_B_tilde":
-        return _feasiblex_poly(n, True)[1]
-    if name == "F_D":
-        return _feasiblex_poly(n, False)[0]
-    if name in ("M_B", "M_D"):
-        return _motzkinx_poly(n)
-    if name == "M_B_tilde":
-        return _motzkinx_tilde_poly(n)
-    raise ValueError(f"unknown family {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# closed formulas
-
-
-def bell_univariate(n: int) -> BiPoly:
-    return sum(
-        (BiPoly.term(stirling2(n, k), n - k) for k in range(0, n + 1)), BiPoly.zero()
-    )
-
-
-def cat_univariate(n: int) -> BiPoly:
-    return sum(
-        (BiPoly.term(narayana(n, k), n - k) for k in range(0, n + 1)), BiPoly.zero()
-    )
-
-
-def bellb_univariate(n: int) -> BiPoly:
-    return sum(
-        (BiPoly.term(whitney2_B(n, k), n - k) for k in range(0, n + 1)), BiPoly.zero()
-    )
-
-
-def feasible_closed(n: int) -> BiPoly:
-    return sum(
-        (BiPoly.term(assoc_stirling2(n, k), n - k) for k in range(0, n + 1)),
-        BiPoly.zero(),
-    )
-
-
-def motzkin_closed(n: int) -> BiPoly:
-    return sum(
-        (BiPoly.term(catalan(k) * comb(n, 2 * k), k) for k in range(0, n // 2 + 1)),
-        BiPoly.zero(),
-    )
-
-
-def catb_closed(n: int) -> BiPoly:
-    return sum((BiPoly.term(comb(n, k) ** 2, k) for k in range(0, n + 1)), BiPoly.zero())
-
-
-def catd_closed(n: int) -> BiPoly:
-    if n == 0:
-        return ONE
-    return sum(
-        (BiPoly.term(comb(n - 1, k) * comb(n, k), k) for k in range(0, n)),
-        BiPoly.zero(),
-    )
-
-
-def motzkinb_closed(n: int) -> BiPoly:
-    return sum(
-        (
-            BiPoly.term(comb(2 * k, k) * comb(n, 2 * k), k)
-            for k in range(0, n // 2 + 1)
-        ),
-        BiPoly.zero(),
-    )
-
-
-def motzkinb_tilde_closed(n: int) -> BiPoly:
-    return sum(
-        (
-            BiPoly.term(comb(n, k) * comb(n + 1 - k, k), k)
-            for k in range(0, (n + 1) // 2 + 1)
-        ),
-        BiPoly.zero(),
-    )
-
-
-def feasibleb_tilde_closed(n: int) -> BiPoly:
-    return sum(
-        (
-            comb(n, k) * feasible_closed(k).scale_x(2) * BiPoly.term(1, n - k)
-            for k in range(0, n + 1)
-        ),
-        BiPoly.zero(),
-    )
-
-
 def family(name: str, n: int) -> BiPoly:
     """Canonical polynomial of a named family.
 
-    Bivariate families use the transfer recursion; univariate families use
-    their closed formulas (except F_B, which has none).
+    A univariate (flagged) family with a closed formula uses it; every other
+    family, bivariate ones and F_B, uses its transfer recursion.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    if name in ("Bell", "Cat", "Bell_B", "Bell_D", "Cat_B", "Cat_D", "F_B"):
-        return transfer_family(name, n)
-    if name == "F":
-        return feasible_closed(n)
-    if name == "M":
-        return motzkin_closed(n)
-    if name == "F_D":
-        return feasible_closed(n).scale_x(2)
-    if name == "F_B_tilde":
-        return feasibleb_tilde_closed(n)
-    if name in ("M_B", "M_D"):
-        return motzkinb_closed(n)
-    if name == "M_B_tilde":
-        return motzkinb_tilde_closed(n)
-    raise ValueError(f"unknown family {name!r}")
+    if name in CLOSED and FAMILY_CODES[name][1]:
+        return CLOSED[name](n)
+    return transfer_family(name, n)
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +568,13 @@ def family(name: str, n: int) -> BiPoly:
 
 def enumerated_family(name: str, n: int) -> BiPoly:
     """Statistics summed over the actual block structures (desk scale only)."""
-    from .core import classify, ground_a, ground_b, ground_d, unlabeled
-    from .families import family_shapes
+    from .core import classify, unlabeled
+    from .families import family_ground, family_shapes
 
     if name not in FAMILY_CODES:
         raise ValueError(f"unknown family {name!r}")
     code, flag = FAMILY_CODES[name]
-    ground = {"A": ground_a, "B": ground_b, "D": ground_d}[
-        "A" if code in ("PI", "NC") else ("B" if code.endswith("_B") or code == "P_B" else "D")
-    ](n)
+    ground = family_ground(code, n)
     mirrored = ground.kind != "A"
     total = BiPoly.zero()
     for blocks in family_shapes(code, n):

@@ -170,6 +170,12 @@ def test_chartable_json(capsys):
     assert all(row["norm"] == "1" for row in data["characters"])
 
 
+def test_max_group_order_belongs_to_chartable_alone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["poly", "--family", "Bell", "--n", "2", "--max-group-order", "5"])
+    assert err.value.code == 2
+
+
 def test_chartable_scale_guard(capsys):
     code = main(
         ["chartable", "--kind", "A", "--n", "9", "--p", "3",

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from arcact.core import LabeledSetPartition, ground_a
 from arcact.groups import (
     TRIVIAL,
     DirectSum,
@@ -38,6 +39,19 @@ def test_shape_mismatch():
         neg(GroupSpec((2, 2)), (1,))
     with pytest.raises(GroupError):
         GroupSpec((1,))
+
+
+def test_bool_residues_are_refused():
+    z2, z3 = GroupSpec((2,)), GroupSpec((3,))
+    with pytest.raises(GroupError):
+        LabeledSetPartition(ground_a(2), z2, [(1, 2)], {(1, 2): (True,)})
+    with pytest.raises(GroupError):
+        add(z3, (True,), (False,))
+    with pytest.raises(GroupError):
+        add(z3, (1,), (False,))
+    with pytest.raises(GroupError):
+        neg(z3, (True,))
+    assert not z2.conforms((True,)) and z2.conforms((1,))
 
 
 def test_direct_sum():

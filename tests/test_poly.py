@@ -1,12 +1,15 @@
+import hashlib
+
 import pytest
 
+from arcact.cli import main
 from arcact.poly import (
+    CLOSED,
     FAMILY_NAMES,
     BiPoly,
     X,
     Y,
     bell_univariate,
-    bellb_univariate,
     cat_univariate,
     catalan,
     catb_closed,
@@ -71,15 +74,10 @@ def test_transfer_equals_enumeration():
 
 
 def test_closed_forms_equal_transfer():
+    assert set(CLOSED) == set(FAMILY_NAMES) - {"F_B"}
     for n in range(9):
-        assert transfer_family("Bell", n).subst_y_diag() == bell_univariate(n)
-        assert transfer_family("Cat", n).subst_y_diag() == cat_univariate(n)
-        assert transfer_family("Bell_B", n).subst_y_diag() == bellb_univariate(n)
-        assert transfer_family("Bell_D", n).subst_y_diag() == bell_univariate(
-            n
-        ).scale_x(2)
-        assert transfer_family("Cat_B", n).subst_y_diag() == catb_closed(n)
-        assert transfer_family("Cat_D", n).subst_y_diag() == catd_closed(n)
+        for name, closed in CLOSED.items():
+            assert transfer_family(name, n).subst_y_diag() == closed(n), (name, n)
         assert transfer_family("M", n) == motzkin_closed(n)
         assert transfer_family("F", n) == feasible_closed(n)
         assert family("M_B", n) == family("M_D", n)
@@ -128,3 +126,56 @@ def test_latex_and_str_are_deterministic():
     p = family("Cat", 3)
     assert str(p) == "1 + 2*y + x + y^2"
     assert p.latex() == "1 + 2y + x + y^{2}"
+
+
+# sha256 per family of `arcact poly` in the json, latex and table formats at
+# n = 0..12, and of str(transfer_family(name, n)) at n = 0..11, one line each
+POLY_CLI_SHA256 = {
+    "Bell": "ee6112ef4f13d73dbbe75784aacba6152b7abfd683d30e05914fd9f249c3f01e",
+    "Cat": "6cae5d1c36b3c84a06997fa5ac07c1adf029ed0ad4c49ab9979c46c95c258764",
+    "F": "fde7e3abfce8f76af3266e16290dcb1bbed62a8caa4025e449c59e29798f142d",
+    "M": "911e70b19b08f8853054bf537e8dbbd35063a262bc6bf0b237e47bda3d578744",
+    "Bell_B": "0a5b66e927afa90e354d3c59651d2ef1cf8bd278d3d421244ea46774884f701e",
+    "Bell_D": "4e6a1fbfb89d34be9619949f534bfe3ad6d902360431c90247fc48c4a44b82e2",
+    "Cat_B": "6a36f8d8d207be698b7f52feb07c3241056994fc73c0348d45360f9d9f8561bc",
+    "Cat_D": "76d2ce6b47c0c4b8c911b009b21feb109c4ab051164d29d113247e0e015c5b51",
+    "F_B": "2e83b5710750802c46553867108e1f1f14e3f68793dc8d2a698336f2daac89cd",
+    "F_D": "c52434167b4bd0cbe745fa5f06e30dec7b737c0885e16ddaa240dc91f2ee974f",
+    "M_B": "f33cadf273110bd1dd0897ba69de52bfce62e4409d010d15a7b27c40a4395ad4",
+    "M_D": "383bd87763aae80a498a1263692aa3c4139b6eb137a0386aa2a16785f984ce73",
+    "F_B_tilde": "096909fe6d0ab5a833c7b2fe269f7cc702ee2bcf5e8fd1fdeaa9e3ecd64773c3",
+    "M_B_tilde": "6f8b1cc727a47c4e8335e418fd4ba96ea10a78702541f2f17dacf8eef8474c7a",
+}
+TRANSFER_STR_SHA256 = {
+    "Bell": "c0540bb43cb5e942a79b3f407f95d60d03f85154467a01d1b9f86705ead84a3b",
+    "Cat": "5a62f25076d1d5fecf9f79d5844f7ce7ec4ea50a6fa76b8c4d91be9eacd95f18",
+    "F": "1b8caa5701ad80325d003ce2eda5f1db92657e2ac512b099fcbd0299421e41d0",
+    "M": "6dd78d7ab5571285f8fb44ab28fe0bcbefbfd39985a045c5c634c5cd5fa82176",
+    "Bell_B": "a5bfff06a7cbdb2d6ba57e68c0f3a65f636b24d01b04f6be2c819f2954f57496",
+    "Bell_D": "0af437372a921612215e156431c371aec1ee6517b8b1ed7976de6ce8b9947b20",
+    "Cat_B": "bb81285fb87ef4d1718aaf96428913e858450dc7d4e05de47c04d9c86ca14c81",
+    "Cat_D": "51b603b789267ac4a740dd422fa1b58c57c58fb1a8ecb280bacde8f76b60ecc2",
+    "F_B": "77731ee7fd22bc941660b1c2d401bd0dda8c6b5e1cf6f5ba6b53aa57c0564375",
+    "F_D": "9f10ff13515ac319b4625757e8d1bbc4f6dc8cdc0e665a03f794bcf69dc43c6d",
+    "M_B": "0419059d7e91685e0e41f5e6b337f53f5df3a80ef6652d4b32003e68dab20dac",
+    "M_D": "0419059d7e91685e0e41f5e6b337f53f5df3a80ef6652d4b32003e68dab20dac",
+    "F_B_tilde": "7aaabee84b79e6073960909ea1661c27da28eaf18e75d3c7a94f1ac195347cfc",
+    "M_B_tilde": "5173b9db2205beafec05e132edd509832fd63113365a19a6fa5811c5f95fd47b",
+}
+
+
+def test_poly_outputs_are_pinned(capsys):
+    cli, transfer = {}, {}
+    for name in FAMILY_NAMES:
+        digest = hashlib.sha256()
+        for n in range(13):
+            for fmt in ("json", "latex", "table"):
+                assert main(["poly", "--family", name, "--n", str(n), "--format", fmt]) == 0
+                digest.update(capsys.readouterr().out.encode())
+        cli[name] = digest.hexdigest()
+        digest = hashlib.sha256()
+        for n in range(12):
+            digest.update(str(transfer_family(name, n)).encode() + b"\n")
+        transfer[name] = digest.hexdigest()
+    assert cli == POLY_CLI_SHA256
+    assert transfer == TRANSFER_STR_SHA256
