@@ -8,9 +8,12 @@ representation is unique, so equality and rationality tests are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
+@lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
+    """Trial division, memoised: every CycValue checks its p through here."""
     if p < 2:
         return False
     d = 2
@@ -37,12 +40,13 @@ class CycValue:
         return CycValue(p, (n,) + (0,) * (p - 2))
 
     @staticmethod
-    def zeta_power(p: int, k: int) -> "CycValue":
+    def zeta_power(p: int, k: int, scale: int = 1) -> "CycValue":
+        """scale * zeta^k, built in one step."""
         k %= p
         if k == p - 1:
-            return CycValue(p, (-1,) * (p - 1))
+            return CycValue(p, (-scale,) * (p - 1))
         coeffs = [0] * (p - 1)
-        coeffs[k] = 1
+        coeffs[k] = scale
         return CycValue(p, tuple(coeffs))
 
     def _check(self, other: "CycValue"):
@@ -91,7 +95,7 @@ class CycValue:
         return CycValue(p, tuple(raw[k] - top for k in range(p - 1)))
 
     def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> int:
         if not self.is_rational():
@@ -110,6 +114,6 @@ class CycValue:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def theta(p: int, t: int) -> CycValue:
-    """The character t -> zeta_p^t of the additive group of F_p."""
-    return CycValue.zeta_power(p, t % p)
+def theta(p: int, t: int, scale: int = 1) -> CycValue:
+    """The character t -> zeta_p^t of the additive group of F_p, times scale."""
+    return CycValue.zeta_power(p, t, scale)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import LabeledSetPartition, blocks_from_arcs, classify, ground_a
 from .cyclotomic import CycValue, theta
@@ -108,6 +110,11 @@ def subgroup_order(kind: str, n: int, p: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def matrix_size(kind: str, n: int) -> int:
+    """Size of the matrices of the type A, B or D group at rank n."""
+    return {"A": n, "B": 2 * n + 1, "D": 2 * n}[kind]
+
+
 def _guard(order: int, max_group_order: int):
     if order > max_group_order:
         raise ScaleGuardError(
@@ -118,12 +125,12 @@ def _guard(order: int, max_group_order: int):
 def unitriangular_elements(n: int, p: int, max_group_order: int = 10**6):
     """All of the unitriangular group, in lexicographic entry order."""
     _guard(unitriangular_order(n, p), max_group_order)
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for values in itertools.product(range(p), repeat=len(positions)):
-        g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, values):
-            g[i][j] = v
-        yield tuple(tuple(row) for row in g)
+    # row i: i zeros, the diagonal one, then its n - 1 - i free entries,
+    # which are values[cuts[i]:cuts[i + 1]]
+    heads = [(0,) * i + (1,) for i in range(n)]
+    cuts = list(itertools.accumulate(range(n - 1, -1, -1), initial=0))
+    for values in itertools.product(range(p), repeat=cuts[-1]):
+        yield tuple(heads[i] + values[cuts[i] : cuts[i + 1]] for i in range(n))
 
 
 def _free_positions(n: int) -> list[tuple[int, int]]:
@@ -149,6 +156,9 @@ def type_b_elements(n: int, p: int, max_group_order: int = 10**6):
     if p == 2:
         raise ValueError("odd characteristic required")
     _guard(subgroup_order("B", n, p), max_group_order)
+    if n == 0:
+        yield identity_matrix(1)
+        return
     free = _free_positions(n)
     for x in unitriangular_elements(n, p, max_group_order):
         xinv_dag = dagger(unitriangular_inverse(x, p))
@@ -205,41 +215,54 @@ def group_elements(kind: str, n: int, p: int, max_group_order: int = 10**6):
 # canonical reduction
 
 
-def superclass_reduce(g: Matrix, p: int) -> LabeledSetPartition:
-    """Canonical rook form of g - 1 under two-sided unitriangular moves.
+def superclass_key(g: Matrix, p: int) -> tuple:
+    """Canonical rook form of g - 1 under two-sided unitriangular moves, as
+    the sorted ``((i, j), (v,))`` label tuple of its superclass.
 
     Columns are scanned left to right; in each column the lowest entry in a
     row without an earlier pivot becomes a pivot, its row is cleared to the
     right by column operations and its column is cleared upward by row
-    operations.  The surviving entries decode to a labeled partition.
+    operations.  The surviving entries are the labeled arcs.
     """
     n = len(g)
-    M = [
-        [(g[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)
-    ]
+    # Only the strict upper triangle is ever read or written, and there
+    # g - 1 and g agree.
+    M = [[x % p for x in row] for row in g]
     pivot_rows = set()
-    labels = {}
+    labels = []
     for c in range(n):
-        candidates = [r for r in range(c) if M[r][c] and r not in pivot_rows]
-        if not candidates:
+        for r in range(c - 1, -1, -1):
+            if M[r][c] and r not in pivot_rows:
+                break
+        else:
             continue
-        r = max(candidates)
-        inv = pow(M[r][c], -1, p)
+        pivot = M[r]
+        inv = pow(pivot[c], -1, p)
         for c2 in range(c + 1, n):
-            if M[r][c2]:
-                t = (-M[r][c2] * inv) % p
-                for rr in range(r + 1):
-                    M[rr][c2] = (M[rr][c2] + t * M[rr][c]) % p
-        for r2 in range(r):
-            if M[r2][c]:
-                t = (-M[r2][c] * inv) % p
+            if pivot[c2]:
+                t = (-pivot[c2] * inv) % p
+                for row in M[: r + 1]:
+                    row[c2] = (row[c2] + t * row[c]) % p
+        for row in M[:r]:
+            if row[c]:
+                t = (-row[c] * inv) % p
                 for c2 in range(c, n):
-                    M[r2][c2] = (M[r2][c2] + t * M[r][c2]) % p
+                    row[c2] = (row[c2] + t * pivot[c2]) % p
         pivot_rows.add(r)
-        labels[(r + 1, c + 1)] = (M[r][c],)
+        labels.append(((r + 1, c + 1), (pivot[c],)))
+    return tuple(sorted(labels))
+
+
+def superclass_partition(n: int, p: int, key: tuple) -> LabeledSetPartition:
+    """The labeled partition of {1..n} that a superclass key names."""
     ground = ground_a(n)
-    blocks = blocks_from_arcs(ground, labels.keys())
-    return LabeledSetPartition(ground, GroupSpec((p,)), blocks, labels)
+    labels = dict(key)
+    return LabeledSetPartition(ground, GroupSpec((p,)), blocks_from_arcs(ground, labels), labels)
+
+
+def superclass_reduce(g: Matrix, p: int) -> LabeledSetPartition:
+    """The superclass of g, as a labeled partition (see ``superclass_key``)."""
+    return superclass_partition(len(g), p, superclass_key(g, p))
 
 
 def class_representative_matrix(lam: LabeledSetPartition, p: int) -> Matrix:
@@ -278,25 +301,34 @@ def random_superclass_perturbation(g: Matrix, p: int, rng: random.Random) -> Mat
 
 
 def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycValue:
-    """Supercharacter value of the index partition on the class of gamma."""
+    """Supercharacter value of the index partition on the class of gamma.
+
+    Zero when an arc of gamma shares exactly one end with an arc (i, l) of
+    the index; otherwise p^q * theta(sum of label products over shared
+    arcs), where q counts, per index arc, the l - i - 1 inner points less
+    the arcs of gamma nested strictly inside it.
+    """
     p = lam.group.moduli[0]
     if gamma.group != lam.group or gamma.ground != lam.ground:
         raise ValueError("index and class live on different groups")
-    gamma_arcs = gamma.label_map()
-    for i, l in lam.arcs():
-        for j in range(i + 1, l):
-            if (i, j) in gamma_arcs or (j, l) in gamma_arcs:
-                return CycValue.from_int(p, 0)
     q_exponent = 0
     theta_arg = 0
-    for (i, l), value in lam.label_map().items():
-        nested = sum(1 for (j, k) in gamma_arcs if i < j and k < l)
-        q_exponent += l - i - 1 - nested
-        entry = gamma_arcs.get((i, l))
-        if entry is not None:
-            theta_arg += value[0] * entry[0]
-    assert q_exponent >= 0
-    return theta(p, theta_arg) * (p**q_exponent)
+    for i, l, value in lam.labels:
+        q_exponent += l - i - 1
+        for j, k, entry in gamma.labels:
+            if j == i:
+                if k == l:
+                    theta_arg += value[0] * entry[0]
+                elif k < l:
+                    return CycValue.from_int(p, 0)
+            elif k == l:
+                if j > i:
+                    return CycValue.from_int(p, 0)
+            elif i < j and k < l:
+                q_exponent -= 1
+    if q_exponent < 0:
+        raise ConsistencyError(f"negative p-exponent {q_exponent} for {lam} on {gamma}")
+    return theta(p, theta_arg, p**q_exponent)
 
 
 def chi_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
@@ -313,8 +345,7 @@ def _restricted_eval(lam: LabeledSetPartition, g: Matrix, kind: str) -> CycValue
         raise ValueError("odd characteristic required")
     if not (is_unitriangular(g, p) and is_dagger_unitary(g, p)):
         raise ValueError("element is not in the fixed-point subgroup")
-    expected = 2 * lam.ground.n + (1 if kind == "B" else 0)
-    if len(g) != expected:
+    if len(g) != matrix_size(kind, lam.ground.n):
         raise ValueError("matrix size does not match the index partition")
     return chi_on_class(halve(lam), superclass_reduce(g, p))
 
@@ -333,14 +364,27 @@ def chi_d_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
 
 
 def inner_product(values1, values2, sizes, group_order: int) -> Fraction:
-    """Exact Hermitian inner product of two class functions."""
+    """Exact Hermitian inner product of two class functions.
+
+    Every size * v * conj(w) is accumulated in one vector over the powers
+    zeta^0 .. zeta^(p-1), which is reduced to the basis once at the end.
+    """
     p = values1[0].p
-    total = CycValue.from_int(p, 0)
+    raw = [0] * p
     for v, w, size in zip(values1, values2, sizes):
-        total = total + size * (v * w.conjugate())
-    if not total.is_rational():
+        if v.p != p or w.p != p:
+            raise ValueError("mixed cyclotomic orders")
+        for a_exp, a in enumerate(v.coeffs):
+            if a:
+                weight = size * a
+                for b_exp, b in enumerate(w.coeffs):
+                    if b:
+                        # a negative index wraps to (a_exp - b_exp) mod p
+                        raw[a_exp - b_exp] += weight * b
+    top = raw[-1]
+    if any(c != top for c in raw[1:-1]):
         raise ConsistencyError("inner product is not rational")
-    return Fraction(total.rational_value(), group_order)
+    return Fraction(raw[0] - top, group_order)
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +425,25 @@ def _linear_family(kind: str, n: int, p: int) -> FamilySpec:
     return FamilySpec(code, n, (group,))
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def build_chartable(kind: str, n: int, p: int, max_group_order: int = 10**6) -> CharTable:
-    """Value table of every supercharacter on the listed group."""
-    from collections import Counter
+    """Value table of every supercharacter on the listed group.
 
+    Elements are counted by raw superclass key; each class then gets one
+    validated partition.  Classes are listed in key order, which is the
+    order of their ``labels``.
+    """
     counter: Counter = Counter()
     order = 0
     for g in group_elements(kind, n, p, max_group_order):
-        counter[superclass_reduce(g, p)] += 1
+        counter[superclass_key(g, p)] += 1
         order += 1
-    classes = tuple(sorted(counter, key=lambda q: q.labels))
-    sizes = tuple(counter[c] for c in classes)
+    keys = sorted(counter)
+    classes = tuple(superclass_partition(matrix_size(kind, n), p, key) for key in keys)
+    sizes = tuple(counter[key] for key in keys)
     indices = tuple(enumerate_family(_index_family(kind, n, p)))
-    if kind == "A":
-        rows = tuple(
-            tuple(chi_on_class(lam, c) for c in classes) for lam in indices
-        )
-    else:
-        rows = tuple(
-            tuple(chi_on_class(halve(lam), c) for c in classes) for lam in indices
-        )
+    ambient = indices if kind == "A" else tuple(halve(lam) for lam in indices)
+    rows = tuple(tuple(chi_on_class(lam, c) for c in classes) for lam in ambient)
     return CharTable(kind, n, p, classes, sizes, indices, rows, order)
 
 

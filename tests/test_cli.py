@@ -5,6 +5,7 @@ import pytest
 
 from arcact.cli import main
 from arcact.core import partition_from_json, unlabeled, ground_a
+from arcact.unitriangular import expected_counts
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +169,20 @@ def test_chartable_json(capsys):
     assert data["group_order"] == 3
     assert len(data["characters"]) == 3
     assert all(row["norm"] == "1" for row in data["characters"])
+
+
+def test_chartable_type_b_at_rank_zero(capsys):
+    code, out = run_cli(
+        capsys, "chartable", "--kind", "B", "--n", "0", "--p", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    expected = expected_counts("B", 0, 3)
+    assert data["group_order"] == 1
+    assert len(data["classes"]) == expected["distinct"] == 1
+    assert data["class_sizes"] == [1]
+    assert [row["norm"] for row in data["characters"]] == ["1"]
 
 
 def test_max_group_order_belongs_to_chartable_alone(capsys):

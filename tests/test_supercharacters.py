@@ -1,7 +1,12 @@
+import hashlib
 import random
+from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from arcact.cli import main
 from arcact.core import LabeledSetPartition, ground_a
 from arcact.cyclotomic import CycValue, theta
 from arcact.families import FamilySpec, enumerate_family
@@ -57,6 +62,8 @@ def test_subgroup_membership_and_orders():
             assert ut.is_dagger_unitary(g, p)
     # the smallest D group is trivial
     assert list(ut.type_d_elements(1, 3)) == [ut.identity_matrix(2)]
+    # and so is the rank-zero B group, the 1 x 1 identity
+    assert list(ut.type_b_elements(0, 3)) == [((1,),)]
 
 
 def test_subgroups_are_closed_under_product():
@@ -145,6 +152,62 @@ def test_inner_products():
     assert norm > 1 and norm.denominator == 1
 
 
+def _ring_sum(values1, values2, sizes):
+    """sum(size * v * conj(w)), spelled with CycValue arithmetic term by term."""
+    total = CycValue.from_int(values1[0].p, 0)
+    for v, w, size in zip(values1, values2, sizes):
+        total = total + size * (v * w.conjugate())
+    return total
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fused_inner_product_matches_ring_ops(p):
+    """Irrational sums raise ConsistencyError; rational ones equal the
+    ring-op spelling exactly."""
+    rng = random.Random(p)
+    one = CycValue.from_int(p, 1)
+
+    def value():
+        return CycValue(p, tuple(rng.randrange(-4, 5) for _ in range(p - 1)))
+
+    for _ in range(40):
+        length = rng.randrange(1, 8)
+        v = [value() for _ in range(length)]
+        w = [value() for _ in range(length)]
+        sizes = [rng.randrange(1, 50) for _ in range(length)]
+        order = rng.randrange(1, 100)
+        total = _ring_sum(v, w, sizes)
+        if not total.is_rational():
+            with pytest.raises(ut.ConsistencyError):
+                ut.inner_product(v, w, sizes, order)
+            # one more class of size 1, against the trivial value, cancels
+            # the irrational part
+            v.append(CycValue(p, (0,) + tuple(-c for c in total.coeffs[1:])))
+            w.append(one)
+            sizes.append(1)
+        expected = Fraction(_ring_sum(v, w, sizes).rational_value(), order)
+        assert ut.inner_product(v, w, sizes, order) == expected
+
+
+@pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("B", 2, 3), ("D", 3, 3)])
+def test_raw_key_class_sizes_match_reduced_partitions(kind, n, p):
+    table = ut.build_chartable(kind, n, p)
+    reduced = Counter(ut.superclass_reduce(g, p) for g in ut.group_elements(kind, n, p))
+    assert dict(zip(table.classes, table.class_sizes)) == reduced
+    assert list(table.classes) == sorted(reduced, key=lambda q: q.labels)
+    assert sum(table.class_sizes) == table.group_order
+
+
+def test_negative_p_exponent_is_an_error_not_an_assert():
+    # Three copies of the arc (2,3) nest inside (1,4), which has two inner
+    # points: no real superclass does this, but the check must raise even
+    # under python -O.
+    lam = LabeledSetPartition(ground_a(4), F3, [(1, 4), (2,), (3,)], {(1, 4): (1,)})
+    gamma = SimpleNamespace(ground=lam.ground, group=lam.group, labels=((2, 3, (1,)),) * 3)
+    with pytest.raises(ut.ConsistencyError):
+        ut.chi_on_class(lam, gamma)
+
+
 def test_counts_type_a():
     rec = ut.verify_counts("A", 3, 2)
     assert rec["num_superclasses"] == rec["expected"]["distinct"] == 5
@@ -220,3 +283,24 @@ def test_reflection_class_closure():
     assert halve(lam) in cls
     for q in cls:
         assert cls == ut.reflection_class(q)
+
+
+# sha256 of `arcact chartable --format json` (stdout, trailing newline included),
+# recorded before the raw-key and fused-kernel rewrite of the table builder.
+PINNED_CHARTABLES = {
+    ("A", 3, 2): "caa0bd222d0c5f4ffa45a6e91252feb63fd4d9919ba4af947e2dc97a47887d28",
+    ("A", 4, 3): "b0abac18cb6182f4d2bba560f03f5d7079d048b957c5f2cb8982b2ba4a2696aa",
+    ("B", 1, 3): "b7a68a454b5fca192c16b402502019daaa2c31809a6705508ab8e6d1e9817196",
+    ("B", 2, 3): "715b82782626f6d19b1cc247c5aa918cbe6f7eff872e17094c9480f2b748deab",
+    ("D", 2, 3): "e6ef9894f11d4091d7128844afd83f4af4a10285524f21e6cda1f3f0ec37035f",
+    ("D", 3, 3): "249478fe0794ff34e37ce4c8c34d8f78c55acc49d3d71816d62f471f5f1356d8",
+}
+
+
+def test_chartable_outputs_are_pinned(capsys):
+    for (kind, n, p), digest in PINNED_CHARTABLES.items():
+        code = main(["chartable", "--kind", kind, "--n", str(n), "--p", str(p),
+                     "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (kind, n, p)
