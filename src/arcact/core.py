@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .groups import Element, GroupSpec, add, neg
 
@@ -88,14 +89,21 @@ class GroundSet:
         return f"{self.kind}({self.n})"
 
 
+# The ground constructors intern their values (one object per shape), so
+# partitions built on the same ground share it and can compare it by identity.
+
+
+@lru_cache(maxsize=None)
 def ground_a(n: int) -> GroundSet:
     return GroundSet("A", n)
 
 
+@lru_cache(maxsize=None)
 def ground_b(n: int) -> GroundSet:
     return GroundSet("B", n)
 
 
+@lru_cache(maxsize=None)
 def ground_d(n: int) -> GroundSet:
     return GroundSet("D", n)
 

@@ -425,12 +425,13 @@ ENUM_BD_NMAX = 3
 
 # x, y are the polynomials X, Y; bivariate terms come from the transfer
 # recursion (called by name, so a rebinding of transfer_family is seen) and
-# univariate terms from their closed formulas in poly.CLOSED.
+# univariate terms from the y = x diagonal of the closed formulas in
+# poly.CLOSED.
 _SYMBOLIC = SimpleNamespace(
     x=X,
     y=Y,
     biv=lambda name, n: transfer_family(name, n),
-    uni=lambda name, n: poly.CLOSED[name](n),
+    uni=lambda name, n: poly.CLOSED[name](n).subst_y_diag(),
     tag=lambda n: f"n={n}",
 )
 

@@ -5,15 +5,19 @@ Every named family can be computed three ways:
 * ``transfer_family`` - a transfer recursion that builds partitions element
                         by element and never consults a closed formula; all
                         of them run on one driver, ``_transfer``;
-* ``CLOSED``          - the closed formula of each family at y = x (every
-                        family but F_B has one);
+* ``CLOSED``          - the closed formula of each family (every family but
+                        F_B has one).  A bivariate family's closed formula is
+                        the single-sum expansion sum binom(n,k) U[k](x)
+                        y^(n-k) over a univariate closed formula U that its
+                        expansion identity proves;
 * ``enumerated_family`` - a literal sum of statistics over the block
                         structures produced by the enumeration module.
 
-``family`` is the canonical route: the closed formula for a univariate
-(flagged) family that has one, the transfer recursion for every other.  The
-three routes agree wherever they are all defined; the identity runner
-exploits that independence.
+``family`` is the canonical route: the closed formula for every family but
+F_B, whose transfer recursion is the only route it has.  The three routes
+agree wherever they are all defined; the identity runner compares the
+closed formulas with the transfer recursion and the enumeration, so the
+recursion is read by the checks and the tests only.
 """
 
 from __future__ import annotations
@@ -37,6 +41,15 @@ class BiPoly:
                 dx, dy = key
                 clean[(int(dx), int(dy))] = int(value)
         self.coeffs = clean
+
+    @classmethod
+    def _clean(cls, coeffs: dict) -> "BiPoly":
+        """The polynomial of a dict an internal producer built from clean
+        polynomials: keys and values are already ints, so only the zero
+        coefficients (a sum can cancel) are dropped."""
+        poly = object.__new__(cls)
+        poly.coeffs = {key: value for key, value in coeffs.items() if value}
+        return poly
 
     @staticmethod
     def zero() -> "BiPoly":
@@ -75,12 +88,12 @@ class BiPoly:
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
             out[key] = out.get(key, 0) + value
-        return BiPoly(out)
+        return BiPoly._clean(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({k: -v for k, v in self.coeffs.items()})
+        return BiPoly._clean({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -92,13 +105,13 @@ class BiPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return BiPoly({k: v * other for k, v in self.coeffs.items()})
+            return BiPoly._clean({k: v * other for k, v in self.coeffs.items()})
         out = {}
         for (a, b), u in self.coeffs.items():
             for (c, d), v in other.coeffs.items():
                 key = (a + c, b + d)
                 out[key] = out.get(key, 0) + u * v
-        return BiPoly(out)
+        return BiPoly._clean(out)
 
     __rmul__ = __mul__
 
@@ -119,7 +132,7 @@ class BiPoly:
 
     def scale_x(self, c: int) -> "BiPoly":
         """Substitute x -> c*x."""
-        return BiPoly({(dx, dy): v * c**dx for (dx, dy), v in self.coeffs.items()})
+        return BiPoly._clean({(dx, dy): v * c**dx for (dx, dy), v in self.coeffs.items()})
 
     def subst_y_diag(self) -> "BiPoly":
         """Substitute y -> x."""
@@ -127,10 +140,7 @@ class BiPoly:
         for (dx, dy), v in self.coeffs.items():
             key = (dx + dy, 0)
             out[key] = out.get(key, 0) + v
-        return BiPoly(out)
-
-    def degree_x(self) -> int:
-        return max((dx for dx, _ in self.coeffs), default=0)
+        return BiPoly._clean(out)
 
     def coefficient(self, dx: int, dy: int = 0) -> int:
         return self.coeffs.get((dx, dy), 0)
@@ -508,17 +518,43 @@ def feasibleb_tilde_closed(n: int) -> BiPoly:
     )
 
 
-# name -> closed formula of the family at y = x (the family itself when it is
-# univariate), for every named family except F_B, which has none
+def _y_binomial(n: int, uni) -> BiPoly:
+    """sum binom(n,k) uni(k)(x) y^(n-k), coefficient by coefficient: each
+    (power of x, k) pair owns one coefficient, so nothing is summed."""
+    return BiPoly._clean(
+        {
+            (dx, n - k): comb(n, k) * c
+            for k in range(n + 1)
+            for (dx, _), c in uni(k).coeffs.items()
+        }
+    )
+
+
+def _y_binomial_shifted(n: int, uni) -> BiPoly:
+    """The same sum at n - 1, for the families whose identity is written at
+    n + 1; they have the single empty structure at n = 0."""
+    return _y_binomial(n - 1, uni) if n else BiPoly.const(1)
+
+
+# name -> closed formula of the family, for every named family except F_B,
+# which has none.  A bivariate family's formula is the second side of the
+# expansion identity that proves it against the transfer recursion.
 CLOSED = {
-    "Bell": bell_univariate,
-    "Cat": cat_univariate,
+    # A-identities-1: Bell[n+1](x,y) = sum binom(n,k) Bell[k](x) y^(n-k)
+    "Bell": lambda n: _y_binomial_shifted(n, bell_univariate),
+    # A-identities-2, the bivariate form of Coker's identity:
+    # Cat[n+1](x,y) = sum binom(n,k) M[k](x) y^(n-k)
+    "Cat": lambda n: _y_binomial_shifted(n, motzkin_closed),
     "F": feasible_closed,
     "M": motzkin_closed,
-    "Bell_B": bellb_univariate,
-    "Bell_D": lambda n: bell_univariate(n).scale_x(2),
-    "Cat_B": catb_closed,
-    "Cat_D": catd_closed,
+    # B-identities-1: Bell_B[n](x,y) = sum binom(n,k) Bell[k](2x) y^(n-k)
+    "Bell_B": lambda n: _y_binomial(n, lambda k: bell_univariate(k).scale_x(2)),
+    # B-identities-2: Bell_D[n+1](x,y) = sum binom(n,k) Bell_B[k](x) y^(n-k)
+    "Bell_D": lambda n: _y_binomial_shifted(n, bellb_univariate),
+    # B-identities-3: Cat_B[n](x,y) = sum binom(n,k) M_B[k](x) y^(n-k)
+    "Cat_B": lambda n: _y_binomial(n, motzkinb_closed),
+    # B-identities-4: Cat_D[n+1](x,y) = sum binom(n,k) M~_B[k](x) y^(n-k)
+    "Cat_D": lambda n: _y_binomial_shifted(n, motzkinb_tilde_closed),
     "F_D": lambda n: feasible_closed(n).scale_x(2),
     "M_B": motzkinb_closed,
     "M_D": motzkinb_closed,
@@ -552,14 +588,12 @@ FAMILY_NAMES = tuple(FAMILY_CODES)
 def family(name: str, n: int) -> BiPoly:
     """Canonical polynomial of a named family.
 
-    A univariate (flagged) family with a closed formula uses it; every other
-    family, bivariate ones and F_B, uses its transfer recursion.
+    Every family but F_B is its closed formula in ``CLOSED``, which takes
+    time polynomial in n; F_B, which has none, runs its transfer recursion.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    if name in CLOSED and FAMILY_CODES[name][1]:
-        return CLOSED[name](n)
-    return transfer_family(name, n)
+    return CLOSED[name](n) if name in CLOSED else transfer_family(name, n)
 
 
 # ---------------------------------------------------------------------------

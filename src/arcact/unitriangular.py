@@ -253,16 +253,17 @@ def superclass_key(g: Matrix, p: int) -> tuple:
     return tuple(sorted(labels))
 
 
-def superclass_partition(n: int, p: int, key: tuple) -> LabeledSetPartition:
-    """The labeled partition of {1..n} that a superclass key names."""
+def superclass_partition(group: GroupSpec, n: int, key: tuple) -> LabeledSetPartition:
+    """The labeled partition of {1..n}, labeled in ``group``, that a
+    superclass key names."""
     ground = ground_a(n)
     labels = dict(key)
-    return LabeledSetPartition(ground, GroupSpec((p,)), blocks_from_arcs(ground, labels), labels)
+    return LabeledSetPartition(ground, group, blocks_from_arcs(ground, labels), labels)
 
 
 def superclass_reduce(g: Matrix, p: int) -> LabeledSetPartition:
     """The superclass of g, as a labeled partition (see ``superclass_key``)."""
-    return superclass_partition(len(g), p, superclass_key(g, p))
+    return superclass_partition(GroupSpec((p,)), len(g), superclass_key(g, p))
 
 
 def class_representative_matrix(lam: LabeledSetPartition, p: int) -> Matrix:
@@ -300,6 +301,12 @@ def random_superclass_perturbation(g: Matrix, p: int, rng: random.Random) -> Mat
 # character values
 
 
+@lru_cache(maxsize=None)
+def _zero(p: int) -> CycValue:
+    """The zero of Z[zeta_p], shared by every vanishing character value."""
+    return CycValue.from_int(p, 0)
+
+
 def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycValue:
     """Supercharacter value of the index partition on the class of gamma.
 
@@ -309,7 +316,9 @@ def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycVal
     the arcs of gamma nested strictly inside it.
     """
     p = lam.group.moduli[0]
-    if gamma.group != lam.group or gamma.ground != lam.ground:
+    if not (gamma.group is lam.group and gamma.ground is lam.ground) and (
+        gamma.group != lam.group or gamma.ground != lam.ground
+    ):
         raise ValueError("index and class live on different groups")
     q_exponent = 0
     theta_arg = 0
@@ -320,10 +329,10 @@ def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycVal
                 if k == l:
                     theta_arg += value[0] * entry[0]
                 elif k < l:
-                    return CycValue.from_int(p, 0)
+                    return _zero(p)
             elif k == l:
                 if j > i:
-                    return CycValue.from_int(p, 0)
+                    return _zero(p)
             elif i < j and k < l:
                 q_exponent -= 1
     if q_exponent < 0:
@@ -439,10 +448,13 @@ def build_chartable(kind: str, n: int, p: int, max_group_order: int = 10**6) -> 
         counter[superclass_key(g, p)] += 1
         order += 1
     keys = sorted(counter)
-    classes = tuple(superclass_partition(matrix_size(kind, n), p, key) for key in keys)
-    sizes = tuple(counter[key] for key in keys)
     indices = tuple(enumerate_family(_index_family(kind, n, p)))
     ambient = indices if kind == "A" else tuple(halve(lam) for lam in indices)
+    # the classes share the indices' group object (grounds are interned), so
+    # chi_on_class sees the same group and ground by identity
+    group = indices[0].group
+    classes = tuple(superclass_partition(group, matrix_size(kind, n), key) for key in keys)
+    sizes = tuple(counter[key] for key in keys)
     rows = tuple(tuple(chi_on_class(lam, c) for c in classes) for lam in ambient)
     return CharTable(kind, n, p, classes, sizes, indices, rows, order)
 

@@ -1,7 +1,11 @@
 import hashlib
+import json
+import random
+from math import comb
 
 import pytest
 
+from arcact import identities, poly
 from arcact.cli import main
 from arcact.poly import (
     CLOSED,
@@ -73,14 +77,105 @@ def test_transfer_equals_enumeration():
             assert transfer_family(name, n) == enumerated_family(name, n), (name, n)
 
 
+def _random_coeffs(rng, terms, zeros=True):
+    out = {}
+    for _ in range(terms):
+        value = rng.randint(-3, 3) if zeros else rng.choice((-2, -1, 1, 2))
+        out[(rng.randint(0, 3), rng.randint(0, 3))] = value * rng.choice((1, 10**30))
+    return out
+
+
+def test_internal_construction_matches_public_constructor():
+    """BiPoly._clean, used by the arithmetic, against BiPoly(...) on the
+    same dicts, and every operation against a dict-level reference that
+    goes through the public constructor; sums that cancel included."""
+    rng = random.Random(6)
+    for _ in range(300):
+        raw = _random_coeffs(rng, rng.randint(0, 8))
+        assert BiPoly._clean(raw).coeffs == BiPoly(raw).coeffs
+        p = BiPoly(raw)
+        # q cancels every other term of p
+        cancel = {k: -v for k, v in list(p.coeffs.items())[::2]}
+        q = BiPoly({**_random_coeffs(rng, rng.randint(0, 8), zeros=False), **cancel})
+        c = rng.randint(-3, 3)
+        added = dict(p.coeffs)
+        for key, value in q.coeffs.items():
+            added[key] = added.get(key, 0) + value
+        product = {}
+        for (a, b), u in p.coeffs.items():
+            for (e, f), v in q.coeffs.items():
+                product[(a + e, b + f)] = product.get((a + e, b + f), 0) + u * v
+        diagonal = {}
+        for (a, b), u in p.coeffs.items():
+            diagonal[(a + b, 0)] = diagonal.get((a + b, 0), 0) + u
+        cases = [
+            (p + q, BiPoly(added)),
+            (p * q, BiPoly(product)),
+            (-p, BiPoly({k: -v for k, v in p.coeffs.items()})),
+            (p * c, BiPoly({k: v * c for k, v in p.coeffs.items()})),
+            (p.scale_x(c), BiPoly({(a, b): v * c**a for (a, b), v in p.coeffs.items()})),
+            (p.subst_y_diag(), BiPoly(diagonal)),
+            (p - p, BiPoly()),
+            (p + q - q, p),
+            ((p + q) * (p - q), p * p - q * q),
+        ]
+        for got, want in cases:
+            assert got.coeffs == want.coeffs
+            assert all(got.coeffs.values())
+            assert all(type(v) is int for v in got.coeffs.values())
+
+
 def test_closed_forms_equal_transfer():
     assert set(CLOSED) == set(FAMILY_NAMES) - {"F_B"}
     for n in range(9):
         for name, closed in CLOSED.items():
-            assert transfer_family(name, n).subst_y_diag() == closed(n), (name, n)
+            assert transfer_family(name, n).subst_y_diag() == closed(n).subst_y_diag(), (name, n)
         assert transfer_family("M", n) == motzkin_closed(n)
         assert transfer_family("F", n) == feasible_closed(n)
         assert family("M_B", n) == family("M_D", n)
+
+
+BIVARIATE = ("Bell", "Cat", "Bell_B", "Bell_D", "Cat_B", "Cat_D")
+
+
+def test_bivariate_closed_forms_equal_transfer():
+    for name in BIVARIATE:
+        n_max = 12 if name in ("Cat_B", "Cat_D") else 20
+        for n in range(n_max + 1):
+            assert CLOSED[name](n) == transfer_family(name, n), (name, n)
+
+
+def test_family_never_runs_a_recursion_but_for_f_b(monkeypatch):
+    expected = {(name, n): transfer_family(name, n) for name in FAMILY_NAMES for n in range(8)}
+
+    def refuse(name, n):
+        raise AssertionError(f"transfer recursion run for {name}[{n}]")
+
+    monkeypatch.setattr(poly, "transfer_family", refuse)
+    for (name, n), value in expected.items():
+        if name == "F_B":
+            with pytest.raises(AssertionError):
+                family(name, n)
+        else:
+            assert family(name, n).subst_y_diag() == value.subst_y_diag(), (name, n)
+            if name in BIVARIATE:
+                assert family(name, n) == value, (name, n)
+
+
+def test_symbolic_paired_identities_read_the_recursion(monkeypatch):
+    """Each symbolic side of a paired identity that names a bivariate family
+    reads transfer_family, so a wrong recursion fails every paired check."""
+    paired = [
+        cid for cid in identities.registry_ids()
+        if f"{cid}-enum" in identities.registry_ids()
+    ]
+    assert len(paired) == 16
+    for cid in paired:
+        assert identities.run(cid, "quick").ok, cid
+    right = identities.transfer_family
+    monkeypatch.setattr(identities, "transfer_family", lambda name, n: right(name, n) + 1)
+    for cid in paired:
+        assert identities.run(cid, "quick").status == "fail", cid
 
 
 def test_diagonal_specialisations():
@@ -179,3 +274,14 @@ def test_poly_outputs_are_pinned(capsys):
         transfer[name] = digest.hexdigest()
     assert cli == POLY_CLI_SHA256
     assert transfer == TRANSFER_STR_SHA256
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("Cat", catalan(200)), ("Cat_B", comb(400, 200)), ("Cat_D", comb(399, 200))],
+)
+def test_poly_cli_at_scale(capsys, name, value):
+    assert main(["poly", "--family", name, "--n", "200", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["family"] == name and data["n"] == 200
+    assert sum(c["value"] for c in data["coefficients"]) == value

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from arcact.cli import main
-from arcact.core import LabeledSetPartition, ground_a
+from arcact.core import GroundSet, LabeledSetPartition, ground_a
 from arcact.cyclotomic import CycValue, theta
 from arcact.families import FamilySpec, enumerate_family
 from arcact.groups import GroupSpec
@@ -111,6 +111,34 @@ def test_chi_degree_vanishing_and_root_of_unity():
 
     lam2 = LabeledSetPartition(ground_a(2), F3, [(1, 2)], {(1, 2): (1,)})
     assert ut.chi_on_class(lam2, lam2) == theta(3, 1)
+
+
+def test_vanishing_values_share_one_zero_and_groups_are_checked():
+    lam = LabeledSetPartition(ground_a(3), F3, [(1, 3), (2,)], {(1, 3): (1,)})
+    gamma = LabeledSetPartition(ground_a(3), F3, [(1, 2), (3,)], {(1, 2): (1,)})
+    other = LabeledSetPartition(ground_a(3), F3, [(1,), (2, 3)], {(2, 3): (2,)})
+    zero = ut.chi_on_class(lam, gamma)
+    assert zero == CycValue.from_int(3, 0)
+    assert ut.chi_on_class(lam, other) is zero
+    # equal but distinct ground and group objects pass the same-group test
+    copy = LabeledSetPartition(GroundSet("A", 3), GroupSpec((3,)), [(1, 2), (3,)], {(1, 2): (1,)})
+    assert copy.ground is not lam.ground and copy.group is not lam.group
+    assert ut.chi_on_class(lam, copy) is zero
+    for bad in (
+        LabeledSetPartition(ground_a(3), GroupSpec((5,)), [(1, 2), (3,)], {(1, 2): (1,)}),
+        LabeledSetPartition(ground_a(4), F3, [(1, 2), (3,), (4,)], {(1, 2): (1,)}),
+    ):
+        with pytest.raises(ValueError):
+            ut.chi_on_class(lam, bad)
+
+
+def test_chartable_classes_share_the_index_group_and_ground():
+    for kind, n in (("A", 3), ("B", 1), ("D", 2)):
+        table = ut.build_chartable(kind, n, 3)
+        ambient = table.indices if kind == "A" else [halve(lam) for lam in table.indices]
+        for lam in ambient:
+            for c in table.classes:
+                assert c.group is lam.group and c.ground is lam.ground
 
 
 def test_chi_eval_matches_class_value():
