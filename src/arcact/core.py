@@ -336,6 +336,11 @@ def is_noncrossing(arcs) -> bool:
     return not crossings(arcs)
 
 
+def is_nc_tilde(arcs) -> bool:
+    """Relaxed noncrossing: the only crossings are of mirror pairs (i,k), (-k,-i)."""
+    return all((i, k) == (-l, -j) for (i, k), (j, l) in crossings(arcs))
+
+
 def is_nonnesting(arcs) -> bool:
     arcs = sorted(arcs)
     for s, (i, l) in enumerate(arcs):
@@ -370,19 +375,15 @@ def classify(p: LabeledSetPartition) -> ClassifyFlags:
     arcs = p.arcs()
     sizes = [len(b) for b in p.blocks]
     nonzero_sizes = [len([x for x in b if x != 0]) for b in p.blocks]
-    nc = is_noncrossing(arcs)
-    nc_tilde = all(
-        (i, k) == (-l, -j) for (i, k), (j, l) in crossings(arcs)
-    )
     return ClassifyFlags(
-        noncrossing=nc,
+        noncrossing=is_noncrossing(arcs),
         nonnesting=is_nonnesting(arcs),
         two_regular=all(j != i + 1 for i, j in arcs),
         feasible=all(s >= 2 for s in sizes),
         poor=all(s <= 2 for s in sizes),
         b_feasible=all(s != 1 for s in nonzero_sizes),
         b_poor=all(s <= 2 for s in nonzero_sizes),
-        nc_tilde=nc_tilde,
+        nc_tilde=is_nc_tilde(arcs),
         type_symmetric=is_type_symmetric(p),
     )
 

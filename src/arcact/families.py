@@ -24,10 +24,10 @@ from .core import (
     arcs_of,
     blocks_from_arcs,
     canonical_blocks,
-    crossings,
     ground_a,
     ground_b,
     ground_d,
+    is_nc_tilde,
     is_noncrossing,
     is_nonnesting,
     rook_sort_key,
@@ -224,7 +224,7 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
             if _no_self_mirror_arcs(s)
         ]
         if base == "NC_TILDE_B":
-            shapes = [s for s in shapes if _is_nc_tilde_shape(s)]
+            shapes = [s for s in shapes if is_nc_tilde(arcs_of(s))]
     elif base in ("P_D", "NC_TILDE_D"):
         shapes = [
             s
@@ -232,7 +232,7 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
             if _no_self_mirror_arcs(s)
         ]
         if base == "NC_TILDE_D":
-            shapes = [s for s in shapes if _is_nc_tilde_shape(s)]
+            shapes = [s for s in shapes if is_nc_tilde(arcs_of(s))]
     elif base == "NN_B":
         shapes = [
             s
@@ -242,10 +242,6 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
     else:  # pragma: no cover
         raise ValueError(base)
     return tuple(sorted(set(shapes)))
-
-
-def _is_nc_tilde_shape(blocks) -> bool:
-    return all((i, k) == (-l, -j) for (i, k), (j, l) in crossings(arcs_of(blocks)))
 
 
 # ---------------------------------------------------------------------------

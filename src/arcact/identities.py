@@ -1,14 +1,19 @@
-"""Registry and runner for every enumerative identity and structural claim.
+"""Registry and runner of the acceptance checks.
 
-Checks come in three modes:
+The registry is the single list of the paper's identities, counts and
+structural claims: ``arcact verify --all`` runs every check, and
+``tests/test_acceptance.py`` runs each one at its desk range.  Checks come in
+three modes:
 
-* symbolic    - both sides expanded as exact polynomials in x, y and compared
-                term by term; the family side always comes from a transfer
-                recursion or an enumeration, never from the formula under test;
-* enumerative - the identity instantiated with concrete label groups, every
-                family cardinality obtained by exhaustive generation;
-* structural  - bijectivity, orbit and rank statements checked by exhaustive
-                image comparison.
+* symbolic    - both sides expanded as exact polynomials in x, y (or their
+                values) and compared term by term; the family side always
+                comes from a transfer recursion, an enumeration or a quoted or
+                vendored reference sequence, never from the formula under test;
+* enumerative - the identity instantiated with concrete label groups (or
+                prime fields), every cardinality obtained by exhaustive
+                generation;
+* structural  - bijectivity, orbit, rank and route-agreement statements checked
+                by exhaustive image comparison or by fixed-seed random trials.
 
 The paper's bivariate identities are polynomials in x and y that count
 labeled partitions at x = |A|-1, y = |B|-1.  Each is defined once, as a
@@ -25,14 +30,32 @@ All arithmetic is exact; a failing check carries a minimal witness.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from math import comb
 from types import SimpleNamespace
 
-from . import action, maps, poly
-from .core import classify, ground_a
-from .families import FamilySpec, count_by, enumerate_dyck, enumerate_family, family_shapes
+from . import action, maps, oeis, poly, unitriangular
+from .core import (
+    LabeledSetPartition,
+    classify,
+    from_rook,
+    ground_a,
+    ground_b,
+    ground_d,
+    negate,
+    to_rook,
+    unlabeled,
+)
+from .families import (
+    FamilySpec,
+    count_by,
+    enumerate_dyck,
+    enumerate_family,
+    family_shapes,
+    symmetric_partitions,
+)
 from .groups import DirectSum, GroupSpec
 from .poly import FAMILY_CODES, BiPoly, X, Y, catalan, transfer_family
 
@@ -158,8 +181,6 @@ def _cnt(family, n, groups, flag=None) -> int:
 
 def _embed_a(p, ds: DirectSum):
     """Relabel an A-group partition inside the direct sum."""
-    from .core import LabeledSetPartition
-
     labels = {arc: ds.embed_a(v) for arc, v in p.label_map().items()}
     return LabeledSetPartition(p.ground, ds.spec, p.blocks, labels)
 
@@ -785,8 +806,6 @@ def _two_blocks_2(n_max):
     {"n_max": 5},
 )
 def _two_blocks_3(n_max):
-    from .core import ground_b, unlabeled
-
     out = []
     for n in range(n_max + 1):
         got = 0
@@ -811,9 +830,6 @@ def _two_blocks_3(n_max):
     {"n_max": 3},
 )
 def _uncross_b_props(n_max):
-    from .core import ground_b, ground_d, negate, unlabeled
-    from .families import symmetric_partitions
-
     out = []
     for n in range(n_max + 1):
         dom_b = [
@@ -987,8 +1003,6 @@ def _orbit_d(n_max, pairs):
     {"n_max": 5},
 )
 def _rank_invert_a(n_max):
-    from .core import unlabeled
-
     out = []
     for n in range(1, n_max + 1):
         for blocks in family_shapes("PI", n):
@@ -1012,8 +1026,6 @@ def _rank_invert_a(n_max):
     {"n_max": 3},
 )
 def _rank_invert_b(n_max):
-    from .core import ground_b, unlabeled
-
     out = []
     for n in range(n_max + 1):
         for blocks in family_shapes("NC_TILDE_B", n):
@@ -1038,8 +1050,6 @@ def _rank_invert_b(n_max):
     {"n_max": 3},
 )
 def _rank_invert_d(n_max):
-    from .core import ground_d, unlabeled
-
     out = []
     for n in range(1, n_max + 1):
         for blocks in family_shapes("NC_TILDE_D", n):
@@ -1154,3 +1164,209 @@ def _check_shift_restriction(out, tag, domain, codomain, dom_pred, cod_pred):
         missing = sorted(q.text() for q in target - set(images))[:1]
         extra = sorted(q.text() for q in set(images) - target)[:1]
         out.append(f"{tag}: image mismatch missing={missing} extra={extra}")
+
+
+# ---------------------------------------------------------------------------
+# sequences, supercharacters and route backstops
+
+# quoted prefixes of the named sequences at x = y = 1 (M~_B aligned to the
+# offset-1 indexing of the directed-animal values)
+GOLDEN_SEQUENCES = {
+    "Bell": (1, 1, 2, 5, 15, 52),
+    "Bell_B": (1, 2, 6, 24, 116, 648, 4088),
+    "Bell_D": (1, 1, 3, 11, 49, 257, 1539),
+    "M_B": (1, 1, 3, 7, 19, 51, 141),
+    "M_B_tilde": (1, 2, 5, 13, 35, 96, 267),
+}
+
+
+@_register(
+    "golden-sequences",
+    "symbolic",
+    "quoted prefixes of Bell, Bell_B, Bell_D, M_B and M~_B at x = y = 1;"
+    " Cat[n](1,1) == C_n and Cat_B[n](1,1) == binom(2n,n)",
+    {"n_max": 10},
+    {"n_max": 4},
+)
+def _golden_sequences(n_max):
+    out = []
+    for name, want in GOLDEN_SEQUENCES.items():
+        want = list(want[: n_max + 1])
+        _eq(out, name, [poly.sequence(name, n) for n in range(len(want))], want)
+    for n in range(n_max + 1):
+        _eq(out, f"Cat n={n}", poly.sequence("Cat", n), catalan(n))
+        _eq(out, f"Cat_B n={n}", poly.sequence("Cat_B", n), comb(2 * n, n))
+    return out
+
+
+@_register(
+    "oeis-bfiles",
+    "symbolic",
+    "the named sequences match the vendored b-files at every n <= n_max,"
+    " and the associated Stirling numbers match the vendored A008299 triangle"
+    " in rows 2..rows",
+    {"n_max": 22, "rows": 16},
+    {"n_max": 8, "rows": 8},
+)
+def _oeis_bfiles(n_max, rows):
+    out = []
+    try:
+        for name, (oeis_id, offset) in oeis.KNOWN_SEQUENCES.items():
+            bfile = str(oeis.vendored_path(oeis_id))
+            report = oeis.oeis_check(name, oeis_id, offset, n_max, bfile)
+            for m in report["mismatches"]:
+                out.append(f"{name} vs {oeis_id} n={m['n']}: {m['computed']} != {m['bfile']}")
+            _eq(out, f"{name} vs {oeis_id} entries", report["checked"], n_max + 1)
+        oeis_id = "A008299"
+        triangle = oeis.load_bfile(oeis_id, str(oeis.vendored_path(oeis_id))).values
+    except (oeis.BFileError, oeis.OeisIOError) as exc:
+        return out + [f"{oeis_id}: {exc}"]
+    index = 1
+    for n in range(2, rows + 1):
+        for k in range(1, n // 2 + 1):
+            _eq(out, f"A008299 T({n},{k})", poly.assoc_stirling2(n, k), triangle.get(index))
+            index += 1
+    return out
+
+
+# the (verify_counts field, expected count) pairs each kind asserts equal,
+# and the kinds whose irreducible characters are exactly the noncrossing ones
+_SUPERCHARACTER_COUNTS = {
+    "A": (("num_superclasses", "distinct"), ("num_distinct", "distinct"),
+          ("num_irreducible", "irreducible"), ("num_l_invariant", "l_invariant")),
+    "B": (("num_distinct", "distinct"), ("num_irreducible", "irreducible"),
+          ("num_l_invariant", "l_invariant")),
+    "D": (("num_distinct", "distinct"), ("num_l_invariant", "l_invariant")),
+}
+_IRREDUCIBLE_IS_NONCROSSING = ("A", "B")
+
+
+@_register(
+    "supercharacters",
+    "enumerative",
+    "superclass, distinct, irreducible and linear-invariant counts of the"
+    " supercharacters of types A, B and D match their predicted values,"
+    " the irreducible ones are the noncrossing ones (A, B), and multiplying"
+    " by a linear supercharacter is the additive action",
+    {
+        "sizes": (
+            ("A", 3, 2), ("A", 4, 2), ("A", 5, 2), ("A", 3, 3), ("A", 4, 3),
+            ("B", 1, 3), ("B", 2, 3), ("D", 2, 3), ("D", 3, 3),
+        )
+    },
+    {"sizes": (("A", 3, 2), ("A", 3, 3), ("B", 1, 3), ("D", 2, 3))},
+)
+def _supercharacters(sizes):
+    out = []
+    for kind, n, p in sizes:
+        tag = f"{kind}({n},{p})"
+        rec = unitriangular.verify_counts(kind, n, p)
+        for field, want in _SUPERCHARACTER_COUNTS[kind]:
+            _eq(out, f"{tag} {field}", rec[field], rec["expected"][want])
+        if kind in _IRREDUCIBLE_IS_NONCROSSING and not rec["irreducible_iff_noncrossing"]:
+            out.append(f"{tag}: irreducible set is not the noncrossing set")
+        if not unitriangular.verify_product_rule(kind, n, p):
+            out.append(f"{tag}: product rule")
+    return out
+
+
+@_register(
+    "uncross-NN-NC",
+    "structural",
+    "uncross bijects NN(n) onto NC(n), keeping the block count",
+    {"n_max": 7},
+    {"n_max": 5},
+)
+def _uncross_nn_nc(n_max):
+    out = []
+    for n in range(n_max + 1):
+        members = list(enumerate_family(FamilySpec("NN", n)))
+        images = [maps.uncross(p) for p in members]
+        for p, q in zip(members, images):
+            if len(q.blocks) != len(p.blocks) or not classify(q).noncrossing:
+                out.append(f"n={n}: uncross({p.text()}) = {q.text()}")
+                return out
+        _eq(out, f"n={n} injective", len(set(images)), len(members))
+        targets = set(enumerate_family(FamilySpec("NC", n, (Z2,))))
+        if set(images) != targets:
+            out.append(f"n={n}: uncross image is not NC(n)")
+    return out
+
+
+@_register(
+    "plus-matrix-route",
+    "structural",
+    "the arc-set action plus agrees with the rook-matrix route on every"
+    " L x PI(n,Z3), L_D x P_D(n,Z2) pair and every L_B x P_B(n_b,Z3) pair",
+    {"n_max": 4, "n_max_b": 2},
+    {"n_max": 3, "n_max_b": 1},
+)
+def _plus_matrix_route(n_max, n_max_b):
+    for linear, family, group, top in (
+        ("L", "PI", Z3, n_max),
+        ("L_D", "P_D", Z2, n_max),
+        ("L_B", "P_B", Z3, n_max_b),
+    ):
+        for n in range(top + 1):
+            for alpha in enumerate_family(FamilySpec(linear, n, (group,))):
+                for lam in enumerate_family(FamilySpec(family, n, (group,))):
+                    if action.plus(alpha, lam) != action.plus_via_matrix(alpha, lam):
+                        return [f"route mismatch at {alpha.text()} + {lam.text()}"]
+    return []
+
+
+UNCROSS_SEED = 20240809
+REDUCE_SEED = 11
+
+
+@_register(
+    "uncross-confluence",
+    "structural",
+    "uncross does not depend on the order in which crossings are resolved:"
+    " random pick orders on random crossing partitions of [n]",
+    {"n": 7, "trials": 1000},
+    {"n": 5, "trials": 100},
+)
+def _uncross_confluence(n, trials):
+    rng = random.Random(UNCROSS_SEED)
+    pool = [unlabeled(ground_a(n), blocks) for blocks in family_shapes("PI", n)]
+    pool = [p for p in pool if not classify(p).noncrossing]
+    for _ in range(trials):
+        p = rng.choice(pool)
+        if maps.uncross(p, rng) != maps.uncross(p):
+            return [f"uncross order dependence at {p.text()}"]
+    return []
+
+
+@_register(
+    "reduce-invariance",
+    "structural",
+    "superclass reduction is constant on two-sided orbits g -> u(g-1)v+1:"
+    " random moves of random elements of U(n,p)",
+    {"n": 4, "p": 3, "trials": 1000},
+    {"n": 3, "p": 3, "trials": 100},
+)
+def _reduce_invariance(n, p, trials):
+    rng = random.Random(REDUCE_SEED)
+    elements = list(unitriangular.unitriangular_elements(n, p))
+    for _ in range(trials):
+        g = rng.choice(elements)
+        h = unitriangular.random_superclass_perturbation(g, p, rng)
+        if unitriangular.superclass_reduce(g, p) != unitriangular.superclass_reduce(h, p):
+            return [f"reduction differs on {g} and {h}"]
+    return []
+
+
+@_register(
+    "rook-round-trip",
+    "structural",
+    "from_rook inverts to_rook on every PI(n,Z3)",
+    {"n_max": 5},
+    {"n_max": 3},
+)
+def _rook_round_trip(n_max):
+    for n in range(n_max + 1):
+        for p in enumerate_family(FamilySpec("PI", n, (Z3,))):
+            if from_rook(p.ground, p.group, to_rook(p)) != p:
+                return [f"n={n}: rook round trip fails at {p.text()}"]
+    return []

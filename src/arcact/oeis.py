@@ -67,6 +67,11 @@ def _cache_dir() -> str:
     )
 
 
+def vendored_path(oeis_id: str):
+    """Where the package data holds its copy of a b-file (it may have none)."""
+    return resources.files("arcact").joinpath(f"data/bfiles/b{oeis_id[1:]}.txt")
+
+
 def load_bfile(oeis_id: str, path: str | None = None) -> OeisRef:
     """Load a b-file: explicit path, then cache, then package data, then URL."""
     if path is not None:
@@ -79,7 +84,7 @@ def load_bfile(oeis_id: str, path: str | None = None) -> OeisRef:
     if os.path.exists(cached):
         with open(cached, "r", encoding="ascii") as handle:
             return OeisRef(oeis_id, cached, parse_bfile(handle.read()))
-    vendored = resources.files("arcact").joinpath(f"data/bfiles/b{oeis_id[1:]}.txt")
+    vendored = vendored_path(oeis_id)
     if vendored.is_file():
         return OeisRef(oeis_id, str(vendored), parse_bfile(vendored.read_text()))
     base = os.environ.get(BASE_URL_ENV)

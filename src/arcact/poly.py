@@ -187,27 +187,65 @@ ONE = BiPoly.const(1)
 # number tables
 
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    if n < 0 or k < 0:
-        raise ValueError(f"indices ({n},{k}) out of range")
+class _Triangle:
+    """Entry (n, k) of a number triangle, zero for k past the end of row n.
+
+    Row n is computed from the rows before it by ``next_row(rows)``.  Rows
+    are filled in increasing n and kept, so no call recurses, however large
+    n is on a cold table.
+    """
+
+    def __init__(self, next_row):
+        self.next_row = next_row
+        self.rows = []
+
+    def __call__(self, n: int, k: int) -> int:
+        if n < 0 or k < 0:
+            raise ValueError(f"indices ({n},{k}) out of range")
+        rows = self.rows
+        while len(rows) <= n:
+            rows.append(self.next_row(rows))
+        row = rows[n]
+        return row[k] if k < len(row) else 0
+
+    def cache_clear(self):
+        self.rows.clear()
+
+
+def _stirling2_row(rows):
+    n = len(rows)
     if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+        return (1,)
+    prev = rows[-1] + (0,)
+    return (0,) + tuple(k * prev[k] + prev[k - 1] for k in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def assoc_stirling2(n: int, k: int) -> int:
+def _assoc_stirling2_row(rows):
     """Partitions of an n-set into k blocks, all of size at least two."""
-    if n < 0 or k < 0:
-        raise ValueError(f"indices ({n},{k}) out of range")
+    n = len(rows)
     if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or 2 * k > n:
-        return 0
-    return k * assoc_stirling2(n - 1, k) + (n - 1) * assoc_stirling2(n - 2, k - 1)
+        return (1,)
+    prev, prev2 = rows[-1] + (0,), rows[n - 2]
+    return (0,) + tuple(
+        k * prev[k] + (n - 1) * prev2[k - 1] for k in range(1, n // 2 + 1)
+    )
+
+
+def _whitney2_B_row(rows):
+    """Signed-partition block counts: mirror-closed structures on {-n..n}
+    with 2k+1 blocks."""
+    n = len(rows)
+    if n == 0:
+        return (1,)
+    prev = rows[-1] + (0,)
+    return (prev[0],) + tuple(
+        (2 * k + 1) * prev[k] + prev[k - 1] for k in range(1, n + 1)
+    )
+
+
+stirling2 = _Triangle(_stirling2_row)
+assoc_stirling2 = _Triangle(_assoc_stirling2_row)
+whitney2_B = _Triangle(_whitney2_B_row)
 
 
 def narayana(n: int, k: int) -> int:
@@ -220,21 +258,6 @@ def narayana(n: int, k: int) -> int:
     value = comb(n, k) * comb(n, k - 1)
     assert value % n == 0
     return value // n
-
-
-@lru_cache(maxsize=None)
-def whitney2_B(n: int, k: int) -> int:
-    """Signed-partition block counts: mirror-closed structures on {-n..n}
-    with 2k+1 blocks."""
-    if n < 0 or k < 0:
-        raise ValueError(f"indices ({n},{k}) out of range")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k > n:
-        return 0
-    if k == 0:
-        return whitney2_B(n - 1, 0)
-    return (2 * k + 1) * whitney2_B(n - 1, k) + whitney2_B(n - 1, k - 1)
 
 
 def catalan(n: int) -> int:

@@ -1,309 +1,16 @@
-"""Acceptance suite: one check per criterion, each printing a pass/fail line.
+"""Acceptance suite: every registered check of ``arcact.identities`` at desk.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
-elapsed times.  All comparisons are exact; there are no numeric tolerances.
+The registry is the single list of acceptance checks, so this module and
+``arcact verify --all`` run the same checks; a failure shows its witness.
+All comparisons are exact; there are no numeric tolerances.
 """
 
-import random
-import time
-from math import comb
+import pytest
 
-from arcact import identities, maps, oeis, poly
-from arcact.action import plus, plus_via_matrix
-from arcact.core import classify, from_rook, ground_a, to_rook, unlabeled
-from arcact.families import FamilySpec, enumerate_family, family_shapes
-from arcact.groups import GroupSpec
-from arcact import unitriangular as ut
-
-Z2 = GroupSpec((2,))
-Z3 = GroupSpec((3,))
+from arcact import identities
 
 
-def _report(number, ok, detail):
-    print(f"\nACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
-
-
-def _run_ids(ids, profile="desk"):
-    failures = []
-    for check_id in ids:
-        result = identities.run(check_id, profile=profile)
-        if not result.ok:
-            failures.append(f"{check_id}: {result.witness}")
-    return failures
-
-
-SYMBOLIC_IDS = (
-    "coker",
-    "riordan",
-    "A-identities-1",
-    "A-identities-2",
-    "A-incl-excl-1",
-    "A-incl-excl-2",
-    "motzkin-closed",
-    "bell-binom-transform",
-    "touchard",
-    "bellD-eq",
-    "spivey-1",
-    "spivey-2",
-    "catB-closed",
-    "catD-closed",
-    "motzkinB-closed",
-    "mob-rec",
-    "tilde-1",
-    "tilde-2",
-    "B-identities-1",
-    "B-identities-2",
-    "B-identities-3",
-    "B-identities-4",
-    "hanging-1",
-    "hanging-2",
-    "B-incl-excl-1",
-    "B-incl-excl-2",
-    "B-incl-excl-3",
-    "B-incl-excl-4",
-    "three-term-1",
-    "three-term-2",
-)
-
-ENUMERATIVE_IDS = (
-    "A-identities-1-enum",
-    "A-identities-2-enum",
-    "A-incl-excl-1-enum",
-    "A-incl-excl-2-enum",
-    "B-identities-1-enum",
-    "B-identities-2-enum",
-    "B-identities-3-enum",
-    "B-identities-4-enum",
-    "hanging-1-enum",
-    "hanging-2-enum",
-    "B-incl-excl-1-enum",
-    "B-incl-excl-2-enum",
-    "B-incl-excl-3-enum",
-    "B-incl-excl-4-enum",
-    "three-term-1-enum",
-    "three-term-2-enum",
-)
-
-
-def test_criterion_1_identity_suite_symbolic():
-    start = time.perf_counter()
-    failures = _run_ids(SYMBOLIC_IDS)
-    elapsed = time.perf_counter() - start
-    _report(
-        1,
-        not failures,
-        f"{len(SYMBOLIC_IDS)} symbolic identities, n <= 10 "
-        f"(recurrences m,n <= 4) in {elapsed:.2f}s (budget 10s)"
-        + ("" if not failures else f" failures: {failures}"),
-    )
-
-
-def test_criterion_2_identity_suite_enumerative():
-    start = time.perf_counter()
-    failures = _run_ids(ENUMERATIVE_IDS)
-    elapsed = time.perf_counter() - start
-    _report(
-        2,
-        not failures,
-        f"{len(ENUMERATIVE_IDS)} identities over 4 group pairs, interval"
-        f" families n <= 5 and mirrored families n <= 3, in {elapsed:.2f}s"
-        f" (budget 60s)" + ("" if not failures else f" failures: {failures}"),
-    )
-
-
-def test_criterion_3_orbit_theorems():
-    start = time.perf_counter()
-    failures = _run_ids(("orbit-main", "orbit-B", "orbit-D"))
-    elapsed = time.perf_counter() - start
-    _report(
-        3,
-        not failures,
-        "orbit decompositions (unique two-regular representative, orbit"
-        f" counts, orbit sizes) for n <= 4 over 4 group pairs in {elapsed:.2f}s"
-        f" (budget 60s)" + ("" if not failures else f" failures: {failures}"),
-    )
-
-
-def test_criterion_4_structural_suite():
-    start = time.perf_counter()
-    failures = _run_ids(
-        (
-            "rank-invert-A",
-            "rank-invert-B",
-            "rank-invert-D",
-            "shift-bij-A",
-            "shift-bij-BD",
-            "uncrossB-props",
-            "NNB-counts",
-            "sym-dyck",
-            "2blocks-1",
-            "2blocks-2",
-            "2blocks-3",
-        )
-    )
-    # uncross bijectivity onto noncrossing partitions, n <= 7
-    for n in range(8):
-        images = {maps.uncross(p) for p in enumerate_family(FamilySpec("NN", n))}
-        targets = set(enumerate_family(FamilySpec("NC", n, (Z2,))))
-        if images != targets:
-            failures.append(f"uncross image mismatch at n={n}")
-    elapsed = time.perf_counter() - start
-    _report(
-        4,
-        not failures,
-        "involution/rank inversion, shift bijections, uncross bijections,"
-        f" symmetric-path counts in {elapsed:.2f}s"
-        + ("" if not failures else f" failures: {failures}"),
-    )
-
-
-def test_criterion_5_golden_sequences():
-    failures = []
-    goldens = {
-        "Bell_B": [1, 2, 6, 24, 116, 648, 4088],
-        "Bell_D": [1, 1, 3, 11, 49, 257, 1539],
-        "M_B": [1, 1, 3, 7, 19, 51, 141],
-        # the quoted directed-animal values, aligned to their offset-1 indexing
-        "M_B_tilde": [1, 2, 5, 13, 35, 96],
-    }
-    for name, want in goldens.items():
-        got = [poly.sequence(name, n) for n in range(len(want))]
-        if got != want:
-            failures.append(f"{name}: {got} != {want}")
-    if [poly.sequence("Cat_B", n) for n in range(11)] != [
-        comb(2 * n, n) for n in range(11)
-    ]:
-        failures.append("Cat_B at 1 is not the central binomial sequence")
-    for name, (oeis_id, offset) in oeis.KNOWN_SEQUENCES.items():
-        report = oeis.oeis_check(name, oeis_id, offset, 12)
-        if not report["ok"]:
-            failures.append(f"{name} vs {oeis_id}: {report['mismatches']}")
-    ref = oeis.load_bfile("A008299")
-    index = 1
-    for n in range(2, 13):
-        for k in range(1, n // 2 + 1):
-            if ref.values[index] != poly.assoc_stirling2(n, k):
-                failures.append(f"A008299 mismatch at T({n},{k})")
-            index += 1
-    _report(
-        5,
-        not failures,
-        "quoted sequence prefixes and vendored b-files through n = 12"
-        + ("" if not failures else f" failures: {failures}"),
-    )
-
-
-A_SIZES = ((3, 2), (4, 2), (5, 2), (3, 3), (4, 3))
-B_SIZES = ((1, 3), (2, 3))
-D_SIZES = ((2, 3), (3, 3))
-
-
-def test_criterion_6_supercharacters():
-    start = time.perf_counter()
-    failures = []
-    for n, p in A_SIZES:
-        rec = ut.verify_counts("A", n, p)
-        want = rec["expected"]
-        if rec["num_superclasses"] != want["distinct"]:
-            failures.append(f"A({n},{p}): superclasses {rec['num_superclasses']}")
-        if rec["num_distinct"] != want["distinct"]:
-            failures.append(f"A({n},{p}): distinct {rec['num_distinct']}")
-        if rec["num_irreducible"] != want["irreducible"]:
-            failures.append(f"A({n},{p}): irreducible {rec['num_irreducible']}")
-        if not rec["irreducible_iff_noncrossing"]:
-            failures.append(f"A({n},{p}): irreducible set is not the noncrossing set")
-        if rec["num_l_invariant"] != want["l_invariant"]:
-            failures.append(f"A({n},{p}): invariant {rec['num_l_invariant']}")
-        if not ut.verify_product_rule("A", n, p):
-            failures.append(f"A({n},{p}): product rule")
-    for n, p in B_SIZES:
-        rec = ut.verify_counts("B", n, p)
-        want = rec["expected"]
-        if rec["num_distinct"] != want["distinct"]:
-            failures.append(f"B({n},{p}): distinct {rec['num_distinct']}")
-        if rec["num_irreducible"] != want["irreducible"]:
-            failures.append(f"B({n},{p}): irreducible {rec['num_irreducible']}")
-        if not rec["irreducible_iff_noncrossing"]:
-            failures.append(f"B({n},{p}): irreducible set is not the noncrossing set")
-        if rec["num_l_invariant"] != want["l_invariant"]:
-            failures.append(f"B({n},{p}): invariant {rec['num_l_invariant']}")
-        if not ut.verify_product_rule("B", n, p):
-            failures.append(f"B({n},{p}): product rule")
-    for n, p in D_SIZES:
-        rec = ut.verify_counts("D", n, p)
-        want = rec["expected"]
-        if rec["num_distinct"] != want["distinct"]:
-            failures.append(f"D({n},{p}): distinct {rec['num_distinct']}")
-        if rec["num_l_invariant"] != want["l_invariant"]:
-            failures.append(f"D({n},{p}): invariant {rec['num_l_invariant']}")
-        if not ut.verify_product_rule("D", n, p):
-            failures.append(f"D({n},{p}): product rule")
-    elapsed = time.perf_counter() - start
-    sizes = (
-        "A" + "/".join(f"({n},{p})" for n, p in A_SIZES)
-        + " B" + "/".join(f"({n},{p})" for n, p in B_SIZES)
-        + " D" + "/".join(f"({n},{p})" for n, p in D_SIZES)
-    )
-    _report(
-        6,
-        not failures,
-        f"supercharacter counts, irreducibility, product rule and invariants"
-        f" at {sizes} in {elapsed:.2f}s (budget 300s)"
-        + ("" if not failures else f" failures: {failures}"),
-    )
-
-
-def test_criterion_7_property_backstops():
-    start = time.perf_counter()
-    failures = []
-
-    # arc-set route vs matrix route, exhaustive at n <= 4
-    for lspec, pspec in (
-        (FamilySpec("L", 4, (Z3,)), FamilySpec("PI", 4, (Z3,))),
-        (FamilySpec("L_B", 2, (Z3,)), FamilySpec("P_B", 2, (Z3,))),
-        (FamilySpec("L_D", 4, (Z2,)), FamilySpec("P_D", 4, (Z2,))),
-    ):
-        for alpha in enumerate_family(lspec):
-            for lam in enumerate_family(pspec):
-                if plus(alpha, lam) != plus_via_matrix(alpha, lam):
-                    failures.append(f"route mismatch at {alpha.text()} + {lam.text()}")
-                    break
-
-    # uncross pick-order confluence, 1000 randomized trials
-    rng = random.Random(20240809)
-    pool = [
-        unlabeled(ground_a(7), blocks)
-        for blocks in family_shapes("PI", 7)
-        if not classify(unlabeled(ground_a(7), blocks)).noncrossing
-    ]
-    for _ in range(1000):
-        p = rng.choice(pool)
-        if maps.uncross(p, rng) != maps.uncross(p):
-            failures.append(f"uncross order dependence at {p.text()}")
-            break
-
-    # reduction invariance under random two-sided moves, 1000 trials
-    elements = list(ut.unitriangular_elements(4, 3))
-    for _ in range(1000):
-        g = rng.choice(elements)
-        h = ut.random_superclass_perturbation(g, 3, rng)
-        if ut.superclass_reduce(g, 3) != ut.superclass_reduce(h, 3):
-            failures.append("reduction not constant on a two-sided orbit")
-            break
-
-    # rook matrix round trip, exhaustive at n <= 5
-    for n in range(6):
-        for p in enumerate_family(FamilySpec("PI", n, (Z3,))):
-            if from_rook(p.ground, p.group, to_rook(p)) != p:
-                failures.append(f"rook round trip fails at {p.text()}")
-                break
-
-    elapsed = time.perf_counter() - start
-    _report(
-        7,
-        not failures,
-        f"route agreement, confluence, reduction invariance and rook"
-        f" round-trips in {elapsed:.2f}s"
-        + ("" if not failures else f" failures: {failures}"),
-    )
+@pytest.mark.parametrize("check_id", identities.registry_ids())
+def test_registered_check_passes_at_desk(check_id):
+    result = identities.run(check_id)
+    assert result.ok, f"{check_id} [{result.params}]: {result.witness}"

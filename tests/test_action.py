@@ -8,7 +8,6 @@ from arcact.action import (
     orbit_decomposition,
     plus,
     plus_involution,
-    plus_via_matrix,
 )
 from arcact.core import (
     LabeledSetPartition,
@@ -97,13 +96,6 @@ MATRIX_ROUTE_CASES = (
     (FamilySpec("L_B", 2, (Z3,)), FamilySpec("P_B", 2, (Z3,))),
     (FamilySpec("L_D", 3, (Z2,)), FamilySpec("P_D", 3, (Z2,))),
 )
-
-
-def test_matrix_route_agrees_exhaustively():
-    for lspec, pspec in MATRIX_ROUTE_CASES:
-        for alpha in enumerate_family(lspec):
-            for lam in enumerate_family(pspec):
-                assert plus(alpha, lam) == plus_via_matrix(alpha, lam)
 
 
 def test_plus_builds_what_the_public_constructor_builds():

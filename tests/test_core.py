@@ -11,10 +11,10 @@ from arcact.core import (
     blocks_from_arcs,
     canonical_blocks,
     classify,
-    from_rook,
     ground_a,
     ground_b,
     ground_d,
+    is_nc_tilde,
     is_noncrossing,
     negate,
     negate_labels,
@@ -101,6 +101,13 @@ def test_classify_examples():
     assert not fr.two_regular and fr.poor and not fr.feasible
 
 
+def test_is_nc_tilde_admits_only_mirror_pair_crossings():
+    assert is_nc_tilde({(-2, 1), (-1, 2)})
+    assert is_nc_tilde(set())
+    assert not is_nc_tilde({(1, 3), (2, 4)})
+    assert not is_nc_tilde({(-2, 1), (-1, 2), (0, 3)})
+
+
 def test_type_symmetric_needs_label_condition():
     blocks = blocks_from_arcs(ground_b(2), {(-2, 1), (-1, 2)})
     bad = LabeledSetPartition(ground_b(2), Z3, blocks, {(-2, 1): (1,), (-1, 2): (1,)})
@@ -136,12 +143,6 @@ def test_to_rook_examples():
 
     empty = unlabeled(ground_a(3), [(1,), (2,), (3,)])
     assert to_rook(empty).entry_map() == {}
-
-
-def test_rook_round_trip_exhaustive():
-    for n in range(6):
-        for p in enumerate_family(FamilySpec("PI", n, (Z3,))):
-            assert from_rook(p.ground, p.group, to_rook(p)) == p
 
 
 def test_rook_noncrossing_predicate_matches():

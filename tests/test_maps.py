@@ -1,4 +1,3 @@
-import random
 from math import comb
 
 import pytest
@@ -125,34 +124,11 @@ def test_uncross_examples():
     assert uncross(gam) == gam  # noncrossing fixed point
 
 
-def test_uncross_block_count_and_bijection():
-    for n in range(8):
-        images = set()
-        for p in enumerate_family(FamilySpec("NN", n)):
-            q = uncross(p)
-            assert len(q.blocks) == len(p.blocks)
-            assert classify(q).noncrossing
-            images.add(q)
-        targets = set(enumerate_family(FamilySpec("NC", n, (Z2,))))
-        assert images == targets
-
-
 def test_uncross_commutes_with_negation():
     for n in range(4):
         for blocks in family_shapes("P_D", n):
             p = unlabeled(ground_d(n), blocks)
             assert uncross(negate(p)) == negate(uncross(p))
-
-
-def test_uncross_pick_order_confluence():
-    rng = random.Random(20240817)
-    pool = [
-        unlabeled(ground_a(7), blocks) for blocks in family_shapes("PI", 7)
-    ]
-    pool = [p for p in pool if not classify(p).noncrossing]
-    for _ in range(1000):
-        p = rng.choice(pool)
-        assert uncross(p, rng) == uncross(p)
 
 
 def test_uncross_b_display():

@@ -23,7 +23,6 @@ from arcact.poly import (
     feasible_closed,
     motzkin_closed,
     number_tables,
-    sequence,
     transfer_family,
 )
 
@@ -206,17 +205,6 @@ def test_central_binomial_evaluations():
         assert catd_closed(n + 1).eval_int(1) == comb(2 * n + 1, n)
 
 
-def test_golden_sequences():
-    assert [sequence("Bell_B", n) for n in range(7)] == [1, 2, 6, 24, 116, 648, 4088]
-    assert [sequence("Bell_D", n) for n in range(7)] == [1, 1, 3, 11, 49, 257, 1539]
-    assert [sequence("M_B", n) for n in range(7)] == [1, 1, 3, 7, 19, 51, 141]
-    assert [sequence("M_B_tilde", n) for n in range(7)] == [1, 2, 5, 13, 35, 96, 267]
-    assert [sequence("Bell", n) for n in range(6)] == [1, 1, 2, 5, 15, 52]
-    assert [sequence("Cat", n) for n in range(6)] == [catalan(n) for n in range(6)]
-    # larger indices are computed, not table lookups
-    assert sequence("M_B", 12) == 73789
-
-
 def test_latex_and_str_are_deterministic():
     p = family("Cat", 3)
     assert str(p) == "1 + 2*y + x + y^2"
@@ -285,3 +273,26 @@ def test_poly_cli_at_scale(capsys, name, value):
     data = json.loads(capsys.readouterr().out)
     assert data["family"] == name and data["n"] == 200
     assert sum(c["value"] for c in data["coefficients"]) == value
+
+
+@pytest.fixture
+def cold_number_tables():
+    tables = (poly.stirling2, poly.assoc_stirling2, poly.whitney2_B)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+# a table memoised by recursion on n hit the recursion limit from n = 500 on
+@pytest.mark.parametrize("name", ["F", "F_D"])
+def test_poly_cli_on_cold_number_tables(capsys, cold_number_tables, name):
+    assert main(["poly", "--family", name, "--n", "600", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["n"] == 600
+
+
+def test_cold_number_tables_fill_rows_without_recursion(cold_number_tables):
+    assert poly.stirling2(600, 2) == 2**599 - 1
+    assert poly.whitney2_B(600, 0) == 1

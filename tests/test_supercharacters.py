@@ -91,16 +91,6 @@ def test_reduce_counts_superclasses():
     assert len(seen) == 5
 
 
-def test_reduce_invariant_under_two_sided_moves():
-    rng = random.Random(11)
-    elements = list(ut.unitriangular_elements(4, 3))
-    for _ in range(1000):
-        g = rng.choice(elements)
-        gamma = ut.superclass_reduce(g, 3)
-        h = ut.random_superclass_perturbation(g, 3, rng)
-        assert ut.superclass_reduce(h, 3) == gamma
-
-
 def test_chi_degree_vanishing_and_root_of_unity():
     lam = LabeledSetPartition(ground_a(3), Z2, [(1, 3), (2,)], {(1, 3): (1,)})
     empty = LabeledSetPartition(ground_a(3), Z2, [(1,), (2,), (3,)], {})
@@ -262,11 +252,6 @@ def test_counts_type_d_small():
     assert rec["num_distinct"] == rec["expected"]["distinct"] == 5
     assert rec["num_irreducible"] == rec["expected"]["irreducible"] == 3
     assert rec["irreducible_iff_noncrossing"]
-
-
-def test_product_rule_small():
-    assert ut.verify_product_rule("A", 3, 2)
-    assert ut.verify_product_rule("D", 2, 3)
 
 
 def test_linear_indices_have_modulus_one_values():
