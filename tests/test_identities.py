@@ -41,6 +41,18 @@ def test_run_override_params():
     assert result.params == "('n_max', 3)"
 
 
+@pytest.fixture(scope="module")
+def quick_report():
+    """The quick profile, run once for every test in this module that reads it."""
+    return identities.run_all(profile="quick")
+
+
+def test_quick_profile_all_green(quick_report):
+    bad = [r for r in quick_report.results if not r.ok]
+    assert quick_report.ok, bad
+    assert len(quick_report.results) == len(identities.registry_ids())
+
+
 def test_report_json_shape():
     report = identities.run_all(profile="quick", ids=["touchard"])
     data = report.to_json_dict()
@@ -164,11 +176,9 @@ PINNED_REGISTRY = {
 }
 
 
-def test_registry_is_pinned():
+def test_registry_is_pinned(quick_report):
     assert identities.registry_ids() == tuple(sorted(PINNED_REGISTRY))
-    report = identities.run_all(profile="quick")
-    assert report.ok, [r for r in report.results if not r.ok]
-    quick = {r.id: (r.mode, r.params) for r in report.results}
+    quick = {r.id: (r.mode, r.params) for r in quick_report.results}
     for cid, (mode, desk, quick_range) in PINNED_REGISTRY.items():
         assert quick[cid] == (mode, quick_range), cid
         check = identities._REGISTRY[cid]

@@ -1,6 +1,7 @@
 import pytest
 
 from arcact import oeis
+from arcact.poly import assoc_stirling2
 
 
 def test_parse_bfile():
@@ -17,6 +18,13 @@ def test_parse_bfile_errors():
         oeis.parse_bfile("1 5\n1 6")
     with pytest.raises(oeis.BFileError):
         oeis.parse_bfile("1 2 3")
+
+
+def test_vendored_checks():
+    for name, (oid, offset) in oeis.KNOWN_SEQUENCES.items():
+        report = oeis.oeis_check(name, oid, offset, 12)
+        assert report["ok"], report
+        assert report["checked"] == 13
 
 
 def test_wrong_offset_is_detected():
@@ -37,3 +45,12 @@ def test_explicit_path(tmp_path):
     path.write_text("0 1\n1 2\n2 6\n")
     report = oeis.oeis_check("Bell_B", "A007405", 0, 2, str(path))
     assert report["ok"] and report["checked"] == 3
+
+
+def test_assoc_stirling_triangle_matches_vendored_file():
+    ref = oeis.load_bfile("A008299")
+    index = 1
+    for n in range(2, 14):
+        for k in range(1, n // 2 + 1):
+            assert ref.values[index] == assoc_stirling2(n, k), (n, k)
+            index += 1

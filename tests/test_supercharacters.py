@@ -254,6 +254,11 @@ def test_counts_type_d_small():
     assert rec["irreducible_iff_noncrossing"]
 
 
+def test_product_rule_small():
+    assert ut.verify_product_rule("A", 3, 2)
+    assert ut.verify_product_rule("D", 2, 3)
+
+
 def test_linear_indices_have_modulus_one_values():
     table = ut.build_chartable("B", 2, 3)
     for lam, values, degree in zip(table.indices, table.values, table.degrees()):
