@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 all good, 1 a verification failed, 2 usage error, 3 an
-input/output or network problem.
+input/output problem.
 """
 
 from __future__ import annotations

@@ -195,10 +195,6 @@ def _linear_blocks(ground: GroundSet):
         yield tuple(sorted(arcs))
 
 
-def _no_self_mirror_arcs(blocks) -> bool:
-    return all(j != -i for i, j in arcs_of(blocks))
-
-
 @lru_cache(maxsize=None)
 def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Unlabeled block structures of a family, deterministically ordered."""
@@ -218,19 +214,12 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
         g = ground_b(n) if base == "L_B" else ground_d(n)
         shapes = [blocks_from_arcs(g, arcs) for arcs in _linear_blocks(g)]
     elif base in ("P_B", "NC_TILDE_B"):
-        shapes = [
-            s
-            for s in symmetric_partitions(n, True, False)
-            if _no_self_mirror_arcs(s)
-        ]
+        # no arc (-i, i): nonzero blocks are not self-negative; 0 sits between -i and i
+        shapes = list(symmetric_partitions(n, True, False))
         if base == "NC_TILDE_B":
             shapes = [s for s in shapes if is_nc_tilde(arcs_of(s))]
     elif base in ("P_D", "NC_TILDE_D"):
-        shapes = [
-            s
-            for s in symmetric_partitions(n, False, False)
-            if _no_self_mirror_arcs(s)
-        ]
+        shapes = list(symmetric_partitions(n, False, False))
         if base == "NC_TILDE_D":
             shapes = [s for s in shapes if is_nc_tilde(arcs_of(s))]
     elif base == "NN_B":

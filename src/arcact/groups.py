@@ -74,10 +74,6 @@ def neg(spec: GroupSpec, a: Element) -> Element:
     return tuple((-x) % m for x, m in zip(a, spec.moduli))
 
 
-def sub(spec: GroupSpec, a: Element, b: Element) -> Element:
-    return add(spec, a, neg(spec, b))
-
-
 TRIVIAL = GroupSpec(())
 
 

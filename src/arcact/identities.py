@@ -185,120 +185,107 @@ def _embed_a(p, ds: DirectSum):
     return LabeledSetPartition(p.ground, ds.spec, p.blocks, labels)
 
 
+# A check registered by _per_n or _identity is a function returning the sides
+# it asserts equal at one n, read through a context c with c.x, c.y,
+# c.biv(name, n), c.uni(name, n) and c.tag(n).
+#
+# In the symbolic context x, y are the polynomials X, Y; bivariate terms come
+# from the transfer recursion (called by name, so a rebinding of
+# transfer_family is seen) and univariate terms from the y = x diagonal of the
+# closed formulas in poly.CLOSED.
+_SYMBOLIC = SimpleNamespace(
+    x=X,
+    y=Y,
+    biv=lambda name, n: transfer_family(name, n),
+    uni=lambda name, n: poly.CLOSED[name](n).subst_y_diag(),
+    tag=lambda n: f"n={n}",
+)
+
+
+def _evaluate(sides, contexts, n_min, n_max):
+    out = []
+    for c in contexts:
+        for n in range(n_min, n_max + 1):
+            _eq(out, c.tag(n), *sides(c, n))
+    return out
+
+
+def _per_n(id, statement, desk=None, quick=None, mode="symbolic"):
+    """Register sides(c, n) as the check ``id``, evaluated in the symbolic
+    context at every n from n_min (default 0) to n_max (default 10)."""
+
+    def wrap(sides):
+        def check(n_max, n_min=0):
+            return _evaluate(sides, (_SYMBOLIC,), n_min, n_max)
+
+        _register(id, mode, statement, desk or {"n_max": 10}, quick)(check)
+        return sides
+
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # symbolic checks
 
 
-@_register(
+@_per_n(
     "coker",
-    "symbolic",
     "sum(k) binom(n+1,k) binom(n+1,k+1)/(n+1) x^k"
     " == sum(k) C_k binom(n,2k) x^k (1+x)^(n-2k)",
-    {"n_max": 10},
 )
-def _coker(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = BiPoly.zero()
-        for k in range(n + 1):
-            num = comb(n + 1, k) * comb(n + 1, k + 1)
-            assert num % (n + 1) == 0
-            lhs = lhs + BiPoly.term(num // (n + 1), k)
-        rhs = sum(
-            (
-                catalan(k) * comb(n, 2 * k) * BiPoly.term(1, k) * (X + 1) ** (n - 2 * k)
-                for k in range(n // 2 + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
+def _coker(c, n):
+    lhs = BiPoly.zero()
+    for k in range(n + 1):
+        num = comb(n + 1, k) * comb(n + 1, k + 1)
+        assert num % (n + 1) == 0
+        lhs = lhs + BiPoly.term(num // (n + 1), k)
+    terms = (
+        catalan(k) * comb(n, 2 * k) * BiPoly.term(1, k) * (X + 1) ** (n - 2 * k)
+        for k in range(n // 2 + 1)
+    )
+    return lhs, sum(terms, BiPoly.zero())
 
 
-@_register(
+@_per_n(
     "riordan",
-    "symbolic",
     "sum(k) binom(n,k)^2 x^k == sum(k) binom(2k,k) binom(n,2k) x^k (x+1)^(n-2k)",
-    {"n_max": 10},
 )
-def _riordan(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = poly.catb_closed(n)
-        rhs = sum(
-            (
-                comb(2 * k, k)
-                * comb(n, 2 * k)
-                * BiPoly.term(1, k)
-                * (X + 1) ** (n - 2 * k)
-                for k in range(n // 2 + 1)
-            ),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
+def _riordan(c, n):
+    lhs = poly.catb_closed(n)
+    terms = (
+        comb(2 * k, k) * comb(n, 2 * k) * BiPoly.term(1, k) * (X + 1) ** (n - 2 * k)
+        for k in range(n // 2 + 1)
+    )
+    return lhs, sum(terms, BiPoly.zero())
 
 
-
-@_register(
-    "motzkin-closed",
-    "symbolic",
-    "M[n](x) == sum C_k binom(n,2k) x^k",
-    {"n_max": 10},
-)
-def _motzkin_closed(n_max):
-    out = []
-    for n in range(n_max + 1):
-        _eq(out, f"n={n}", transfer_family("M", n), poly.motzkin_closed(n))
-    return out
+@_per_n("motzkin-closed", "M[n](x) == sum C_k binom(n,2k) x^k")
+def _motzkin_closed(c, n):
+    return transfer_family("M", n), poly.motzkin_closed(n)
 
 
-@_register(
-    "bell-binom-transform",
-    "symbolic",
-    "Bell[n](x) == sum binom(n,k) F[k](x)",
-    {"n_max": 10},
-)
-def _bell_binom_transform(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Bell", n).subst_y_diag()
-        rhs = sum(
-            (comb(n, k) * poly.feasible_closed(k) for k in range(n + 1)),
-            BiPoly.zero(),
-        )
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
+@_per_n("bell-binom-transform", "Bell[n](x) == sum binom(n,k) F[k](x)")
+def _bell_binom_transform(c, n):
+    lhs = transfer_family("Bell", n).subst_y_diag()
+    rhs = sum(
+        (comb(n, k) * poly.feasible_closed(k) for k in range(n + 1)),
+        BiPoly.zero(),
+    )
+    return lhs, rhs
 
 
-@_register(
-    "touchard",
-    "symbolic",
-    "C_(n+1) == sum C_k binom(n,2k) 2^(n-2k)",
-    {"n_max": 10},
-)
-def _touchard(n_max):
-    out = []
-    for n in range(n_max + 1):
-        rhs = sum(
-            catalan(k) * comb(n, 2 * k) * 2 ** (n - 2 * k) for k in range(n // 2 + 1)
-        )
-        _eq(out, f"n={n}", catalan(n + 1), rhs)
-    return out
+@_per_n("touchard", "C_(n+1) == sum C_k binom(n,2k) 2^(n-2k)")
+def _touchard(c, n):
+    rhs = sum(
+        catalan(k) * comb(n, 2 * k) * 2 ** (n - 2 * k) for k in range(n // 2 + 1)
+    )
+    return catalan(n + 1), rhs
 
 
-@_register(
-    "bellD-eq",
-    "symbolic",
-    "Bell_D[n](x) == Bell[n](2x)",
-    {"n_max": 10},
-)
-def _belld_eq(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Bell_D", n).subst_y_diag()
-        _eq(out, f"n={n}", lhs, poly.bell_univariate(n).scale_x(2))
-    return out
+@_per_n("bellD-eq", "Bell_D[n](x) == Bell[n](2x)")
+def _belld_eq(c, n):
+    lhs = transfer_family("Bell_D", n).subst_y_diag()
+    return lhs, poly.bell_univariate(n).scale_x(2)
 
 
 @_register(
@@ -341,32 +328,14 @@ def _spivey_2(m_max, n_max):
     return out
 
 
-@_register(
-    "catB-closed",
-    "symbolic",
-    "Cat_B[n](x) == sum binom(n,k)^2 x^k",
-    {"n_max": 10},
-)
-def _catb_closed(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Cat_B", n).subst_y_diag()
-        _eq(out, f"n={n}", lhs, poly.catb_closed(n))
-    return out
+@_per_n("catB-closed", "Cat_B[n](x) == sum binom(n,k)^2 x^k")
+def _catb_closed(c, n):
+    return transfer_family("Cat_B", n).subst_y_diag(), poly.catb_closed(n)
 
 
-@_register(
-    "catD-closed",
-    "symbolic",
-    "Cat_D[n+1](x) == sum binom(n,k) binom(n+1,k) x^k",
-    {"n_max": 10},
-)
-def _catd_closed(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("Cat_D", n + 1).subst_y_diag()
-        _eq(out, f"n={n}", lhs, poly.catd_closed(n + 1))
-    return out
+@_per_n("catD-closed", "Cat_D[n+1](x) == sum binom(n,k) binom(n+1,k) x^k")
+def _catd_closed(c, n):
+    return transfer_family("Cat_D", n + 1).subst_y_diag(), poly.catd_closed(n + 1)
 
 
 @_register(
@@ -386,75 +355,43 @@ def _motzkinb_closed(n_max):
     return out
 
 
-@_register(
-    "mob-rec",
-    "symbolic",
-    "M_B[n+2](x) == M_B[n+1](x) + 2(n+1) x M[n](x)",
-    {"n_max": 10},
-)
-def _mob_rec(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("M_B", n + 2)
-        rhs = transfer_family("M_B", n + 1) + 2 * (n + 1) * X * transfer_family("M", n)
-        _eq(out, f"n={n}", lhs, rhs)
-    return out
+@_per_n("mob-rec", "M_B[n+2](x) == M_B[n+1](x) + 2(n+1) x M[n](x)")
+def _mob_rec(c, n):
+    lhs = transfer_family("M_B", n + 2)
+    rhs = transfer_family("M_B", n + 1) + 2 * (n + 1) * X * transfer_family("M", n)
+    return lhs, rhs
 
 
-@_register(
+@_per_n(
     "tilde-1",
-    "symbolic",
     "F~_B[n](x) == F_B[n](x) + F[n](2x) == sum binom(n,k) F[k](2x) x^(n-k)",
-    {"n_max": 10},
 )
-def _tilde_1(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("F_B_tilde", n)
-        mid = transfer_family("F_B", n) + poly.feasible_closed(n).scale_x(2)
-        _eq(out, f"n={n}", lhs, mid, poly.feasibleb_tilde_closed(n))
-    return out
+def _tilde_1(c, n):
+    lhs = transfer_family("F_B_tilde", n)
+    mid = transfer_family("F_B", n) + poly.feasible_closed(n).scale_x(2)
+    return lhs, mid, poly.feasibleb_tilde_closed(n)
 
 
-@_register(
+@_per_n(
     "tilde-2",
-    "symbolic",
     "M~_B[n](x) == M_B[n](x) + n x M[n-1](x) == sum binom(n,k) binom(n+1-k,k) x^k",
-    {"n_max": 10},
 )
-def _tilde_2(n_max):
-    out = []
-    for n in range(n_max + 1):
-        lhs = transfer_family("M_B_tilde", n)
-        mid = transfer_family("M_B", n)
-        if n >= 1:
-            mid = mid + n * X * transfer_family("M", n - 1)
-        _eq(out, f"n={n}", lhs, mid, poly.motzkinb_tilde_closed(n))
-    return out
+def _tilde_2(c, n):
+    lhs = transfer_family("M_B_tilde", n)
+    mid = transfer_family("M_B", n)
+    if n >= 1:
+        mid = mid + n * X * transfer_family("M", n - 1)
+    return lhs, mid, poly.motzkinb_tilde_closed(n)
 
 
 # ---------------------------------------------------------------------------
 # paired identities
 #
-# Each function below returns the sides its identity asserts equal at one n,
-# read through a context c with c.x, c.y, c.biv(name, n), c.uni(name, n) and
-# c.tag(n).  ``<id>`` evaluates it in the symbolic context, ``<id>-enum`` in
-# one enumerative context per group pair.
+# Each identity below is evaluated as ``<id>`` in the symbolic context and as
+# ``<id>-enum`` in one enumerative context per group pair.
 
 ENUM_A_NMAX = 5
 ENUM_BD_NMAX = 3
-
-# x, y are the polynomials X, Y; bivariate terms come from the transfer
-# recursion (called by name, so a rebinding of transfer_family is seen) and
-# univariate terms from the y = x diagonal of the closed formulas in
-# poly.CLOSED.
-_SYMBOLIC = SimpleNamespace(
-    x=X,
-    y=Y,
-    biv=lambda name, n: transfer_family(name, n),
-    uni=lambda name, n: poly.CLOSED[name](n).subst_y_diag(),
-    tag=lambda n: f"n={n}",
-)
 
 
 def _counting(ga: GroupSpec, gb: GroupSpec) -> SimpleNamespace:
@@ -475,29 +412,16 @@ def _counting(ga: GroupSpec, gb: GroupSpec) -> SimpleNamespace:
     )
 
 
-def _evaluate(sides, contexts, n_min, n_max):
-    out = []
-    for c in contexts:
-        for n in range(n_min, n_max + 1):
-            _eq(out, c.tag(n), *sides(c, n))
-    return out
-
-
 def _identity(id, statement, enum_n_max, n_min=0, quick_n_max=6):
     """Register sides(c, n) as the checks ``id`` and ``id-enum``."""
 
     def wrap(sides):
-        def symbolic(n_max, n_min=n_min):
-            return _evaluate(sides, (_SYMBOLIC,), n_min, n_max)
-
         def enumerative(n_max, pairs):
             return _evaluate(sides, [_counting(ga, gb) for ga, gb in pairs], n_min, n_max)
 
         start = {"n_min": n_min} if n_min else {}
-        _register(
-            id, "symbolic", statement,
-            {**start, "n_max": 10}, {**start, "n_max": quick_n_max},
-        )(symbolic)
+        desk, quick = {**start, "n_max": 10}, {**start, "n_max": quick_n_max}
+        _per_n(id, statement, desk, quick)(sides)
         _register(
             f"{id}-enum", "enumerative",
             f"{statement}, counted at x = |A|-1, y = |B|-1",
@@ -747,77 +671,41 @@ def _nnb_counts(n_max):
     return out
 
 
-@_register(
-    "sym-dyck",
-    "enumerative",
-    "binom(2n,n) symmetric Dyck paths with 4n steps",
-    {"n_max": 5},
-    {"n_max": 3},
-)
-def _sym_dyck(n_max):
-    out = []
-    for n in range(n_max + 1):
-        got = sum(1 for p in enumerate_dyck(2 * n) if p.is_symmetric())
-        _eq(out, f"n={n}", got, comb(2 * n, n))
-    return out
+@_per_n("sym-dyck", "binom(2n,n) symmetric Dyck paths with 4n steps",
+        {"n_max": 5}, {"n_max": 3}, "enumerative")
+def _sym_dyck(c, n):
+    return sum(1 for p in enumerate_dyck(2 * n) if p.is_symmetric()), comb(2 * n, n)
 
 
-@_register(
-    "2blocks-1",
-    "enumerative",
-    "NC~_D(2n) has binom(2n,n) members whose blocks all have size two",
-    {"n_max": 3},
-    {"n_max": 2},
-)
-def _two_blocks_1(n_max):
-    out = []
-    for n in range(n_max + 1):
-        got = sum(
-            1
-            for blocks in family_shapes("NC_TILDE_D", 2 * n)
-            if all(len(b) == 2 for b in blocks)
-        )
-        _eq(out, f"n={n}", got, comb(2 * n, n))
-    return out
+def _perfect_matchings(n) -> int:
+    """Members of NC~_D(n) whose blocks all have size two."""
+    shapes = family_shapes("NC_TILDE_D", n)
+    return sum(1 for blocks in shapes if all(len(b) == 2 for b in blocks))
 
 
-@_register(
-    "2blocks-2",
-    "enumerative",
-    "NC~_D(2n+1) has no members whose blocks all have size two",
-    {"n_max": 2},
-)
-def _two_blocks_2(n_max):
-    out = []
-    for n in range(n_max + 1):
-        got = sum(
-            1
-            for blocks in family_shapes("NC_TILDE_D", 2 * n + 1)
-            if all(len(b) == 2 for b in blocks)
-        )
-        _eq(out, f"n={n}", got, 0)
-    return out
+@_per_n("2blocks-1", "NC~_D(2n) has binom(2n,n) members whose blocks all have size two",
+        {"n_max": 3}, {"n_max": 2}, "enumerative")
+def _two_blocks_1(c, n):
+    return _perfect_matchings(2 * n), comb(2 * n, n)
 
 
-@_register(
-    "2blocks-3",
-    "enumerative",
-    "binom(n,floor(n/2)) B-poor members of NC~_B(n) without nonzero singletons",
-    {"n_max": 5},
-)
-def _two_blocks_3(n_max):
-    out = []
-    for n in range(n_max + 1):
-        got = 0
-        for blocks in family_shapes("NC_TILDE_B", n):
-            p = unlabeled(ground_b(n), blocks)
-            if not classify(p).b_poor:
-                continue
-            if any(len(b) == 1 and b[0] != 0 for b in blocks):
-                continue
-            got += 1
-        _eq(out, f"n={n}", got, comb(n, n // 2))
-    return out
+@_per_n("2blocks-2", "NC~_D(2n+1) has no members whose blocks all have size two",
+        {"n_max": 2}, mode="enumerative")
+def _two_blocks_2(c, n):
+    return _perfect_matchings(2 * n + 1), 0
+
+
+@_per_n("2blocks-3",
+        "binom(n,floor(n/2)) B-poor members of NC~_B(n) without nonzero singletons",
+        {"n_max": 5}, mode="enumerative")
+def _two_blocks_3(c, n):
+    got = sum(
+        1
+        for blocks in family_shapes("NC_TILDE_B", n)
+        if classify(unlabeled(ground_b(n), blocks)).b_poor
+        and not any(len(b) == 1 and b[0] != 0 for b in blocks)
+    )
+    return got, comb(n, n // 2)
 
 
 @_register(
@@ -894,104 +782,77 @@ def _orbit_checker(out, tag, family, n, groups, rep_source, size_exponent, expec
         _eq(out, f"{tag} orbit size (s={s})", r.size, groups[1].order ** size_exponent(s))
 
 
-@_register(
-    "orbit-main",
-    "structural",
-    "shift induces a bijection from PI(n-1,A) [poor NC(n-1,A)] onto the"
-    " linear-family orbits of PI(n,A,B) [NC(n,A,B)]; orbit sizes are |B|^s",
-    {"n_max": 4, "pairs": GROUP_PAIRS},
-    {"n_max": 3, "pairs": GROUP_PAIRS[:2]},
+def _orbit_theorem(id, statement, quick_n_max, size_exponent, *rows):
+    """Register an orbit theorem.  Each row is (witness name, two-group family,
+    source family, n shift, classification flag or None, orbit polynomial): at
+    m = n + shift, the shifted members of the source family over A that carry
+    the flag represent the orbits of the two-group family at n, the orbit
+    polynomial of m at x = |A|-1 counts them, and an orbit whose unshifted
+    representative has s singletons has |B|^size_exponent(s) members."""
+
+    def check(n_max, pairs):
+        out = []
+        for ga, gb in pairs:
+            for n in range(1, n_max + 1):
+                for name, family, source, shift, flag, orbits in rows:
+                    m = n + shift
+                    reps = [
+                        p
+                        for p in enumerate_family(FamilySpec(source, m, (ga,)))
+                        if flag is None or getattr(classify(p), flag)
+                    ]
+                    _orbit_checker(
+                        out, f"{name} n={n} A={ga} B={gb}", family, n, (ga, gb),
+                        reps, size_exponent, orbits(m).eval_int(ga.order - 1),
+                    )
+                if out:
+                    return out
+        return out
+
+    _register(
+        id, "structural", statement,
+        {"n_max": 4, "pairs": GROUP_PAIRS},
+        {"n_max": quick_n_max, "pairs": GROUP_PAIRS[:2]},
+    )(check)
+
+
+# the orbit polynomials are looked up when called, so a rebinding of a poly
+# function is seen
+_ORBIT_THEOREMS = (
+    (
+        "orbit-main",
+        "shift induces a bijection from PI(n-1,A) [poor NC(n-1,A)] onto the"
+        " linear-family orbits of PI(n,A,B) [NC(n,A,B)]; orbit sizes are |B|^s",
+        3,
+        lambda s: s,
+        ("PI", "PI_AB", "PI", -1, None, lambda m: poly.bell_univariate(m)),
+        ("NC", "NC_AB", "NC", -1, "poor", lambda m: poly.motzkin_closed(m)),
+    ),
+    (
+        "orbit-B",
+        "shift induces a bijection from P_D(n,A) [poor NC~_D(n,A)] onto the"
+        " linear-family orbits of P_B(n,A,B) [NC~_B(n,A,B)]; orbit sizes are |B|^(s/2)",
+        2,
+        lambda s: s // 2,
+        ("P_B", "P_B_AB", "P_D", 0, None,
+         lambda m: poly.bell_univariate(m).scale_x(2)),
+        ("NC~_B", "NC_TILDE_B_AB", "NC_TILDE_D", 0, "poor",
+         lambda m: poly.motzkinb_closed(m)),
+    ),
+    (
+        "orbit-D",
+        "shift induces a bijection from P_B(n-1,A) [B-poor NC~_B(n-1,A)] onto the"
+        " linear-family orbits of P_D(n,A,B) [NC~_D(n,A,B)]; orbit sizes are"
+        " |B|^floor(s/2)",
+        2,
+        lambda s: s // 2,
+        ("P_D", "P_D_AB", "P_B", -1, None, lambda m: poly.bellb_univariate(m)),
+        ("NC~_D", "NC_TILDE_D_AB", "NC_TILDE_B", -1, "b_poor",
+         lambda m: poly.motzkinb_tilde_closed(m)),
+    ),
 )
-def _orbit_main(n_max, pairs):
-    out = []
-    for ga, gb in pairs:
-        a = ga.order - 1
-        for n in range(1, n_max + 1):
-            base = list(enumerate_family(FamilySpec("PI", n - 1, (ga,))))
-            _orbit_checker(
-                out, f"PI n={n} A={ga} B={gb}", "PI_AB", n, (ga, gb),
-                base, lambda s: s, poly.bell_univariate(n - 1).eval_int(a),
-            )
-            poor_nc = [
-                p
-                for p in enumerate_family(FamilySpec("NC", n - 1, (ga,)))
-                if classify(p).poor
-            ]
-            _orbit_checker(
-                out, f"NC n={n} A={ga} B={gb}", "NC_AB", n, (ga, gb),
-                poor_nc, lambda s: s, poly.motzkin_closed(n - 1).eval_int(a),
-            )
-            if out:
-                return out
-    return out
-
-
-@_register(
-    "orbit-B",
-    "structural",
-    "shift induces a bijection from P_D(n,A) [poor NC~_D(n,A)] onto the"
-    " linear-family orbits of P_B(n,A,B) [NC~_B(n,A,B)]; orbit sizes are |B|^(s/2)",
-    {"n_max": 4, "pairs": GROUP_PAIRS},
-    {"n_max": 2, "pairs": GROUP_PAIRS[:2]},
-)
-def _orbit_b(n_max, pairs):
-    out = []
-    for ga, gb in pairs:
-        a = ga.order - 1
-        for n in range(1, n_max + 1):
-            base = list(enumerate_family(FamilySpec("P_D", n, (ga,))))
-            _orbit_checker(
-                out, f"P_B n={n} A={ga} B={gb}", "P_B_AB", n, (ga, gb),
-                base, lambda s: s // 2,
-                poly.bell_univariate(n).scale_x(2).eval_int(a),
-            )
-            poor = [
-                p
-                for p in enumerate_family(FamilySpec("NC_TILDE_D", n, (ga,)))
-                if classify(p).poor
-            ]
-            _orbit_checker(
-                out, f"NC~_B n={n} A={ga} B={gb}", "NC_TILDE_B_AB", n, (ga, gb),
-                poor, lambda s: s // 2, poly.motzkinb_closed(n).eval_int(a),
-            )
-            if out:
-                return out
-    return out
-
-
-@_register(
-    "orbit-D",
-    "structural",
-    "shift induces a bijection from P_B(n-1,A) [B-poor NC~_B(n-1,A)] onto the"
-    " linear-family orbits of P_D(n,A,B) [NC~_D(n,A,B)]; orbit sizes are"
-    " |B|^floor(s/2)",
-    {"n_max": 4, "pairs": GROUP_PAIRS},
-    {"n_max": 2, "pairs": GROUP_PAIRS[:2]},
-)
-def _orbit_d(n_max, pairs):
-    out = []
-    for ga, gb in pairs:
-        a = ga.order - 1
-        for n in range(1, n_max + 1):
-            base = list(enumerate_family(FamilySpec("P_B", n - 1, (ga,))))
-            _orbit_checker(
-                out, f"P_D n={n} A={ga} B={gb}", "P_D_AB", n, (ga, gb),
-                base, lambda s: s // 2,
-                poly.bellb_univariate(n - 1).eval_int(a),
-            )
-            bpoor = [
-                p
-                for p in enumerate_family(FamilySpec("NC_TILDE_B", n - 1, (ga,)))
-                if classify(p).b_poor
-            ]
-            _orbit_checker(
-                out, f"NC~_D n={n} A={ga} B={gb}", "NC_TILDE_D_AB", n, (ga, gb),
-                bpoor, lambda s: s // 2,
-                poly.motzkinb_tilde_closed(n - 1).eval_int(a),
-            )
-            if out:
-                return out
-    return out
+for _theorem in _ORBIT_THEOREMS:
+    _orbit_theorem(*_theorem)
 
 
 @_register(

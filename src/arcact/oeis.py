@@ -1,23 +1,17 @@
 """OEIS b-file parsing and sequence cross-checks.
 
 b-files are the two-column "index value" format.  Vendored copies live in
-the package data directory so the verification suite never needs the
-network; a base URL can be configured to fetch fresh copies, which are
-cached on disk.
+the package data directory; a b-file is read from an explicit path or from
+that copy, never fetched.
 """
 
 from __future__ import annotations
 
-import os
 import re
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
 from .poly import sequence
-
-BASE_URL_ENV = "ARCACT_OEIS_BASE_URL"
-CACHE_ENV = "ARCACT_OEIS_CACHE"
 
 #: sequence name -> (OEIS id, index offset: b-file index = n + offset)
 KNOWN_SEQUENCES = {
@@ -34,7 +28,7 @@ class BFileError(ValueError):
 
 
 class OeisIOError(OSError):
-    """A b-file could not be read or fetched."""
+    """A b-file could not be read."""
 
 
 @dataclass(frozen=True)
@@ -61,46 +55,23 @@ def parse_bfile(text: str) -> dict[int, int]:
     return values
 
 
-def _cache_dir() -> str:
-    return os.environ.get(
-        CACHE_ENV, os.path.join(os.path.expanduser("~"), ".cache", "arcact", "bfiles")
-    )
-
-
 def vendored_path(oeis_id: str):
     """Where the package data holds its copy of a b-file (it may have none)."""
     return resources.files("arcact").joinpath(f"data/bfiles/b{oeis_id[1:]}.txt")
 
 
 def load_bfile(oeis_id: str, path: str | None = None) -> OeisRef:
-    """Load a b-file: explicit path, then cache, then package data, then URL."""
+    """Load a b-file from the explicit path, else from the package data."""
     if path is not None:
         try:
             with open(path, "r", encoding="ascii") as handle:
                 return OeisRef(oeis_id, path, parse_bfile(handle.read()))
         except OSError as exc:
             raise OeisIOError(f"cannot read {path}: {exc}") from exc
-    cached = os.path.join(_cache_dir(), f"b{oeis_id[1:]}.txt")
-    if os.path.exists(cached):
-        with open(cached, "r", encoding="ascii") as handle:
-            return OeisRef(oeis_id, cached, parse_bfile(handle.read()))
     vendored = vendored_path(oeis_id)
-    if vendored.is_file():
-        return OeisRef(oeis_id, str(vendored), parse_bfile(vendored.read_text()))
-    base = os.environ.get(BASE_URL_ENV)
-    if base is None:
-        raise OeisIOError(f"no vendored b-file for {oeis_id} and no base URL set")
-    url = f"{base.rstrip('/')}/{oeis_id}/b{oeis_id[1:]}.txt"
-    try:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            text = response.read().decode("ascii")
-    except OSError as exc:
-        raise OeisIOError(f"cannot fetch {url}: {exc}") from exc
-    values = parse_bfile(text)
-    os.makedirs(_cache_dir(), exist_ok=True)
-    with open(cached, "w", encoding="ascii") as handle:
-        handle.write(text)
-    return OeisRef(oeis_id, url, values)
+    if not vendored.is_file():
+        raise OeisIOError(f"no vendored b-file for {oeis_id}")
+    return OeisRef(oeis_id, str(vendored), parse_bfile(vendored.read_text()))
 
 
 def oeis_check(

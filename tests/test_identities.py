@@ -184,3 +184,74 @@ def test_registry_is_pinned(quick_report):
         check = identities._REGISTRY[cid]
         assert check.mode == mode, cid
         assert "; ".join(str(p) for p in sorted(check.desk.items())) == desk, cid
+
+
+# the per-n checks and the three orbit theorems, each run at quick under a fault
+_PER_N_AND_ORBIT_CHECKS = (
+    "coker", "riordan", "motzkin-closed", "bell-binom-transform", "touchard",
+    "bellD-eq", "catB-closed", "catD-closed", "mob-rec", "tilde-1", "tilde-2",
+    "sym-dyck", "2blocks-1", "2blocks-2", "2blocks-3",
+    "orbit-main", "orbit-B", "orbit-D",
+)
+
+
+def _drop_first_at_two(members):
+    def fake(spec):
+        it = members(spec)
+        if spec.n == 2:
+            next(it)
+        yield from it
+
+    return fake
+
+
+_FAULTS = {
+    "transfer_family": lambda real: lambda name, n: real(name, n) + 1,
+    "enumerate_family": _drop_first_at_two,
+    "catalan": lambda real: lambda k: real(k) + (k == 3),
+    "comb": lambda real: lambda a, b: real(a, b) + ((a, b) == (4, 2)),
+}
+
+# fault -> the checks it fails, with their witnesses; every other check passes
+_FAULT_WITNESSES = {
+    "transfer_family": {
+        "motzkin-closed": "n=0: 2 != 1",
+        "bell-binom-transform": "n=0: 2 != 1",
+        "bellD-eq": "n=0: 2 != 1",
+        "catB-closed": "n=0: 2 != 1",
+        "catD-closed": "n=0: 2 != 1",
+        "mob-rec": "n=0: 2 + 2*x != 2 + 4*x",
+        "tilde-1": "n=0: 2 != 1",
+        "tilde-2": "n=0: 2 != 1",
+    },
+    "enumerate_family": {
+        "orbit-main": "PI n=2 A=Z2 B=Z2 partition: 2 != 1",
+        "orbit-B": "P_B n=2 A=Z2 B=Z2 partition: 6 != 5",
+        "orbit-D": "P_D n=2 A=Z2 B=Z2 partition: 3 != 2",
+    },
+    "catalan": {
+        "coker": "n=6: 1 + 21*x + 105*x^2 + 175*x^3 + 105*x^4 + 21*x^5 + x^6"
+        " != 1 + 21*x + 105*x^2 + 176*x^3 + 105*x^4 + 21*x^5 + x^6",
+        "touchard": "n=2: 6 != 5",
+    },
+    "comb": {
+        "coker": "n=3: 1 + 7*x + 7*x^2 + x^3 != 1 + 6*x + 6*x^2 + x^3",
+        "riordan": "n=4: 1 + 16*x + 36*x^2 + 16*x^3 + x^4"
+        " != 1 + 18*x + 41*x^2 + 18*x^3 + x^4",
+        "bell-binom-transform": "n=4: 1 + 6*x + 7*x^2 + x^3 != 1 + 7*x + 7*x^2 + x^3",
+        "touchard": "n=4: 42 != 46",
+        "sym-dyck": "n=2: 6 != 7",
+        "2blocks-1": "n=2: 6 != 7",
+        "2blocks-3": "n=4: 6 != 7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTS))
+def test_witnesses_under_faults(monkeypatch, name):
+    monkeypatch.setattr(identities, name, _FAULTS[name](getattr(identities, name)))
+    failing = _FAULT_WITNESSES[name]
+    for cid in _PER_N_AND_ORBIT_CHECKS:
+        result = identities.run(cid, "quick")
+        want = ("fail", failing[cid]) if cid in failing else ("pass", None)
+        assert (result.status, result.witness) == want, cid

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from arcact import oeis
@@ -54,3 +58,20 @@ def test_assoc_stirling_triangle_matches_vendored_file():
         for k in range(1, n // 2 + 1):
             assert ref.values[index] == assoc_stirling2(n, k), (n, k)
             index += 1
+
+
+def test_load_bfile_ignores_cache_env(tmp_path, monkeypatch):
+    (tmp_path / "b007405.txt").write_text("0 1\n1 2\n2 6\n3 25\n")
+    monkeypatch.setenv("ARCACT_OEIS_CACHE", str(tmp_path))
+    ref = oeis.load_bfile("A007405")
+    assert ref.source == str(oeis.vendored_path("A007405"))
+    assert oeis.oeis_check("Bell_B", "A007405", 0, 12)["ok"]
+
+
+def test_cli_import_loads_no_network_stack():
+    code = "import sys, arcact.cli; print('urllib.request' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
