@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .groups import Element, GroupSpec, add, neg
+from .groups import Element, GroupSpec, add_unchecked, neg
 
 Arc = tuple[int, int]
 
@@ -261,7 +261,24 @@ class LabeledSetPartition:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``, spelled out.
+
+        Every field is an integer, a list of integers or the ground kind
+        (one of A, B, D), so no value needs escaping.
+        """
+        ground = self.ground
+        blocks = ", ".join(_json_ints(b) for b in self.blocks)
+        labels = ", ".join(
+            f'{{"i": {i}, "j": {j}, "value": {_json_ints(v)}}}' for i, j, v in self.labels
+        )
+        return (
+            f'{{"blocks": [{blocks}], "ground": {{"kind": "{ground.kind}", "n": {ground.n}}},'
+            f' "group": {_json_ints(self.group.moduli)}, "labels": [{labels}]}}'
+        )
+
+
+def _json_ints(values) -> str:
+    return "[" + ", ".join(map(str, values)) + "]"
 
 
 def format_element(v: Element) -> str:
@@ -309,17 +326,52 @@ def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
 # classification
 
 
-@dataclass(frozen=True)
 class ClassifyFlags:
-    noncrossing: bool
-    nonnesting: bool
-    two_regular: bool
-    feasible: bool
-    poor: bool
-    b_feasible: bool
-    b_poor: bool
-    nc_tilde: bool
-    type_symmetric: bool
+    """The classification of one partition.  Each flag is computed the first
+    time it is read, so a caller pays only for the flags it reads."""
+
+    def __init__(self, p: LabeledSetPartition):
+        self._p = p
+
+    @cached_property
+    def _nonzero_sizes(self) -> list[int]:
+        return [len([x for x in b if x != 0]) for b in self._p.blocks]
+
+    @cached_property
+    def noncrossing(self) -> bool:
+        return is_noncrossing(self._p.arcs())
+
+    @cached_property
+    def nonnesting(self) -> bool:
+        return is_nonnesting(self._p.arcs())
+
+    @cached_property
+    def two_regular(self) -> bool:
+        return all(j != i + 1 for i, j, _ in self._p.labels)
+
+    @cached_property
+    def feasible(self) -> bool:
+        return all(len(b) >= 2 for b in self._p.blocks)
+
+    @cached_property
+    def poor(self) -> bool:
+        return all(len(b) <= 2 for b in self._p.blocks)
+
+    @cached_property
+    def b_feasible(self) -> bool:
+        return all(s != 1 for s in self._nonzero_sizes)
+
+    @cached_property
+    def b_poor(self) -> bool:
+        return all(s <= 2 for s in self._nonzero_sizes)
+
+    @cached_property
+    def nc_tilde(self) -> bool:
+        return is_nc_tilde(self._p.arcs())
+
+    @cached_property
+    def type_symmetric(self) -> bool:
+        return is_type_symmetric(self._p)
 
 
 def crossings(arcs) -> list[tuple[Arc, Arc]]:
@@ -366,26 +418,13 @@ def is_type_symmetric(p: LabeledSetPartition) -> bool:
             return False
         if mirror not in arcs:
             return False
-        if add(p.group, value, p.label((-j, -i))) != p.group.zero:
+        if add_unchecked(p.group, value, p.label((-j, -i))) != p.group.zero:
             return False
     return True
 
 
 def classify(p: LabeledSetPartition) -> ClassifyFlags:
-    arcs = p.arcs()
-    sizes = [len(b) for b in p.blocks]
-    nonzero_sizes = [len([x for x in b if x != 0]) for b in p.blocks]
-    return ClassifyFlags(
-        noncrossing=is_noncrossing(arcs),
-        nonnesting=is_nonnesting(arcs),
-        two_regular=all(j != i + 1 for i, j in arcs),
-        feasible=all(s >= 2 for s in sizes),
-        poor=all(s <= 2 for s in sizes),
-        b_feasible=all(s != 1 for s in nonzero_sizes),
-        b_poor=all(s <= 2 for s in nonzero_sizes),
-        nc_tilde=is_nc_tilde(arcs),
-        type_symmetric=is_type_symmetric(p),
-    )
+    return ClassifyFlags(p)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,14 @@ from .core import (
     is_nonnesting,
     rook_sort_key,
 )
-from .groups import DirectSum, GroupSpec, neg
+from .groups import DirectSum, GroupSpec, neg_unchecked
 
 A_FAMILIES = {"PI", "NC", "L", "NN", "PI_AB", "NC_AB", "L_AB"}
 B_FAMILIES = {"P_B", "NC_TILDE_B", "L_B", "P_B_AB", "NC_TILDE_B_AB", "L_B_AB"}
 D_FAMILIES = {"P_D", "NC_TILDE_D", "L_D", "NN_B", "P_D_AB", "NC_TILDE_D_AB", "L_D_AB"}
 UNLABELED_FAMILIES = {"NN", "NN_B"}
+# every arc of every member is a cover
+LINEAR_FAMILIES = {"L", "L_AB", "L_B", "L_B_AB", "L_D", "L_D_AB"}
 ALL_FAMILIES = A_FAMILIES | B_FAMILIES | D_FAMILIES
 
 
@@ -265,7 +267,7 @@ def _labelings(spec: FamilySpec, blocks):
     for values in itertools.product(*pools):
         labels = dict(zip(free, values))
         for i, j in mirrored:
-            labels[(i, j)] = neg(group, labels[(-j, -i)])
+            labels[(i, j)] = neg_unchecked(group, labels[(-j, -i)])
         yield labels
 
 

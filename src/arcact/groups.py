@@ -66,11 +66,23 @@ class GroupSpec:
 def add(spec: GroupSpec, a: Element, b: Element) -> Element:
     spec.check(a)
     spec.check(b)
-    return tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+    return add_unchecked(spec, a, b)
 
 
 def neg(spec: GroupSpec, a: Element) -> Element:
     spec.check(a)
+    return neg_unchecked(spec, a)
+
+
+# The bare operations, for operands the library has already validated (labels
+# of a constructed partition); add and neg are these behind the operand checks.
+
+
+def add_unchecked(spec: GroupSpec, a: Element, b: Element) -> Element:
+    return tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+
+
+def neg_unchecked(spec: GroupSpec, a: Element) -> Element:
     return tuple((-x) % m for x, m in zip(a, spec.moduli))
 
 

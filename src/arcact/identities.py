@@ -855,6 +855,14 @@ for _theorem in _ORBIT_THEOREMS:
     _orbit_theorem(*_theorem)
 
 
+def _counted_shapes(out, family, name, n):
+    """The shapes of a family at n, after comparing their number with the
+    named counting polynomial at x = y = 1."""
+    shapes = family_shapes(family, n)
+    _eq(out, f"n={n} {family} shapes", len(shapes), poly.sequence(name, n))
+    return shapes
+
+
 @_register(
     "rank-invert-A",
     "structural",
@@ -866,7 +874,10 @@ for _theorem in _ORBIT_THEOREMS:
 def _rank_invert_a(n_max):
     out = []
     for n in range(1, n_max + 1):
-        for blocks in family_shapes("PI", n):
+        shapes = _counted_shapes(out, "PI", "Bell", n)
+        if out:
+            return out
+        for blocks in shapes:
             p = unlabeled(ground_a(n), blocks)
             q = action.plus_involution(p)
             if action.plus_involution(q) != p:
@@ -889,7 +900,10 @@ def _rank_invert_a(n_max):
 def _rank_invert_b(n_max):
     out = []
     for n in range(n_max + 1):
-        for blocks in family_shapes("NC_TILDE_B", n):
+        shapes = _counted_shapes(out, "NC_TILDE_B", "Cat_B", n)
+        if out:
+            return out
+        for blocks in shapes:
             p = unlabeled(ground_b(n), blocks)
             q = action.plus_involution(p)
             k = (len(p.blocks) - 1) // 2
@@ -913,7 +927,10 @@ def _rank_invert_b(n_max):
 def _rank_invert_d(n_max):
     out = []
     for n in range(1, n_max + 1):
-        for blocks in family_shapes("NC_TILDE_D", n):
+        shapes = _counted_shapes(out, "NC_TILDE_D", "Cat_D", n)
+        if out:
+            return out
+        for blocks in shapes:
             p = unlabeled(ground_d(n), blocks)
             q = action.plus_involution(p)
             tops = max(p.block_of(-1)) == -1

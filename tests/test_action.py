@@ -8,6 +8,7 @@ from arcact.action import (
     orbit_decomposition,
     plus,
     plus_involution,
+    plus_via_matrix,
 )
 from arcact.core import (
     LabeledSetPartition,
@@ -20,8 +21,9 @@ from arcact.core import (
     ground_d,
     unlabeled,
 )
-from arcact.families import FamilySpec, enumerate_family
+from arcact.families import ALL_FAMILIES, FamilySpec, enumerate_family
 from arcact.groups import DirectSum, GroupSpec
+from arcact.identities import GROUP_PAIRS
 from arcact import maps
 
 Z2 = GroupSpec((2,))
@@ -169,6 +171,50 @@ def _strip(p):
     k = 1
     labels = {a: v[:k] for a, v in p.label_map().items()}
     return LabeledSetPartition(p.ground, Z3, p.blocks, labels)
+
+
+def _orbit_families():
+    """The two-group families acting_family accepts."""
+    out = []
+    for family in sorted(f for f in ALL_FAMILIES if f.endswith("_AB")):
+        try:
+            acting_family(FamilySpec(family, 0, (Z2, Z2)))
+        except ValueError:
+            continue
+        out.append(family)
+    return out
+
+
+@pytest.mark.parametrize("groups", GROUP_PAIRS[:2], ids=lambda g: f"{g[0]}-{g[1]}")
+def test_orbit_applies_every_acting_member(groups):
+    # the orbit kernel against plus one member at a time, and against the
+    # independent matrix route
+    families = _orbit_families()
+    assert len(families) == 6
+    for family in families:
+        for n in range(4):
+            spec = FamilySpec(family, n, groups)
+            acting = acting_family(spec)
+            for lam in enumerate_family(spec):
+                images = {plus(alpha, lam) for alpha in enumerate_family(acting)}
+                members = orbit(lam, acting).members
+                assert members == tuple(sorted(images, key=lambda q: q.labels)), lam
+                assert set(members) == {
+                    plus_via_matrix(alpha, lam) for alpha in enumerate_family(acting)
+                }, lam
+
+
+def test_orbit_refuses_incompatible_acting_families():
+    spec = FamilySpec("PI_AB", 3, (Z2, Z3))
+    lam = next(iter(enumerate_family(spec)))
+    for acting in (
+        FamilySpec("L_AB", 2, (Z2, Z3)),  # another ground
+        FamilySpec("L_B_AB", 3, (Z2, Z3)),  # another ground shape
+        FamilySpec("L_AB", 3, (Z3, Z2)),  # another group
+        FamilySpec("PI_AB", 3, (Z2, Z3)),  # not linear
+    ):
+        with pytest.raises(StructuralError):
+            orbit(lam, acting)
 
 
 def test_orbit_decomposition_counts():

@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import pytest
 
+from arcact import core
 from arcact.core import (
     InvalidArcSetError,
     LabeledSetPartition,
@@ -16,6 +18,8 @@ from arcact.core import (
     ground_d,
     is_nc_tilde,
     is_noncrossing,
+    is_nonnesting,
+    is_type_symmetric,
     negate,
     negate_labels,
     partition_from_json,
@@ -99,6 +103,39 @@ def test_classify_examples():
     r = unlabeled(ground_a(3), [(1, 2), (3,)])
     fr = classify(r)
     assert not fr.two_regular and fr.poor and not fr.feasible
+
+
+def test_classify_flags_match_their_predicates(all_desk_specs):
+    for spec in all_desk_specs:
+        for p in enumerate_family(spec):
+            arcs = p.arcs()
+            sizes = [len(b) for b in p.blocks]
+            nonzero_sizes = [len([x for x in b if x != 0]) for b in p.blocks]
+            flags = classify(p)
+            assert flags.noncrossing == is_noncrossing(arcs), p
+            assert flags.nonnesting == is_nonnesting(arcs), p
+            assert flags.two_regular == all(j != i + 1 for i, j in arcs), p
+            assert flags.feasible == all(s >= 2 for s in sizes), p
+            assert flags.poor == all(s <= 2 for s in sizes), p
+            assert flags.b_feasible == all(s != 1 for s in nonzero_sizes), p
+            assert flags.b_poor == all(s <= 2 for s in nonzero_sizes), p
+            assert flags.nc_tilde == is_nc_tilde(arcs), p
+            assert flags.type_symmetric == is_type_symmetric(p), p
+
+
+def test_classify_computes_only_the_flags_read(monkeypatch):
+    def unread(*args):
+        raise AssertionError("a flag that was not read was computed")
+
+    monkeypatch.setattr(core, "crossings", unread)
+    monkeypatch.setattr(core, "is_type_symmetric", unread)
+    p = unlabeled(ground_b(2), [(-2, 1), (-1, 2), (0,)])
+    flags = classify(p)
+    assert flags.two_regular and flags.poor
+    with pytest.raises(AssertionError):
+        flags.noncrossing
+    with pytest.raises(AssertionError):
+        flags.type_symmetric
 
 
 def test_is_nc_tilde_admits_only_mirror_pair_crossings():
@@ -209,6 +246,18 @@ def test_canonical_text_and_json():
     )
     assert p.text() == "{-2,1}{-1,2} (-2,1)=1 (-1,2)=2"
     assert partition_from_json(p.to_json()) == p
+
+
+def test_to_json_is_sorted_json_dumps(all_desk_specs):
+    Z2xZ2 = GroupSpec((2, 2))
+    extra = [
+        FamilySpec("PI", 3, (Z2xZ2,)),
+        FamilySpec("P_B", 2, (Z2xZ2,)),
+        FamilySpec("NC_TILDE_D_AB", 3, (Z2xZ2, Z3)),
+    ]
+    for spec in [*all_desk_specs, *extra]:
+        for p in enumerate_family(spec):
+            assert p.to_json() == json.dumps(p.to_json_dict(), sort_keys=True), p
 
 
 def test_rook_sort_key_is_total(all_desk_specs, dense_rook_reading):

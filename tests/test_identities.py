@@ -186,12 +186,14 @@ def test_registry_is_pinned(quick_report):
         assert "; ".join(str(p) for p in sorted(check.desk.items())) == desk, cid
 
 
-# the per-n checks and the three orbit theorems, each run at quick under a fault
-_PER_N_AND_ORBIT_CHECKS = (
+# the per-n checks, the three orbit theorems and the three involution checks,
+# each run at quick under a fault
+_FAULT_CHECKS = (
     "coker", "riordan", "motzkin-closed", "bell-binom-transform", "touchard",
     "bellD-eq", "catB-closed", "catD-closed", "mob-rec", "tilde-1", "tilde-2",
     "sym-dyck", "2blocks-1", "2blocks-2", "2blocks-3",
     "orbit-main", "orbit-B", "orbit-D",
+    "rank-invert-A", "rank-invert-B", "rank-invert-D",
 )
 
 
@@ -205,9 +207,17 @@ def _drop_first_at_two(members):
     return fake
 
 
+def _drop_first_shape_at_two(shapes):
+    def fake(family, n):
+        return shapes(family, n)[1:] if n == 2 else shapes(family, n)
+
+    return fake
+
+
 _FAULTS = {
     "transfer_family": lambda real: lambda name, n: real(name, n) + 1,
     "enumerate_family": _drop_first_at_two,
+    "family_shapes": _drop_first_shape_at_two,
     "catalan": lambda real: lambda k: real(k) + (k == 3),
     "comb": lambda real: lambda a, b: real(a, b) + ((a, b) == (4, 2)),
 }
@@ -228,6 +238,11 @@ _FAULT_WITNESSES = {
         "orbit-main": "PI n=2 A=Z2 B=Z2 partition: 2 != 1",
         "orbit-B": "P_B n=2 A=Z2 B=Z2 partition: 6 != 5",
         "orbit-D": "P_D n=2 A=Z2 B=Z2 partition: 3 != 2",
+    },
+    "family_shapes": {
+        "rank-invert-A": "n=2 PI shapes: 1 != 2",
+        "rank-invert-B": "n=2 NC_TILDE_B shapes: 5 != 6",
+        "rank-invert-D": "n=2 NC_TILDE_D shapes: 2 != 3",
     },
     "catalan": {
         "coker": "n=6: 1 + 21*x + 105*x^2 + 175*x^3 + 105*x^4 + 21*x^5 + x^6"
@@ -251,7 +266,7 @@ _FAULT_WITNESSES = {
 def test_witnesses_under_faults(monkeypatch, name):
     monkeypatch.setattr(identities, name, _FAULTS[name](getattr(identities, name)))
     failing = _FAULT_WITNESSES[name]
-    for cid in _PER_N_AND_ORBIT_CHECKS:
+    for cid in _FAULT_CHECKS:
         result = identities.run(cid, "quick")
         want = ("fail", failing[cid]) if cid in failing else ("pass", None)
         assert (result.status, result.witness) == want, cid
