@@ -4,11 +4,6 @@ A linear partition (all arcs are covers) acts by superimposing its arcs:
 coinciding covers add their labels, covers blocked by a longer arc of the
 other partition are dropped, and zero labels are erased.  Two equivalent
 implementations are provided, one on arc sets and one on rook matrices.
-
-The arc-set route is one kernel, ``_acting_on``, shared by ``plus`` and
-``orbit``: both check compatibility at their entry (``plus`` per call,
-``orbit`` once for its whole acting family), and the kernel then trusts the
-labels it is given.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from .core import (
     to_rook,
     unlabeled,
 )
-from .families import LINEAR_FAMILIES, FamilySpec, enumerate_family
+from .families import FamilySpec, enumerate_family
 from .groups import GroupSpec, add, add_unchecked
 
 
@@ -44,47 +39,35 @@ def _check_compatible(alpha: LabeledSetPartition, lam: LabeledSetPartition):
         raise StructuralError("the acting partition must be linear")
 
 
-def _acting_on(lam: LabeledSetPartition):
-    """The arc-set route as a function alpha -> alpha + lam.
+def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPartition:
+    """Arc-set route: remove cancelled covers, insert unobstructed covers.
 
-    lam's arc map, left ends and right ends are read once.  Each call then
-    superimposes alpha's covers: a cover on an arc of lam adds its label to
-    the arc's (and erases the arc if the sum is zero), a cover that no arc
-    of lam leaves from its left end or enters at its right end is inserted,
-    and any other cover is blocked by a longer arc and dropped.  alpha must
-    be linear, on lam's ground and over lam's group; the labels are not
-    checked again.
+    A cover of alpha on an arc of lam adds its label to the arc's (and
+    erases the arc if the sum is zero), a cover that no arc of lam leaves
+    from its left end or enters at its right end is inserted, and any other
+    cover is blocked by a longer arc and dropped.  The labels of constructed
+    partitions are valid, so they are added without checking them again.
     """
-    ground, group = lam.ground, lam.group
-    zero = group.zero
+    _check_compatible(alpha, lam)
+    group = lam.group
     arcs = lam.label_map()
     lefts = {i for i, _ in arcs}
     rights = {j for _, j in arcs}
-
-    def act(alpha: LabeledSetPartition) -> LabeledSetPartition:
-        new_labels = dict(arcs)
-        for j, j1, a_value in alpha.labels:
-            cover = (j, j1)
-            value = arcs.get(cover)
-            if value is not None:
-                total = add_unchecked(group, a_value, value)
-                if total == zero:
-                    del new_labels[cover]
-                else:
-                    new_labels[cover] = total
-            elif j not in lefts and j1 not in rights:
-                new_labels[cover] = a_value
-        # blocks_from_arcs validates the new arc set; every label is nonzero.
-        blocks = blocks_from_arcs(ground, new_labels.keys())
-        return LabeledSetPartition._trusted(ground, group, blocks, new_labels)
-
-    return act
-
-
-def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPartition:
-    """Arc-set route: remove cancelled covers, insert unobstructed covers."""
-    _check_compatible(alpha, lam)
-    return _acting_on(lam)(alpha)
+    new_labels = dict(arcs)
+    for j, j1, a_value in alpha.labels:
+        cover = (j, j1)
+        value = arcs.get(cover)
+        if value is not None:
+            total = add_unchecked(group, a_value, value)
+            if total == group.zero:
+                del new_labels[cover]
+            else:
+                new_labels[cover] = total
+        elif j not in lefts and j1 not in rights:
+            new_labels[cover] = a_value
+    # blocks_from_arcs validates the new arc set; every label is nonzero.
+    blocks = blocks_from_arcs(lam.ground, new_labels.keys())
+    return LabeledSetPartition._trusted(lam.ground, group, blocks, new_labels)
 
 
 def plus_via_matrix(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPartition:
@@ -169,14 +152,7 @@ def acting_family(spec: FamilySpec) -> FamilySpec:
 
 def orbit(lam: LabeledSetPartition, acting: FamilySpec) -> OrbitReport:
     """The orbit of lam: every member of the acting family applied to it."""
-    if acting.ground != lam.ground:
-        raise StructuralError("mismatched grounds")
-    if acting.label_group != lam.group:
-        raise StructuralError("mismatched label groups")
-    if acting.family not in LINEAR_FAMILIES:
-        raise StructuralError("the acting family must be linear")
-    act = _acting_on(lam)
-    members = {act(alpha) for alpha in enumerate_family(acting)}
+    members = {plus(alpha, lam) for alpha in enumerate_family(acting)}
     ordered = tuple(sorted(members, key=lambda q: q.labels))
     reps = tuple(q for q in ordered if classify(q).two_regular)
     return OrbitReport(ordered, reps)

@@ -16,7 +16,7 @@ a canonical equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 
 from .groups import Element, GroupSpec, add_unchecked, neg
@@ -328,10 +328,39 @@ def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
 
 class ClassifyFlags:
     """The classification of one partition.  Each flag is computed the first
-    time it is read, so a caller pays only for the flags it reads."""
+    time it is read, so a caller pays only for the flags it reads.  The flags
+    are read-only, and two classifications are equal when all their flags
+    are."""
+
+    _FLAGS = (
+        "noncrossing", "nonnesting", "two_regular", "feasible", "poor",
+        "b_feasible", "b_poor", "nc_tilde", "type_symmetric",
+    )
 
     def __init__(self, p: LabeledSetPartition):
-        self._p = p
+        object.__setattr__(self, "_p", p)
+
+    # cached_property stores into __dict__ directly, past these two
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple[bool, ...]:
+        return tuple(getattr(self, name) for name in self._FLAGS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FLAGS)
+        return f"ClassifyFlags({fields})"
 
     @cached_property
     def _nonzero_sizes(self) -> list[int]:

@@ -38,8 +38,6 @@ A_FAMILIES = {"PI", "NC", "L", "NN", "PI_AB", "NC_AB", "L_AB"}
 B_FAMILIES = {"P_B", "NC_TILDE_B", "L_B", "P_B_AB", "NC_TILDE_B_AB", "L_B_AB"}
 D_FAMILIES = {"P_D", "NC_TILDE_D", "L_D", "NN_B", "P_D_AB", "NC_TILDE_D_AB", "L_D_AB"}
 UNLABELED_FAMILIES = {"NN", "NN_B"}
-# every arc of every member is a cover
-LINEAR_FAMILIES = {"L", "L_AB", "L_B", "L_B_AB", "L_D", "L_D_AB"}
 ALL_FAMILIES = A_FAMILIES | B_FAMILIES | D_FAMILIES
 
 

@@ -187,8 +187,8 @@ def _orbit_families():
 
 @pytest.mark.parametrize("groups", GROUP_PAIRS[:2], ids=lambda g: f"{g[0]}-{g[1]}")
 def test_orbit_applies_every_acting_member(groups):
-    # the orbit kernel against plus one member at a time, and against the
-    # independent matrix route
+    # the orbit against plus one member at a time, and the arc-set route
+    # against the independent matrix route
     families = _orbit_families()
     assert len(families) == 6
     for family in families:

@@ -138,6 +138,24 @@ def test_classify_computes_only_the_flags_read(monkeypatch):
         flags.type_symmetric
 
 
+def test_classify_flags_are_a_read_only_value():
+    p = unlabeled(ground_a(3), [(1, 3), (2,)])
+    flags = classify(p)
+    assert flags.poor
+    with pytest.raises(AttributeError):
+        flags.poor = False
+    with pytest.raises(AttributeError):
+        del flags.poor
+    assert flags.poor
+    assert flags == classify(p) and hash(flags) == hash(classify(p))
+    assert flags != classify(unlabeled(ground_a(3), [(1, 2, 3)]))
+    assert repr(flags) == (
+        "ClassifyFlags(noncrossing=True, nonnesting=True, two_regular=True,"
+        " feasible=False, poor=True, b_feasible=False, b_poor=True, nc_tilde=True,"
+        " type_symmetric=False)"
+    )
+
+
 def test_is_nc_tilde_admits_only_mirror_pair_crossings():
     assert is_nc_tilde({(-2, 1), (-1, 2)})
     assert is_nc_tilde(set())
