@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from arcact import identities
@@ -186,14 +188,16 @@ def test_registry_is_pinned(quick_report):
         assert "; ".join(str(p) for p in sorted(check.desk.items())) == desk, cid
 
 
-# the per-n checks, the three orbit theorems and the three involution checks,
-# each run at quick under a fault
+# the per-n checks, the three orbit theorems, the three involution checks, the
+# two shift bijections and the two Spivey identities, each run at quick under
+# a fault
 _FAULT_CHECKS = (
     "coker", "riordan", "motzkin-closed", "bell-binom-transform", "touchard",
     "bellD-eq", "catB-closed", "catD-closed", "mob-rec", "tilde-1", "tilde-2",
     "sym-dyck", "2blocks-1", "2blocks-2", "2blocks-3",
     "orbit-main", "orbit-B", "orbit-D",
     "rank-invert-A", "rank-invert-B", "rank-invert-D",
+    "shift-bij-A", "shift-bij-BD", "spivey-1", "spivey-2",
 )
 
 
@@ -214,7 +218,15 @@ def _drop_first_shape_at_two(shapes):
     return fake
 
 
+def _identity_involution_at_two(action):
+    def fake(p):
+        return p if p.ground.n == 2 else action.plus_involution(p)
+
+    return SimpleNamespace(**{**vars(action), "plus_involution": fake})
+
+
 _FAULTS = {
+    "action": _identity_involution_at_two,
     "transfer_family": lambda real: lambda name, n: real(name, n) + 1,
     "enumerate_family": _drop_first_at_two,
     "family_shapes": _drop_first_shape_at_two,
@@ -224,6 +236,11 @@ _FAULTS = {
 
 # fault -> the checks it fails, with their witnesses; every other check passes
 _FAULT_WITNESSES = {
+    "action": {
+        "rank-invert-A": "n=2 {1}{2}: 2 != 1",
+        "rank-invert-B": "n=2 {-2}{-1}{0}{1}{2}: 5 != 1",
+        "rank-invert-D": "n=2 {-2}{-1}{1}{2}: 4 != 2",
+    },
     "transfer_family": {
         "motzkin-closed": "n=0: 2 != 1",
         "bell-binom-transform": "n=0: 2 != 1",
@@ -238,6 +255,8 @@ _FAULT_WITNESSES = {
         "orbit-main": "PI n=2 A=Z2 B=Z2 partition: 2 != 1",
         "orbit-B": "P_B n=2 A=Z2 B=Z2 partition: 6 != 5",
         "orbit-D": "P_D n=2 A=Z2 B=Z2 partition: 3 != 2",
+        "shift-bij-A": "A n=1 poor-nc: image mismatch missing=[] extra=['{1}{2}']",
+        "shift-bij-BD": "BD n=1 (4): image mismatch missing=[] extra=['{-2}{-1}{1}{2}']",
     },
     "family_shapes": {
         "rank-invert-A": "n=2 PI shapes: 1 != 2",
@@ -258,6 +277,10 @@ _FAULT_WITNESSES = {
         "sym-dyck": "n=2: 6 != 7",
         "2blocks-1": "n=2: 6 != 7",
         "2blocks-3": "n=4: 6 != 7",
+        "spivey-1": "m=1,n=4: 1 + 10*x + 25*x^2 + 15*x^3 + x^4"
+        " != 1 + 10*x + 26*x^2 + 16*x^3 + x^4",
+        "spivey-2": "m=0,n=4: 1 + 16*x + 58*x^2 + 40*x^3 + x^4"
+        " != 1 + 16*x + 59*x^2 + 42*x^3 + x^4",
     },
 }
 
