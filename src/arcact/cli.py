@@ -33,13 +33,10 @@ class UsageError(ValueError):
     pass
 
 
-def _common_flags(parser):
-    parser.add_argument(
-        "--format",
-        default="table",
-        choices=("json", "jsonl", "csv", "table", "latex"),
-        help="output format",
-    )
+def _common_flags(parser, formats=()):
+    """--seed, and --format limited to the formats the subcommand emits."""
+    if formats:
+        parser.add_argument("--format", default="table", choices=formats, help="output format")
     parser.add_argument("--seed", type=int, default=0, help="accepted; no command reads it")
 
 
@@ -69,11 +66,9 @@ def _emit_partitions(parts, fmt):
             blocks = "".join("{" + ",".join(map(str, b)) + "}" for b in p.blocks)
             labels = ";".join(f"({i},{j})={'/'.join(map(str, v))}" for i, j, v in p.labels)
             print(f"{blocks},{labels}")
-    elif fmt == "table":
+    else:
         for p in parts:
             print(p.text())
-    else:
-        raise UsageError(f"format {fmt} not supported here")
 
 
 def cmd_enum(args) -> int:
@@ -147,35 +142,30 @@ MAP_OPS = {
 def cmd_map(args) -> int:
     if args.op not in MAP_OPS:
         raise UsageError(f"unknown map {args.op!r}; choose from {sorted(MAP_OPS)}")
-    text = _read_input(args.input)
-    try:
-        p = partition_from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad partition input: {exc}") from exc
-    result = MAP_OPS[args.op](p)
-    print(result.to_json())
+    print(MAP_OPS[args.op](_read_partition(args.input)).to_json())
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
-    text = _read_input(args.input)
-    try:
-        p = partition_from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad partition input: {exc}") from exc
-    print(render_ascii(p))
+    print(render_ascii(_read_partition(args.input)))
     return EXIT_OK
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _read_partition(path: str):
+    """The partition in a JSON file, or on stdin for "-": exit 3 if it cannot
+    be read, a usage error if it is not UTF-8 text holding a valid partition."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        return partition_from_json(text)
     except OSError as exc:
         print(f"arcact: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+        raise UsageError(f"bad partition input: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -279,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="label group, e.g. Z3 or Z2xZ2")
     p.add_argument("--groupA", help="first label group of a two-group family")
     p.add_argument("--groupB", help="second label group of a two-group family")
-    _common_flags(p)
+    _common_flags(p, ("json", "jsonl", "csv", "table"))
     p.set_defaults(fn=cmd_enum)
 
     p = sub.add_parser("orbits", help="orbit decomposition of a two-group family")
@@ -287,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--groupA", required=True)
     p.add_argument("--groupB", required=True)
-    _common_flags(p)
+    _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_orbits)
 
     p = sub.add_parser("poly", help="print a named counting polynomial")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
-    _common_flags(p)
+    _common_flags(p, ("json", "table", "latex"))
     p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("map", help="apply a structural map to a partition")
@@ -311,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--id", action="append", help="run only this check id")
     p.add_argument("--profile", default="desk", choices=("desk", "quick"))
-    _common_flags(p)
+    _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("chartable", help="supercharacter value table")
@@ -324,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10**6,
         help="refuse to enumerate groups larger than this",
     )
-    _common_flags(p)
+    _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_chartable)
 
     p = sub.add_parser("oeis-check", help="compare a sequence against a b-file")
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=int, default=0)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--bfile", help="explicit b-file path")
-    _common_flags(p)
+    _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_oeis_check)
 
     return parser

@@ -47,7 +47,10 @@ class GroundSet:
         if self.n < 0:
             raise StructuralError("ground parameter must be nonnegative")
 
-    def elements(self) -> tuple[int, ...]:
+    # the element tuple and its position map are computed once per object
+    # (cached_property stores into __dict__, past the frozen __setattr__)
+    @cached_property
+    def _elements(self) -> tuple[int, ...]:
         n = self.n
         if self.kind == "A":
             return tuple(range(1, n + 1))
@@ -55,35 +58,31 @@ class GroundSet:
             return tuple(range(-n, n + 1))
         return tuple(range(-n, 0)) + tuple(range(1, n + 1))
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {x: i for i, x in enumerate(self._elements, 1)}
+
+    def elements(self) -> tuple[int, ...]:
+        return self._elements
+
     @property
     def size(self) -> int:
-        return {"A": self.n, "B": 2 * self.n + 1, "D": 2 * self.n}[self.kind]
+        return len(self._elements)
+
+    def __contains__(self, x) -> bool:
+        return x in self._positions
 
     def position(self, x: int) -> int:
         """Order-preserving bijection onto {1, ..., size}."""
-        n = self.n
-        if self.kind == "A":
-            if not 1 <= x <= n:
-                raise StructuralError(f"{x} not in ground {self}")
-            return x
-        if self.kind == "B":
-            if not -n <= x <= n:
-                raise StructuralError(f"{x} not in ground {self}")
-            return x + n + 1
-        if x == 0 or not -n <= x <= n:
-            raise StructuralError(f"{x} not in ground {self}")
-        return x + n + 1 if x < 0 else x + n
+        try:
+            return self._positions[x]
+        except KeyError:
+            raise StructuralError(f"{x} not in ground {self}") from None
 
     def from_position(self, p: int) -> int:
-        n = self.n
         if not 1 <= p <= self.size:
             raise StructuralError(f"position {p} out of range for {self}")
-        if self.kind == "A":
-            return p
-        if self.kind == "B":
-            return p - n - 1
-        x = p - n - 1
-        return x if x < 0 else x + 1
+        return self._elements[p - 1]
 
     def __str__(self) -> str:
         return f"{self.kind}({self.n})"
@@ -128,11 +127,10 @@ def blocks_from_arcs(ground: GroundSet, arcs) -> tuple[tuple[int, ...], ...]:
     """Transitive closure of an arc set into blocks covering the ground."""
     succ = {}
     pred = {}
-    elements = set(ground.elements())
     for i, j in arcs:
         if i >= j:
             raise InvalidArcSetError(f"arc ({i},{j}) is not increasing")
-        if i not in elements or j not in elements:
+        if i not in ground or j not in ground:
             raise InvalidArcSetError(f"arc ({i},{j}) leaves the ground {ground}")
         if i in succ:
             raise InvalidArcSetError(f"two arcs leave {i}")

@@ -53,6 +53,7 @@ from .families import (
     count_by,
     enumerate_dyck,
     enumerate_family,
+    family_ground,
     family_shapes,
     symmetric_partitions,
 )
@@ -288,44 +289,38 @@ def _belld_eq(c, n):
     return lhs, poly.bell_univariate(n).scale_x(2)
 
 
-@_register(
-    "spivey-1",
-    "symbolic",
-    "Bell[m+n](x) == sum(j,k) x^(m+n-j-k) j^(n-k) binom(n,k) S(m,j) Bell[k](x)",
-    {"m_max": 4, "n_max": 4},
-)
-def _spivey_1(m_max, n_max):
-    out = []
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            rhs = BiPoly.zero()
-            for j in range(m + 1):
-                for k in range(n + 1):
-                    c = j ** (n - k) * comb(n, k) * poly.stirling2(m, j)
-                    rhs = rhs + c * BiPoly.term(1, m + n - j - k) * poly.bell_univariate(k)
-            _eq(out, f"m={m},n={n}", poly.bell_univariate(m + n), rhs)
-    return out
+def _spivey(id, statement, lhs, base, triangle, bell):
+    """Register a Spivey-type identity: at every m <= m_max, n <= n_max,
+    lhs(m+n) == sum(j,k) x^(m+n-j-k) base(j)^(n-k) binom(n,k) triangle(m,j) bell(k)."""
+
+    def check(m_max, n_max):
+        out = []
+        for m in range(m_max + 1):
+            for n in range(n_max + 1):
+                rhs = BiPoly.zero()
+                for j in range(m + 1):
+                    for k in range(n + 1):
+                        c = base(j) ** (n - k) * comb(n, k) * triangle(m, j)
+                        rhs = rhs + c * BiPoly.term(1, m + n - j - k) * bell(k)
+                _eq(out, f"m={m},n={n}", lhs(m + n), rhs)
+        return out
+
+    _register(id, "symbolic", statement, {"m_max": 4, "n_max": 4})(check)
 
 
-@_register(
-    "spivey-2",
-    "symbolic",
-    "Bell_B[m+n](x) == sum(j,k) x^(m+n-j-k) (2j+1)^(n-k) binom(n,k) W(m,j) Bell[k](2x)",
-    {"m_max": 4, "n_max": 4},
+# the poly functions are looked up when called, so a rebinding is seen
+_SPIVEY = (
+    ("spivey-1",
+     "Bell[m+n](x) == sum(j,k) x^(m+n-j-k) j^(n-k) binom(n,k) S(m,j) Bell[k](x)",
+     lambda n: poly.bell_univariate(n), lambda j: j,
+     lambda m, j: poly.stirling2(m, j), lambda k: poly.bell_univariate(k)),
+    ("spivey-2",
+     "Bell_B[m+n](x) == sum(j,k) x^(m+n-j-k) (2j+1)^(n-k) binom(n,k) W(m,j) Bell[k](2x)",
+     lambda n: poly.bellb_univariate(n), lambda j: 2 * j + 1,
+     lambda m, j: poly.whitney2_B(m, j), lambda k: poly.bell_univariate(k).scale_x(2)),
 )
-def _spivey_2(m_max, n_max):
-    out = []
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            rhs = BiPoly.zero()
-            for j in range(m + 1):
-                for k in range(n + 1):
-                    c = (2 * j + 1) ** (n - k) * comb(n, k) * poly.whitney2_B(m, j)
-                    rhs = rhs + c * BiPoly.term(1, m + n - j - k) * poly.bell_univariate(
-                        k
-                    ).scale_x(2)
-            _eq(out, f"m={m},n={n}", poly.bellb_univariate(m + n), rhs)
-    return out
+for _row in _SPIVEY:
+    _spivey(*_row)
 
 
 @_per_n("catB-closed", "Cat_B[n](x) == sum binom(n,k)^2 x^k")
@@ -851,8 +846,8 @@ _ORBIT_THEOREMS = (
          lambda m: poly.motzkinb_tilde_closed(m)),
     ),
 )
-for _theorem in _ORBIT_THEOREMS:
-    _orbit_theorem(*_theorem)
+for _row in _ORBIT_THEOREMS:
+    _orbit_theorem(*_row)
 
 
 def _counted_shapes(out, family, name, n):
@@ -863,167 +858,52 @@ def _counted_shapes(out, family, name, n):
     return shapes
 
 
-@_register(
-    "rank-invert-A",
-    "structural",
-    "the full-block action is an involution, and on NC(n) it sends k blocks"
-    " to n+1-k blocks",
-    {"n_max": 8},
-    {"n_max": 5},
-)
-def _rank_invert_a(n_max):
-    out = []
-    for n in range(1, n_max + 1):
-        shapes = _counted_shapes(out, "PI", "Bell", n)
-        if out:
-            return out
-        for blocks in shapes:
-            p = unlabeled(ground_a(n), blocks)
-            q = action.plus_involution(p)
-            if action.plus_involution(q) != p:
-                out.append(f"n={n}: not an involution at {p.text()}")
+def _rank_invert(id, statement, family, name, n_min, want, desk_n_max, quick_n_max):
+    """Register an involution check on the shapes of a family.  At every n
+    from n_min to n_max the shapes are counted against the polynomial
+    ``name``; then for each shape p the full-block action is an involution at
+    p, and it sends p to want(p, n) blocks (no claim where want is None)."""
+
+    def check(n_max):
+        out = []
+        for n in range(n_min, n_max + 1):
+            ground = family_ground(family, n)
+            shapes = _counted_shapes(out, family, name, n)
+            if out:
                 return out
-            if classify(p).noncrossing:
-                _eq(out, f"n={n} {p.text()}", len(q.blocks), n + 1 - len(p.blocks))
-                if out:
+            for blocks in shapes:
+                p = unlabeled(ground, blocks)
+                q = action.plus_involution(p)
+                if action.plus_involution(q) != p:
+                    out.append(f"n={n}: not an involution at {p.text()}")
                     return out
-    return out
+                wanted = want(p, n)
+                if wanted is not None:
+                    _eq(out, f"n={n} {p.text()}", len(q.blocks), wanted)
+                    if out:
+                        return out
+        return out
+
+    _register(id, "structural", statement, {"n_max": desk_n_max}, {"n_max": quick_n_max})(check)
 
 
-@_register(
-    "rank-invert-B",
-    "structural",
-    "on NC~_B(n), 2k+1 blocks map to 2(n-k)+1 blocks under the involution",
-    {"n_max": 5},
-    {"n_max": 3},
+_RANK_INVERSIONS = (
+    ("rank-invert-A",
+     "the full-block action is an involution, and on NC(n) it sends k blocks"
+     " to n+1-k blocks",
+     "PI", "Bell", 1,
+     lambda p, n: n + 1 - len(p.blocks) if classify(p).noncrossing else None, 8, 5),
+    ("rank-invert-B",
+     "on NC~_B(n), 2k+1 blocks map to 2(n-k)+1 blocks under the involution",
+     "NC_TILDE_B", "Cat_B", 0, lambda p, n: 2 * (n - (len(p.blocks) - 1) // 2) + 1, 5, 3),
+    ("rank-invert-D",
+     "on NC~_D(n) the involution sends m blocks to 2n+2-m when -1 tops its"
+     " block, else to 2n-m",
+     "NC_TILDE_D", "Cat_D", 1,
+     lambda p, n: 2 * n + (2 if max(p.block_of(-1)) == -1 else 0) - len(p.blocks), 5, 3),
 )
-def _rank_invert_b(n_max):
-    out = []
-    for n in range(n_max + 1):
-        shapes = _counted_shapes(out, "NC_TILDE_B", "Cat_B", n)
-        if out:
-            return out
-        for blocks in shapes:
-            p = unlabeled(ground_b(n), blocks)
-            q = action.plus_involution(p)
-            k = (len(p.blocks) - 1) // 2
-            _eq(out, f"n={n} {p.text()}", len(q.blocks), 2 * (n - k) + 1)
-            if out:
-                return out
-            if action.plus_involution(q) != p:
-                out.append(f"n={n}: not an involution at {p.text()}")
-                return out
-    return out
-
-
-@_register(
-    "rank-invert-D",
-    "structural",
-    "on NC~_D(n) the involution sends m blocks to 2n+2-m when -1 tops its"
-    " block, else to 2n-m",
-    {"n_max": 5},
-    {"n_max": 3},
-)
-def _rank_invert_d(n_max):
-    out = []
-    for n in range(1, n_max + 1):
-        shapes = _counted_shapes(out, "NC_TILDE_D", "Cat_D", n)
-        if out:
-            return out
-        for blocks in shapes:
-            p = unlabeled(ground_d(n), blocks)
-            q = action.plus_involution(p)
-            tops = max(p.block_of(-1)) == -1
-            want = 2 * n + 2 - len(p.blocks) if tops else 2 * n - len(p.blocks)
-            _eq(out, f"n={n} {p.text()}", len(q.blocks), want)
-            if out:
-                return out
-    return out
-
-
-@_register(
-    "shift-bij-A",
-    "structural",
-    "shift bijects feasible partitions onto two-regular ones with no block"
-    " following another, and poor noncrossing onto two-regular noncrossing",
-    {"n_max": 5, "group": Z3},
-    {"n_max": 4, "group": Z2},
-)
-def _shift_bij_a(n_max, group):
-    out = []
-    for n in range(n_max + 1):
-        everything = list(enumerate_family(FamilySpec("PI", n, (group,))))
-        target = list(enumerate_family(FamilySpec("PI", n + 1, (group,))))
-        _check_shift_restriction(
-            out, f"A n={n} feasible", everything, target,
-            lambda p: classify(p).feasible,
-            lambda q: classify(q).two_regular and _no_adjacent_blocks(q),
-        )
-        _check_shift_restriction(
-            out, f"A n={n} poor-nc", everything, target,
-            lambda p: classify(p).poor and classify(p).noncrossing,
-            lambda q: classify(q).two_regular and classify(q).noncrossing,
-        )
-        # image of shift is exactly the two-regular members
-        _check_shift_restriction(
-            out, f"A n={n} all", everything, target,
-            lambda p: True, lambda q: classify(q).two_regular,
-        )
-        if out:
-            return out
-    return out
-
-
-@_register(
-    "shift-bij-BD",
-    "structural",
-    "shift bijects: feasible P_D(n) onto gap two-regular P_B(n); B-feasible"
-    " P_B(n) onto gap two-regular P_D(n+1); poor NC~_D(n) onto two-regular"
-    " NC~_B(n); B-poor NC~_B(n) onto two-regular NC~_D(n+1)",
-    {"n_max": 3, "group": Z3},
-    {"n_max": 2, "group": Z2},
-)
-def _shift_bij_bd(n_max, group):
-    out = []
-    for n in range(n_max + 1):
-        p_d = list(enumerate_family(FamilySpec("P_D", n, (group,))))
-        p_b = list(enumerate_family(FamilySpec("P_B", n, (group,))))
-        p_d_next = list(enumerate_family(FamilySpec("P_D", n + 1, (group,))))
-        _check_shift_restriction(
-            out, f"BD n={n} (1)", p_d, p_b,
-            lambda p: classify(p).feasible,
-            lambda q: classify(q).two_regular and _no_adjacent_blocks(q),
-        )
-        _check_shift_restriction(
-            out, f"BD n={n} (2)", p_b, p_d_next,
-            lambda p: classify(p).b_feasible,
-            lambda q: classify(q).two_regular and _no_adjacent_blocks(q),
-        )
-        nct_d = [p for p in p_d if classify(p).nc_tilde]
-        nct_b = [p for p in p_b if classify(p).nc_tilde]
-        nct_d_next = [p for p in p_d_next if classify(p).nc_tilde]
-        _check_shift_restriction(
-            out, f"BD n={n} (3)", nct_d, nct_b,
-            lambda p: classify(p).poor,
-            lambda q: classify(q).two_regular,
-        )
-        _check_shift_restriction(
-            out, f"BD n={n} (4)", nct_b, nct_d_next,
-            lambda p: classify(p).b_poor,
-            lambda q: classify(q).two_regular,
-        )
-        # images land exactly on the two-regular members
-        _check_shift_restriction(
-            out, f"BD n={n} 2reg-B", p_d, p_b,
-            lambda p: True, lambda q: classify(q).two_regular,
-        )
-        _check_shift_restriction(
-            out, f"BD n={n} 2reg-D", p_b, p_d_next,
-            lambda p: True, lambda q: classify(q).two_regular,
-        )
-        if out:
-            return out
-    return out
+for _row in _RANK_INVERSIONS:
+    _rank_invert(*_row)
 
 
 def _no_adjacent_blocks(q) -> bool:
@@ -1042,6 +922,69 @@ def _check_shift_restriction(out, tag, domain, codomain, dom_pred, cod_pred):
         missing = sorted(q.text() for q in target - set(images))[:1]
         extra = sorted(q.text() for q in set(images) - target)[:1]
         out.append(f"{tag}: image mismatch missing={missing} extra={extra}")
+
+
+def _holds(tests):
+    """The predicate that a partition carries every classification flag named
+    in tests and passes every callable one."""
+
+    def pred(p):
+        flags = classify(p)
+        return all(getattr(flags, t) if isinstance(t, str) else t(p) for t in tests)
+
+    return pred
+
+
+def _shift_bijections(id, statement, desk, quick, *rows):
+    """Register shift-bijection claims over one label group.  Each row is
+    (witness label, domain family, codomain family, codomain n shift, domain
+    tests, codomain tests): at every n, shift maps the members of the domain
+    family at n that pass the domain tests injectively onto the members of the
+    codomain family at n + shift that pass the codomain tests."""
+
+    def check(n_max, group):
+        out = []
+        for n in range(n_max + 1):
+            for label, domain, codomain, shift, dom_tests, cod_tests in rows:
+                _check_shift_restriction(
+                    out, label.format(n=n),
+                    enumerate_family(FamilySpec(domain, n, (group,))),
+                    enumerate_family(FamilySpec(codomain, n + shift, (group,))),
+                    _holds(dom_tests), _holds(cod_tests),
+                )
+            if out:
+                return out
+        return out
+
+    _register(id, "structural", statement, desk, quick)(check)
+
+
+_GAP_TWO_REGULAR = ("two_regular", _no_adjacent_blocks)
+
+_SHIFT_BIJECTIONS = (
+    ("shift-bij-A",
+     "shift bijects feasible partitions onto two-regular ones with no block"
+     " following another, and poor noncrossing onto two-regular noncrossing",
+     {"n_max": 5, "group": Z3}, {"n_max": 4, "group": Z2},
+     ("A n={n} feasible", "PI", "PI", 1, ("feasible",), _GAP_TWO_REGULAR),
+     ("A n={n} poor-nc", "PI", "PI", 1, ("poor", "noncrossing"), ("two_regular", "noncrossing")),
+     # image of shift is exactly the two-regular members
+     ("A n={n} all", "PI", "PI", 1, (), ("two_regular",))),
+    ("shift-bij-BD",
+     "shift bijects: feasible P_D(n) onto gap two-regular P_B(n); B-feasible"
+     " P_B(n) onto gap two-regular P_D(n+1); poor NC~_D(n) onto two-regular"
+     " NC~_B(n); B-poor NC~_B(n) onto two-regular NC~_D(n+1)",
+     {"n_max": 3, "group": Z3}, {"n_max": 2, "group": Z2},
+     ("BD n={n} (1)", "P_D", "P_B", 0, ("feasible",), _GAP_TWO_REGULAR),
+     ("BD n={n} (2)", "P_B", "P_D", 1, ("b_feasible",), _GAP_TWO_REGULAR),
+     ("BD n={n} (3)", "P_D", "P_B", 0, ("nc_tilde", "poor"), ("nc_tilde", "two_regular")),
+     ("BD n={n} (4)", "P_B", "P_D", 1, ("nc_tilde", "b_poor"), ("nc_tilde", "two_regular")),
+     # images land exactly on the two-regular members
+     ("BD n={n} 2reg-B", "P_D", "P_B", 0, (), ("two_regular",)),
+     ("BD n={n} 2reg-D", "P_B", "P_D", 1, (), ("two_regular",))),
+)
+for _row in _SHIFT_BIJECTIONS:
+    _shift_bijections(*_row)
 
 
 # ---------------------------------------------------------------------------

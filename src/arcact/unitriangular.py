@@ -110,11 +110,6 @@ def subgroup_order(kind: str, n: int, p: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def matrix_size(kind: str, n: int) -> int:
-    """Size of the matrices of the type A, B or D group at rank n."""
-    return {"A": n, "B": 2 * n + 1, "D": 2 * n}[kind]
-
-
 def _guard(order: int, max_group_order: int):
     if order > max_group_order:
         raise ScaleGuardError(
@@ -348,13 +343,13 @@ def chi_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
     return chi_on_class(lam, superclass_reduce(g, p))
 
 
-def _restricted_eval(lam: LabeledSetPartition, g: Matrix, kind: str) -> CycValue:
+def _restricted_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
     p = lam.group.moduli[0]
     if p == 2:
         raise ValueError("odd characteristic required")
     if not (is_unitriangular(g, p) and is_dagger_unitary(g, p)):
         raise ValueError("element is not in the fixed-point subgroup")
-    if len(g) != matrix_size(kind, lam.ground.n):
+    if len(g) != lam.ground.size:
         raise ValueError("matrix size does not match the index partition")
     return chi_on_class(halve(lam), superclass_reduce(g, p))
 
@@ -363,13 +358,13 @@ def chi_b_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
     """Type B supercharacter: the ambient character of halve at g."""
     if lam.ground.kind != "B":
         raise ValueError("index must be a B-ground partition")
-    return _restricted_eval(lam, g, "B")
+    return _restricted_eval(lam, g)
 
 
 def chi_d_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
     if lam.ground.kind != "D":
         raise ValueError("index must be a D-ground partition")
-    return _restricted_eval(lam, g, "D")
+    return _restricted_eval(lam, g)
 
 
 def inner_product(values1, values2, sizes, group_order: int) -> Fraction:
@@ -453,7 +448,7 @@ def build_chartable(kind: str, n: int, p: int, max_group_order: int = 10**6) -> 
     # the classes share the indices' group object (grounds are interned), so
     # chi_on_class sees the same group and ground by identity
     group = indices[0].group
-    classes = tuple(superclass_partition(group, matrix_size(kind, n), key) for key in keys)
+    classes = tuple(superclass_partition(group, indices[0].ground.size, key) for key in keys)
     sizes = tuple(counter[key] for key in keys)
     rows = tuple(tuple(chi_on_class(lam, c) for c in classes) for lam in ambient)
     return CharTable(kind, n, p, classes, sizes, indices, rows, order)

@@ -147,6 +147,38 @@ def test_io_error_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--all", "--format", "csv"],
+        ["map", "--op", "uncross", "--format", "json"],
+        ["render", "--format", "table"],
+        ["poly", "--family", "Bell", "--n", "2", "--format", "csv"],
+        ["enum", "--family", "NC", "--n", "2", "--format", "latex"],
+        ["chartable", "--kind", "A", "--n", "2", "--p", "3", "--format", "jsonl"],
+    ],
+    ids=["verify-csv", "map-json", "render-table", "poly-csv", "enum-latex", "chartable-jsonl"],
+)
+def test_format_a_subcommand_does_not_emit_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "--format" in err_text and "Traceback" not in err_text
+
+
+def test_partition_input_errors(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    for argv in (["render"], ["map", "--op", "shift"]):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--input", str(bad)])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--input", str(tmp_path / "missing.json")])
+        assert err.value.code == 3
+
+
 def test_oeis_check_cli(capsys):
     code, out = run_cli(
         capsys, "oeis-check", "--name", "Bell_B", "--id", "A007405",

@@ -47,6 +47,39 @@ def test_grounds():
         assert g.from_position(g.position(x)) == x
 
 
+# the interval formulas each ground kind spells out: (size, position of an
+# element or None outside the ground, element at a position)
+_INTERVALS = {
+    "A": (lambda n: n, lambda n, x: x if 1 <= x <= n else None, lambda n, p: p),
+    "B": (lambda n: 2 * n + 1, lambda n, x: x + n + 1 if -n <= x <= n else None,
+          lambda n, p: p - n - 1),
+    "D": (lambda n: 2 * n,
+          lambda n, x: None if x == 0 or not -n <= x <= n else x + n + (x < 0),
+          lambda n, p: p - n - 1 if p <= n else p - n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INTERVALS))
+def test_ground_positions_match_the_interval_formulas(kind):
+    size, position, element = _INTERVALS[kind]
+    for n in range(7):
+        g = {"A": ground_a, "B": ground_b, "D": ground_d}[kind](n)
+        assert g.size == size(n)
+        for x in range(-n - 1, n + 2):
+            want = position(n, x)
+            assert (x in g) == (want is not None)
+            if want is None:
+                with pytest.raises(StructuralError):
+                    g.position(x)
+            else:
+                assert g.position(x) == want
+        for p in range(1, g.size + 1):
+            assert g.from_position(p) == element(n, p)
+        for p in (0, g.size + 1):
+            with pytest.raises(StructuralError):
+                g.from_position(p)
+
+
 def test_arcs_of_standard_examples():
     assert arcs_of([(1, 3, 4, 7), (2, 6), (5,)]) == frozenset(
         {(1, 3), (2, 6), (3, 4), (4, 7)}
