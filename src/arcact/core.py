@@ -138,15 +138,19 @@ def blocks_from_arcs(ground: GroundSet, arcs) -> tuple[tuple[int, ...], ...]:
             raise InvalidArcSetError(f"two arcs enter {j}")
         succ[i] = j
         pred[j] = i
+    # The ground is walked in increasing order and every arc increases, so
+    # each block comes out sorted and the blocks come out sorted by minimum:
+    # already canonical.
     blocks = []
     for x in ground.elements():
         if x in pred:
             continue
         block = [x]
-        while block[-1] in succ:
-            block.append(succ[block[-1]])
+        while x in succ:
+            x = succ[x]
+            block.append(x)
         blocks.append(tuple(block))
-    return canonical_blocks(blocks)
+    return tuple(blocks)
 
 
 def canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    Arc,
     GroundSet,
     LabeledSetPartition,
+    StructuralError,
     arcs_of,
     blocks_from_arcs,
     canonical_blocks,
@@ -28,8 +30,6 @@ from .core import (
     ground_b,
     ground_d,
     is_nc_tilde,
-    is_noncrossing,
-    is_nonnesting,
     rook_sort_key,
 )
 from .groups import DirectSum, GroupSpec, neg_unchecked
@@ -89,7 +89,11 @@ class FamilySpec:
 
 
 def set_partitions(elements):
-    """All partitions of an ordered element list (restricted growth order)."""
+    """All partitions of an ordered element list (restricted growth order).
+
+    Blocks keep the list's order, so an increasing list gives canonical
+    block structures.
+    """
     elements = list(elements)
     if not elements:
         yield ()
@@ -195,17 +199,57 @@ def _linear_blocks(ground: GroundSet):
         yield tuple(sorted(arcs))
 
 
+def _noncrossing_shapes(n):
+    """NC(n) by first-block recursion, each shape built once.
+
+    The block of lo in a partition of [lo..hi] is lo alone, or lo followed
+    by the block of some j > lo in a partition of [j..hi]; the gap
+    [lo+1..j-1] between them is an independent partition.  Unfolding this
+    gives the block {lo = a1 < ... < ak} with an independent noncrossing
+    partition of every gap and of the tail after ak.  Blocks come out
+    sorted by minimum, so every shape is canonical.
+    """
+    memo = {}
+
+    def nc(lo, hi):
+        if lo > hi:
+            return ((),)
+        key = (lo, hi)
+        if key not in memo:
+            out = [((lo,),) + t for t in nc(lo + 1, hi)]
+            for j in range(lo + 1, hi + 1):
+                tails = nc(j, hi)
+                for g in nc(lo + 1, j - 1):
+                    out.extend(((lo,) + t[0],) + g + t[1:] for t in tails)
+            memo[key] = out
+        return memo[key]
+
+    return nc(1, n)
+
+
+def _nonnesting_shapes(paths, ground):
+    return [blocks_from_arcs(ground, valley_arcs(p, ground)) for p in paths]
+
+
 @lru_cache(maxsize=None)
 def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Unlabeled block structures of a family, deterministically ordered."""
+    """Unlabeled block structures of a family, deterministically ordered.
+
+    NC comes from a first-block recursion, NN and NN_B from Dyck paths
+    through ``valley_arcs`` (all paths of 2n steps, the symmetric paths of
+    4n steps).  PI lists the set partitions and the P families the
+    negation-closed ones; the NC~ families keep those that pass the
+    nc_tilde test, and the L families choose cover arcs.
+    """
     base = family[:-3] if family.endswith("_AB") else family
-    if base in ("PI", "NC", "NN"):
+    if base == "PI":
         shapes = list(set_partitions(range(1, n + 1)))
-        if base == "NC":
-            shapes = [s for s in shapes if is_noncrossing(arcs_of(s))]
-        elif base == "NN":
-            shapes = [s for s in shapes if is_nonnesting(arcs_of(s))]
-        shapes = [canonical_blocks(s) for s in shapes]
+    elif base == "NC":
+        shapes = _noncrossing_shapes(n)
+    elif base == "NN":
+        shapes = _nonnesting_shapes(enumerate_dyck(n), ground_a(n))
+    elif base == "NN_B":
+        shapes = _nonnesting_shapes(symmetric_dyck(n), ground_d(n))
     elif base == "L":
         shapes = [
             blocks_from_arcs(ground_a(n), arcs) for arcs in _linear_blocks(ground_a(n))
@@ -222,12 +266,6 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
         shapes = list(symmetric_partitions(n, False, False))
         if base == "NC_TILDE_D":
             shapes = [s for s in shapes if is_nc_tilde(arcs_of(s))]
-    elif base == "NN_B":
-        shapes = [
-            s
-            for s in symmetric_partitions(n, False, True)
-            if is_nonnesting(arcs_of(s))
-        ]
     else:  # pragma: no cover
         raise ValueError(base)
     return tuple(sorted(set(shapes)))
@@ -320,6 +358,8 @@ def count_by(spec: FamilySpec, stat: str) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Dyck paths
 
+_FLIP = str.maketrans("UD", "DU")
+
 
 @dataclass(frozen=True)
 class DyckPath:
@@ -341,35 +381,58 @@ class DyckPath:
 
     def valleys(self) -> tuple[tuple[int, int], ...]:
         """Points ending a down-step and starting an up-step."""
+        steps = self.steps
         out = []
-        height = 0
-        for k, s in enumerate(self.steps):
-            height += 1 if s == "U" else -1
-            if s == "D" and k + 1 < len(self.steps) and self.steps[k + 1] == "U":
-                out.append((k + 1, height))
+        k = steps.find("DU")
+        while k >= 0:
+            x = k + 1
+            out.append((x, 2 * steps.count("U", 0, x) - x))
+            k = steps.find("DU", x)
         return tuple(out)
 
     def is_symmetric(self) -> bool:
-        flipped = "".join("U" if s == "D" else "D" for s in reversed(self.steps))
-        return flipped == self.steps
+        return self.steps[::-1].translate(_FLIP) == self.steps
+
+
+def valley_arcs(path: DyckPath, ground: GroundSet) -> list[Arc]:
+    """Arcs of the nonnesting partition of the ground read off a Dyck path
+    with 2 * ground.size steps: the valley (x, y) is the arc between the
+    ground elements at positions (x - y) / 2 and (x + y) / 2 + 1."""
+    if len(path) != 2 * ground.size:
+        raise StructuralError("path length does not match the ground")
+    at = ground.elements()
+    return [(at[(x - y) // 2 - 1], at[(x + y) // 2]) for x, y in path.valleys()]
+
+
+def _ballot_steps(length: int, closed: bool):
+    """Step strings of the given length that never dip below the axis and,
+    if closed, end on it; lexicographic with U < D."""
+    stack = [("", 0)]
+    while stack:
+        steps, height = stack.pop()
+        remaining = length - len(steps)
+        if remaining == 0:
+            yield steps
+            continue
+        # D is pushed first so that U is taken first
+        if height > 0:
+            stack.append((steps + "D", height - 1))
+        if not closed or remaining > height:
+            stack.append((steps + "U", height + 1))
 
 
 def enumerate_dyck(m: int):
     """All Dyck paths with 2m steps, lexicographic with U < D."""
     if m < 0:
         raise ValueError("need m >= 0")
+    for steps in _ballot_steps(2 * m, True):
+        yield DyckPath(steps)
 
-    def rec(prefix, height, remaining):
-        if remaining == 0:
-            yield DyckPath("".join(prefix))
-            return
-        if remaining > height:
-            prefix.append("U")
-            yield from rec(prefix, height + 1, remaining - 1)
-            prefix.pop()
-        if height > 0:
-            prefix.append("D")
-            yield from rec(prefix, height - 1, remaining - 1)
-            prefix.pop()
 
-    yield from rec([], 0, 2 * m)
+def symmetric_dyck(m: int):
+    """The Dyck paths with 4m steps that equal their reversed, flipped copy:
+    each ballot path of 2m steps followed by its own reversed, flipped copy."""
+    if m < 0:
+        raise ValueError("need m >= 0")
+    for steps in _ballot_steps(2 * m, False):
+        yield DyckPath(steps + steps[::-1].translate(_FLIP))

@@ -45,6 +45,7 @@ from .core import (
     ground_b,
     ground_d,
     negate,
+    rook_noncrossing,
     to_rook,
     unlabeled,
 )
@@ -657,6 +658,14 @@ def _three_term_2(c, n):
 def _nnb_counts(n_max):
     out = []
     for n in range(n_max + 1):
+        # the generator builds NN_B from symmetric Dyck paths; check that
+        # what it builds meets the family's definition
+        for blocks in family_shapes("NN_B", n):
+            p = unlabeled(ground_d(n), blocks)
+            if not classify(p).nonnesting:
+                return [f"n={n}: NN_B shape {p.text()} is nesting"]
+            if negate(p) != p:
+                return [f"n={n}: NN_B shape {p.text()} is not negation-closed"]
         hist = count_by(FamilySpec("NN_B", n), "blocks")
         total = sum(hist.values())
         _eq(out, f"n={n} total", total, comb(2 * n, n))
@@ -672,35 +681,54 @@ def _sym_dyck(c, n):
     return sum(1 for p in enumerate_dyck(2 * n) if p.is_symmetric()), comb(2 * n, n)
 
 
-def _perfect_matchings(n) -> int:
-    """Members of NC~_D(n) whose blocks all have size two."""
-    shapes = family_shapes("NC_TILDE_D", n)
-    return sum(1 for blocks in shapes if all(len(b) == 2 for b in blocks))
+def _counted_shapes(out, family, name, n):
+    """The shapes of a family at n, after comparing their number with the
+    named counting polynomial at x = y = 1."""
+    shapes = family_shapes(family, n)
+    _eq(out, f"n={n} {family} shapes", len(shapes), poly.sequence(name, n))
+    return shapes
 
 
-@_per_n("2blocks-1", "NC~_D(2n) has binom(2n,n) members whose blocks all have size two",
-        {"n_max": 3}, {"n_max": 2}, "enumerative")
-def _two_blocks_1(c, n):
-    return _perfect_matchings(2 * n), comb(2 * n, n)
+def _matching(p) -> bool:
+    return all(len(b) == 2 for b in p.blocks)
 
 
-@_per_n("2blocks-2", "NC~_D(2n+1) has no members whose blocks all have size two",
-        {"n_max": 2}, mode="enumerative")
-def _two_blocks_2(c, n):
-    return _perfect_matchings(2 * n + 1), 0
+def _b_poor_without_nonzero_singletons(p) -> bool:
+    return classify(p).b_poor and not any(len(b) == 1 and b[0] != 0 for b in p.blocks)
 
 
-@_per_n("2blocks-3",
-        "binom(n,floor(n/2)) B-poor members of NC~_B(n) without nonzero singletons",
-        {"n_max": 5}, mode="enumerative")
-def _two_blocks_3(c, n):
-    got = sum(
-        1
-        for blocks in family_shapes("NC_TILDE_B", n)
-        if classify(unlabeled(ground_b(n), blocks)).b_poor
-        and not any(len(b) == 1 and b[0] != 0 for b in blocks)
-    )
-    return got, comb(n, n // 2)
+def _two_blocks(id, statement, family, name, at, test, want, desk, quick):
+    """Register a count over the shapes of a family: at every n up to n_max
+    the shapes of the family at m = at(n) are counted against the
+    polynomial ``name``, then the shapes passing ``test`` against want(n)."""
+
+    def check(n_max):
+        out = []
+        for n in range(n_max + 1):
+            m = at(n)
+            shapes = _counted_shapes(out, family, name, m)
+            if out:
+                return out
+            ground = family_ground(family, m)
+            got = sum(1 for blocks in shapes if test(unlabeled(ground, blocks)))
+            _eq(out, f"n={n}", got, want(n))
+        return out
+
+    _register(id, "enumerative", statement, {"n_max": desk}, {"n_max": quick})(check)
+
+
+_TWO_BLOCKS = (
+    ("2blocks-1", "NC~_D(2n) has binom(2n,n) members whose blocks all have size two",
+     "NC_TILDE_D", "Cat_D", lambda n: 2 * n, _matching, lambda n: comb(2 * n, n), 3, 2),
+    ("2blocks-2", "NC~_D(2n+1) has no members whose blocks all have size two",
+     "NC_TILDE_D", "Cat_D", lambda n: 2 * n + 1, _matching, lambda n: 0, 2, 2),
+    ("2blocks-3",
+     "binom(n,floor(n/2)) B-poor members of NC~_B(n) without nonzero singletons",
+     "NC_TILDE_B", "Cat_B", lambda n: n, _b_poor_without_nonzero_singletons,
+     lambda n: comb(n, n // 2), 5, 5),
+)
+for _row in _TWO_BLOCKS:
+    _two_blocks(*_row)
 
 
 @_register(
@@ -848,14 +876,6 @@ _ORBIT_THEOREMS = (
 )
 for _row in _ORBIT_THEOREMS:
     _orbit_theorem(*_row)
-
-
-def _counted_shapes(out, family, name, n):
-    """The shapes of a family at n, after comparing their number with the
-    named counting polynomial at x = y = 1."""
-    shapes = family_shapes(family, n)
-    _eq(out, f"n={n} {family} shapes", len(shapes), poly.sequence(name, n))
-    return shapes
 
 
 def _rank_invert(id, statement, family, name, n_min, want, desk_n_max, quick_n_max):
@@ -1152,6 +1172,10 @@ def _uncross_confluence(n, trials):
     rng = random.Random(UNCROSS_SEED)
     pool = [unlabeled(ground_a(n), blocks) for blocks in family_shapes("PI", n)]
     pool = [p for p in pool if not classify(p).noncrossing]
+    out = []
+    _eq(out, f"n={n} crossing pool", len(pool), poly.sequence("Bell", n) - poly.sequence("Cat", n))
+    if out:
+        return out
     for _ in range(trials):
         p = rng.choice(pool)
         if maps.uncross(p, rng) != maps.uncross(p):
@@ -1181,13 +1205,24 @@ def _reduce_invariance(n, p, trials):
 @_register(
     "rook-round-trip",
     "structural",
-    "from_rook inverts to_rook on every PI(n,Z3)",
+    "from_rook inverts to_rook on every PI(n,Z3), and the matrix reading of"
+    " noncrossing picks exactly NC(n,Z3) out of PI(n,Z3)",
     {"n_max": 5},
     {"n_max": 3},
 )
 def _rook_round_trip(n_max):
+    out = []
     for n in range(n_max + 1):
+        nc = set(enumerate_family(FamilySpec("NC", n, (Z3,))))
+        picked = 0
         for p in enumerate_family(FamilySpec("PI", n, (Z3,))):
-            if from_rook(p.ground, p.group, to_rook(p)) != p:
+            rook = to_rook(p)
+            if from_rook(p.ground, p.group, rook) != p:
                 return [f"n={n}: rook round trip fails at {p.text()}"]
-    return []
+            if rook_noncrossing(rook) != (p in nc):
+                return [f"n={n}: rook_noncrossing disagrees with NC(n,Z3) at {p.text()}"]
+            picked += p in nc
+        _eq(out, f"n={n} NC(n,Z3) members in PI(n,Z3)", picked, len(nc))
+        if out:
+            return out
+    return out

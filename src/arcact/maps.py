@@ -23,7 +23,7 @@ from .core import (
     ground_d,
     unlabeled,
 )
-from .families import DyckPath
+from .families import DyckPath, valley_arcs
 from .groups import GroupSpec
 
 
@@ -231,13 +231,7 @@ def dyck_from_nonnesting(p: LabeledSetPartition) -> DyckPath:
 
 def nn_from_dyck(path: DyckPath, ground: GroundSet) -> LabeledSetPartition:
     """Inverse of dyck_from_nonnesting over the given ground."""
-    if len(path) != 2 * ground.size:
-        raise StructuralError("path length does not match the ground")
-    arcs = []
-    for x, y in path.valleys():
-        i, j = (x - y) // 2, (x + y) // 2 + 1
-        arcs.append((ground.from_position(i), ground.from_position(j)))
-    return unlabeled(ground, blocks_from_arcs(ground, arcs))
+    return unlabeled(ground, blocks_from_arcs(ground, valley_arcs(path, ground)))
 
 
 def matching_to_dyck(p: LabeledSetPartition) -> DyckPath:

@@ -2,15 +2,27 @@ from math import comb
 
 import pytest
 
-from arcact.core import LabeledSetPartition, classify
+from arcact.core import (
+    LabeledSetPartition,
+    arcs_of,
+    canonical_blocks,
+    classify,
+    is_noncrossing,
+    is_nonnesting,
+)
 from arcact.families import (
     DyckPath,
     FamilySpec,
     count_by,
     enumerate_dyck,
     enumerate_family,
+    family_shapes,
     family_size,
+    set_partitions,
+    symmetric_dyck,
+    symmetric_partitions,
 )
+from arcact.poly import catalan
 from arcact.groups import GroupSpec
 from arcact.poly import (
     bell_univariate,
@@ -85,6 +97,33 @@ def test_nonnesting_counts():
         )
     for n in range(6):
         assert family_size(FamilySpec("NN_B", n)) == comb(2 * n, n)
+
+
+def _filtered_shapes(family, n):
+    """The shapes of NC, NN or NN_B by testing every candidate partition:
+    the route the direct generators replaced, kept as their oracle."""
+    if family == "NN_B":
+        candidates = symmetric_partitions(n, False, True)
+    else:
+        candidates = set_partitions(range(1, n + 1))
+    test = is_noncrossing if family == "NC" else is_nonnesting
+    return tuple(sorted({canonical_blocks(s) for s in candidates if test(arcs_of(s))}))
+
+
+@pytest.mark.parametrize("family,n_max", [("NC", 8), ("NN", 8), ("NN_B", 5)])
+def test_direct_generators_match_the_filter_route(family, n_max):
+    for n in range(n_max + 1):
+        assert family_shapes(family, n) == _filtered_shapes(family, n), n
+
+
+def test_direct_generator_counts():
+    # uncached, so the session does not keep the large shape tuples
+    shapes = family_shapes.__wrapped__
+    for n in range(12):
+        assert len(shapes("NC", n)) == catalan(n), n
+        assert len(shapes("NN", n)) == catalan(n), n
+    for n in range(8):
+        assert len(shapes("NN_B", n)) == comb(2 * n, n), n
 
 
 def test_ab_label_condition():
@@ -172,3 +211,13 @@ def test_dyck_paths():
     assert DyckPath("UUDD").is_symmetric()
     assert not DyckPath("UUDDUD").is_symmetric()
     assert DyckPath("UDUD").valleys() == ((2, 0),)
+    assert DyckPath("UUDUDDUD").valleys() == ((3, 1), (6, 0))
+
+
+def test_symmetric_dyck_paths():
+    for m in range(5):
+        paths = list(symmetric_dyck(m))
+        assert len(paths) == comb(2 * m, m)
+        assert set(paths) == {p for p in enumerate_dyck(2 * m) if p.is_symmetric()}
+    with pytest.raises(ValueError):
+        symmetric_dyck(-1).__next__()

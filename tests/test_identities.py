@@ -188,9 +188,9 @@ def test_registry_is_pinned(quick_report):
         assert "; ".join(str(p) for p in sorted(check.desk.items())) == desk, cid
 
 
-# the per-n checks, the three orbit theorems, the three involution checks, the
-# two shift bijections and the two Spivey identities, each run at quick under
-# a fault
+# the per-n checks, the three 2blocks shape counts, the three orbit theorems,
+# the three involution checks, the two shift bijections and the two Spivey
+# identities, each run at quick under a fault
 _FAULT_CHECKS = (
     "coker", "riordan", "motzkin-closed", "bell-binom-transform", "touchard",
     "bellD-eq", "catB-closed", "catD-closed", "mob-rec", "tilde-1", "tilde-2",
@@ -259,6 +259,8 @@ _FAULT_WITNESSES = {
         "shift-bij-BD": "BD n=1 (4): image mismatch missing=[] extra=['{-2}{-1}{1}{2}']",
     },
     "family_shapes": {
+        "2blocks-1": "n=2 NC_TILDE_D shapes: 2 != 3",
+        "2blocks-3": "n=2 NC_TILDE_B shapes: 5 != 6",
         "rank-invert-A": "n=2 PI shapes: 1 != 2",
         "rank-invert-B": "n=2 NC_TILDE_B shapes: 5 != 6",
         "rank-invert-D": "n=2 NC_TILDE_D shapes: 2 != 3",

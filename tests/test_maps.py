@@ -14,7 +14,13 @@ from arcact.core import (
     negate,
     unlabeled,
 )
-from arcact.families import FamilySpec, enumerate_dyck, enumerate_family, family_shapes
+from arcact.families import (
+    DyckPath,
+    FamilySpec,
+    enumerate_dyck,
+    enumerate_family,
+    family_shapes,
+)
 from arcact.groups import GroupSpec
 from arcact.maps import (
     dyck_from_nonnesting,
@@ -189,6 +195,8 @@ def test_dyck_bijection_round_trip():
             assert nn_from_dyck(path, ground_a(n)) == p
             paths.add(path.steps)
         assert len(paths) == len(list(enumerate_dyck(n)))
+    with pytest.raises(StructuralError):
+        nn_from_dyck(DyckPath("UD"), ground_a(2))
 
 
 def test_nnb_maps_to_symmetric_paths():
