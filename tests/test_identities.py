@@ -295,3 +295,43 @@ def test_witnesses_under_faults(monkeypatch, name):
         result = identities.run(cid, "quick")
         want = ("fail", failing[cid]) if cid in failing else ("pass", None)
         assert (result.status, result.witness) == want, cid
+
+
+def _with_extra_shape(family, n, extra):
+    def fake(shapes):
+        return lambda f, m: shapes(f, m) + ((extra,) if (f, m) == (family, n) else ())
+
+    return fake
+
+
+def _without_first_member(family, n):
+    def fake(members):
+        def stream(spec):
+            it = members(spec)
+            if (spec.family, spec.n) == (family, n):
+                next(it)
+            yield from it
+
+        return stream
+
+    return fake
+
+
+# checks whose witnesses no fault above reaches: the fault, and the witness
+_SHAPE_WITNESSES = (
+    ("NNB-counts", "family_shapes", _with_extra_shape("NN_B", 2, ((-2, 2), (-1, 1))),
+     "n=2: NN_B shape {-2,2}{-1,1} (-2,2)=1 (-1,1)=1 is nesting"),
+    ("NNB-counts", "family_shapes", _with_extra_shape("NN_B", 2, ((-2, 1), (-1,), (2,))),
+     "n=2: NN_B shape {-2,1}{-1}{2} (-2,1)=1 is not negation-closed"),
+    ("uncross-confluence", "family_shapes", _with_extra_shape("PI", 5, ((1, 3), (2, 4), (5,))),
+     "n=5 crossing pool: 11 != 10"),
+    ("rook-round-trip", "enumerate_family", _without_first_member("NC", 3),
+     "n=3: rook_noncrossing disagrees with NC(n,Z3) at {1}{2}{3}"),
+)
+
+
+@pytest.mark.parametrize("cid,name,fault,witness", _SHAPE_WITNESSES)
+def test_definition_witnesses(monkeypatch, cid, name, fault, witness):
+    monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
+    result = identities.run(cid, "quick")
+    assert (result.status, result.witness) == ("fail", witness)
