@@ -26,9 +26,9 @@ from .core import (
 from .groups import DirectSum, Element, GroupError, GroupSpec, add, neg, parse_group
 from .families import DyckPath, FamilySpec, count_by, enumerate_dyck, enumerate_family
 from .action import (
-    OrbitReport,
     orbit,
     orbit_decomposition,
+    orbit_representative,
     plus,
     plus_involution,
     plus_via_matrix,
@@ -39,9 +39,6 @@ from .maps import (
     matching_to_dyck,
     nn_from_dyck,
     shift,
-    shift_a,
-    shift_b_to_d,
-    shift_d_to_b,
     uncross,
     uncross_b,
     unshift,

@@ -8,7 +8,6 @@ implementations are provided, one on arc sets and one on rook matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -17,7 +16,6 @@ from .core import (
     RookMatrix,
     StructuralError,
     blocks_from_arcs,
-    classify,
     from_rook,
     to_rook,
     unlabeled,
@@ -122,24 +120,6 @@ def _top_linear(ground: GroundSet) -> LabeledSetPartition:
 # orbits
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    members: tuple[LabeledSetPartition, ...]
-    two_regular_members: tuple[LabeledSetPartition, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def representative(self) -> LabeledSetPartition:
-        if len(self.two_regular_members) != 1:
-            raise StructuralError(
-                f"orbit has {len(self.two_regular_members)} two-regular members"
-            )
-        return self.two_regular_members[0]
-
-
 def acting_family(spec: FamilySpec) -> FamilySpec:
     """The linear family acting on the given two-group family."""
     base = {"PI_AB": "L_AB", "NC_AB": "L_AB",
@@ -150,23 +130,29 @@ def acting_family(spec: FamilySpec) -> FamilySpec:
     return FamilySpec(base[spec.family], spec.n, spec.groups)
 
 
-def orbit(lam: LabeledSetPartition, acting: FamilySpec) -> OrbitReport:
+def orbit(lam: LabeledSetPartition, acting: FamilySpec) -> frozenset[LabeledSetPartition]:
     """The orbit of lam: every member of the acting family applied to it."""
-    members = {plus(alpha, lam) for alpha in enumerate_family(acting)}
-    ordered = tuple(sorted(members, key=lambda q: q.labels))
-    reps = tuple(q for q in ordered if classify(q).two_regular)
-    return OrbitReport(ordered, reps)
+    return frozenset(plus(alpha, lam) for alpha in enumerate_family(acting))
 
 
-def orbit_decomposition(spec: FamilySpec) -> list[OrbitReport]:
-    """Partition a two-group family into orbits of its linear family."""
-    acting = acting_family(spec)
-    seen = set()
-    out = []
+def orbit_representative(lam: LabeledSetPartition) -> LabeledSetPartition:
+    """lam with its cover arcs removed, the two-regular member of its orbit.
+
+    In a two-group family the covers carry B-labels, so the linear partition
+    of lam's covers with their labels negated acts on lam; it erases those
+    covers and inserts nothing.
+    """
+    labels = {(i, j): v for (i, j), v in lam.label_map().items() if j != i + 1}
+    blocks = blocks_from_arcs(lam.ground, labels.keys())
+    return LabeledSetPartition._trusted(lam.ground, lam.group, blocks, labels)
+
+
+def orbit_decomposition(spec: FamilySpec) -> dict[LabeledSetPartition, list[LabeledSetPartition]]:
+    """Partition a two-group family into orbits of its linear family: each
+    orbit's representative -> its members, in the order the family first
+    reaches each orbit."""
+    acting_family(spec)  # refuses the families no linear family acts on
+    orbits: dict[LabeledSetPartition, list[LabeledSetPartition]] = {}
     for lam in enumerate_family(spec):
-        if lam in seen:
-            continue
-        report = orbit(lam, acting)
-        seen.update(report.members)
-        out.append(report)
-    return out
+        orbits.setdefault(orbit_representative(lam), []).append(lam)
+    return orbits

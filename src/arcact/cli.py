@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import identities, maps, oeis, poly, unitriangular
 from .action import orbit_decomposition, plus_involution
@@ -80,26 +81,24 @@ def cmd_enum(args) -> int:
 def cmd_orbits(args) -> int:
     spec = _family_spec(args)
     try:
-        reports = orbit_decomposition(spec)
+        orbits = orbit_decomposition(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    histogram: dict[int, int] = {}
-    for r in reports:
-        histogram[r.size] = histogram.get(r.size, 0) + 1
+    histogram = Counter(len(members) for members in orbits.values())
     payload = {
         "family": spec.family,
         "n": spec.n,
-        "orbits": len(reports),
+        "orbits": len(orbits),
         "size_histogram": dict(sorted(histogram.items())),
-        "representatives": [r.representative.to_json_dict() for r in reports],
+        "representatives": [rep.to_json_dict() for rep in orbits],
     }
     if args.format == "json":
         print(json.dumps(payload))
     else:
         print(f"orbits: {payload['orbits']}")
         print(f"size histogram: {payload['size_histogram']}")
-        for r in reports:
-            print(f"  size {r.size:4d}  rep {r.representative.text()}")
+        for rep, members in orbits.items():
+            print(f"  size {len(members):4d}  rep {rep.text()}")
     return EXIT_OK
 
 

@@ -185,9 +185,9 @@ class LabeledSetPartition:
         and partition the ground; ``label_map`` must be a fresh dict mapping
         exactly the arcs of ``blocks`` to nonzero elements of ``group``.  Only
         the sorted label tuple and the hash are computed.  This is for the
-        family generators and ``plus``; everything else, including the
-        independent routes that verification compares against, goes
-        through the validating constructor.
+        family generators, ``plus`` and ``orbit_representative``; everything
+        else, including the independent routes that verification compares
+        against, goes through the validating constructor.
         """
         self = object.__new__(cls)
         self._fill(ground, group, blocks, label_map)

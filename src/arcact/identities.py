@@ -785,24 +785,33 @@ def _uncross_b_props(n_max):
 
 
 def _orbit_checker(out, tag, family, n, groups, rep_source, size_exponent, expected_orbits):
-    """Shared orbit-theorem verification for one instantiated family."""
+    """Shared orbit-theorem verification for one instantiated family.  The
+    orbits come by two routes: the family grouped by its members' cover-free
+    representatives, and the acting family applied to each representative."""
     spec = FamilySpec(family, n, groups)
     ds = DirectSum(groups[0], groups[1])
-    reports = action.orbit_decomposition(spec)
-    total = sum(r.size for r in reports)
+    acting = action.acting_family(spec)
+    orbits = action.orbit_decomposition(spec)
+    total = sum(len(members) for members in orbits.values())
     _eq(out, f"{tag} partition", total, _cnt(family, n, groups))
-    for r in reports:
-        if len(r.two_regular_members) != 1:
-            out.append(f"{tag}: orbit with {len(r.two_regular_members)} two-regular members")
+    for rep, members in orbits.items():
+        images = action.orbit(rep, acting)
+        if images != frozenset(members):
+            out.append(
+                f"{tag}: orbit of {rep.text()} has {len(images)} members,"
+                f" {len(members)} grouped under it"
+            )
             return
-    _eq(out, f"{tag} orbit count", len(reports), expected_orbits)
+        two_regular = sum(1 for q in images if classify(q).two_regular)
+        if two_regular != 1:
+            out.append(f"{tag}: orbit with {two_regular} two-regular members")
+            return
+    _eq(out, f"{tag} orbit count", len(orbits), expected_orbits)
     expected_reps = {_embed_a(maps.shift(p), ds) for p in rep_source}
-    got_reps = {r.representative for r in reports}
-    _eq(out, f"{tag} representatives", len(got_reps & expected_reps), len(reports))
-    for r in reports:
-        unshifted = maps.unshift(r.representative)
-        s = len(unshifted.singleton_blocks())
-        _eq(out, f"{tag} orbit size (s={s})", r.size, groups[1].order ** size_exponent(s))
+    _eq(out, f"{tag} representatives", len(orbits.keys() & expected_reps), len(orbits))
+    for rep, members in orbits.items():
+        s = len(maps.unshift(rep).singleton_blocks())
+        _eq(out, f"{tag} orbit size (s={s})", len(members), groups[1].order ** size_exponent(s))
 
 
 def _orbit_theorem(id, statement, quick_n_max, size_exponent, *rows):
@@ -1109,6 +1118,26 @@ def _supercharacters(sizes):
         if not unitriangular.verify_product_rule(kind, n, p):
             out.append(f"{tag}: product rule")
     return out
+
+
+@_register(
+    "restriction-B",
+    "structural",
+    "a type B supercharacter index is relaxed-noncrossing exactly when the"
+    " arc-reflection class of its halved partition is all noncrossing",
+    {"sizes": ((1, 3), (2, 3), (3, 3), (2, 5))},
+    {"sizes": ((1, 3), (2, 3))},
+)
+def _restriction_b(sizes):
+    for n, p in sizes:
+        mismatch = unitriangular.restriction_mismatch(n, p)
+        if mismatch:
+            lam, reflected, nc_tilde = mismatch
+            return [
+                f"B({n},{p}) {lam.text()}: reflection class all noncrossing"
+                f" {reflected}, nc_tilde {nc_tilde}"
+            ]
+    return []
 
 
 @_register(

@@ -62,24 +62,6 @@ def shift(p: LabeledSetPartition) -> LabeledSetPartition:
     return _move_arcs(p, _shift_target(p.ground), +1)
 
 
-def shift_a(p: LabeledSetPartition) -> LabeledSetPartition:
-    if p.ground.kind != "A":
-        raise UnsupportedGroundError("shift_a needs an A ground")
-    return shift(p)
-
-
-def shift_d_to_b(p: LabeledSetPartition) -> LabeledSetPartition:
-    if p.ground.kind != "D":
-        raise UnsupportedGroundError("shift_d_to_b needs a D ground")
-    return shift(p)
-
-
-def shift_b_to_d(p: LabeledSetPartition) -> LabeledSetPartition:
-    if p.ground.kind != "B":
-        raise UnsupportedGroundError("shift_b_to_d needs a B ground")
-    return shift(p)
-
-
 def unshift(p: LabeledSetPartition) -> LabeledSetPartition:
     """Right inverse of shift, defined on two-regular partitions."""
     if not classify(p).two_regular:

@@ -5,19 +5,17 @@ Every named family can be computed three ways:
 * ``transfer_family`` - a transfer recursion that builds partitions element
                         by element and never consults a closed formula; all
                         of them run on one driver, ``_transfer``;
-* ``CLOSED``          - the closed formula of each family (every family but
-                        F_B has one).  A bivariate family's closed formula is
-                        the single-sum expansion sum binom(n,k) U[k](x)
-                        y^(n-k) over a univariate closed formula U that its
-                        expansion identity proves;
+* ``CLOSED``          - the closed formula of each family.  A bivariate
+                        family's closed formula is the single-sum expansion
+                        sum binom(n,k) U[k](x) y^(n-k) over a univariate
+                        closed formula U that its expansion identity proves;
 * ``enumerated_family`` - a literal sum of statistics over the block
                         structures produced by the enumeration module.
 
-``family`` is the canonical route: the closed formula for every family but
-F_B, whose transfer recursion is the only route it has.  The three routes
-agree wherever they are all defined; the identity runner compares the
-closed formulas with the transfer recursion and the enumeration, so the
-recursion is read by the checks and the tests only.
+``family`` is the canonical route: the closed formula of every family.  The
+three routes agree wherever they are all defined; the identity runner
+compares the closed formulas with the transfer recursion and the
+enumeration, so the recursion is read by the checks and the tests only.
 """
 
 from __future__ import annotations
@@ -559,9 +557,9 @@ def _y_binomial_shifted(n: int, uni) -> BiPoly:
     return _y_binomial(n - 1, uni) if n else BiPoly.const(1)
 
 
-# name -> closed formula of the family, for every named family except F_B,
-# which has none.  A bivariate family's formula is the second side of the
-# expansion identity that proves it against the transfer recursion.
+# name -> closed formula of the family.  A bivariate family's formula is the
+# second side of the expansion identity that proves it against the transfer
+# recursion.
 CLOSED = {
     # A-identities-1: Bell[n+1](x,y) = sum binom(n,k) Bell[k](x) y^(n-k)
     "Bell": lambda n: _y_binomial_shifted(n, bell_univariate),
@@ -579,6 +577,8 @@ CLOSED = {
     # B-identities-4: Cat_D[n+1](x,y) = sum binom(n,k) M~_B[k](x) y^(n-k)
     "Cat_D": lambda n: _y_binomial_shifted(n, motzkinb_tilde_closed),
     "F_D": lambda n: feasible_closed(n).scale_x(2),
+    # tilde-1 read backwards: F_B[n](x) = F~_B[n](x) - F[n](2x)
+    "F_B": lambda n: feasibleb_tilde_closed(n) - feasible_closed(n).scale_x(2),
     "M_B": motzkinb_closed,
     "M_D": motzkinb_closed,
     "F_B_tilde": feasibleb_tilde_closed,
@@ -609,14 +609,13 @@ FAMILY_NAMES = tuple(FAMILY_CODES)
 
 
 def family(name: str, n: int) -> BiPoly:
-    """Canonical polynomial of a named family.
-
-    Every family but F_B is its closed formula in ``CLOSED``, which takes
-    time polynomial in n; F_B, which has none, runs its transfer recursion.
-    """
+    """Canonical polynomial of a named family: its closed formula in
+    ``CLOSED``, which takes time polynomial in n."""
     if n < 0:
         raise ValueError("need n >= 0")
-    return CLOSED[name](n) if name in CLOSED else transfer_family(name, n)
+    if name not in CLOSED:
+        raise ValueError(f"unknown family {name!r}")
+    return CLOSED[name](n)
 
 
 # ---------------------------------------------------------------------------

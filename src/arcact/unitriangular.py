@@ -491,7 +491,7 @@ def verify_counts(kind: str, n: int, p: int, max_group_order: int = 10**6) -> di
     noncrossing = {lam for lam in table.indices if classify(lam).noncrossing}
     acting = _linear_family(kind, n, p)
     invariant = sum(
-        1 for lam in table.indices if orbit(lam, acting).size == 1
+        1 for lam in table.indices if len(orbit(lam, acting)) == 1
     )
     record = {
         "group_order": table.group_order,
@@ -564,13 +564,16 @@ def reflection_class(lam: LabeledSetPartition) -> frozenset:
     return frozenset(seen)
 
 
-def restriction_distinguishes_nc_tilde(n: int, p: int) -> bool:
-    """A type B index is relaxed-noncrossing exactly when the reflection
-    class of its halved partition contains only noncrossing partitions."""
+def restriction_mismatch(n: int, p: int):
+    """A type B index should be relaxed-noncrossing exactly when the
+    reflection class of its halved partition contains only noncrossing
+    partitions.  Returns the first index where the two verdicts disagree,
+    as (index, reflection verdict, nc_tilde verdict), or None."""
     for lam in enumerate_family(_index_family("B", n, p)):
         all_nc = all(
             classify(q).noncrossing for q in reflection_class(halve(lam))
         )
-        if all_nc != classify(lam).nc_tilde:
-            return False
-    return True
+        nc_tilde = classify(lam).nc_tilde
+        if all_nc != nc_tilde:
+            return lam, all_nc, nc_tilde
+    return None

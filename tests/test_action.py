@@ -6,6 +6,7 @@ from arcact.action import (
     acting_family,
     orbit,
     orbit_decomposition,
+    orbit_representative,
     plus,
     plus_involution,
     plus_via_matrix,
@@ -24,7 +25,7 @@ from arcact.core import (
 from arcact.families import ALL_FAMILIES, FamilySpec, enumerate_family
 from arcact.groups import DirectSum, GroupSpec
 from arcact.identities import GROUP_PAIRS
-from arcact import maps
+from arcact import action, maps
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -144,14 +145,13 @@ def test_orbit_examples():
     acting = acting_family(FamilySpec("PI_AB", 3, (Z3, Z3)))
     # one block {1,2}: no singletons, orbit of the shift is a fixed point
     lam = embed(_labeled(ground_a(2), Z3, {(1, 2): (1,)}))
-    report = orbit(embed(maps.shift_a(_strip(lam))), acting)
-    assert report.size == 1
+    assert len(orbit(embed(maps.shift(_strip(lam))), acting)) == 1
 
     # all singletons: s = 2, orbit size 9
     singles = LabeledSetPartition(ground_a(2), ds.spec, [(1,), (2,)], {})
-    report = orbit(maps.shift(singles), acting)
-    assert report.size == 9
-    assert report.representative == maps.shift(singles)
+    members = orbit(maps.shift(singles), acting)
+    assert len(members) == 9
+    assert {orbit_representative(q) for q in members} == {maps.shift(singles)}
 
     # type B: a two-singleton member of the D family has orbit size |B|^(2/2)
     acting_b = acting_family(FamilySpec("P_B_AB", 3, (Z3, Z3)))
@@ -162,8 +162,7 @@ def test_orbit_examples():
         {(-3, -2): ds.embed_a((1,)), (2, 3): ds.embed_a((2,))},
     )
     assert len(lam_d.singleton_blocks()) == 2
-    report = orbit(maps.shift(lam_d), acting_b)
-    assert report.size == 3
+    assert len(orbit(maps.shift(lam_d), acting_b)) == 3
 
 
 def _strip(p):
@@ -196,10 +195,9 @@ def test_orbit_applies_every_acting_member(groups):
             spec = FamilySpec(family, n, groups)
             acting = acting_family(spec)
             for lam in enumerate_family(spec):
-                images = {plus(alpha, lam) for alpha in enumerate_family(acting)}
-                members = orbit(lam, acting).members
-                assert members == tuple(sorted(images, key=lambda q: q.labels)), lam
-                assert set(members) == {
+                members = orbit(lam, acting)
+                assert members == {plus(alpha, lam) for alpha in enumerate_family(acting)}, lam
+                assert members == {
                     plus_via_matrix(alpha, lam) for alpha in enumerate_family(acting)
                 }, lam
 
@@ -217,16 +215,28 @@ def test_orbit_refuses_incompatible_acting_families():
             orbit(lam, acting)
 
 
+def test_orbit_representative_drops_the_covers_without_acting(monkeypatch):
+    def refuse(alpha, lam):
+        raise AssertionError("plus called")
+
+    monkeypatch.setattr(action, "plus", refuse)
+    for lam in enumerate_family(FamilySpec("P_B_AB", 2, (Z2, Z3))):
+        rep = orbit_representative(lam)
+        assert rep.arcs() == lam.arcs() - lam.cover_arcs()
+        assert all(rep.label(a) == lam.label(a) for a in rep.arcs())
+        assert classify(rep).two_regular
+        assert rep == LabeledSetPartition(rep.ground, rep.group, rep.blocks, rep.label_map())
+
+
 def test_orbit_decomposition_counts():
-    reports = orbit_decomposition(FamilySpec("NC_AB", 3, (Z2, Z2)))
-    assert len(reports) == 2  # poor noncrossing partitions of a 2-set
-    reports = orbit_decomposition(FamilySpec("PI_AB", 3, (Z2, Z2)))
-    assert len(reports) == 2
-    total = sum(r.size for r in reports)
+    orbits = orbit_decomposition(FamilySpec("NC_AB", 3, (Z2, Z2)))
+    assert len(orbits) == 2  # poor noncrossing partitions of a 2-set
+    orbits = orbit_decomposition(FamilySpec("PI_AB", 3, (Z2, Z2)))
+    assert len(orbits) == 2
+    total = sum(len(members) for members in orbits.values())
     assert total == len(list(enumerate_family(FamilySpec("PI_AB", 3, (Z2, Z2)))))
-    for r in reports:
-        assert len(r.two_regular_members) == 1
-        assert classify(r.representative).two_regular
+    for rep in orbits:
+        assert classify(rep).two_regular
 
 
 def test_orbit_decomposition_rejects_single_group_families():
@@ -240,8 +250,8 @@ def test_each_orbit_has_unique_two_regular_member():
         FamilySpec("NC_TILDE_B_AB", 2, (Z3, Z2)),
         FamilySpec("P_D_AB", 3, (Z2, Z2)),
     ):
-        for report in orbit_decomposition(spec):
-            assert len(report.two_regular_members) == 1
+        for rep, members in orbit_decomposition(spec).items():
+            assert [q for q in members if classify(q).two_regular] == [rep]
 
 
 def test_involution_examples():

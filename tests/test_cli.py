@@ -311,3 +311,35 @@ def test_enum_jsonl_streams_are_pinned(capsys, all_desk_specs):
         digest = digests.setdefault(spec.family, hashlib.sha256())
         digest.update(" ".join(flags).encode() + b"\n" + out.encode())
     assert {k: d.hexdigest() for k, d in digests.items()} == ENUM_JSONL_SHA256
+
+
+# sha256 of `arcact orbits` per two-group family, over n = 0..3 and the
+# group pairs below, each output headed by its --n/--groupA/--groupB flags:
+# the json format, then the table format.  Recorded while every orbit was
+# still built by applying the whole acting family to one of its members.
+ORBIT_PAIRS = (("Z2", "Z2"), ("Z2", "Z3"), ("Z3", "Z2"))
+ORBITS_SHA256 = {
+    "NC_AB": "68150b9a015cf6c03d0e0762bcfe35f26b732cd1305133be69ad1b8ee4f3ef4b",
+    "NC_TILDE_B_AB": "ea7f2ae5a09e30490d9eeafebd0642b4e58d0439c922ad7d1074d00b51ec0011",
+    "NC_TILDE_D_AB": "e4eb10db1e5011991cdd682f776116f59f0fdcba4fa0d53324d94fec75cdd2d0",
+    "PI_AB": "52dfc81ff525c05db779dee228c656f5b34ff7e0ba27d20c6e2932c358e72239",
+    "P_B_AB": "4ebb5fe8a2b70f2d93a975be7735a60551821494ed1fb1f79c33217dd2125630",
+    "P_D_AB": "37b38dbd65db352aff9e0cf8cfe074759b1487098b2ffa04b5bdf7213d2c31a9",
+}
+
+
+def test_orbits_outputs_are_pinned(capsys):
+    digests = {}
+    for family in sorted(ORBITS_SHA256):
+        digest = digests.setdefault(family, hashlib.sha256())
+        for n in range(4):
+            for group_a, group_b in ORBIT_PAIRS:
+                flags = ["--n", str(n), "--groupA", group_a, "--groupB", group_b]
+                digest.update(" ".join(flags).encode() + b"\n")
+                for fmt in ("json", "table"):
+                    code, out = run_cli(
+                        capsys, "orbits", "--family", family, "--format", fmt, *flags
+                    )
+                    assert code == 0
+                    digest.update(out.encode())
+    assert {k: d.hexdigest() for k, d in digests.items()} == ORBITS_SHA256

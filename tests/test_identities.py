@@ -2,7 +2,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from arcact import identities
+from arcact import action, identities
+from arcact.core import LabeledSetPartition, blocks_from_arcs
 
 
 def test_unknown_id_raises():
@@ -162,6 +163,11 @@ PINNED_REGISTRY = {
         " ('B', 1, 3), ('B', 2, 3), ('D', 2, 3), ('D', 3, 3)))",
         "('sizes', (('A', 3, 2), ('A', 3, 3), ('B', 1, 3), ('D', 2, 3)))",
     ),
+    "restriction-B": (
+        "structural",
+        "('sizes', ((1, 3), (2, 3), (3, 3), (2, 5)))",
+        "('sizes', ((1, 3), (2, 3)))",
+    ),
     "uncross-NN-NC": ("structural", _n(7), _n(5)),
     "plus-matrix-route": ("structural", f"{_n(4)}; ('n_max_b', 2)", f"{_n(3)}; ('n_max_b', 1)"),
     "uncross-confluence": (
@@ -225,6 +231,19 @@ def _identity_involution_at_two(action):
     return SimpleNamespace(**{**vars(action), "plus_involution": fake})
 
 
+def _keep_first_cover(orbit_representative):
+    def fake(lam):
+        rep = orbit_representative(lam)
+        covers = sorted(lam.cover_arcs())
+        if not covers:
+            return rep
+        labels = {**rep.label_map(), covers[0]: lam.label(covers[0])}
+        blocks = blocks_from_arcs(lam.ground, labels)
+        return LabeledSetPartition(lam.ground, lam.group, blocks, labels)
+
+    return fake
+
+
 _FAULTS = {
     "action": _identity_involution_at_two,
     "transfer_family": lambda real: lambda name, n: real(name, n) + 1,
@@ -232,7 +251,10 @@ _FAULTS = {
     "family_shapes": _drop_first_shape_at_two,
     "catalan": lambda real: lambda k: real(k) + (k == 3),
     "comb": lambda real: lambda a, b: real(a, b) + ((a, b) == (4, 2)),
+    "orbit_representative": _keep_first_cover,
 }
+# the module each fault rebinds its name in, where it is not identities
+_FAULT_MODULES = {"orbit_representative": action}
 
 # fault -> the checks it fails, with their witnesses; every other check passes
 _FAULT_WITNESSES = {
@@ -284,12 +306,19 @@ _FAULT_WITNESSES = {
         "spivey-2": "m=0,n=4: 1 + 16*x + 58*x^2 + 40*x^3 + x^4"
         " != 1 + 16*x + 59*x^2 + 42*x^3 + x^4",
     },
+    "orbit_representative": {
+        "orbit-main": "PI n=2 A=Z2 B=Z2: orbit of {1}{2} has 2 members, 1 grouped under it",
+        "orbit-B": "P_B n=1 A=Z2 B=Z2: orbit of {-1}{0}{1} has 2 members, 1 grouped under it",
+        "orbit-D": "P_D n=2 A=Z2 B=Z2: orbit of {-2}{-1}{1}{2} has 2 members,"
+        " 1 grouped under it",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FAULTS))
 def test_witnesses_under_faults(monkeypatch, name):
-    monkeypatch.setattr(identities, name, _FAULTS[name](getattr(identities, name)))
+    module = _FAULT_MODULES.get(name, identities)
+    monkeypatch.setattr(module, name, _FAULTS[name](getattr(module, name)))
     failing = _FAULT_WITNESSES[name]
     for cid in _FAULT_CHECKS:
         result = identities.run(cid, "quick")
@@ -335,3 +364,15 @@ def test_definition_witnesses(monkeypatch, cid, name, fault, witness):
     monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
     result = identities.run(cid, "quick")
     assert (result.status, result.witness) == ("fail", witness)
+
+
+def test_restriction_witness_without_reflections(monkeypatch):
+    # with no reflection moves the halved index alone decides, which first
+    # misreads an index of B(3,3)
+    monkeypatch.setattr(identities.unitriangular, "reflection_class", lambda q: frozenset({q}))
+    result = identities.run("restriction-B")
+    assert (result.status, result.witness) == (
+        "fail",
+        "B(3,3) {-3,1}{-2,0,2}{-1,3} (-3,1)=1 (-2,0)=1 (-1,3)=2 (0,2)=2:"
+        " reflection class all noncrossing True, nc_tilde False",
+    )

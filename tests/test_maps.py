@@ -27,9 +27,7 @@ from arcact.maps import (
     halve,
     matching_to_dyck,
     nn_from_dyck,
-    shift_a,
-    shift_b_to_d,
-    shift_d_to_b,
+    shift,
     uncross,
     uncross_b,
     uncross_b_inverse,
@@ -47,7 +45,7 @@ def _labeled(ground, group, arcs):
 
 def test_shift_a_display():
     lam = _labeled(ground_a(5), Z3, {(1, 2): (1,), (2, 4): (2,), (3, 5): (1,)})
-    image = shift_a(lam)
+    image = shift(lam)
     assert image.label_map() == {(1, 3): (1,), (2, 5): (2,), (3, 6): (1,)}
     assert classify(image).two_regular
     assert len(image.blocks) == len(lam.blocks) + 1
@@ -56,19 +54,19 @@ def test_shift_a_display():
 
 def test_shift_no_arcs():
     lam = unlabeled(ground_a(2), [(1,), (2,)])
-    assert shift_a(lam).blocks == ((1,), (2,), (3,))
+    assert shift(lam).blocks == ((1,), (2,), (3,))
 
 
 def test_shift_poor_noncrossing_lands_noncrossing():
     for p in enumerate_family(FamilySpec("NC", 4, (Z3,))):
         if classify(p).poor:
-            flags = classify(shift_a(p))
+            flags = classify(shift(p))
             assert flags.noncrossing and flags.two_regular
 
 
 def test_unshift_round_trip_exhaustive():
     for p in enumerate_family(FamilySpec("PI", 4, (Z3,))):
-        assert unshift(shift_a(p)) == p
+        assert unshift(shift(p)) == p
     empty = unlabeled(ground_a(1), [(1,)])
     assert unshift(empty).ground == ground_a(0)
 
@@ -84,7 +82,7 @@ def test_shift_d_to_b_display():
         Z3,
         {(-3, -2): (1,), (-2, 1): (2,), (-1, 2): (1,), (2, 3): (2,)},
     )
-    image = shift_d_to_b(lam)
+    image = shift(lam)
     assert image.ground == ground_b(3)
     assert image.label_map() == {
         (-3, -1): (1,),
@@ -94,7 +92,7 @@ def test_shift_d_to_b_display():
     }
     assert classify(image).two_regular and classify(image).type_symmetric
 
-    next_image = shift_b_to_d(image)
+    next_image = shift(image)
     assert next_image.ground == ground_d(4)
     assert next_image.label_map() == {
         (-4, -1): (1,),
@@ -108,14 +106,14 @@ def test_shift_d_to_b_display():
 
 def test_shift_center_arc():
     lam = _labeled(ground_b(2), Z3, {(-1, 0): (1,), (0, 1): (2,)})
-    image = shift_b_to_d(lam)
+    image = shift(lam)
     assert image.label_map() == {(-2, 1): (1,), (-1, 2): (2,)}
     assert classify(image).type_symmetric
 
 
 def test_shift_empty_partition():
     lam = unlabeled(ground_d(2), [(-2,), (-1,), (1,), (2,)])
-    assert shift_d_to_b(lam).blocks == ((-2,), (-1,), (0,), (1,), (2,))
+    assert shift(lam).blocks == ((-2,), (-1,), (0,), (1,), (2,))
 
 
 def test_uncross_examples():

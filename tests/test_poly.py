@@ -125,7 +125,7 @@ def test_internal_construction_matches_public_constructor():
 
 
 def test_closed_forms_equal_transfer():
-    assert set(CLOSED) == set(FAMILY_NAMES) - {"F_B"}
+    assert set(CLOSED) == set(FAMILY_NAMES)
     for n in range(9):
         for name, closed in CLOSED.items():
             assert transfer_family(name, n).subst_y_diag() == closed(n).subst_y_diag(), (name, n)
@@ -144,7 +144,7 @@ def test_bivariate_closed_forms_equal_transfer():
             assert CLOSED[name](n) == transfer_family(name, n), (name, n)
 
 
-def test_family_never_runs_a_recursion_but_for_f_b(monkeypatch):
+def test_family_never_runs_a_recursion(monkeypatch):
     expected = {(name, n): transfer_family(name, n) for name in FAMILY_NAMES for n in range(8)}
 
     def refuse(name, n):
@@ -152,13 +152,9 @@ def test_family_never_runs_a_recursion_but_for_f_b(monkeypatch):
 
     monkeypatch.setattr(poly, "transfer_family", refuse)
     for (name, n), value in expected.items():
-        if name == "F_B":
-            with pytest.raises(AssertionError):
-                family(name, n)
-        else:
-            assert family(name, n).subst_y_diag() == value.subst_y_diag(), (name, n)
-            if name in BIVARIATE:
-                assert family(name, n) == value, (name, n)
+        assert family(name, n).subst_y_diag() == value.subst_y_diag(), (name, n)
+        if name in BIVARIATE:
+            assert family(name, n) == value, (name, n)
 
 
 def test_symbolic_paired_identities_read_the_recursion(monkeypatch):

@@ -287,8 +287,8 @@ def test_chi_b_distinct_value_vectors_n1():
 
 
 def test_restriction_equivalence_predicate():
-    assert ut.restriction_distinguishes_nc_tilde(1, 3)
-    assert ut.restriction_distinguishes_nc_tilde(2, 3)
+    assert ut.restriction_mismatch(1, 3) is None
+    assert ut.restriction_mismatch(2, 3) is None
 
 
 def test_reflection_class_closure():
