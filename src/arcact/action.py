@@ -15,7 +15,7 @@ from .core import (
     LabeledSetPartition,
     RookMatrix,
     StructuralError,
-    blocks_from_arcs,
+    chain_blocks,
     from_rook,
     to_rook,
     unlabeled,
@@ -25,13 +25,14 @@ from .groups import GroupSpec, add, add_unchecked
 
 
 def is_linear(p: LabeledSetPartition) -> bool:
-    return all(j == i + 1 for i, j in p.arcs())
+    return all(j == i + 1 for i, j, _ in p.labels)
 
 
 def _check_compatible(alpha: LabeledSetPartition, lam: LabeledSetPartition):
-    if alpha.ground != lam.ground:
+    # grounds and the groups of one family are shared objects: try identity first
+    if alpha.ground is not lam.ground and alpha.ground != lam.ground:
         raise StructuralError("mismatched grounds")
-    if alpha.group != lam.group:
+    if alpha.group is not lam.group and alpha.group != lam.group:
         raise StructuralError("mismatched label groups")
     if not is_linear(alpha):
         raise StructuralError("the acting partition must be linear")
@@ -48,23 +49,27 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
     """
     _check_compatible(alpha, lam)
     group = lam.group
-    arcs = lam.label_map()
-    lefts = {i for i, _ in arcs}
-    rights = {j for _, j in arcs}
-    new_labels = dict(arcs)
+    new_labels = lam.label_map()
+    succ = dict(new_labels.keys())  # i -> j for each arc (i, j)
+    rights = set(succ.values())
     for j, j1, a_value in alpha.labels:
         cover = (j, j1)
-        value = arcs.get(cover)
+        value = new_labels.get(cover)
         if value is not None:
             total = add_unchecked(group, a_value, value)
             if total == group.zero:
                 del new_labels[cover]
+                del succ[j]
             else:
                 new_labels[cover] = total
-        elif j not in lefts and j1 not in rights:
+        elif j not in succ and j1 not in rights:
             new_labels[cover] = a_value
-    # blocks_from_arcs validates the new arc set; every label is nonzero.
-    blocks = blocks_from_arcs(lam.ground, new_labels.keys())
+            succ[j] = j1
+    # The new arc set is valid without a check: lam's arcs are, alpha's
+    # covers lie in the same ground with pairwise distinct ends (alpha is a
+    # linear partition), and a cover is inserted only where no arc of lam
+    # leaves j or enters j + 1.  Every label is nonzero.
+    blocks = chain_blocks(lam.ground, succ)
     return LabeledSetPartition._trusted(lam.ground, group, blocks, new_labels)
 
 
@@ -142,8 +147,8 @@ def orbit_representative(lam: LabeledSetPartition) -> LabeledSetPartition:
     of lam's covers with their labels negated acts on lam; it erases those
     covers and inserts nothing.
     """
-    labels = {(i, j): v for (i, j), v in lam.label_map().items() if j != i + 1}
-    blocks = blocks_from_arcs(lam.ground, labels.keys())
+    labels = {(i, j): v for i, j, v in lam.labels if j != i + 1}
+    blocks = chain_blocks(lam.ground, dict(labels.keys()))
     return LabeledSetPartition._trusted(lam.ground, lam.group, blocks, labels)
 
 

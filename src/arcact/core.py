@@ -124,9 +124,9 @@ def arcs_of(blocks) -> frozenset[Arc]:
 
 
 def blocks_from_arcs(ground: GroundSet, arcs) -> tuple[tuple[int, ...], ...]:
-    """Transitive closure of an arc set into blocks covering the ground."""
+    """Check an arc set, then close it into blocks covering the ground."""
     succ = {}
-    pred = {}
+    pred = set()
     for i, j in arcs:
         if i >= j:
             raise InvalidArcSetError(f"arc ({i},{j}) is not increasing")
@@ -137,13 +137,23 @@ def blocks_from_arcs(ground: GroundSet, arcs) -> tuple[tuple[int, ...], ...]:
         if j in pred:
             raise InvalidArcSetError(f"two arcs enter {j}")
         succ[i] = j
-        pred[j] = i
-    # The ground is walked in increasing order and every arc increases, so
-    # each block comes out sorted and the blocks come out sorted by minimum:
-    # already canonical.
+        pred.add(j)
+    return chain_blocks(ground, succ)
+
+
+def chain_blocks(ground: GroundSet, succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the arc set ``{(i, succ[i])}``, checking nothing.
+
+    Every arc must increase and lie in the ground, and no two arcs may enter
+    the same element (``succ`` already gives each element one leaving arc).
+    The ground is walked in increasing order, a block starting at each
+    element no arc enters, so each block comes out sorted and the blocks
+    come out sorted by minimum: already canonical.
+    """
+    entered = set(succ.values())
     blocks = []
-    for x in ground.elements():
-        if x in pred:
+    for x in ground._elements:
+        if x in entered:
             continue
         block = [x]
         while x in succ:
@@ -184,10 +194,30 @@ class LabeledSetPartition:
         ``blocks`` must be canonical (as ``canonical_blocks`` returns them)
         and partition the ground; ``label_map`` must be a fresh dict mapping
         exactly the arcs of ``blocks`` to nonzero elements of ``group``.  Only
-        the sorted label tuple and the hash are computed.  This is for the
-        family generators, ``plus`` and ``orbit_representative``; everything
-        else, including the independent routes that verification compares
-        against, goes through the validating constructor.
+        the sorted label tuple and the hash are computed.  The producers, and
+        what each relies on:
+
+        * the family generators: ``family_shapes`` makes canonical shapes of
+          the ground (the NN and NN_B shapes through ``chain_blocks``, since
+          the valleys of a Dyck path have distinct left and distinct right
+          ends) and ``_labelings`` draws every label from the nonzero
+          elements of the group (a mirror label is the negation of one);
+        * ``plus``: its arguments are constructed values and it checks their
+          compatibility, so lam's arcs are valid and alpha's covers have
+          pairwise distinct ends; a cover is inserted only where no arc of
+          lam leaves its left end or enters its right end, and a sum that
+          reaches zero is erased;
+        * ``orbit_representative``: a subset of a valid arc set, with its
+          labels;
+        * ``unlabeled``: checks its blocks (nonempty, disjoint, covering the
+          ground) and makes the labels, all (1,) in Z2;
+        * ``shift`` and ``unshift``: ``blocks_from_arcs`` checks the moved
+          arc set, and the labels are copied from a valid partition;
+        * ``identities._embed_a``: the blocks of a valid partition, with
+          labels ``DirectSum.embed_a`` checks, nonzero on the A side.
+
+        Everything else, including the independent routes that verification
+        compares against, goes through the validating constructor.
         """
         self = object.__new__(cls)
         self._fill(ground, group, blocks, label_map)
@@ -317,11 +347,20 @@ def partition_from_json(text: str) -> LabeledSetPartition:
     return partition_from_json_dict(json.loads(text))
 
 
+_Z2 = GroupSpec((2,))
+
+
 def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
-    """View a plain set partition as labeled over the two-element group."""
-    group = GroupSpec((2,))
-    labels = {arc: (1,) for arc in arcs_of(blocks)}
-    return LabeledSetPartition(ground, group, blocks, labels)
+    """View a plain set partition as labeled over the two-element group.
+
+    The blocks are checked; the (1,) labels made here are not.
+    """
+    blocks = [tuple(sorted(b)) for b in blocks]
+    arcs = arcs_of(blocks)  # refuses empty and overlapping blocks
+    if tuple(sorted(x for b in blocks for x in b)) != ground._elements:
+        raise StructuralError(f"blocks do not partition the ground {ground}")
+    blocks.sort(key=lambda b: b[0])
+    return LabeledSetPartition._trusted(ground, _Z2, tuple(blocks), {arc: (1,) for arc in arcs})
 
 
 # ---------------------------------------------------------------------------

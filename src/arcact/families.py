@@ -26,6 +26,7 @@ from .core import (
     arcs_of,
     blocks_from_arcs,
     canonical_blocks,
+    chain_blocks,
     ground_a,
     ground_b,
     ground_d,
@@ -228,7 +229,8 @@ def _noncrossing_shapes(n):
 
 
 def _nonnesting_shapes(paths, ground):
-    return [blocks_from_arcs(ground, valley_arcs(p, ground)) for p in paths]
+    # the valleys of a Dyck path have distinct left and distinct right ends
+    return [chain_blocks(ground, dict(valley_arcs(p, ground))) for p in paths]
 
 
 @lru_cache(maxsize=None)

@@ -183,8 +183,8 @@ def _cnt(family, n, groups, flag=None) -> int:
 
 def _embed_a(p, ds: DirectSum):
     """Relabel an A-group partition inside the direct sum."""
-    labels = {arc: ds.embed_a(v) for arc, v in p.label_map().items()}
-    return LabeledSetPartition(p.ground, ds.spec, p.blocks, labels)
+    labels = {(i, j): ds.embed_a(v) for i, j, v in p.labels}  # embed_a checks v
+    return LabeledSetPartition._trusted(p.ground, ds.spec, p.blocks, labels)
 
 
 # A check registered by _per_n or _identity is a function returning the sides

@@ -50,10 +50,11 @@ def _unshift_target(ground: GroundSet) -> GroundSet:
 def _move_arcs(p: LabeledSetPartition, target: GroundSet, delta: int) -> LabeledSetPartition:
     pos = p.ground.position
     labels = {}
-    for (i, j), v in p.label_map().items():
+    for i, j, v in p.labels:
         labels[(target.from_position(pos(i)), target.from_position(pos(j) + delta))] = v
+    # the moved arc set is checked here; the labels come from a valid partition
     blocks = blocks_from_arcs(target, labels.keys())
-    return LabeledSetPartition(target, p.group, blocks, labels)
+    return LabeledSetPartition._trusted(target, p.group, blocks, labels)
 
 
 def shift(p: LabeledSetPartition) -> LabeledSetPartition:

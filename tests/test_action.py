@@ -22,9 +22,9 @@ from arcact.core import (
     ground_d,
     unlabeled,
 )
-from arcact.families import ALL_FAMILIES, FamilySpec, enumerate_family
+from arcact.families import ALL_FAMILIES, FamilySpec, enumerate_family, family_shapes
 from arcact.groups import DirectSum, GroupSpec
-from arcact.identities import GROUP_PAIRS
+from arcact.identities import GROUP_PAIRS, _embed_a
 from arcact import action, maps
 
 Z2 = GroupSpec((2,))
@@ -101,14 +101,66 @@ MATRIX_ROUTE_CASES = (
 )
 
 
-def test_plus_builds_what_the_public_constructor_builds():
+def _plus_outputs():
     for lspec, pspec in MATRIX_ROUTE_CASES:
         for alpha in enumerate_family(lspec):
             for lam in enumerate_family(pspec):
-                p = plus(alpha, lam)
-                q = LabeledSetPartition(p.ground, p.group, p.blocks, p.label_map())
-                assert q == p and hash(q) == hash(p), (alpha, lam)
-                assert q.label_map() == p.label_map()
+                yield plus(alpha, lam)
+
+
+LABELED_SOURCES = (
+    FamilySpec("PI", 4, (Z3,)),
+    FamilySpec("P_B", 2, (Z3,)),
+    FamilySpec("P_D", 3, (Z2,)),
+)
+UNLABELED_SOURCES = (FamilySpec("PI", 4, (Z2,)), FamilySpec("P_B", 2, (Z2,)))
+TWO_GROUP_SOURCES = (
+    FamilySpec("PI_AB", 3, (Z2, Z3)),
+    FamilySpec("P_B_AB", 2, (Z3, Z2)),
+    FamilySpec("P_D_AB", 2, (Z2, Z3)),
+)
+
+
+def _members(specs, flag=None):
+    for spec in specs:
+        for p in enumerate_family(spec):
+            if flag is None or getattr(classify(p), flag):
+                yield p
+
+
+def _scrambled_shapes():
+    # every shape of each source, its blocks and their elements in reverse
+    for spec in LABELED_SOURCES:
+        for shape in family_shapes(spec.family, spec.n):
+            yield spec.ground, [tuple(reversed(b)) for b in reversed(shape)]
+
+
+# Each producer that builds through LabeledSetPartition._trusted, with a
+# stream of its outputs at desk scale.
+TRUSTED_PRODUCERS = {
+    "plus": _plus_outputs,
+    "orbit_representative": lambda: map(orbit_representative, _members(TWO_GROUP_SOURCES)),
+    "shift": lambda: map(maps.shift, _members(LABELED_SOURCES)),
+    "unshift": lambda: map(maps.unshift, _members(LABELED_SOURCES, "two_regular")),
+    "unlabeled": lambda: (unlabeled(g, blocks) for g, blocks in _scrambled_shapes()),
+    "uncross": lambda: map(maps.uncross, _members(UNLABELED_SOURCES)),
+    "NN": lambda: _members(FamilySpec("NN", n) for n in range(6)),
+    "NN_B": lambda: _members(FamilySpec("NN_B", n) for n in range(4)),
+    "embed_a": lambda: (
+        _embed_a(p, DirectSum(Z3, Z2)) for p in _members([FamilySpec("PI", 3, (Z3,))])
+    ),
+}
+
+
+@pytest.mark.parametrize("producer", TRUSTED_PRODUCERS)
+def test_trusted_producer_builds_what_the_public_constructor_builds(producer):
+    built = 0
+    for p in TRUSTED_PRODUCERS[producer]():
+        q = LabeledSetPartition(p.ground, p.group, p.blocks, p.label_map())
+        assert q == p and hash(q) == hash(p), p
+        assert q.label_map() == p.label_map()
+        built += 1
+    assert built > 0
 
 
 def test_group_action_laws():

@@ -119,6 +119,23 @@ def test_arc_block_round_trips():
             assert arcs_of(p.blocks) == p.arcs()
 
 
+@pytest.mark.parametrize(
+    "ground, blocks",
+    [
+        (ground_a(3), [(1, 2), (2, 3)]),  # overlapping blocks
+        (ground_a(3), [(1, 2)]),  # 3 is missing
+        (ground_a(3), [(1, 2, 3), ()]),  # an empty block
+        (ground_a(3), [(1, 2, 3), (4,)]),  # 4 is outside the ground
+        (ground_a(3), [(1, 2), (4,)]),  # 4 in place of 3
+        (ground_d(1), [(-1, 0, 1)]),  # 0 is not in D(1)
+        (ground_b(1), [(-1, 1)]),  # 0 is missing
+    ],
+)
+def test_unlabeled_refuses_blocks_that_do_not_partition_the_ground(ground, blocks):
+    with pytest.raises(StructuralError):
+        unlabeled(ground, blocks)
+
+
 def test_classify_examples():
     p = unlabeled(ground_a(4), [(1, 3), (2, 4)])
     flags = classify(p)
