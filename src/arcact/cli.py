@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import lru_cache
 
 from . import identities, maps, oeis, poly, unitriangular
 from .action import orbit_decomposition, plus_involution
@@ -205,6 +206,7 @@ def cmd_chartable(args) -> int:
         return EXIT_CHECK_FAILED
     norms = table.norms()
     degrees = table.degrees()
+    text = lru_cache(maxsize=None)(str)  # each distinct value is formatted once
     rows = []
     for lam, values, norm, degree in zip(table.indices, table.values, norms, degrees):
         rows.append(
@@ -212,7 +214,7 @@ def cmd_chartable(args) -> int:
                 "index": lam.to_json_dict(),
                 "degree": degree,
                 "norm": str(norm),
-                "values": [str(v) for v in values],
+                "values": [text(v) for v in values],
             }
         )
     payload = {
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-group-order",
         type=int,
         default=10**6,
-        help="refuse to enumerate groups larger than this",
+        help="refuse groups of larger order than this",
     )
     _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_chartable)

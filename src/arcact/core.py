@@ -173,6 +173,9 @@ class LabeledSetPartition:
     __slots__ = ("ground", "group", "blocks", "labels", "_label_map", "_hash")
 
     def __init__(self, ground: GroundSet, group: GroupSpec, blocks, labels):
+        blocks = [tuple(b) for b in blocks]
+        if not all(blocks):  # before canonical_blocks reads each b[0]
+            raise StructuralError("empty block")
         blocks = canonical_blocks(blocks)
         covered = [x for b in blocks for x in b]
         if sorted(covered) != sorted(ground.elements()):

@@ -115,5 +115,14 @@ class CycValue:
 
 
 def theta(p: int, t: int, scale: int = 1) -> CycValue:
-    """The character t -> zeta_p^t of the additive group of F_p, times scale."""
+    """The character t -> zeta_p^t of the additive group of F_p, times scale.
+
+    Memoised on (p, t mod p, scale): values are frozen, so every caller of
+    one value shares one object.
+    """
+    return _theta(p, t % p, scale)
+
+
+@lru_cache(maxsize=None)
+def _theta(p: int, t: int, scale: int) -> CycValue:
     return CycValue.zeta_power(p, t, scale)

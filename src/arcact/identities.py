@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from types import SimpleNamespace
@@ -1117,6 +1118,64 @@ def _supercharacters(sizes):
             out.append(f"{tag}: irreducible set is not the noncrossing set")
         if not unitriangular.verify_product_rule(kind, n, p):
             out.append(f"{tag}: product rule")
+    return out
+
+
+def _rank_mod_p(vectors, p) -> int:
+    """Rank over F_p, each vector reduced against an echelon basis keyed by
+    its leading position."""
+    basis = {}
+    for v in vectors:
+        v = [x % p for x in v]
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            if c not in basis:
+                basis[c] = v
+                break
+            t = v[c] * pow(basis[c][c], -1, p)
+            v = [(x - t * y) % p for x, y in zip(v, basis[c])]
+    return len(basis)
+
+
+def _two_sided_rank(g, p) -> int:
+    """Rank over F_p of (a, b) -> aX + Xb on strictly upper triangular a and
+    b, where X = g - 1: the dimension of the superclass of g."""
+    n = len(g)
+    images = []
+    for r in range(n):
+        for s in range(r + 1, n):
+            # E_rs X takes row s of X into row r; X E_rs takes column r of X
+            # into column s
+            images.append([g[s][c] if i == r and c > s else 0 for i in range(n) for c in range(n)])
+            images.append([g[i][r] if c == s and i < r else 0 for i in range(n) for c in range(n)])
+    return _rank_mod_p(images, p)
+
+
+@_register(
+    "superclass-sizes-A",
+    "structural",
+    "the closed-form size of every type A superclass equals the number of"
+    " group elements that reduce to it and p^rank of (a, b) -> aX + Xb,"
+    " X its labeled arcs; the superclasses are exactly the index partitions",
+    {"sizes": ((3, 2), (4, 2), (5, 2), (4, 3), (4, 5))},
+    {"sizes": ((3, 2), (4, 3))},
+)
+def _superclass_sizes_a(sizes):
+    out = []
+    for n, p in sizes:
+        counted = Counter(
+            unitriangular.superclass_key(g, p)
+            for g in unitriangular.unitriangular_elements(n, p)
+        )
+        indices = list(enumerate_family(FamilySpec("PI", n, (GroupSpec((p,)),))))
+        for lam in indices:
+            closed = unitriangular.superclass_size(lam)
+            elements = counted[tuple(((i, j), v) for i, j, v in lam.labels)]
+            rank = p ** _two_sided_rank(unitriangular.class_representative_matrix(lam, p), p)
+            if not closed == elements == rank:
+                return [f"A({n},{p}) {lam.text()}: closed {closed}, elements {elements}, rank {rank}"]
+        _eq(out, f"A({n},{p}) superclasses", len(counted), len(indices))
     return out
 
 

@@ -296,19 +296,15 @@ def random_superclass_perturbation(g: Matrix, p: int, rng: random.Random) -> Mat
 # character values
 
 
-@lru_cache(maxsize=None)
-def _zero(p: int) -> CycValue:
-    """The zero of Z[zeta_p], shared by every vanishing character value."""
-    return CycValue.from_int(p, 0)
-
-
 def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycValue:
     """Supercharacter value of the index partition on the class of gamma.
 
     Zero when an arc of gamma shares exactly one end with an arc (i, l) of
     the index; otherwise p^q * theta(sum of label products over shared
     arcs), where q counts, per index arc, the l - i - 1 inner points less
-    the arcs of gamma nested strictly inside it.
+    the arcs of gamma nested strictly inside it.  Values come from the
+    memoised ``theta``, so equal values, the one zero per p among them, are
+    one shared object.
     """
     p = lam.group.moduli[0]
     if not (gamma.group is lam.group and gamma.ground is lam.ground) and (
@@ -324,10 +320,10 @@ def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycVal
                 if k == l:
                     theta_arg += value[0] * entry[0]
                 elif k < l:
-                    return _zero(p)
+                    return theta(p, 0, 0)
             elif k == l:
                 if j > i:
-                    return _zero(p)
+                    return theta(p, 0, 0)
             elif i < j and k < l:
                 q_exponent -= 1
     if q_exponent < 0:
@@ -370,12 +366,23 @@ def chi_d_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
 def inner_product(values1, values2, sizes, group_order: int) -> Fraction:
     """Exact Hermitian inner product of two class functions.
 
-    Every size * v * conj(w) is accumulated in one vector over the powers
-    zeta^0 .. zeta^(p-1), which is reduced to the basis once at the end.
+    The class sizes are first summed per (v, w) pair, keyed by identity:
+    table values are shared objects (``theta`` is memoised), so a few pairs
+    cover every class, and equal values that are distinct objects merely
+    stay apart.  Every weight * v * conj(w) is then accumulated in one
+    vector over the powers zeta^0 .. zeta^(p-1), which is reduced to the
+    basis once at the end.
     """
     p = values1[0].p
-    raw = [0] * p
+    weights = {}
     for v, w, size in zip(values1, values2, sizes):
+        key = id(v), id(w)
+        if key in weights:
+            weights[key][2] += size
+        else:
+            weights[key] = [v, w, size]
+    raw = [0] * p
+    for v, w, size in weights.values():
         if v.p != p or w.p != p:
             raise ValueError("mixed cyclotomic orders")
         for a_exp, a in enumerate(v.coeffs):
@@ -429,27 +436,55 @@ def _linear_family(kind: str, n: int, p: int) -> FamilySpec:
     return FamilySpec(code, n, (group,))
 
 
+def superclass_size(lam: LabeledSetPartition) -> int:
+    """Size of the type A superclass that the labeled partition lam names.
+
+    The class of 1 + X, X the labeled arcs, is 1 + UXU (Diaconis-Isaacs):
+    an arc (i, l) spreads up its column over the i - 1 rows above it and
+    along its row over the n - l columns after it, and an arc pair (i, l),
+    (j, k) with i < j and l < k reaches the entry (i, k) both ways.
+    """
+    n = lam.ground.size
+    arcs = [(i, l) for i, l, _ in lam.labels]
+    exponent = sum(i - 1 + n - l for i, l in arcs)
+    # labels are sorted, so a later arc has the larger left end
+    for a, (_, l) in enumerate(arcs):
+        exponent -= sum(1 for _, k in arcs[a + 1 :] if l < k)
+    return lam.group.moduli[0] ** exponent
+
+
 @lru_cache(maxsize=None)
 def build_chartable(kind: str, n: int, p: int, max_group_order: int = 10**6) -> CharTable:
     """Value table of every supercharacter on the listed group.
 
-    Elements are counted by raw superclass key; each class then gets one
-    validated partition.  Classes are listed in key order, which is the
-    order of their ``labels``.
+    Type A visits no group element: its superclasses are the index
+    partitions themselves and their sizes come from ``superclass_size``.
+    Types B and D count their elements by raw superclass key, and each
+    class then gets one validated partition.  Either way the classes are
+    listed in the order of their ``labels``, and their sizes must add up
+    to ``subgroup_order``.  ``max_group_order`` bounds every kind.
     """
-    counter: Counter = Counter()
-    order = 0
-    for g in group_elements(kind, n, p, max_group_order):
-        counter[superclass_key(g, p)] += 1
-        order += 1
-    keys = sorted(counter)
+    order = subgroup_order(kind, n, p)
+    _guard(order, max_group_order)
     indices = tuple(enumerate_family(_index_family(kind, n, p)))
-    ambient = indices if kind == "A" else tuple(halve(lam) for lam in indices)
-    # the classes share the indices' group object (grounds are interned), so
-    # chi_on_class sees the same group and ground by identity
-    group = indices[0].group
-    classes = tuple(superclass_partition(group, indices[0].ground.size, key) for key in keys)
-    sizes = tuple(counter[key] for key in keys)
+    if kind == "A":
+        # the classes are the indices themselves, so chi_on_class sees the
+        # same group and ground by identity
+        ambient = indices
+        classes = tuple(sorted(indices, key=lambda lam: lam.labels))
+        sizes = tuple(superclass_size(c) for c in classes)
+    else:
+        ambient = tuple(halve(lam) for lam in indices)
+        counter = Counter(superclass_key(g, p) for g in group_elements(kind, n, p, max_group_order))
+        keys = sorted(counter)
+        # the classes share the indices' group object (grounds are
+        # interned), so chi_on_class sees the same group and ground by
+        # identity
+        group, size = indices[0].group, ambient[0].ground.size
+        classes = tuple(superclass_partition(group, size, key) for key in keys)
+        sizes = tuple(counter[key] for key in keys)
+    if sum(sizes) != order:
+        raise ConsistencyError(f"{kind}({n},{p}) class sizes add up to {sum(sizes)}, not {order}")
     rows = tuple(tuple(chi_on_class(lam, c) for c in classes) for lam in ambient)
     return CharTable(kind, n, p, classes, sizes, indices, rows, order)
 

@@ -266,6 +266,17 @@ def test_partition_json_with_bool_label_is_usage_error(capsys, tmp_path):
     assert err.value.code == 2
 
 
+def test_partition_json_with_empty_block_is_usage_error(capsys, tmp_path):
+    data = unlabeled(ground_a(2), [(1, 2)]).to_json_dict()
+    data["blocks"].append([])
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        main(["render", "--input", str(path)])
+    assert err.value.code == 2
+    assert "empty block" in capsys.readouterr().err
+
+
 # sha256 of `arcact enum --format jsonl` per family code, over the code's
 # desk-scale instances in order, each stream headed by its --n/--group flags.
 # Recorded before the trusted constructor and the sparse rook key existed.

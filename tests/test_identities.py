@@ -163,6 +163,11 @@ PINNED_REGISTRY = {
         " ('B', 1, 3), ('B', 2, 3), ('D', 2, 3), ('D', 3, 3)))",
         "('sizes', (('A', 3, 2), ('A', 3, 3), ('B', 1, 3), ('D', 2, 3)))",
     ),
+    "superclass-sizes-A": (
+        "structural",
+        "('sizes', ((3, 2), (4, 2), (5, 2), (4, 3), (4, 5)))",
+        "('sizes', ((3, 2), (4, 3)))",
+    ),
     "restriction-B": (
         "structural",
         "('sizes', ((1, 3), (2, 3), (3, 3), (2, 5)))",
@@ -375,4 +380,20 @@ def test_restriction_witness_without_reflections(monkeypatch):
         "fail",
         "B(3,3) {-3,1}{-2,0,2}{-1,3} (-3,1)=1 (-2,0)=1 (-1,3)=2 (0,2)=2:"
         " reflection class all noncrossing True, nc_tilde False",
+    )
+
+
+def test_superclass_size_witness_with_one_pair_too_many(monkeypatch):
+    # a closed form that counts one arc pair too many, whenever there are two
+    # arcs, first misreads the one two-arc class of A(3,2)
+    size = identities.unitriangular.superclass_size
+    monkeypatch.setattr(
+        identities.unitriangular,
+        "superclass_size",
+        lambda lam: size(lam) // lam.group.moduli[0] if len(lam.labels) > 1 else size(lam),
+    )
+    result = identities.run("superclass-sizes-A")
+    assert (result.status, result.witness) == (
+        "fail",
+        "A(3,2) {1,2,3} (1,2)=1 (2,3)=1: closed 1, elements 2, rank 2",
     )

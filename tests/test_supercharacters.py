@@ -207,13 +207,34 @@ def test_fused_inner_product_matches_ring_ops(p):
         assert ut.inner_product(v, w, sizes, order) == expected
 
 
-@pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("B", 2, 3), ("D", 3, 3)])
+@pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("A", 4, 5), ("B", 2, 3), ("D", 3, 3)])
 def test_raw_key_class_sizes_match_reduced_partitions(kind, n, p):
     table = ut.build_chartable(kind, n, p)
     reduced = Counter(ut.superclass_reduce(g, p) for g in ut.group_elements(kind, n, p))
     assert dict(zip(table.classes, table.class_sizes)) == reduced
     assert list(table.classes) == sorted(reduced, key=lambda q: q.labels)
     assert sum(table.class_sizes) == table.group_order
+
+
+def test_type_a_table_visits_no_group_element(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("type A table touched a group element")
+
+    monkeypatch.setattr(ut, "group_elements", refuse)
+    monkeypatch.setattr(ut, "superclass_key", refuse)
+    table = ut.build_chartable.__wrapped__("A", 4, 3)
+    assert table.classes == tuple(sorted(table.indices, key=lambda lam: lam.labels))
+    assert sum(table.class_sizes) == table.group_order == 3**6
+    # still refused above the bound, before the family is enumerated
+    monkeypatch.setattr(ut, "enumerate_family", refuse)
+    with pytest.raises(ut.ScaleGuardError):
+        ut.build_chartable.__wrapped__("A", 6, 3)
+
+
+def test_class_sizes_that_miss_the_group_order_are_an_error(monkeypatch):
+    monkeypatch.setattr(ut, "superclass_size", lambda lam: 1)
+    with pytest.raises(ut.ConsistencyError):
+        ut.build_chartable.__wrapped__("A", 3, 2)
 
 
 def test_negative_p_exponent_is_an_error_not_an_assert():
@@ -312,6 +333,11 @@ PINNED_CHARTABLES = {
     ("B", 2, 3): "715b82782626f6d19b1cc247c5aa918cbe6f7eff872e17094c9480f2b748deab",
     ("D", 2, 3): "e6ef9894f11d4091d7128844afd83f4af4a10285524f21e6cda1f3f0ec37035f",
     ("D", 3, 3): "249478fe0794ff34e37ce4c8c34d8f78c55acc49d3d71816d62f471f5f1356d8",
+    # the next three were recorded while the type A sizes still came from
+    # enumerating the group
+    ("A", 4, 5): "30f5e4d39d522ef7e291ad47e90419059f932c8294ea4411e390df6534547bb0",
+    ("B", 2, 5): "318281e057a09d9acfa071e5831b9fd4e79c4444c30bb06ac0862cbf38b7e9b1",
+    ("A", 5, 3): "e0717dc6c0bea555cdd2f5615451e5eb8249316d7aa40443edfe7c9ee7e9e553",
 }
 
 
