@@ -1140,7 +1140,7 @@ def _rank_mod_p(vectors, p) -> int:
 
 def _two_sided_rank(g, p) -> int:
     """Rank over F_p of (a, b) -> aX + Xb on strictly upper triangular a and
-    b, where X = g - 1: the dimension of the superclass of g."""
+    b, where X = g - 1: the superclass of g has p^rank elements."""
     n = len(g)
     images = []
     for r in range(n):
