@@ -47,9 +47,6 @@ from .poly import BiPoly, family, number_tables, sequence, transfer_family
 from .cyclotomic import CycValue, theta
 from .unitriangular import (
     build_chartable,
-    chi_b_eval,
-    chi_d_eval,
-    chi_eval,
     chi_on_class,
     inner_product,
     superclass_reduce,

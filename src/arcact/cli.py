@@ -193,17 +193,19 @@ def cmd_verify(args) -> int:
 def cmd_chartable(args) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be at least 0, got {args.n}")
+    if args.p < 2:
+        raise UsageError(f"--p must be a prime, got {args.p}")
+    # before the primality test, whose trial division grows with p
+    try:
+        unitriangular.check_table_size(args.kind, args.n, args.p)
+    except unitriangular.ScaleGuardError as exc:
+        print(f"arcact: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     if not is_prime(args.p):
         raise UsageError(f"--p must be a prime, got {args.p}")
     if args.p == 2 and args.kind != "A":
         raise UsageError(f"kind {args.kind} needs an odd prime --p")
-    try:
-        table = unitriangular.build_chartable(
-            args.kind, args.n, args.p, args.max_group_order
-        )
-    except unitriangular.ScaleGuardError as exc:
-        print(f"arcact: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    table = unitriangular.build_chartable(args.kind, args.n, args.p)
     norms = table.norms()
     degrees = table.degrees()
     text = lru_cache(maxsize=None)(str)  # each distinct value is formatted once
@@ -309,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("A", "B", "D"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument(
-        "--max-group-order",
-        type=int,
-        default=10**6,
-        help="refuse groups of larger order than this",
-    )
     _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_chartable)
 

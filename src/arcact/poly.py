@@ -140,9 +140,6 @@ class BiPoly:
             out[key] = out.get(key, 0) + v
         return BiPoly._clean(out)
 
-    def coefficient(self, dx: int, dy: int = 0) -> int:
-        return self.coeffs.get((dx, dy), 0)
-
     def _ordered(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 

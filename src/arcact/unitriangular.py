@@ -27,6 +27,7 @@ from .poly import (
     bell_univariate,
     bellb_univariate,
     cat_univariate,
+    family,
     feasible_closed,
     feasibleb_tilde_closed,
 )
@@ -35,7 +36,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class ScaleGuardError(RuntimeError):
-    """The requested group is larger than the configured bound."""
+    """The requested table is larger than ``check_table_size`` admits."""
 
 
 class ConsistencyError(RuntimeError):
@@ -96,13 +97,9 @@ def is_dagger_unitary(g: Matrix, p: int) -> bool:
     return mat_mul(g, dagger(g), p) == identity_matrix(len(g))
 
 
-def unitriangular_order(n: int, p: int) -> int:
-    return p ** (n * (n - 1) // 2)
-
-
 def subgroup_order(kind: str, n: int, p: int) -> int:
     if kind == "A":
-        return unitriangular_order(n, p)
+        return p ** (n * (n - 1) // 2)
     if kind == "B":
         return p ** (n * n)
     if kind == "D":
@@ -110,16 +107,8 @@ def subgroup_order(kind: str, n: int, p: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _guard(order: int, max_group_order: int):
-    if order > max_group_order:
-        raise ScaleGuardError(
-            f"group order {order} exceeds the bound {max_group_order}"
-        )
-
-
-def unitriangular_elements(n: int, p: int, max_group_order: int = 10**6):
+def unitriangular_elements(n: int, p: int):
     """All of the unitriangular group, in lexicographic entry order."""
-    _guard(unitriangular_order(n, p), max_group_order)
     # row i: i zeros, the diagonal one, then its n - 1 - i free entries,
     # which are values[cuts[i]:cuts[i + 1]]
     heads = [(0,) * i + (1,) for i in range(n)]
@@ -146,16 +135,15 @@ def _solve_skew(n, p, free_values, rhs):
     return tuple(tuple(row) for row in z)
 
 
-def type_b_elements(n: int, p: int, max_group_order: int = 10**6):
+def type_b_elements(n: int, p: int):
     """The fixed-point subgroup inside the unitriangular group of size 2n+1."""
     if p == 2:
         raise ValueError("odd characteristic required")
-    _guard(subgroup_order("B", n, p), max_group_order)
     if n == 0:
         yield identity_matrix(1)
         return
     free = _free_positions(n)
-    for x in unitriangular_elements(n, p, max_group_order):
+    for x in unitriangular_elements(n, p):
         xinv_dag = dagger(unitriangular_inverse(x, p))
         for u in itertools.product(range(p), repeat=n):
             ucol = tuple((v,) for v in u)
@@ -176,14 +164,13 @@ def type_b_elements(n: int, p: int, max_group_order: int = 10**6):
                 yield tuple(g)
 
 
-def type_d_elements(n: int, p: int, max_group_order: int = 10**6):
+def type_d_elements(n: int, p: int):
     """The fixed-point subgroup inside the unitriangular group of size 2n."""
     if p == 2:
         raise ValueError("odd characteristic required")
-    _guard(subgroup_order("D", n, p), max_group_order)
     free = _free_positions(n)
     zero_rhs = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    for x in unitriangular_elements(n, p, max_group_order):
+    for x in unitriangular_elements(n, p):
         xinv_dag = dagger(unitriangular_inverse(x, p))
         for values in itertools.product(range(p), repeat=len(free)):
             z = _solve_skew(n, p, values, zero_rhs)
@@ -196,13 +183,13 @@ def type_d_elements(n: int, p: int, max_group_order: int = 10**6):
             yield tuple(g)
 
 
-def group_elements(kind: str, n: int, p: int, max_group_order: int = 10**6):
+def group_elements(kind: str, n: int, p: int):
     if kind == "A":
-        return unitriangular_elements(n, p, max_group_order)
+        return unitriangular_elements(n, p)
     if kind == "B":
-        return type_b_elements(n, p, max_group_order)
+        return type_b_elements(n, p)
     if kind == "D":
-        return type_d_elements(n, p, max_group_order)
+        return type_d_elements(n, p)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -331,38 +318,6 @@ def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycVal
     return theta(p, theta_arg, p**q_exponent)
 
 
-def chi_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
-    """Type A supercharacter value at a group element."""
-    p = lam.group.moduli[0]
-    if len(g) != lam.ground.size:
-        raise ValueError("matrix size does not match the index partition")
-    return chi_on_class(lam, superclass_reduce(g, p))
-
-
-def _restricted_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
-    p = lam.group.moduli[0]
-    if p == 2:
-        raise ValueError("odd characteristic required")
-    if not (is_unitriangular(g, p) and is_dagger_unitary(g, p)):
-        raise ValueError("element is not in the fixed-point subgroup")
-    if len(g) != lam.ground.size:
-        raise ValueError("matrix size does not match the index partition")
-    return chi_on_class(halve(lam), superclass_reduce(g, p))
-
-
-def chi_b_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
-    """Type B supercharacter: the ambient character of halve at g."""
-    if lam.ground.kind != "B":
-        raise ValueError("index must be a B-ground partition")
-    return _restricted_eval(lam, g)
-
-
-def chi_d_eval(lam: LabeledSetPartition, g: Matrix) -> CycValue:
-    if lam.ground.kind != "D":
-        raise ValueError("index must be a D-ground partition")
-    return _restricted_eval(lam, g)
-
-
 def inner_product(values1, values2, sizes, group_order: int) -> Fraction:
     """Exact Hermitian inner product of two class functions.
 
@@ -453,19 +408,57 @@ def superclass_size(lam: LabeledSetPartition) -> int:
     return lam.group.moduli[0] ** exponent
 
 
+# A table has as many superclasses as indices, and each of its cells is a
+# value in Z[zeta_p] of p - 1 coefficients; types B and D also visit every
+# group element once.
+MAX_TABLE_WORK = 3 * 10**7
+MAX_GROUP_ELEMENTS = 10**6
+_INDEX_COUNTS = {"A": "Bell", "B": "Bell_B", "D": "Bell_D"}
+
+
+def check_table_size(kind: str, n: int, p: int) -> None:
+    """Refuse, with ``ScaleGuardError``, a table that would take too long or
+    hold too much, judged from (kind, n, p) alone.
+
+    The work bound caps cells x p, where cells is the square of the index
+    count: the kind's Bell polynomial at x = y = p - 1.  That count grows
+    with the rank, so it is evaluated at m = 0, 1, ... and the loop stops at
+    the first m over the bound; its cost grows with neither n nor p.  Only
+    then, n being small, is the order of a B or D group compared with the
+    element bound.
+    """
+    name = _INDEX_COUNTS[kind]
+    for m in range(n + 1):
+        indices = family(name, m).eval_int(p - 1, p - 1)
+        if indices * indices * p > MAX_TABLE_WORK:
+            at = f" already at n = {m}" if m < n else ""
+            raise ScaleGuardError(
+                f"{kind}({n},{p}) refused: {indices}^2 table cells{at}, times p = {p},"
+                f" exceed the work bound {MAX_TABLE_WORK}"
+            )
+    if kind == "A":
+        return
+    order = subgroup_order(kind, n, p)
+    if order > MAX_GROUP_ELEMENTS:
+        raise ScaleGuardError(
+            f"{kind}({n},{p}) refused: its {order} group elements exceed the element"
+            f" bound {MAX_GROUP_ELEMENTS}"
+        )
+
+
 @lru_cache(maxsize=None)
-def build_chartable(kind: str, n: int, p: int, max_group_order: int = 10**6) -> CharTable:
+def build_chartable(kind: str, n: int, p: int) -> CharTable:
     """Value table of every supercharacter on the listed group.
 
-    Type A visits no group element: its superclasses are the index
-    partitions themselves and their sizes come from ``superclass_size``.
-    Types B and D count their elements by raw superclass key, and each
-    class then gets one validated partition.  Either way the classes are
-    listed in the order of their ``labels``, and their sizes must add up
-    to ``subgroup_order``.  ``max_group_order`` bounds every kind.
+    ``check_table_size`` refuses an oversized request first.  Type A visits
+    no group element: its superclasses are the index partitions themselves
+    and their sizes come from ``superclass_size``.  Types B and D count
+    their elements by raw superclass key, and each class then gets one
+    validated partition.  Either way the classes are listed in the order of
+    their ``labels``, and their sizes must add up to ``subgroup_order``.
     """
+    check_table_size(kind, n, p)
     order = subgroup_order(kind, n, p)
-    _guard(order, max_group_order)
     indices = tuple(enumerate_family(_index_family(kind, n, p)))
     if kind == "A":
         # the classes are the indices themselves, so chi_on_class sees the
@@ -475,7 +468,7 @@ def build_chartable(kind: str, n: int, p: int, max_group_order: int = 10**6) -> 
         sizes = tuple(superclass_size(c) for c in classes)
     else:
         ambient = tuple(halve(lam) for lam in indices)
-        counter = Counter(superclass_key(g, p) for g in group_elements(kind, n, p, max_group_order))
+        counter = Counter(superclass_key(g, p) for g in group_elements(kind, n, p))
         keys = sorted(counter)
         # the classes share the indices' group object (grounds are
         # interned), so chi_on_class sees the same group and ground by
@@ -513,10 +506,10 @@ def expected_counts(kind: str, n: int, p: int) -> dict:
     }
 
 
-def verify_counts(kind: str, n: int, p: int, max_group_order: int = 10**6) -> dict:
+def verify_counts(kind: str, n: int, p: int) -> dict:
     """Count superclasses, distinct characters, irreducibles, linears and
     invariants, next to their predicted values."""
-    table = build_chartable(kind, n, p, max_group_order)
+    table = build_chartable(kind, n, p)
     norms = table.norms()
     if any(f.denominator != 1 for f in norms):
         raise ConsistencyError("a character norm is not an integer")
@@ -542,9 +535,9 @@ def verify_counts(kind: str, n: int, p: int, max_group_order: int = 10**6) -> di
     return record
 
 
-def verify_product_rule(kind: str, n: int, p: int, max_group_order: int = 10**6) -> bool:
+def verify_product_rule(kind: str, n: int, p: int) -> bool:
     """Multiplying by a linear supercharacter matches the additive action."""
-    table = build_chartable(kind, n, p, max_group_order)
+    table = build_chartable(kind, n, p)
     row = {lam: v for lam, v in zip(table.indices, table.values)}
     for alpha in enumerate_family(_linear_family(kind, n, p)):
         va = row[alpha]

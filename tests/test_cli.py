@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from arcact import cli, unitriangular
 from arcact.cli import main
 from arcact.core import partition_from_json, unlabeled, ground_a
 from arcact.unitriangular import expected_counts
@@ -217,18 +218,37 @@ def test_chartable_type_b_at_rank_zero(capsys):
     assert [row["norm"] for row in data["characters"]] == ["1"]
 
 
-def test_max_group_order_belongs_to_chartable_alone(capsys):
+def test_chartable_scale_guard(capsys):
+    code = main(["chartable", "--kind", "A", "--n", "9", "--p", "3"])
+    assert code == 1
+    # the size bounds are fixed: there is no flag to raise them
     with pytest.raises(SystemExit) as err:
-        main(["poly", "--family", "Bell", "--n", "2", "--max-group-order", "5"])
+        main(["chartable", "--kind", "A", "--n", "9", "--p", "3", "--max-group-order", "5"])
     assert err.value.code == 2
 
 
-def test_chartable_scale_guard(capsys):
-    code = main(
-        ["chartable", "--kind", "A", "--n", "9", "--p", "3",
-         "--max-group-order", "1000"]
-    )
+@pytest.mark.parametrize(
+    "kind, n, p",
+    [
+        ("A", 200, 3),
+        ("A", 100000, 3),
+        ("A", 1, 2**61 - 1),
+        ("A", 3, 97),
+        ("B", 1, 999983),
+        ("A", 8, 2),
+    ],
+)
+def test_oversized_chartables_are_refused_up_front(capsys, monkeypatch, kind, n, p):
+    def refuse(*args):
+        raise AssertionError("an oversized table got past the size guard")
+
+    monkeypatch.setattr(unitriangular, "enumerate_family", refuse)
+    monkeypatch.setattr(unitriangular, "group_elements", refuse)
+    monkeypatch.setattr(cli, "is_prime", refuse)
+    code = main(["chartable", "--kind", kind, "--n", str(n), "--p", str(p)])
+    err = capsys.readouterr().err
     assert code == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

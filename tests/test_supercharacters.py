@@ -1,10 +1,13 @@
 import hashlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcact.cli import main
 from arcact.core import GroundSet, LabeledSetPartition, ground_a
@@ -74,9 +77,31 @@ def test_subgroups_are_closed_under_product():
             assert ut.mat_mul(a, b, 3) in pool
 
 
-def test_scale_guard():
-    with pytest.raises(ut.ScaleGuardError):
-        list(ut.unitriangular_elements(8, 3, max_group_order=10**6))
+def test_scale_guard(monkeypatch):
+    """B(3,5) and D(4,5) are refused before any element is visited."""
+    def refuse(*args):
+        raise AssertionError("an oversized table touched its family or group")
+
+    monkeypatch.setattr(ut, "group_elements", refuse)
+    monkeypatch.setattr(ut, "enumerate_family", refuse)
+    for kind, n in (("B", 3), ("D", 4)):
+        with pytest.raises(ut.ScaleGuardError, match="group elements"):
+            ut.build_chartable.__wrapped__(kind, n, 5)
+
+
+@settings(database=None, deadline=None)
+@given(
+    kind=st.sampled_from("ABD"),
+    n=st.integers(0, 10**9),
+    p=st.integers(2, 2**64),
+)
+def test_size_guard_decides_quickly(kind, n, p):
+    start = time.perf_counter()
+    try:
+        ut.check_table_size(kind, n, p)
+    except ut.ScaleGuardError:
+        pass
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reduce_identity_and_idempotence():
@@ -129,13 +154,6 @@ def test_chartable_classes_share_the_index_group_and_ground():
         for lam in ambient:
             for c in table.classes:
                 assert c.group is lam.group and c.ground is lam.ground
-
-
-def test_chi_eval_matches_class_value():
-    for g in ut.unitriangular_elements(3, 3):
-        gamma = ut.superclass_reduce(g, 3)
-        for lam in enumerate_family(FamilySpec("PI", 3, (F3,))):
-            assert ut.chi_eval(lam, g) == ut.chi_on_class(lam, gamma)
 
 
 def test_degree_formula():
@@ -228,7 +246,7 @@ def test_type_a_table_visits_no_group_element(monkeypatch):
     # still refused above the bound, before the family is enumerated
     monkeypatch.setattr(ut, "enumerate_family", refuse)
     with pytest.raises(ut.ScaleGuardError):
-        ut.build_chartable.__wrapped__("A", 6, 3)
+        ut.build_chartable.__wrapped__("A", 7, 3)
 
 
 def test_class_sizes_that_miss_the_group_order_are_an_error(monkeypatch):
@@ -288,18 +306,6 @@ def test_linear_indices_have_modulus_one_values():
         if linear_index:
             for v in values:
                 assert (v * v.conjugate()).rational_value() == 1
-
-
-def test_chi_b_eval_membership_checks():
-    lam = next(iter(enumerate_family(FamilySpec("P_B", 1, (F3,)))))
-    good = next(iter(ut.type_b_elements(1, 3)))
-    assert ut.chi_b_eval(lam, good) is not None
-    bad = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # unitriangular but not dagger-unitary
-    assert not ut.is_dagger_unitary(bad, 3)
-    with pytest.raises(ValueError):
-        ut.chi_b_eval(lam, bad)
-    with pytest.raises(ValueError):
-        ut.chi_d_eval(lam, good)
 
 
 def test_chi_b_distinct_value_vectors_n1():
