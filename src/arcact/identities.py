@@ -1080,24 +1080,20 @@ def _oeis_bfiles(n_max, rows):
     return out
 
 
-# the (verify_counts field, expected count) pairs each kind asserts equal,
-# and the kinds whose irreducible characters are exactly the noncrossing ones
-_SUPERCHARACTER_COUNTS = {
-    "A": (("num_superclasses", "distinct"), ("num_distinct", "distinct"),
-          ("num_irreducible", "irreducible"), ("num_l_invariant", "l_invariant")),
-    "B": (("num_distinct", "distinct"), ("num_irreducible", "irreducible"),
-          ("num_l_invariant", "l_invariant")),
-    "D": (("num_distinct", "distinct"), ("num_l_invariant", "l_invariant")),
-}
-_IRREDUCIBLE_IS_NONCROSSING = ("A", "B")
+# the (verify_counts field, expected count) pairs asserted equal for every kind
+_SUPERCHARACTER_COUNTS = (
+    ("num_superclasses", "distinct"), ("num_distinct", "distinct"),
+    ("num_irreducible", "irreducible"), ("num_linear", "linear"),
+    ("num_l_invariant", "l_invariant"),
+)
 
 
 @_register(
     "supercharacters",
     "enumerative",
-    "superclass, distinct, irreducible and linear-invariant counts of the"
-    " supercharacters of types A, B and D match their predicted values,"
-    " the irreducible ones are the noncrossing ones (A, B), and multiplying"
+    "superclass, distinct, irreducible, linear and linear-invariant counts of"
+    " the supercharacters of types A, B and D match their predicted values,"
+    " the irreducible ones are the noncrossing ones, and multiplying"
     " by a linear supercharacter is the additive action",
     {
         "sizes": (
@@ -1112,9 +1108,9 @@ def _supercharacters(sizes):
     for kind, n, p in sizes:
         tag = f"{kind}({n},{p})"
         rec = unitriangular.verify_counts(kind, n, p)
-        for field, want in _SUPERCHARACTER_COUNTS[kind]:
+        for field, want in _SUPERCHARACTER_COUNTS:
             _eq(out, f"{tag} {field}", rec[field], rec["expected"][want])
-        if kind in _IRREDUCIBLE_IS_NONCROSSING and not rec["irreducible_iff_noncrossing"]:
+        if not rec["irreducible_iff_noncrossing"]:
             out.append(f"{tag}: irreducible set is not the noncrossing set")
         if not unitriangular.verify_product_rule(kind, n, p):
             out.append(f"{tag}: product rule")
@@ -1152,6 +1148,28 @@ def _two_sided_rank(g, p) -> int:
     return _rank_mod_p(images, p)
 
 
+def _superclass_sizes(sizes):
+    """At each (kind, n, p), the closed-form size of each superclass built
+    from an index equals its element count (type A: and p^rank), and the
+    keys the elements reduce to are exactly those superclasses."""
+    out = []
+    for kind, n, p in sizes:
+        tag = f"{kind}({n},{p})"
+        elements = unitriangular.group_elements(kind, n, p)
+        counted = Counter(unitriangular.superclass_key(g, p) for g in elements)
+        indices = enumerate_family(unitriangular.index_family(kind, n, p))
+        classes = [unitriangular.ambient_class(lam) for lam in indices]
+        for c in classes:
+            found = {"closed": unitriangular.superclass_size(c, kind)}
+            found["elements"] = counted[tuple(((i, j), v) for i, j, v in c.labels)]
+            if kind == "A":
+                found["rank"] = p ** _two_sided_rank(unitriangular.class_representative_matrix(c, p), p)
+            if len(set(found.values())) > 1:
+                return [f"{tag} {c.text()}: " + ", ".join(f"{k} {v}" for k, v in found.items())]
+        _eq(out, f"{tag} superclasses", len(counted), len(classes), len(set(classes)))
+    return out
+
+
 @_register(
     "superclass-sizes-A",
     "structural",
@@ -1162,21 +1180,18 @@ def _two_sided_rank(g, p) -> int:
     {"sizes": ((3, 2), (4, 3))},
 )
 def _superclass_sizes_a(sizes):
-    out = []
-    for n, p in sizes:
-        counted = Counter(
-            unitriangular.superclass_key(g, p)
-            for g in unitriangular.unitriangular_elements(n, p)
-        )
-        indices = list(enumerate_family(FamilySpec("PI", n, (GroupSpec((p,)),))))
-        for lam in indices:
-            closed = unitriangular.superclass_size(lam)
-            elements = counted[tuple(((i, j), v) for i, j, v in lam.labels)]
-            rank = p ** _two_sided_rank(unitriangular.class_representative_matrix(lam, p), p)
-            if not closed == elements == rank:
-                return [f"A({n},{p}) {lam.text()}: closed {closed}, elements {elements}, rank {rank}"]
-        _eq(out, f"A({n},{p}) superclasses", len(counted), len(indices))
-    return out
+    return _superclass_sizes(("A", n, p) for n, p in sizes)
+
+
+_register(
+    "superclass-sizes-BD",
+    "structural",
+    "the closed-form size of every type B and D superclass equals the number"
+    " of group elements that reduce to it; the superclasses are exactly the"
+    " indices read on the ambient type A ground",
+    {"sizes": (("B", 1, 3), ("B", 2, 3), ("B", 2, 5), ("B", 3, 3), ("D", 2, 3), ("D", 3, 3))},
+    {"sizes": (("B", 1, 3), ("D", 2, 3))},
+)(_superclass_sizes)
 
 
 @_register(

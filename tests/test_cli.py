@@ -236,6 +236,7 @@ def test_chartable_scale_guard(capsys):
         ("A", 3, 97),
         ("B", 1, 999983),
         ("A", 8, 2),
+        ("A", 1, 2**64),
     ],
 )
 def test_oversized_chartables_are_refused_up_front(capsys, monkeypatch, kind, n, p):

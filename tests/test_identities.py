@@ -168,6 +168,11 @@ PINNED_REGISTRY = {
         "('sizes', ((3, 2), (4, 2), (5, 2), (4, 3), (4, 5)))",
         "('sizes', ((3, 2), (4, 3)))",
     ),
+    "superclass-sizes-BD": (
+        "structural",
+        "('sizes', (('B', 1, 3), ('B', 2, 3), ('B', 2, 5), ('B', 3, 3), ('D', 2, 3), ('D', 3, 3)))",
+        "('sizes', (('B', 1, 3), ('D', 2, 3)))",
+    ),
     "restriction-B": (
         "structural",
         "('sizes', ((1, 3), (2, 3), (3, 3), (2, 5)))",
@@ -371,6 +376,23 @@ def test_definition_witnesses(monkeypatch, cid, name, fault, witness):
     assert (result.status, result.witness) == ("fail", witness)
 
 
+def test_superclass_size_bd_witness_with_exponent_one_too_high(monkeypatch):
+    # a B/D size exponent one too high whenever there are two arcs first
+    # misreads the mirrored arc pair of B(1,3)
+    size = identities.unitriangular.superclass_size
+
+    def faulty(c, kind):
+        wrong = kind != "A" and len(c.labels) >= 2
+        return size(c, kind) * c.group.moduli[0] ** wrong
+
+    monkeypatch.setattr(identities.unitriangular, "superclass_size", faulty)
+    result = identities.run("superclass-sizes-BD", "quick")
+    assert (result.status, result.witness) == (
+        "fail",
+        "B(1,3) {1,2,3} (1,2)=1 (2,3)=2: closed 3, elements 1",
+    )
+
+
 def test_restriction_witness_without_reflections(monkeypatch):
     # with no reflection moves the halved index alone decides, which first
     # misreads an index of B(3,3)
@@ -390,7 +412,7 @@ def test_superclass_size_witness_with_one_pair_too_many(monkeypatch):
     monkeypatch.setattr(
         identities.unitriangular,
         "superclass_size",
-        lambda lam: size(lam) // lam.group.moduli[0] if len(lam.labels) > 1 else size(lam),
+        lambda lam, kind: size(lam, kind) // lam.group.moduli[0] if len(lam.labels) > 1 else size(lam, kind),
     )
     result = identities.run("superclass-sizes-A")
     assert (result.status, result.witness) == (

@@ -78,15 +78,22 @@ def test_subgroups_are_closed_under_product():
 
 
 def test_scale_guard(monkeypatch):
-    """B(3,5) and D(4,5) are refused before any element is visited."""
+    """Tables past the work bound are refused before their family or any
+    group element is touched."""
     def refuse(*args):
         raise AssertionError("an oversized table touched its family or group")
 
     monkeypatch.setattr(ut, "group_elements", refuse)
     monkeypatch.setattr(ut, "enumerate_family", refuse)
-    for kind, n in (("B", 3), ("D", 4)):
-        with pytest.raises(ut.ScaleGuardError, match="group elements"):
-            ut.build_chartable.__wrapped__(kind, n, 5)
+    for kind, n, p in (("A", 7, 3), ("B", 4, 5), ("D", 5, 5)):
+        with pytest.raises(ut.ScaleGuardError, match="work bound"):
+            ut.build_chartable.__wrapped__(kind, n, p)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_types_b_and_d_need_odd_characteristic(kind):
+    with pytest.raises(ValueError, match="odd characteristic required"):
+        ut.build_chartable(kind, 2, 2)
 
 
 @settings(database=None, deadline=None)
@@ -234,23 +241,33 @@ def test_raw_key_class_sizes_match_reduced_partitions(kind, n, p):
     assert sum(table.class_sizes) == table.group_order
 
 
-def test_type_a_table_visits_no_group_element(monkeypatch):
+def _mirror_closure(h, p):
+    """The arcs of a halved index and their mirrors (i, j) -> (m+1-j, m+1-i),
+    each mirror labeled with the negated value."""
+    m = h.ground.size
+    key = [((i, j), v) for i, j, v in h.labels]
+    key += [((m + 1 - j, m + 1 - i), ((-v[0]) % p,)) for i, j, v in h.labels]
+    return ut.superclass_partition(h.group, m, tuple(key))
+
+
+@pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("B", 3, 3), ("D", 4, 3)])
+def test_chartables_visit_no_group_element(monkeypatch, kind, n, p):
     def refuse(*args):
-        raise AssertionError("type A table touched a group element")
+        raise AssertionError("a table touched a group element")
 
     monkeypatch.setattr(ut, "group_elements", refuse)
     monkeypatch.setattr(ut, "superclass_key", refuse)
-    table = ut.build_chartable.__wrapped__("A", 4, 3)
-    assert table.classes == tuple(sorted(table.indices, key=lambda lam: lam.labels))
-    assert sum(table.class_sizes) == table.group_order == 3**6
-    # still refused above the bound, before the family is enumerated
-    monkeypatch.setattr(ut, "enumerate_family", refuse)
-    with pytest.raises(ut.ScaleGuardError):
-        ut.build_chartable.__wrapped__("A", 7, 3)
+    table = ut.build_chartable.__wrapped__(kind, n, p)
+    if kind == "A":
+        closed = table.indices
+    else:
+        closed = [_mirror_closure(halve(lam), p) for lam in table.indices]
+    assert table.classes == tuple(sorted(closed, key=lambda c: c.labels))
+    assert sum(table.class_sizes) == table.group_order == ut.subgroup_order(kind, n, p)
 
 
 def test_class_sizes_that_miss_the_group_order_are_an_error(monkeypatch):
-    monkeypatch.setattr(ut, "superclass_size", lambda lam: 1)
+    monkeypatch.setattr(ut, "superclass_size", lambda lam, kind: 1)
     with pytest.raises(ut.ConsistencyError):
         ut.build_chartable.__wrapped__("A", 3, 2)
 
