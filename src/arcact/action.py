@@ -20,7 +20,7 @@ from .core import (
     to_rook,
     unlabeled,
 )
-from .families import FamilySpec, enumerate_family
+from .families import FamilySpec, family_members
 from .groups import GroupSpec, add, add_unchecked
 
 
@@ -137,7 +137,7 @@ def acting_family(spec: FamilySpec) -> FamilySpec:
 
 def orbit(lam: LabeledSetPartition, acting: FamilySpec) -> frozenset[LabeledSetPartition]:
     """The orbit of lam: every member of the acting family applied to it."""
-    return frozenset(plus(alpha, lam) for alpha in enumerate_family(acting))
+    return frozenset(plus(alpha, lam) for alpha in family_members(acting))
 
 
 def orbit_representative(lam: LabeledSetPartition) -> LabeledSetPartition:
@@ -158,6 +158,6 @@ def orbit_decomposition(spec: FamilySpec) -> dict[LabeledSetPartition, list[Labe
     reaches each orbit."""
     acting_family(spec)  # refuses the families no linear family acts on
     orbits: dict[LabeledSetPartition, list[LabeledSetPartition]] = {}
-    for lam in enumerate_family(spec):
+    for lam in family_members(spec):
         orbits.setdefault(orbit_representative(lam), []).append(lam)
     return orbits

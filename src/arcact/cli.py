@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import identities, maps, oeis, poly, unitriangular
-from .action import orbit_decomposition, plus_involution
+from .action import acting_family, orbit_representative, plus_involution
 from .core import (
     StructuralError,
     UnsupportedGroundError,
@@ -61,7 +61,13 @@ def _emit_partitions(parts, fmt):
         for p in parts:
             print(p.to_json())
     elif fmt == "json":
-        print(json.dumps([p.to_json_dict() for p in parts]))
+        # json.dumps of the whole list, written one item at a time
+        sep = ""
+        sys.stdout.write("[")
+        for p in parts:
+            sys.stdout.write(sep + json.dumps(p.to_json_dict()))
+            sep = ", "
+        print("]")
     elif fmt == "csv":
         print("blocks,labels")
         for p in parts:
@@ -82,10 +88,13 @@ def cmd_enum(args) -> int:
 def cmd_orbits(args) -> int:
     spec = _family_spec(args)
     try:
-        orbits = orbit_decomposition(spec)
+        acting_family(spec)  # refuses the families no linear family acts on
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    histogram = Counter(len(members) for members in orbits.values())
+    # representative -> orbit size, in the order the family first reaches
+    # each orbit; only the representatives are held
+    orbits = Counter(orbit_representative(lam) for lam in enumerate_family(spec))
+    histogram = Counter(orbits.values())
     payload = {
         "family": spec.family,
         "n": spec.n,
@@ -98,8 +107,8 @@ def cmd_orbits(args) -> int:
     else:
         print(f"orbits: {payload['orbits']}")
         print(f"size histogram: {payload['size_histogram']}")
-        for rep, members in orbits.items():
-            print(f"  size {len(members):4d}  rep {rep.text()}")
+        for rep, size in orbits.items():
+            print(f"  size {size:4d}  rep {rep.text()}")
     return EXIT_OK
 
 

@@ -203,8 +203,9 @@ class LabeledSetPartition:
         * the family generators: ``family_shapes`` makes canonical shapes of
           the ground (the NN and NN_B shapes through ``chain_blocks``, since
           the valleys of a Dyck path have distinct left and distinct right
-          ends) and ``_labelings`` draws every label from the nonzero
-          elements of the group (a mirror label is the negation of one);
+          ends) and the ``enumerate_family`` stream draws every label from
+          the nonzero elements of the group (a mirror label is the negation
+          of one);
         * ``plus``: its arguments are constructed values and it checks their
           compatibility, so lam's arcs are valid and alpha's covers have
           pairwise distinct ends; a cover is inserted only where no arc of

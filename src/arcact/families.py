@@ -9,6 +9,11 @@ Families are named by short codes:
 The two-group ("AB") families put the second group's labels on cover arcs
 and the first group's labels on all other arcs.  Streams are duplicate-free
 and sorted by the row-major reading of the rook matrix.
+
+``enumerate_family`` streams a family in that order, sorting nothing and
+holding no member, so one pass over a large family runs in the memory of
+its shapes.  ``family_members`` is the same stream for readers that come
+back to a family: it builds the members once per process and keeps them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .core import (
     ground_b,
     ground_d,
     is_nc_tilde,
-    rook_sort_key,
 )
 from .groups import DirectSum, GroupSpec, neg_unchecked
 
@@ -274,55 +278,93 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
 
 
 # ---------------------------------------------------------------------------
-# label assignment
+# members in rook order
 
 
-def _labelings(spec: FamilySpec, blocks):
-    """All valid labelings of one block structure, in deterministic order."""
-    arcs = sorted(arcs_of(blocks))
-    group = spec.label_group
-    if spec.family in UNLABELED_FAMILIES:
-        yield {arc: (1,) for arc in arcs}
-        return
+def _pools(spec: FamilySpec) -> tuple[tuple, tuple]:
+    """The labels a free cover arc and any other free arc may carry, ascending.
 
+    The two-group families draw covers from the second group and other arcs
+    from the first; both embeddings keep the lexicographic element order.
+    The unlabeled families carry (1,) in Z2 on every arc.
+    """
     if spec.is_ab:
         ds = DirectSum(spec.groups[0], spec.groups[1])
-        cover_pool = tuple(ds.embed_b(v) for v in ds.b.nonzero_elements())
-        other_pool = tuple(ds.embed_a(v) for v in ds.a.nonzero_elements())
-    else:
-        cover_pool = other_pool = group.nonzero_elements()
+        return (
+            tuple(ds.embed_b(v) for v in ds.b.nonzero_elements()),
+            tuple(ds.embed_a(v) for v in ds.a.nonzero_elements()),
+        )
+    pool = spec.label_group.nonzero_elements()
+    return pool, pool
 
-    if spec.ground.kind == "A":
-        free = arcs
-        mirrored = []
-    else:
-        free = [a for a in arcs if a[0] + a[1] < 0]
-        mirrored = [a for a in arcs if a[0] + a[1] > 0]
-        if len(free) + len(mirrored) != len(arcs):
-            raise ValueError("self-mirrored arc in a mirror-labeled family")
 
-    pools = (cover_pool if j == i + 1 else other_pool for i, j in free)
-    for values in itertools.product(*pools):
-        labels = dict(zip(free, values))
-        for i, j in mirrored:
-            labels[(i, j)] = neg_unchecked(group, labels[(-j, -i)])
-        yield labels
+def enumerate_family(spec: FamilySpec):
+    """Stream of all family members, each once, in rook-matrix order.
+
+    Nothing is held but the shapes.  ``rook_sort_key`` reads a member as its
+    arcs in order, each arc as its position ``(-i, -j)`` and then its label,
+    a shorter reading first.  So the shapes are sorted by their position
+    sequences and walked as a trie: at depth d the shape with exactly d arcs
+    comes first, then each run of shapes sharing the d-th arc, once for each
+    label that arc may carry, in ascending order.  On a B or D ground an arc
+    (i, j) with i + j > 0 carries the negated label of its mirror (-j, -i),
+    which comes earlier in arc order and so has been chosen already; it has
+    one value and never decides the order.  (The unlabeled NN_B mirrors
+    nothing: every arc carries (1,).)
+    """
+    ground = spec.ground
+    group = spec.label_group
+    cover_pool, other_pool = _pools(spec)
+    mirrored = ground.kind != "A" and spec.family not in UNLABELED_FAMILIES
+    # per shape: its arc positions, blocks, arcs, and each arc's source of
+    # labels, a pool or the index of the arc it mirrors
+    shapes = []
+    for blocks in family_shapes(spec.family, spec.n):
+        arcs = sorted(arcs_of(blocks))
+        index = {arc: k for k, arc in enumerate(arcs)}
+        sources = []
+        for i, j in arcs:
+            if not mirrored or i + j < 0:
+                sources.append(cover_pool if j == i + 1 else other_pool)
+            elif i + j > 0:
+                sources.append(index[(-j, -i)])
+            else:
+                raise ValueError("self-mirrored arc in a mirror-labeled family")
+        shapes.append(([(-i, -j) for i, j in arcs], blocks, arcs, sources))
+    shapes.sort(key=lambda shape: shape[0])
+    values = []
+
+    def walk(lo, hi, depth):
+        # shapes[lo:hi] share their first depth arcs, labeled by values
+        if len(shapes[lo][0]) == depth:
+            _, blocks, arcs, _ = shapes[lo]
+            yield LabeledSetPartition._trusted(ground, group, blocks, dict(zip(arcs, values)))
+            lo += 1
+        while lo < hi:
+            position = shapes[lo][0][depth]
+            end = lo + 1
+            while end < hi and shapes[end][0][depth] == position:
+                end += 1
+            source = shapes[lo][3][depth]
+            if not isinstance(source, tuple):
+                source = (neg_unchecked(group, values[source]),)
+            for value in source:
+                values.append(value)
+                yield from walk(lo, end, depth + 1)
+                values.pop()
+            lo = end
+
+    yield from walk(0, len(shapes), 0)
 
 
 @lru_cache(maxsize=None)
 def _enumerated(spec: FamilySpec) -> tuple[LabeledSetPartition, ...]:
-    ground = spec.ground
-    group = spec.label_group
-    out = []
-    for blocks in family_shapes(spec.family, spec.n):
-        for labels in _labelings(spec, blocks):
-            out.append(LabeledSetPartition._trusted(ground, group, blocks, labels))
-    out.sort(key=rook_sort_key)
-    return tuple(out)
+    return tuple(enumerate_family(spec))
 
 
-def enumerate_family(spec: FamilySpec):
-    """Stream of all family members, each once, in rook-matrix order."""
+def family_members(spec: FamilySpec):
+    """``enumerate_family`` for readers that come back to a family: the
+    members are built once per process and kept."""
     yield from _enumerated(spec)
 
 
@@ -352,7 +394,7 @@ def count_by(spec: FamilySpec, stat: str) -> dict[int, int]:
     if stat not in STATISTICS:
         raise ValueError(f"unknown statistic {stat!r}")
     hist: Counter[int] = Counter()
-    for p in enumerate_family(spec):
+    for p in family_members(spec):
         hist[statistic(p, stat)] += 1
     return dict(sorted(hist.items()))
 

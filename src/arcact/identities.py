@@ -54,8 +54,8 @@ from .families import (
     FamilySpec,
     count_by,
     enumerate_dyck,
-    enumerate_family,
     family_ground,
+    family_members,
     family_shapes,
     symmetric_partitions,
 )
@@ -176,7 +176,7 @@ def _eq(witnesses, tag, *values):
 
 def _cnt(family, n, groups, flag=None) -> int:
     """Members of the family, or only those whose classification has flag."""
-    members = enumerate_family(FamilySpec(family, n, groups))
+    members = family_members(FamilySpec(family, n, groups))
     if flag is None:
         return len(tuple(members))
     return sum(1 for p in members if getattr(classify(p), flag))
@@ -831,7 +831,7 @@ def _orbit_theorem(id, statement, quick_n_max, size_exponent, *rows):
                     m = n + shift
                     reps = [
                         p
-                        for p in enumerate_family(FamilySpec(source, m, (ga,)))
+                        for p in family_members(FamilySpec(source, m, (ga,)))
                         if flag is None or getattr(classify(p), flag)
                     ]
                     _orbit_checker(
@@ -978,8 +978,8 @@ def _shift_bijections(id, statement, desk, quick, *rows):
             for label, domain, codomain, shift, dom_tests, cod_tests in rows:
                 _check_shift_restriction(
                     out, label.format(n=n),
-                    enumerate_family(FamilySpec(domain, n, (group,))),
-                    enumerate_family(FamilySpec(codomain, n + shift, (group,))),
+                    family_members(FamilySpec(domain, n, (group,))),
+                    family_members(FamilySpec(codomain, n + shift, (group,))),
                     _holds(dom_tests), _holds(cod_tests),
                 )
             if out:
@@ -1157,7 +1157,7 @@ def _superclass_sizes(sizes):
         tag = f"{kind}({n},{p})"
         elements = unitriangular.group_elements(kind, n, p)
         counted = Counter(unitriangular.superclass_key(g, p) for g in elements)
-        indices = enumerate_family(unitriangular.index_family(kind, n, p))
+        indices = family_members(unitriangular.index_family(kind, n, p))
         classes = [unitriangular.ambient_class(lam) for lam in indices]
         for c in classes:
             found = {"closed": unitriangular.superclass_size(c, kind)}
@@ -1224,14 +1224,14 @@ def _restriction_b(sizes):
 def _uncross_nn_nc(n_max):
     out = []
     for n in range(n_max + 1):
-        members = list(enumerate_family(FamilySpec("NN", n)))
+        members = list(family_members(FamilySpec("NN", n)))
         images = [maps.uncross(p) for p in members]
         for p, q in zip(members, images):
             if len(q.blocks) != len(p.blocks) or not classify(q).noncrossing:
                 out.append(f"n={n}: uncross({p.text()}) = {q.text()}")
                 return out
         _eq(out, f"n={n} injective", len(set(images)), len(members))
-        targets = set(enumerate_family(FamilySpec("NC", n, (Z2,))))
+        targets = set(family_members(FamilySpec("NC", n, (Z2,))))
         if set(images) != targets:
             out.append(f"n={n}: uncross image is not NC(n)")
     return out
@@ -1252,8 +1252,8 @@ def _plus_matrix_route(n_max, n_max_b):
         ("L_B", "P_B", Z3, n_max_b),
     ):
         for n in range(top + 1):
-            for alpha in enumerate_family(FamilySpec(linear, n, (group,))):
-                for lam in enumerate_family(FamilySpec(family, n, (group,))):
+            for alpha in family_members(FamilySpec(linear, n, (group,))):
+                for lam in family_members(FamilySpec(family, n, (group,))):
                     if action.plus(alpha, lam) != action.plus_via_matrix(alpha, lam):
                         return [f"route mismatch at {alpha.text()} + {lam.text()}"]
     return []
@@ -1314,8 +1314,8 @@ def _reduce_invariance(n, p, trials):
 )
 def _rook_round_trip(n_max):
     for n in range(n_max + 1):
-        nc = set(enumerate_family(FamilySpec("NC", n, (Z3,))))
-        for p in enumerate_family(FamilySpec("PI", n, (Z3,))):
+        nc = set(family_members(FamilySpec("NC", n, (Z3,))))
+        for p in family_members(FamilySpec("PI", n, (Z3,))):
             rook = to_rook(p)
             if from_rook(p.ground, p.group, rook) != p:
                 return [f"n={n}: rook round trip fails at {p.text()}"]

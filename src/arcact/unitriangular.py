@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .core import LabeledSetPartition, blocks_from_arcs, classify, ground_a
 from .cyclotomic import CycValue, theta
-from .families import FamilySpec, enumerate_family
+from .families import FamilySpec, family_members
 from .groups import GroupSpec
 from .maps import halve
 from .action import orbit, plus
@@ -462,7 +462,7 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
         raise ValueError("odd characteristic required")
     check_table_size(kind, n, p)
     order = subgroup_order(kind, n, p)
-    indices = tuple(enumerate_family(index_family(kind, n, p)))
+    indices = tuple(family_members(index_family(kind, n, p)))
     ambient = indices if kind == "A" else tuple(halve(lam) for lam in indices)
     classes = tuple(sorted(map(ambient_class, indices), key=lambda c: c.labels))
     sizes = tuple(superclass_size(c, kind) for c in classes)
@@ -524,7 +524,7 @@ def verify_product_rule(kind: str, n: int, p: int) -> bool:
     """Multiplying by a linear supercharacter matches the additive action."""
     table = build_chartable(kind, n, p)
     row = {lam: v for lam, v in zip(table.indices, table.values)}
-    for alpha in enumerate_family(index_family(kind, n, p, linear=True)):
+    for alpha in family_members(index_family(kind, n, p, linear=True)):
         va = row[alpha]
         for lam in table.indices:
             target = row[plus(alpha, lam)]
@@ -582,7 +582,7 @@ def restriction_mismatch(n: int, p: int):
     reflection class of its halved partition contains only noncrossing
     partitions.  Returns the first index where the two verdicts disagree,
     as (index, reflection verdict, nc_tilde verdict), or None."""
-    for lam in enumerate_family(index_family("B", n, p)):
+    for lam in family_members(index_family("B", n, p)):
         all_nc = all(
             classify(q).noncrossing for q in reflection_class(halve(lam))
         )

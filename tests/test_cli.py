@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from arcact import cli, unitriangular
+from arcact import cli, families, unitriangular
 from arcact.cli import main
 from arcact.core import partition_from_json, unlabeled, ground_a
+from arcact.families import enumerate_family
 from arcact.unitriangular import expected_counts
 
 
@@ -36,6 +37,43 @@ def test_enum_ab_family(capsys):
     )
     assert code == 0
     assert len(json.loads(out)) == 10  # Bell_3(x,y) at x=1, y=2
+
+
+def test_enum_json_streams_the_dumped_list(capsys, all_desk_specs):
+    for spec in all_desk_specs:
+        code, out = run_cli(
+            capsys, "enum", "--family", spec.family, "--format", "json",
+            *_size_and_group_flags(spec),
+        )
+        assert code == 0
+        assert out == json.dumps([p.to_json_dict() for p in enumerate_family(spec)]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "csv", "table"])
+def test_enum_keeps_no_family(capsys, fmt):
+    families._enumerated.cache_clear()
+    code, _ = run_cli(
+        capsys, "enum", "--family", "P_D_AB", "--n", "3", "--groupA", "Z2",
+        "--groupB", "Z3", "--format", fmt,
+    )
+    assert code == 0
+    assert families._enumerated.cache_info().currsize == 0
+
+
+def test_orbits_keeps_no_family(capsys):
+    families._enumerated.cache_clear()
+    code, _ = run_cli(
+        capsys, "orbits", "--family", "PI_AB", "--n", "4", "--groupA", "Z2",
+        "--groupB", "Z3",
+    )
+    assert code == 0
+    assert families._enumerated.cache_info().currsize == 0
+
+
+def test_orbits_of_a_single_group_family_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["orbits", "--family", "PI", "--n", "2", "--groupA", "Z2", "--groupB", "Z3"])
+    assert err.value.code == 2
 
 
 def test_enum_csv_and_table(capsys):
@@ -243,7 +281,7 @@ def test_oversized_chartables_are_refused_up_front(capsys, monkeypatch, kind, n,
     def refuse(*args):
         raise AssertionError("an oversized table got past the size guard")
 
-    monkeypatch.setattr(unitriangular, "enumerate_family", refuse)
+    monkeypatch.setattr(unitriangular, "family_members", refuse)
     monkeypatch.setattr(unitriangular, "group_elements", refuse)
     monkeypatch.setattr(cli, "is_prime", refuse)
     code = main(["chartable", "--kind", kind, "--n", str(n), "--p", str(p)])

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from arcact import families
 from arcact.core import (
     LabeledSetPartition,
     arcs_of,
@@ -139,16 +140,30 @@ def test_ab_label_condition():
 
 
 def test_streams_sorted_and_duplicate_free(all_desk_specs, dense_rook_reading):
+    # the stream sorts nothing, so its order is compared with a sort by the
+    # zero-filled rook reading; Z2xZ2 and Z4 have pools of three labels
+    Z2xZ2, Z4 = GroupSpec((2, 2)), GroupSpec((4,))
     for spec in [
         *all_desk_specs,
         FamilySpec("PI", 4, (Z3,)),
         FamilySpec("P_D", 3, (Z2,)),
         FamilySpec("NC_TILDE_B_AB", 2, (Z2, Z3)),
+        FamilySpec("P_B", 2, (Z2xZ2,)),
+        FamilySpec("NC_TILDE_D", 3, (Z4,)),
+        FamilySpec("PI_AB", 3, (Z2xZ2, Z4)),
+        FamilySpec("L_D_AB", 3, (Z4, Z2xZ2)),
     ]:
         members = list(enumerate_family(spec))
-        keys = [dense_rook_reading(p) for p in members]
-        assert keys == sorted(keys), spec
+        assert members == sorted(members, key=dense_rook_reading), spec
         assert len(set(members)) == len(members), spec
+
+
+def test_self_mirrored_arc_is_refused(monkeypatch):
+    # no labeled B or D family has an arc (-i, i): its label would have to be
+    # its own negation
+    monkeypatch.setattr(families, "family_shapes", lambda family, n: (((-1, 1), (0,)),))
+    with pytest.raises(ValueError, match="self-mirrored arc"):
+        list(enumerate_family(FamilySpec("P_B", 1, (Z3,))))
 
 
 def test_generated_members_match_the_public_constructor(all_desk_specs):

@@ -257,7 +257,7 @@ def _keep_first_cover(orbit_representative):
 _FAULTS = {
     "action": _identity_involution_at_two,
     "transfer_family": lambda real: lambda name, n: real(name, n) + 1,
-    "enumerate_family": _drop_first_at_two,
+    "family_members": _drop_first_at_two,
     "family_shapes": _drop_first_shape_at_two,
     "catalan": lambda real: lambda k: real(k) + (k == 3),
     "comb": lambda real: lambda a, b: real(a, b) + ((a, b) == (4, 2)),
@@ -283,7 +283,7 @@ _FAULT_WITNESSES = {
         "tilde-1": "n=0: 2 != 1",
         "tilde-2": "n=0: 2 != 1",
     },
-    "enumerate_family": {
+    "family_members": {
         "orbit-main": "PI n=2 A=Z2 B=Z2 partition: 2 != 1",
         "orbit-B": "P_B n=2 A=Z2 B=Z2 partition: 6 != 5",
         "orbit-D": "P_D n=2 A=Z2 B=Z2 partition: 3 != 2",
@@ -364,7 +364,7 @@ _SHAPE_WITNESSES = (
      "n=2: NN_B shape {-2,1}{-1}{2} (-2,1)=1 is not negation-closed"),
     ("uncross-confluence", "family_shapes", _with_extra_shape("PI", 5, ((1, 3), (2, 4), (5,))),
      "n=5 crossing pool: 11 != 10"),
-    ("rook-round-trip", "enumerate_family", _without_first_member("NC", 3),
+    ("rook-round-trip", "family_members", _without_first_member("NC", 3),
      "n=3: rook_noncrossing disagrees with NC(n,Z3) at {1}{2}{3}"),
 )
 

@@ -84,7 +84,7 @@ def test_scale_guard(monkeypatch):
         raise AssertionError("an oversized table touched its family or group")
 
     monkeypatch.setattr(ut, "group_elements", refuse)
-    monkeypatch.setattr(ut, "enumerate_family", refuse)
+    monkeypatch.setattr(ut, "family_members", refuse)
     for kind, n, p in (("A", 7, 3), ("B", 4, 5), ("D", 5, 5)):
         with pytest.raises(ut.ScaleGuardError, match="work bound"):
             ut.build_chartable.__wrapped__(kind, n, p)
