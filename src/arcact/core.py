@@ -188,24 +188,26 @@ class LabeledSetPartition:
             group.check(value)
             if value == group.zero:
                 raise StructuralError(f"arc {arc} carries the zero label")
-        self._fill(ground, group, blocks, label_map)
+        self._fill(ground, group, blocks, label_map, _sorted_labels(label_map))
 
     @classmethod
-    def _trusted(cls, ground, group, blocks, label_map) -> "LabeledSetPartition":
+    def _trusted(cls, ground, group, blocks, label_map, labels=None) -> "LabeledSetPartition":
         """Build a value its producer has already made valid, checking nothing.
 
         ``blocks`` must be canonical (as ``canonical_blocks`` returns them)
         and partition the ground; ``label_map`` must be a fresh dict mapping
-        exactly the arcs of ``blocks`` to nonzero elements of ``group``.  Only
-        the sorted label tuple and the hash are computed.  The producers, and
-        what each relies on:
+        exactly the arcs of ``blocks`` to nonzero elements of ``group``.
+        ``labels``, when given, must be the ``(i, j, value)`` triples of
+        ``label_map`` in arc order; otherwise they are sorted here.  The hash
+        is computed on first use.  The producers, and what each relies on:
 
         * the family generators: ``family_shapes`` makes canonical shapes of
           the ground (the NN and NN_B shapes through ``chain_blocks``, since
           the valleys of a Dyck path have distinct left and distinct right
-          ends) and the ``enumerate_family`` stream draws every label from
-          the nonzero elements of the group (a mirror label is the negation
-          of one);
+          ends), so ``enumerate_family`` reads each shape's arcs off its
+          blocks as their consecutive pairs, unchecked; it draws every label
+          from the nonzero elements of the group (a mirror label is the
+          negation of one) and passes the triples in arc order;
         * ``plus``: its arguments are constructed values and it checks their
           compatibility, so lam's arcs are valid and alpha's covers have
           pairwise distinct ends; a cover is inserted only where no arc of
@@ -224,17 +226,18 @@ class LabeledSetPartition:
         compares against, goes through the validating constructor.
         """
         self = object.__new__(cls)
-        self._fill(ground, group, blocks, label_map)
+        if labels is None:
+            labels = _sorted_labels(label_map)
+        self._fill(ground, group, blocks, label_map, labels)
         return self
 
-    def _fill(self, ground, group, blocks, label_map):
-        labels = tuple(sorted((i, j, v) for (i, j), v in label_map.items()))
+    def _fill(self, ground, group, blocks, label_map, labels):
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_label_map", label_map)
-        object.__setattr__(self, "_hash", hash((ground, group, blocks, labels)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
@@ -249,7 +252,12 @@ class LabeledSetPartition:
         )
 
     def __hash__(self):
-        return self._hash
+        # computed on first use: a streamed member is printed, never hashed
+        h = self._hash
+        if h is None:
+            h = hash((self.ground, self.group, self.blocks, self.labels))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def arcs(self) -> frozenset[Arc]:
         return frozenset(self._label_map)
@@ -303,18 +311,34 @@ class LabeledSetPartition:
         (one of A, B, D), so no value needs escaping.
         """
         ground = self.ground
-        blocks = ", ".join(_json_ints(b) for b in self.blocks)
-        labels = ", ".join(
-            f'{{"i": {i}, "j": {j}, "value": {_json_ints(v)}}}' for i, j, v in self.labels
-        )
+        blocks = ", ".join(map(_json_ints, self.blocks))
+        labels = ", ".join(map(_label_json, self.labels))
         return (
             f'{{"blocks": [{blocks}], "ground": {{"kind": "{ground.kind}", "n": {ground.n}}},'
             f' "group": {_json_ints(self.group.moduli)}, "labels": [{labels}]}}'
         )
 
 
+def _sorted_labels(label_map) -> tuple[tuple[int, int, Element], ...]:
+    return tuple(sorted((i, j, v) for (i, j), v in label_map.items()))
+
+
+# The JSON fragments of blocks, label values, moduli and label objects recur
+# from member to member of a family (the blocks that occur, the ground arcs
+# times the group elements), so each is rendered once and kept, up to a
+# fixed number of each.
+_JSON_FRAGMENTS = 4096
+
+
+@lru_cache(maxsize=_JSON_FRAGMENTS)
 def _json_ints(values) -> str:
     return "[" + ", ".join(map(str, values)) + "]"
+
+
+@lru_cache(maxsize=_JSON_FRAGMENTS)
+def _label_json(label) -> str:
+    i, j, v = label
+    return f'{{"i": {i}, "j": {j}, "value": {_json_ints(v)}}}'
 
 
 def format_element(v: Element) -> str:

@@ -316,11 +316,19 @@ def enumerate_family(spec: FamilySpec):
     group = spec.label_group
     cover_pool, other_pool = _pools(spec)
     mirrored = ground.kind != "A" and spec.family not in UNLABELED_FAMILIES
-    # per shape: its arc positions, blocks, arcs, and each arc's source of
-    # labels, a pool or the index of the arc it mirrors
-    shapes = []
-    for blocks in family_shapes(spec.family, spec.n):
-        arcs = sorted(arcs_of(blocks))
+    # family_shapes makes canonical blocks, so a shape's arcs are the
+    # consecutive pairs of its blocks; the arc positions exist only to sort
+    shapes = sorted(
+        (
+            (sorted(arc for b in blocks for arc in zip(b, b[1:])), blocks)
+            for blocks in family_shapes(spec.family, spec.n)
+        ),
+        key=lambda shape: [(-i, -j) for i, j in shape[0]],
+    )
+
+    def plan(arcs, blocks):
+        # the arcs, blocks, left and right ends, and each arc's source of
+        # labels: a pool, or the index of the arc it mirrors
         index = {arc: k for k, arc in enumerate(arcs)}
         sources = []
         for i, j in arcs:
@@ -330,22 +338,25 @@ def enumerate_family(spec: FamilySpec):
                 sources.append(index[(-j, -i)])
             else:
                 raise ValueError("self-mirrored arc in a mirror-labeled family")
-        shapes.append(([(-i, -j) for i, j in arcs], blocks, arcs, sources))
-    shapes.sort(key=lambda shape: shape[0])
+        return arcs, blocks, [i for i, _ in arcs], [j for _, j in arcs], sources
+
+    shapes = [plan(arcs, blocks) for arcs, blocks in shapes]
     values = []
 
     def walk(lo, hi, depth):
         # shapes[lo:hi] share their first depth arcs, labeled by values
         if len(shapes[lo][0]) == depth:
-            _, blocks, arcs, _ = shapes[lo]
-            yield LabeledSetPartition._trusted(ground, group, blocks, dict(zip(arcs, values)))
+            arcs, blocks, lefts, rights, _ = shapes[lo]
+            yield LabeledSetPartition._trusted(
+                ground, group, blocks, dict(zip(arcs, values)), tuple(zip(lefts, rights, values))
+            )
             lo += 1
         while lo < hi:
-            position = shapes[lo][0][depth]
+            arc = shapes[lo][0][depth]
             end = lo + 1
-            while end < hi and shapes[end][0][depth] == position:
+            while end < hi and shapes[end][0][depth] == arc:
                 end += 1
-            source = shapes[lo][3][depth]
+            source = shapes[lo][4][depth]
             if not isinstance(source, tuple):
                 source = (neg_unchecked(group, values[source]),)
             for value in source:

@@ -521,15 +521,25 @@ def verify_counts(kind: str, n: int, p: int) -> dict:
 
 
 def verify_product_rule(kind: str, n: int, p: int) -> bool:
-    """Multiplying by a linear supercharacter matches the additive action."""
+    """Multiplying by a linear supercharacter matches the additive action.
+
+    The table's values are few shared ``theta`` objects, so each distinct
+    pair of them is multiplied once.
+    """
     table = build_chartable(kind, n, p)
     row = {lam: v for lam, v in zip(table.indices, table.values)}
+    products = {}
+
+    def times(a, b):
+        ab = products.get((a, b))
+        if ab is None:
+            ab = products[a, b] = a * b
+        return ab
+
     for alpha in family_members(index_family(kind, n, p, linear=True)):
         va = row[alpha]
         for lam in table.indices:
-            target = row[plus(alpha, lam)]
-            got = tuple(a * b for a, b in zip(va, row[lam]))
-            if got != target:
+            if tuple(map(times, va, row[lam])) != row[plus(alpha, lam)]:
                 return False
     return True
 

@@ -144,6 +144,8 @@ TRUSTED_PRODUCERS = {
     "unshift": lambda: map(maps.unshift, _members(LABELED_SOURCES, "two_regular")),
     "unlabeled": lambda: (unlabeled(g, blocks) for g, blocks in _scrambled_shapes()),
     "uncross": lambda: map(maps.uncross, _members(UNLABELED_SOURCES)),
+    # the labeled walk itself, mirrored B and D families among its sources
+    "enumerate_family": lambda: _members((*LABELED_SOURCES, *TWO_GROUP_SOURCES)),
     "NN": lambda: _members(FamilySpec("NN", n) for n in range(6)),
     "NN_B": lambda: _members(FamilySpec("NN_B", n) for n in range(4)),
     "embed_a": lambda: (

@@ -322,10 +322,15 @@ def test_to_json_is_sorted_json_dumps(all_desk_specs):
         FamilySpec("PI", 3, (Z2xZ2,)),
         FamilySpec("P_B", 2, (Z2xZ2,)),
         FamilySpec("NC_TILDE_D_AB", 3, (Z2xZ2, Z3)),
+        # multi-digit labels and moduli on signed grounds
+        FamilySpec("P_B", 2, (GroupSpec((2, 13)),)),
+        FamilySpec("NC_TILDE_D", 3, (GroupSpec((11,)),)),
     ]
     for spec in [*all_desk_specs, *extra]:
         for p in enumerate_family(spec):
-            assert p.to_json() == json.dumps(p.to_json_dict(), sort_keys=True), p
+            text = p.to_json()
+            assert text == json.dumps(p.to_json_dict(), sort_keys=True), p
+            assert p.to_json() == text, p  # rendered again from the kept fragments
 
 
 def test_rook_sort_key_is_total(all_desk_specs, dense_rook_reading):

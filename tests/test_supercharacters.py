@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcact.cli import main
-from arcact.core import GroundSet, LabeledSetPartition, ground_a
+from arcact.core import GroundSet, LabeledSetPartition, ground_a, negate_labels
 from arcact.cyclotomic import CycValue, theta
 from arcact.families import FamilySpec, enumerate_family
 from arcact.groups import GroupSpec
@@ -313,6 +313,15 @@ def test_counts_type_d_small():
 def test_product_rule_small():
     assert ut.verify_product_rule("A", 3, 2)
     assert ut.verify_product_rule("D", 2, 3)
+
+
+@pytest.mark.parametrize("kind, n, p", [("A", 3, 3), ("B", 1, 3), ("D", 2, 3)])
+def test_product_rule_fails_under_a_fault_in_plus(monkeypatch, kind, n, p):
+    # the linear partition acts with its labels negated, which moves every
+    # index its covers touch to a different supercharacter
+    plus = ut.plus
+    monkeypatch.setattr(ut, "plus", lambda alpha, lam: plus(negate_labels(alpha), lam))
+    assert not ut.verify_product_rule(kind, n, p)
 
 
 def test_linear_indices_have_modulus_one_values():
