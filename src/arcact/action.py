@@ -15,13 +15,14 @@ from .core import (
     LabeledSetPartition,
     RookMatrix,
     StructuralError,
+    _Z2,
     chain_blocks,
     from_rook,
     to_rook,
     unlabeled,
 )
 from .families import FamilySpec, family_members
-from .groups import GroupSpec, add, add_unchecked
+from .groups import add, add_unchecked
 
 
 def is_linear(p: LabeledSetPartition) -> bool:
@@ -103,7 +104,7 @@ def plus_involution(p: LabeledSetPartition) -> LabeledSetPartition:
 
     Applying the map twice gives back the argument.
     """
-    if p.group != GroupSpec((2,)):
+    if p.group != _Z2:
         raise StructuralError("the involution is defined on unlabeled (Z2) partitions")
     top = _top_linear(p.ground)
     return plus(top, p)

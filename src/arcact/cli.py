@@ -31,6 +31,11 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+# The largest n `poly` prints.  A bivariate closed form has about n^2/2
+# coefficients of up to about n log n digits: Bell(600) prints 109 MB of JSON.
+MAX_POLY_N = 600
+
+
 class UsageError(ValueError):
     pass
 
@@ -117,6 +122,10 @@ def cmd_poly(args) -> int:
         raise UsageError(f"unknown polynomial family {args.family!r}")
     if args.n < 0:
         raise UsageError(f"--n must be at least 0, got {args.n}")
+    if args.n > MAX_POLY_N:
+        raise unitriangular.ScaleGuardError(
+            f"{args.family}({args.n}) refused: n exceeds the poly bound {MAX_POLY_N}"
+        )
     value = poly.family(args.family, args.n)
     if args.format == "latex":
         print(value.latex())
@@ -205,11 +214,7 @@ def cmd_chartable(args) -> int:
     if args.p < 2:
         raise UsageError(f"--p must be a prime, got {args.p}")
     # before the primality test, whose trial division grows with p
-    try:
-        unitriangular.check_table_size(args.kind, args.n, args.p)
-    except unitriangular.ScaleGuardError as exc:
-        print(f"arcact: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    unitriangular.check_table_size(args.kind, args.n, args.p)
     if not is_prime(args.p):
         raise UsageError(f"--p must be a prime, got {args.p}")
     if args.p == 2 and args.kind != "A":
@@ -343,6 +348,9 @@ def main(argv=None) -> int:
     except (UsageError, GroupError, StructuralError, UnsupportedGroundError) as exc:
         parser.error(str(exc))  # exits with code 2
         return EXIT_USAGE
+    except unitriangular.ScaleGuardError as exc:
+        print(f"arcact: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

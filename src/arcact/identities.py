@@ -908,10 +908,9 @@ def _rank_invert(id, statement, family, name, n_min, want, desk_n_max, quick_n_m
                     out.append(f"n={n}: not an involution at {p.text()}")
                     return out
                 wanted = want(p, n)
-                if wanted is not None:
-                    _eq(out, f"n={n} {p.text()}", len(q.blocks), wanted)
-                    if out:
-                        return out
+                if wanted is not None and len(q.blocks) != wanted:
+                    out.append(_mismatch(f"n={n} {p.text()}", len(q.blocks), wanted))
+                    return out
         return out
 
     _register(id, "structural", statement, {"n_max": desk_n_max}, {"n_max": quick_n_max})(check)

@@ -15,6 +15,7 @@ from .core import (
     LabeledSetPartition,
     StructuralError,
     UnsupportedGroundError,
+    _Z2,
     blocks_from_arcs,
     classify,
     crossings,
@@ -24,7 +25,6 @@ from .core import (
     unlabeled,
 )
 from .families import DyckPath, valley_arcs
-from .groups import GroupSpec
 
 
 def _shift_target(ground: GroundSet) -> GroundSet:
@@ -163,7 +163,7 @@ def uncross_d_inverse(p: LabeledSetPartition) -> LabeledSetPartition:
 
 
 def _require_unlabeled(p: LabeledSetPartition):
-    if p.group != GroupSpec((2,)):
+    if p.group != _Z2:
         raise StructuralError("this map is defined on unlabeled (Z2) partitions")
 
 

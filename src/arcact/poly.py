@@ -4,7 +4,10 @@ Every named family can be computed three ways:
 
 * ``transfer_family`` - a transfer recursion that builds partitions element
                         by element and never consults a closed formula; all
-                        of them run on one driver, ``_transfer``;
+                        of them run on one driver, ``_transfer``, to which
+                        each step yields the next state and the monomial
+                        (c, dx, dy) of the way, so no recursion does
+                        polynomial arithmetic;
 * ``CLOSED``          - the closed formula of each family.  A bivariate
                         family's closed formula is the single-sum expansion
                         sum binom(n,k) U[k](x) y^(n-k) over a univariate
@@ -299,58 +302,74 @@ def number_tables(kind: str, n: int, k: int = 0) -> int:
 # existing one; an attachment contributes y when it extends the element
 # placed in the previous step (a cover arc) and x otherwise.  The noncrossing
 # variants additionally retire every attachment point that the new arc
-# covers.  The recursions are independent of any closed formula.
+# covers.  The recursions are independent of any closed formula, and they do
+# no polynomial arithmetic: a step names the monomial c x^dx y^dy of each way
+# as the triple (c, dx, dy), and the driver adds the shifted coefficients in.
+
+_ONE, _X, _Y = (1, 0, 0), (1, 1, 0), (1, 0, 1)
 
 
 def _transfer(start, step, n: int) -> dict:
-    """The states after n insertions, each with the polynomial of the ways to
-    reach it.  ``step(i, state, p)`` yields ``(next_state, polynomial)`` for
-    every way to insert element (pair) i into ``state`` reached with ``p``."""
-    states = {start: ONE}
+    """The states after n insertions, each with the coefficients
+    ``{(dx, dy): c}`` of the polynomial of the ways to reach it.
+    ``step(i, state)`` yields ``(next_state, (c, dx, dy))`` for every way to
+    insert element (pair) i into ``state``; that way multiplies the count by
+    c x^dx y^dy, which is added into the next state's coefficients in place."""
+    states = {start: {(0, 0): 1}}
     for i in range(1, n + 1):
         new = {}
-        for state, p in states.items():
-            for nxt, q in step(i, state, p):
-                new[nxt] = new[nxt] + q if nxt in new else q
+        for state, coeffs in states.items():
+            for nxt, (c, dx, dy) in step(i, state):
+                into = new.get(nxt)
+                if into is None:
+                    into = new[nxt] = {}
+                for (a, b), v in coeffs.items():
+                    key = (a + dx, b + dy)
+                    into[key] = into.get(key, 0) + c * v
         states = new
     return states
 
 
 def _total(states: dict, keep=lambda state: True) -> BiPoly:
-    return sum((p for s, p in states.items() if keep(s)), BiPoly.zero())
+    out = {}
+    for state, coeffs in states.items():
+        if keep(state):
+            for key, v in coeffs.items():
+                out[key] = out.get(key, 0) + v
+    return BiPoly._clean(out)
 
 
 @lru_cache(maxsize=None)
 def _bell_bivariate(n: int) -> BiPoly:
-    def step(i, k, p):  # k: number of blocks
-        yield k + 1, p
+    def step(i, k):  # k: number of blocks
+        yield k + 1, _ONE
         if i >= 2:
-            yield k, p * Y  # join the block of the previous element
+            yield k, _Y  # join the block of the previous element
             if k >= 2:
-                yield k, p * X * (k - 1)
+                yield k, (k - 1, 1, 0)
 
     return _total(_transfer(0, step, n))
 
 
 @lru_cache(maxsize=None)
 def _cat_bivariate(n: int) -> BiPoly:
-    def step(i, r, p):  # r: number of attachment points not under an arc
-        yield r + 1, p
+    def step(i, r):  # r: number of attachment points not under an arc
+        yield r + 1, _ONE
         for j in range(1, r + 1):
-            yield j, p * (Y if j == r else X)
+            yield j, _Y if j == r else _X
 
     return _total(_transfer(0, step, n))
 
 
 @lru_cache(maxsize=None)
 def _bellx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    def step(i, e, p):  # e: number of attachment ends
-        yield e + 2, p
+    def step(i, e):  # e: number of attachment ends
+        yield e + 2, _ONE
         hot = has_zero or i >= 2
         if hot and e >= 1:
-            yield e, p * Y
+            yield e, _Y
             if e >= 2:
-                yield e, p * X * (e - 1)
+                yield e, (e - 1, 1, 0)
 
     return _total(_transfer(1 if has_zero else 0, step, n))
 
@@ -362,42 +381,42 @@ def _bellx_bivariate(n: int, has_zero: bool) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _catx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    def step(i, s, p):
-        yield s + ("2",), p
+    def step(i, s):
+        yield s + ("2",), _ONE
         for j, slot in enumerate(s):
             if slot in ("+", "2"):
                 # a positive-side join covers exactly the ends of larger
                 # absolute value; the negative twin survives
-                weight = Y if j == len(s) - 1 else X
+                weight = _Y if j == len(s) - 1 else _X
                 rest = ("-",) if slot == "2" else ()
-                yield s[:j] + rest + ("+",), p * weight
+                yield s[:j] + rest + ("+",), weight
             if slot in ("-", "2"):
                 # a negative-side join spans the centre: the two new
                 # mirrored arcs cover every other live end
-                yield ("+",), p * X
+                yield ("+",), _X
 
     return _total(_transfer(("+",) if has_zero else (), step, n))
 
 
 @lru_cache(maxsize=None)
 def _feasible_poly(n: int) -> BiPoly:
-    def step(i, s, p):  # s: (singleton blocks, larger blocks)
+    def step(i, s):  # s: (singleton blocks, larger blocks)
         s1, s2 = s
-        yield (s1 + 1, s2), p
+        yield (s1 + 1, s2), _ONE
         if s1:
-            yield (s1 - 1, s2 + 1), p * X * s1
+            yield (s1 - 1, s2 + 1), (s1, 1, 0)
         if s2:
-            yield (s1, s2), p * X * s2
+            yield (s1, s2), (s2, 1, 0)
 
     return _total(_transfer((0, 0), step, n), lambda s: s[0] == 0)
 
 
 @lru_cache(maxsize=None)
 def _motzkin_poly(n: int) -> BiPoly:
-    def step(i, r, p):  # r: open singleton blocks not under an arc
-        yield r + 1, p
+    def step(i, r):  # r: open singleton blocks not under an arc
+        yield r + 1, _ONE
         for j in range(1, r + 1):
-            yield j - 1, p * X
+            yield j - 1, _X
 
     return _total(_transfer(0, step, n))
 
@@ -412,15 +431,15 @@ def _feasiblex_poly(n: int, has_zero: bool) -> tuple[BiPoly, BiPoly]:
     element both components agree.
     """
 
-    def step(i, s, p):  # s: (singleton pairs, grown pairs, centre grown)
+    def step(i, s):  # s: (singleton pairs, grown pairs, centre grown)
         p1, p2, z = s
-        yield (p1 + 1, p2, z), p
+        yield (p1 + 1, p2, z), _ONE
         if p1:
-            yield (p1 - 1, p2 + 1, z), p * X * (2 * p1)
+            yield (p1 - 1, p2 + 1, z), (2 * p1, 1, 0)
         if p2:
-            yield (p1, p2, z), p * X * (2 * p2)
+            yield (p1, p2, z), (2 * p2, 1, 0)
         if has_zero:
-            yield (p1, p2, 1), p * X
+            yield (p1, p2, 1), _X
 
     states = _transfer((0, 0, 0), step, n)
     strict = _total(states, lambda s: s[0] == 0 and (s[2] or not has_zero))
@@ -432,11 +451,11 @@ def _motzkinx_poly(n: int) -> BiPoly:
     # Poor mirrored noncrossing: a join fills both blocks of a pair, so the
     # pair retires on use; the central block is never extended.  Only the
     # number of live singleton pairs matters.
-    def step(i, r, p):
-        yield r + 1, p
+    def step(i, r):
+        yield r + 1, _ONE
         for j in range(r):
-            yield j, p * X  # positive-side join of pair j
-            yield 0, p * X  # negative-side join spans the centre
+            yield j, _X  # positive-side join of pair j
+            yield 0, _X  # negative-side join spans the centre
 
     return _total(_transfer(0, step, n))
 
@@ -444,12 +463,12 @@ def _motzkinx_poly(n: int) -> BiPoly:
 @lru_cache(maxsize=None)
 def _motzkinx_tilde_poly(n: int) -> BiPoly:
     # B-poor variant: the central block may be extended exactly once.
-    def step(i, s, p):
-        yield s + ("2",), p
+    def step(i, s):
+        yield s + ("2",), _ONE
         for j, slot in enumerate(s):
-            yield s[:j], p * X  # positive-side (or central) join
+            yield s[:j], _X  # positive-side (or central) join
             if slot != "Z":
-                yield (), p * X  # negative-side join spans the centre
+                yield (), _X  # negative-side join spans the centre
 
     return _total(_transfer(("Z",), step, n))
 

@@ -35,7 +35,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class ScaleGuardError(RuntimeError):
-    """The requested table is larger than ``check_table_size`` admits."""
+    """The requested table is larger than ``check_table_size`` admits, or a
+    requested polynomial larger than ``cli.MAX_POLY_N``."""
 
 
 class ConsistencyError(RuntimeError):

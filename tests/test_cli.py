@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from arcact import cli, families, unitriangular
+from arcact import cli, families, poly, unitriangular
 from arcact.cli import main
 from arcact.core import partition_from_json, unlabeled, ground_a
 from arcact.families import enumerate_family
@@ -285,6 +285,18 @@ def test_oversized_chartables_are_refused_up_front(capsys, monkeypatch, kind, n,
     monkeypatch.setattr(unitriangular, "group_elements", refuse)
     monkeypatch.setattr(cli, "is_prime", refuse)
     code = main(["chartable", "--kind", kind, "--n", str(n), "--p", str(p)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, n", [("Bell", cli.MAX_POLY_N + 1), ("F", 10**20), ("M", 10**6)])
+def test_oversized_polys_are_refused_up_front(capsys, monkeypatch, name, n):
+    def refuse(*args):
+        raise AssertionError("an oversized polynomial got past the size guard")
+
+    monkeypatch.setattr(poly, "family", refuse)
+    code = main(["poly", "--family", name, "--n", str(n)])
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -76,6 +76,29 @@ def test_transfer_equals_enumeration():
             assert transfer_family(name, n) == enumerated_family(name, n), (name, n)
 
 
+def test_recursions_do_no_polynomial_arithmetic(monkeypatch):
+    """The driver adds each way's monomial into plain coefficient dicts: with
+    BiPoly's arithmetic made to raise, every recursion, run cold, gives the
+    values it gave before."""
+    recursions = [f for f in vars(poly).values() if hasattr(f, "cache_info")]
+    assert len(recursions) == 9
+    expected = {
+        (name, n): dict(transfer_family(name, n).coeffs)
+        for name in FAMILY_NAMES
+        for n in range(9)
+    }
+
+    def refuse(*args):
+        raise AssertionError("a transfer recursion did polynomial arithmetic")
+
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(BiPoly, op, refuse)
+    for recursion in recursions:
+        recursion.cache_clear()
+    for (name, n), coeffs in expected.items():
+        assert transfer_family(name, n).coeffs == coeffs, (name, n)
+
+
 def _random_coeffs(rng, terms, zeros=True):
     out = {}
     for _ in range(terms):
