@@ -222,27 +222,26 @@ def cmd_chartable(args) -> int:
     table = unitriangular.build_chartable(args.kind, args.n, args.p)
     norms = table.norms()
     degrees = table.degrees()
-    text = lru_cache(maxsize=None)(str)  # each distinct value is formatted once
-    rows = []
-    for lam, values, norm, degree in zip(table.indices, table.values, norms, degrees):
-        rows.append(
+    if args.format == "json":
+        text = lru_cache(maxsize=None)(str)  # each distinct value is formatted once
+        rows = [
             {
                 "index": lam.to_json_dict(),
                 "degree": degree,
                 "norm": str(norm),
                 "values": [text(v) for v in values],
             }
-        )
-    payload = {
-        "kind": args.kind,
-        "n": args.n,
-        "p": args.p,
-        "group_order": table.group_order,
-        "classes": [c.to_json_dict() for c in table.classes],
-        "class_sizes": list(table.class_sizes),
-        "characters": rows,
-    }
-    if args.format == "json":
+            for lam, values, norm, degree in zip(table.indices, table.values, norms, degrees)
+        ]
+        payload = {
+            "kind": args.kind,
+            "n": args.n,
+            "p": args.p,
+            "group_order": table.group_order,
+            "classes": [c.to_json_dict() for c in table.classes],
+            "class_sizes": list(table.class_sizes),
+            "characters": rows,
+        }
         print(json.dumps(payload))
     else:
         print(f"group order {table.group_order}, {len(table.classes)} superclasses")

@@ -28,14 +28,12 @@ from .core import (
     GroundSet,
     LabeledSetPartition,
     StructuralError,
-    arcs_of,
     blocks_from_arcs,
     canonical_blocks,
     chain_blocks,
     ground_a,
     ground_b,
     ground_d,
-    is_nc_tilde,
 )
 from .groups import DirectSum, GroupSpec, neg_unchecked
 
@@ -126,64 +124,51 @@ def _subsets(values):
         yield from itertools.combinations(values, r)
 
 
-def _sign_lifts(block):
-    """Lift a block of positive values to a mirrored pair of signed blocks.
-
-    The element of smallest absolute value keeps its sign, which picks one
-    block out of each pair {B, -B}.
-    """
-    block = sorted(block)
-    head, rest = block[0], block[1:]
-    for signs in itertools.product((1, -1), repeat=len(rest)):
-        b = tuple(sorted([head] + [s * x for s, x in zip(signs, rest)]))
-        yield b, tuple(sorted(-x for x in b))
-
-
-def symmetric_partitions(n, has_zero, allow_self_negative):
+def symmetric_partitions(n, has_zero, allow_self_negative, *, nc_tilde=False):
     """Partitions of [-n..n] (optionally with 0) whose block set is negation
-    closed.
+    closed, each once.
 
     ``allow_self_negative`` admits nonzero blocks B with B = -B; switching it
     off yields exactly the block structures in which every block pair is
     {B, -B} with B != -B, apart from the zero block when present.
+    ``nc_tilde`` keeps the relaxed noncrossing ones: every crossing is of a
+    mirror pair (i, k), (-k, -i).
+
+    For i = 1..n, i joins a block b and -i joins -b (b = -b for the zero
+    block and the self-negative ones), or +-i start a pair {i}, {-i} or a
+    block {-i, i}.  As i tops every value placed so far, a join to a block
+    with top a adds exactly the arcs (a, i) and (-i, -a), a mirror pair that
+    crosses an earlier arc exactly when one spans a or, by symmetry, -a:
+    when some block c has c[0] < a < c[-1].  nc_tilde skips those joins.
     """
-    values = list(range(1, n + 1))
+    blocks = [[0]] if has_zero else []  # each kept sorted
+    mirror = [0] if has_zero else []  # the index of each block's negation
 
-    def self_blocks(pool):
-        # families of disjoint symmetric nonzero blocks, as tuples of supports
-        pool = list(pool)
-        if not allow_self_negative:
-            yield (), tuple(pool)
+    def grow(i):
+        if i > n:
+            yield canonical_blocks(blocks)
             return
-        for supports in set_partitions(pool):
-            for chosen in _subsets(range(len(supports))):
-                picked = [supports[k] for k in chosen]
-                rest = [x for k, s in enumerate(supports) if k not in chosen for x in s]
-                yield tuple(picked), tuple(sorted(rest))
+        for k, b in enumerate(blocks):
+            a = b[-1]
+            if nc_tilde and any(c[0] < a < c[-1] for c in blocks):
+                continue
+            nb = blocks[mirror[k]]
+            b.append(i)
+            nb.insert(0, -i)
+            yield from grow(i + 1)
+            del nb[0]
+            b.pop()
+        k = len(blocks)
+        blocks.extend(([i], [-i]))
+        mirror.extend((k + 1, k))
+        yield from grow(i + 1)
+        if allow_self_negative:
+            blocks[k:] = [[-i, i]]
+            mirror[k:] = [k]
+            yield from grow(i + 1)
+        del blocks[k:], mirror[k:]
 
-    zero_supports = _subsets(values) if has_zero else [None]
-    for zero_support in zero_supports:
-        if zero_support is None:
-            remaining0 = values
-            zero_block = None
-        else:
-            remaining0 = [x for x in values if x not in zero_support]
-            zero_block = tuple(
-                sorted([-x for x in zero_support] + [0] + list(zero_support))
-            )
-        for picked, pool in self_blocks(remaining0):
-            fixed = [] if zero_block is None else [zero_block]
-            fixed += [
-                tuple(sorted([-x for x in s] + list(s))) for s in picked
-            ]
-            for parts in set_partitions(pool):
-                lift_choices = [list(_sign_lifts(part)) for part in parts]
-                for lifted in itertools.product(*lift_choices):
-                    blocks = list(fixed)
-                    for b, nb in lifted:
-                        blocks.append(b)
-                        blocks.append(nb)
-                    yield canonical_blocks(blocks)
+    yield from grow(1)
 
 
 def _linear_blocks(ground: GroundSet):
@@ -193,8 +178,7 @@ def _linear_blocks(ground: GroundSet):
         slots = [(i, i + 1) for i in elements if i + 1 in elements]
     else:
         # cover slots come in mirrored pairs; enumerate the nonnegative side
-        top = [(i, i + 1) for i in range(0 if ground.kind == "B" else 1, ground.n)]
-        slots = top
+        slots = [(i, i + 1) for i in range(0 if ground.kind == "B" else 1, ground.n)]
     for chosen in _subsets(slots):
         arcs = set()
         for i, j in chosen:
@@ -243,38 +227,31 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
 
     NC comes from a first-block recursion, NN and NN_B from Dyck paths
     through ``valley_arcs`` (all paths of 2n steps, the symmetric paths of
-    4n steps).  PI lists the set partitions and the P families the
-    negation-closed ones; the NC~ families keep those that pass the
-    nc_tilde test, and the L families choose cover arcs.
+    4n steps).  PI lists the set partitions.  The P and NC~ families grow
+    the negation-closed partitions centre-outward, NC~ skipping every join
+    whose arcs would cross an earlier one (``symmetric_partitions``), and
+    the L families choose cover arcs.  No family is filtered.
     """
     base = family[:-3] if family.endswith("_AB") else family
     if base == "PI":
-        shapes = list(set_partitions(range(1, n + 1)))
+        shapes = set_partitions(range(1, n + 1))
     elif base == "NC":
         shapes = _noncrossing_shapes(n)
     elif base == "NN":
         shapes = _nonnesting_shapes(enumerate_dyck(n), ground_a(n))
     elif base == "NN_B":
         shapes = _nonnesting_shapes(symmetric_dyck(n), ground_d(n))
-    elif base == "L":
-        shapes = [
-            blocks_from_arcs(ground_a(n), arcs) for arcs in _linear_blocks(ground_a(n))
-        ]
-    elif base in ("L_B", "L_D"):
-        g = ground_b(n) if base == "L_B" else ground_d(n)
+    elif base in ("L", "L_B", "L_D"):
+        g = family_ground(base, n)
         shapes = [blocks_from_arcs(g, arcs) for arcs in _linear_blocks(g)]
-    elif base in ("P_B", "NC_TILDE_B"):
-        # no arc (-i, i): nonzero blocks are not self-negative; 0 sits between -i and i
-        shapes = list(symmetric_partitions(n, True, False))
-        if base == "NC_TILDE_B":
-            shapes = [s for s in shapes if is_nc_tilde(arcs_of(s))]
-    elif base in ("P_D", "NC_TILDE_D"):
-        shapes = list(symmetric_partitions(n, False, False))
-        if base == "NC_TILDE_D":
-            shapes = [s for s in shapes if is_nc_tilde(arcs_of(s))]
+    elif base in ("P_B", "NC_TILDE_B", "P_D", "NC_TILDE_D"):
+        # the B ground holds 0; no arc (-i, i): nonzero blocks are not self-negative
+        shapes = symmetric_partitions(
+            n, base.endswith("B"), False, nc_tilde=base.startswith("NC_TILDE")
+        )
     else:  # pragma: no cover
         raise ValueError(base)
-    return tuple(sorted(set(shapes)))
+    return tuple(sorted(shapes))
 
 
 # ---------------------------------------------------------------------------

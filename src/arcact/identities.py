@@ -747,11 +747,11 @@ def _uncross_b_props(n_max):
         dom_b = [
             unlabeled(ground_b(n), blocks) for blocks in family_shapes("NC_TILDE_B", n)
         ]
-        sym_nc = [
+        symmetric = (
             unlabeled(ground_d(n), blocks)
-            for blocks in sorted(set(symmetric_partitions(n, False, True)))
-            if classify(unlabeled(ground_d(n), blocks)).noncrossing
-        ]
+            for blocks in sorted(symmetric_partitions(n, False, True))
+        )
+        sym_nc = [q for q in symmetric if classify(q).noncrossing]
         images = [maps.uncross_b(p) for p in dom_b]
         _eq(out, f"n={n} b-image", sorted(q.blocks for q in images), sorted(q.blocks for q in sym_nc))
         _eq(out, f"n={n} b-inj", len(set(images)), len(dom_b))

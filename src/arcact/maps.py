@@ -116,31 +116,37 @@ def uncross_b(p: LabeledSetPartition, rng: random.Random | None = None) -> Label
     return unlabeled(target, blocks)
 
 
-def _center_points(p: LabeledSetPartition) -> list[int]:
-    """Positive endpoints of the self-mirrored arcs (-i, i), increasing."""
-    return sorted(j for i, j in p.arcs() if j == -i)
+def _rewired_center(p: LabeledSetPartition) -> tuple[set[Arc], int | None]:
+    """Cut the self-mirrored arcs (-i, i) of a negation-closed noncrossing
+    D-ground partition and join their points in pairs from the outside in:
+    points a < b give the crossing mirror pair (-b, a), (-a, b).
+
+    Returns the new arc set and, when the number of points is odd, the
+    innermost point, which is left unjoined.
+    """
+    if p.ground.kind != "D":
+        raise UnsupportedGroundError("expected a D-ground partition")
+    _require_unlabeled(p)
+    arcs = {(i, j) for i, j in p.arcs() if j != -i}
+    points = sorted(j for i, j in p.arcs() if j == -i)
+    inner = points.pop(0) if len(points) % 2 else None
+    for a, b in zip(points[::2], points[1::2]):
+        arcs.update([(-b, a), (-a, b)])
+    return arcs, inner
 
 
 def uncross_b_inverse(p: LabeledSetPartition) -> LabeledSetPartition:
     """Inverse of uncross_b on negation-closed noncrossing D-ground partitions.
 
-    The arcs (-i, i) are cut and re-wired through 0 (or pairwise), which
-    undoes the crossings removed by uncross.
+    The arcs (-i, i) are cut and re-wired pairwise, the innermost one
+    through 0 when their number is odd, which undoes the crossings removed
+    by uncross.
     """
-    if p.ground.kind != "D":
-        raise UnsupportedGroundError("expected a D-ground partition")
-    _require_unlabeled(p)
-    ii = _center_points(p)
-    new_arcs = {a for a in p.arcs() if a[1] != -a[0]}
-    if len(ii) % 2 == 0:
-        pairs = [(ii[2 * k], ii[2 * k + 1]) for k in range(len(ii) // 2)]
-    else:
-        new_arcs.update([(-ii[0], 0), (0, ii[0])])
-        pairs = [(ii[2 * k + 1], ii[2 * k + 2]) for k in range((len(ii) - 1) // 2)]
-    for a, b in pairs:
-        new_arcs.update([(-b, a), (-a, b)])
+    arcs, inner = _rewired_center(p)
+    if inner is not None:
+        arcs.update([(-inner, 0), (0, inner)])
     target = ground_b(p.ground.n)
-    return unlabeled(target, blocks_from_arcs(target, new_arcs))
+    return unlabeled(target, blocks_from_arcs(target, arcs))
 
 
 def uncross_d_inverse(p: LabeledSetPartition) -> LabeledSetPartition:
@@ -149,17 +155,10 @@ def uncross_d_inverse(p: LabeledSetPartition) -> LabeledSetPartition:
     Defined for negation-closed noncrossing D-ground partitions with an even
     number of self-negative blocks.
     """
-    if p.ground.kind != "D":
-        raise UnsupportedGroundError("expected a D-ground partition")
-    _require_unlabeled(p)
-    ii = _center_points(p)
-    if len(ii) % 2 != 0:
+    arcs, inner = _rewired_center(p)
+    if inner is not None:
         raise StructuralError("need an even number of self-negative blocks")
-    new_arcs = {a for a in p.arcs() if a[1] != -a[0]}
-    for k in range(len(ii) // 2):
-        a, b = ii[2 * k], ii[2 * k + 1]
-        new_arcs.update([(-b, a), (-a, b)])
-    return unlabeled(p.ground, blocks_from_arcs(p.ground, new_arcs))
+    return unlabeled(p.ground, blocks_from_arcs(p.ground, arcs))
 
 
 def _require_unlabeled(p: LabeledSetPartition):

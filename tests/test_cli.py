@@ -5,7 +5,7 @@ import pytest
 
 from arcact import cli, families, poly, unitriangular
 from arcact.cli import main
-from arcact.core import partition_from_json, unlabeled, ground_a
+from arcact.core import LabeledSetPartition, partition_from_json, unlabeled, ground_a
 from arcact.families import enumerate_family
 from arcact.unitriangular import expected_counts
 
@@ -254,6 +254,17 @@ def test_chartable_type_b_at_rank_zero(capsys):
     assert len(data["classes"]) == expected["distinct"] == 1
     assert data["class_sizes"] == [1]
     assert [row["norm"] for row in data["characters"]] == ["1"]
+
+
+def test_chartable_table_format_builds_no_json(capsys, monkeypatch):
+    # the table lists degrees, norms and index texts; only json needs dicts
+    def refuse(self):
+        raise AssertionError("the table format built a JSON payload")
+
+    monkeypatch.setattr(LabeledSetPartition, "to_json_dict", refuse)
+    code, out = run_cli(capsys, "chartable", "--kind", "A", "--n", "3", "--p", "3")
+    assert code == 0
+    assert out.startswith("group order")
 
 
 def test_chartable_scale_guard(capsys):

@@ -8,6 +8,7 @@ from arcact.core import (
     arcs_of,
     canonical_blocks,
     classify,
+    is_nc_tilde,
     is_noncrossing,
     is_nonnesting,
 )
@@ -101,20 +102,59 @@ def test_nonnesting_counts():
 
 
 def _filtered_shapes(family, n):
-    """The shapes of NC, NN or NN_B by testing every candidate partition:
-    the route the direct generators replaced, kept as their oracle."""
+    """The shapes of NC, NN, NN_B or the NC~ families by testing every
+    candidate partition: the route the direct generators replaced, kept as
+    their oracle."""
     if family == "NN_B":
         candidates = symmetric_partitions(n, False, True)
+    elif family.startswith("NC_TILDE"):
+        candidates = family_shapes("P" + family[-2:], n)
     else:
         candidates = set_partitions(range(1, n + 1))
-    test = is_noncrossing if family == "NC" else is_nonnesting
+    test = {"NC": is_noncrossing, "NN": is_nonnesting, "NN_B": is_nonnesting}.get(
+        family, is_nc_tilde
+    )
     return tuple(sorted({canonical_blocks(s) for s in candidates if test(arcs_of(s))}))
 
 
-@pytest.mark.parametrize("family,n_max", [("NC", 8), ("NN", 8), ("NN_B", 5)])
+@pytest.mark.parametrize(
+    "family,n_max",
+    [("NC", 8), ("NN", 8), ("NN_B", 5), ("NC_TILDE_B", 7), ("NC_TILDE_D", 7)],
+)
 def test_direct_generators_match_the_filter_route(family, n_max):
     for n in range(n_max + 1):
         assert family_shapes(family, n) == _filtered_shapes(family, n), n
+
+
+@pytest.mark.parametrize("family", ["P_B", "P_D"])
+def test_symmetric_shapes_match_the_set_partition_filter(family):
+    # negation-closed partitions of the ground with no self-negative block
+    # but the zero block, picked out of all of its set partitions
+    def negated(b):
+        return tuple(sorted(-x for x in b))
+
+    for n in range(5):
+        ground = families.family_ground(family, n)
+        want = tuple(
+            sorted(
+                s
+                for s in set_partitions(ground.elements())
+                if {negated(b) for b in s} == set(s)
+                and all(0 in b or negated(b) != b for b in s)
+            )
+        )
+        assert family_shapes(family, n) == want, n
+
+
+@pytest.mark.parametrize("has_zero", [False, True])
+@pytest.mark.parametrize("allow_self_negative", [False, True])
+def test_symmetric_partitions_yield_each_shape_once(has_zero, allow_self_negative):
+    for n in range(6):
+        shapes = list(symmetric_partitions(n, has_zero, allow_self_negative))
+        pruned = list(symmetric_partitions(n, has_zero, allow_self_negative, nc_tilde=True))
+        assert len(set(shapes)) == len(shapes), n
+        assert len(set(pruned)) == len(pruned), n
+        assert set(pruned) == {s for s in shapes if is_nc_tilde(arcs_of(s))}, n
 
 
 def test_direct_generator_counts():
