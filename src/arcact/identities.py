@@ -35,6 +35,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from types import SimpleNamespace
 
 from . import action, maps, oeis, poly, unitriangular
@@ -1133,36 +1134,41 @@ def _rank_mod_p(vectors, p) -> int:
     return len(basis)
 
 
-def _two_sided_rank(g, p) -> int:
-    """Rank over F_p of (a, b) -> aX + Xb on strictly upper triangular a and
-    b, where X = g - 1: the superclass of g has p^rank elements."""
+def _two_sided_rank(g, p, kind) -> int:
+    """Rank over F_p, X = g - 1 and a, b strictly upper triangular, of
+    (a, b) -> aX + Xb for type A and of a -> aX + X dagger(a) for B and D:
+    the kind's superclass of g has p^rank elements."""
     n = len(g)
     images = []
     for r in range(n):
         for s in range(r + 1, n):
-            # E_rs X takes row s of X into row r; X E_rs takes column r of X
-            # into column s
-            images.append([g[s][c] if i == r and c > s else 0 for i in range(n) for c in range(n)])
-            images.append([g[i][r] if c == s and i < r else 0 for i in range(n) for c in range(n)])
+            # E_rs X takes row s of X into row r; X E_tu takes column t of X
+            # into column u, with E_tu = E_rs for A and dagger(E_rs) for B, D
+            left = [g[s][c] if i == r and c > s else 0 for i in range(n) for c in range(n)]
+            t, u = (r, s) if kind == "A" else (n - 1 - s, n - 1 - r)
+            right = [g[i][t] if c == u and i < t else 0 for i in range(n) for c in range(n)]
+            images += [left, right] if kind == "A" else [list(map(add, left, right))]
     return _rank_mod_p(images, p)
 
 
 def _superclass_sizes(sizes):
     """At each (kind, n, p), the closed-form size of each superclass built
-    from an index equals its element count (type A: and p^rank), and the
-    keys the elements reduce to are exactly those superclasses."""
+    from an index equals its element count and p^rank, and the keys the
+    elements reduce to are exactly those superclasses.  The elements are
+    counted over ``lie_elements``: for B and D, g - 1 = X(1 - X/2)^-1 for the
+    Cayley image g of 1 + X, so g and 1 + X have one key."""
     out = []
     for kind, n, p in sizes:
         tag = f"{kind}({n},{p})"
-        elements = unitriangular.group_elements(kind, n, p)
+        elements = unitriangular.lie_elements(kind, n, p)
         counted = Counter(unitriangular.superclass_key(g, p) for g in elements)
         indices = family_members(unitriangular.index_family(kind, n, p))
         classes = [unitriangular.ambient_class(lam) for lam in indices]
         for c in classes:
             found = {"closed": unitriangular.superclass_size(c, kind)}
             found["elements"] = counted[tuple(((i, j), v) for i, j, v in c.labels)]
-            if kind == "A":
-                found["rank"] = p ** _two_sided_rank(unitriangular.class_representative_matrix(c, p), p)
+            g = unitriangular.class_representative_matrix(c, p)
+            found["rank"] = p ** _two_sided_rank(g, p, kind)
             if len(set(found.values())) > 1:
                 return [f"{tag} {c.text()}: " + ", ".join(f"{k} {v}" for k, v in found.items())]
         _eq(out, f"{tag} superclasses", len(counted), len(classes), len(set(classes)))
@@ -1186,8 +1192,9 @@ _register(
     "superclass-sizes-BD",
     "structural",
     "the closed-form size of every type B and D superclass equals the number"
-    " of group elements that reduce to it; the superclasses are exactly the"
-    " indices read on the ambient type A ground",
+    " of Lie algebra elements that reduce to it and p^rank of"
+    " a -> aX + X dagger(a), X its labeled arcs; the superclasses are exactly"
+    " the indices read on the ambient type A ground",
     {"sizes": (("B", 1, 3), ("B", 2, 3), ("B", 2, 5), ("B", 3, 3), ("D", 2, 3), ("D", 3, 3))},
     {"sizes": (("B", 1, 3), ("D", 2, 3))},
 )(_superclass_sizes)
@@ -1294,7 +1301,7 @@ def _uncross_confluence(n, trials):
 )
 def _reduce_invariance(n, p, trials):
     rng = random.Random(REDUCE_SEED)
-    elements = list(unitriangular.unitriangular_elements(n, p))
+    elements = list(unitriangular.lie_elements("A", n, p))
     for _ in range(trials):
         g = rng.choice(elements)
         h = unitriangular.random_superclass_perturbation(g, p, rng)

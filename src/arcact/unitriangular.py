@@ -1,9 +1,11 @@
 """Unitriangular matrix groups over prime fields and their supercharacters.
 
-Matrices are tuples of tuples of residues mod p.  The two families of
-fixed-point subgroups (types B and D) live inside the unitriangular groups
-of sizes 2n+1 and 2n; their characters are evaluated through the ambient
-canonical reduction, so only the ambient theory is ever constructed.
+Matrices are tuples of tuples of residues mod p.  The groups of types B and
+D are the fixed points of g -> dagger(g)^-1 in the unitriangular groups of
+sizes 2n+1 and 2n (Andre-Neto).  ``lie_elements`` lists the Lie algebras of
+all three kinds, and ``group_elements`` lists the B and D groups as Cayley
+images of theirs.  No table lists either: a superclass is its index read on
+the ambient type A ground, sized by the closed form ``superclass_size``.
 
 All character values are exact elements of Z[zeta_p].
 """
@@ -15,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .core import LabeledSetPartition, blocks_from_arcs, classify, ground_a
 from .cyclotomic import CycValue, theta
@@ -65,24 +68,6 @@ def dagger(a: Matrix) -> Matrix:
     )
 
 
-def unitriangular_inverse(g: Matrix, p: int) -> Matrix:
-    n = len(g)
-    nil = tuple(
-        tuple((g[i][j] - (1 if i == j else 0)) % p for j in range(n)) for i in range(n)
-    )
-    out = identity_matrix(n)
-    power = identity_matrix(n)
-    sign = -1
-    for _ in range(1, n):
-        power = mat_mul(power, nil, p)
-        out = tuple(
-            tuple((out[i][j] + sign * power[i][j]) % p for j in range(n))
-            for i in range(n)
-        )
-        sign = -sign
-    return out
-
-
 def is_unitriangular(g: Matrix, p: int) -> bool:
     n = len(g)
     return all(
@@ -107,90 +92,54 @@ def subgroup_order(kind: str, n: int, p: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def unitriangular_elements(n: int, p: int):
-    """All of the unitriangular group, in lexicographic entry order."""
-    # row i: i zeros, the diagonal one, then its n - 1 - i free entries,
-    # which are values[cuts[i]:cuts[i + 1]]
-    heads = [(0,) * i + (1,) for i in range(n)]
-    cuts = list(itertools.accumulate(range(n - 1, -1, -1), initial=0))
-    for values in itertools.product(range(p), repeat=cuts[-1]):
-        yield tuple(heads[i] + values[cuts[i] : cuts[i + 1]] for i in range(n))
+def lie_elements(kind: str, n: int, p: int):
+    """1 + X for every X in the kind's Lie algebra, in lexicographic entry order.
 
-
-def _free_positions(n: int) -> list[tuple[int, int]]:
-    # one representative of each antidiagonal mirror pair (i, j) <-> (n-1-j, n-1-i)
-    return [(i, j) for i in range(n) for j in range(n) if i + j < n - 1]
-
-
-def _solve_skew(n, p, free_values, rhs):
-    """Matrices z with z^dagger + z + rhs = 0, rhs dagger-symmetric."""
-    inv2 = pow(2, -1, p)
-    z = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(_free_positions(n), free_values):
-        z[i][j] = v
-        z[n - 1 - j][n - 1 - i] = (-v - rhs[n - 1 - j][n - 1 - i]) % p
-    for i in range(n):
-        j = n - 1 - i
-        z[i][j] = (-rhs[i][j] * inv2) % p
-    return tuple(tuple(row) for row in z)
-
-
-def type_b_elements(n: int, p: int):
-    """The fixed-point subgroup inside the unitriangular group of size 2n+1."""
-    if p == 2:
+    X is strictly upper triangular of size m: n for A, 2n+1 for B, 2n for D.
+    For B and D it also satisfies dagger(X) = -X, so each free entry (i, j)
+    with i + j < m - 1 is mirrored to (m-1-j, m-1-i) with its value negated,
+    and the antidiagonal is zero.  Type A is U(n, p) itself.
+    """
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind != "A" and p == 2:
         raise ValueError("odd characteristic required")
-    if n == 0:
-        yield identity_matrix(1)
-        return
-    free = _free_positions(n)
-    for x in unitriangular_elements(n, p):
-        xinv_dag = dagger(unitriangular_inverse(x, p))
-        for u in itertools.product(range(p), repeat=n):
-            ucol = tuple((v,) for v in u)
-            uu = tuple(tuple(u[i] * u[n - 1 - j] % p for j in range(n)) for i in range(n))
-            xu = mat_mul(x, ucol, p)
-            neg_udag = tuple(
-                tuple((-row[j]) % p for j in range(n)) for row in dagger(ucol)
-            )
-            for values in itertools.product(range(p), repeat=len(free)):
-                z = _solve_skew(n, p, values, uu)
-                xz = mat_mul(x, z, p)
-                g = []
-                for i in range(n):
-                    g.append(tuple(x[i]) + (xu[i][0],) + tuple(xz[i]))
-                g.append((0,) * n + (1,) + neg_udag[0])
-                for i in range(n):
-                    g.append((0,) * (n + 1) + tuple(xinv_dag[i]))
-                yield tuple(g)
+    m = {"A": n, "B": 2 * n + 1, "D": 2 * n}[kind]
+    skew = kind != "A"
+    free = [(i, j) for i in range(m) for j in range(i + 1, m) if not skew or i + j < m - 1]
+    # entry (i, j) is term source[i][j] of (0, 1) + values + negated values
+    source = [[int(i == j) for j in range(m)] for i in range(m)]
+    for k, (i, j) in enumerate(free):
+        source[i][j] = 2 + k
+        if skew:
+            source[m - 1 - j][m - 1 - i] = 2 + len(free) + k
+    # a leading term 0 makes even a one-entry row's itemgetter return a tuple
+    rows = [itemgetter(0, *row) for row in source]
+
+    def one_plus_x(values):
+        terms = (0, 1) + values + (tuple([-v % p for v in values]) if skew else ())
+        return tuple([row(terms)[1:] for row in rows])
+
+    return map(one_plus_x, itertools.product(range(p), repeat=len(free)))
 
 
-def type_d_elements(n: int, p: int):
-    """The fixed-point subgroup inside the unitriangular group of size 2n."""
-    if p == 2:
-        raise ValueError("odd characteristic required")
-    free = _free_positions(n)
-    zero_rhs = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    for x in unitriangular_elements(n, p):
-        xinv_dag = dagger(unitriangular_inverse(x, p))
-        for values in itertools.product(range(p), repeat=len(free)):
-            z = _solve_skew(n, p, values, zero_rhs)
-            xz = mat_mul(x, z, p)
-            g = []
-            for i in range(n):
-                g.append(tuple(x[i]) + tuple(xz[i]))
-            for i in range(n):
-                g.append((0,) * n + tuple(xinv_dag[i]))
-            yield tuple(g)
+def _cayley(x: Matrix, p: int) -> Matrix:
+    """g = (1 + X/2)(1 - X/2)^-1 for x = 1 + X, p odd: row i of g(1 - X/2) =
+    1 + X/2 gives g_ij = X_ij + (1/2) sum over i < k < j of g_ik X_kj."""
+    half = (p + 1) // 2
+    g = [list(row) for row in x]
+    for i, gi in enumerate(g):
+        for j in range(i + 2, len(g)):
+            gi[j] = (gi[j] + half * sum(gi[k] * x[k][j] for k in range(i + 1, j))) % p
+    return tuple(map(tuple, g))
 
 
 def group_elements(kind: str, n: int, p: int):
-    if kind == "A":
-        return unitriangular_elements(n, p)
-    if kind == "B":
-        return type_b_elements(n, p)
-    if kind == "D":
-        return type_d_elements(n, p)
-    raise ValueError(f"unknown kind {kind!r}")
+    """Every element of the kind's group: U(n, p) for A, as ``lie_elements``
+    lists it; for B and D, the fixed points of g -> dagger(g)^-1, as the
+    Cayley images of ``lie_elements`` (a bijection, as p is odd)."""
+    elements = lie_elements(kind, n, p)
+    return elements if kind == "A" else (_cayley(x, p) for x in elements)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +344,8 @@ def superclass_size(c: LabeledSetPartition, kind: str) -> int:
     after it, and an arc pair (i, l), (j, k) with i < j and l < k reaches
     the entry (i, k) both ways.  Types B and D, c an ``ambient_class`` with
     a arcs: p^((2e - a)/4).  That is observed, not proved; the registered
-    check ``superclass-sizes-BD`` compares it with element counts."""
+    check ``superclass-sizes-BD`` compares it with element counts over
+    ``lie_elements`` and with p^rank of a -> aX + X dagger(a)."""
     n = c.ground.size
     arcs = [(i, l) for i, l, _ in c.labels]
     exponent = sum(i - 1 + n - l for i, l in arcs)

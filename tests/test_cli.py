@@ -294,6 +294,7 @@ def test_oversized_chartables_are_refused_up_front(capsys, monkeypatch, kind, n,
 
     monkeypatch.setattr(unitriangular, "family_members", refuse)
     monkeypatch.setattr(unitriangular, "group_elements", refuse)
+    monkeypatch.setattr(unitriangular, "lie_elements", refuse)
     monkeypatch.setattr(cli, "is_prime", refuse)
     code = main(["chartable", "--kind", kind, "--n", str(n), "--p", str(p)])
     err = capsys.readouterr().err

@@ -3,7 +3,9 @@ from types import SimpleNamespace
 import pytest
 
 from arcact import action, identities
+from arcact import unitriangular as ut
 from arcact.core import LabeledSetPartition, blocks_from_arcs
+from arcact.families import family_members
 
 
 def test_unknown_id_raises():
@@ -389,8 +391,18 @@ def test_superclass_size_bd_witness_with_exponent_one_too_high(monkeypatch):
     result = identities.run("superclass-sizes-BD", "quick")
     assert (result.status, result.witness) == (
         "fail",
-        "B(1,3) {1,2,3} (1,2)=1 (2,3)=2: closed 3, elements 1",
+        "B(1,3) {1,2,3} (1,2)=1 (2,3)=2: closed 3, elements 1, rank 1",
     )
+
+
+@pytest.mark.parametrize("kind, n, p", [("B", 3, 5), ("D", 4, 3)])
+def test_rank_route_sizes_every_class_past_enumeration(kind, n, p):
+    # 5^9 and 3^12 elements: too many to count, but the rank needs only the
+    # class's labeled arcs
+    for lam in family_members(ut.index_family(kind, n, p)):
+        c = ut.ambient_class(lam)
+        rank = identities._two_sided_rank(ut.class_representative_matrix(c, p), p, kind)
+        assert p**rank == ut.superclass_size(c, kind), c.text()
 
 
 def test_restriction_witness_without_reflections(monkeypatch):

@@ -45,36 +45,43 @@ def test_cyclotomic_ring():
 
 def test_matrix_helpers():
     g = ((1, 1, 0), (0, 1, 2), (0, 0, 1))
-    inv = ut.unitriangular_inverse(g, 3)
-    assert ut.mat_mul(g, inv, 3) == ut.identity_matrix(3)
     assert ut.dagger(ut.dagger(g)) == g
 
 
 def test_subgroup_membership_and_orders():
-    for n, p in ((1, 3), (2, 3)):
-        elements = list(ut.type_b_elements(n, p))
-        assert len(elements) == ut.subgroup_order("B", n, p) == p ** (n * n)
+    for kind, n, p, order in (
+        ("B", 1, 3, 3), ("B", 2, 3, 3**4), ("B", 2, 5, 5**4),
+        ("D", 1, 3, 1), ("D", 2, 3, 3**2), ("D", 3, 3, 3**6),
+    ):
+        elements = list(ut.group_elements(kind, n, p))
+        assert len(elements) == ut.subgroup_order(kind, n, p) == order
         assert len(set(elements)) == len(elements)
         for g in elements:
             assert ut.is_unitriangular(g, p)
             assert ut.is_dagger_unitary(g, p)
-    for n, p in ((1, 3), (2, 3), (3, 3)):
-        elements = list(ut.type_d_elements(n, p))
-        assert len(elements) == ut.subgroup_order("D", n, p) == p ** (n * (n - 1))
-        for g in elements:
-            assert ut.is_dagger_unitary(g, p)
     # the smallest D group is trivial
-    assert list(ut.type_d_elements(1, 3)) == [ut.identity_matrix(2)]
+    assert list(ut.group_elements("D", 1, 3)) == [ut.identity_matrix(2)]
     # and so is the rank-zero B group, the 1 x 1 identity
-    assert list(ut.type_b_elements(0, 3)) == [((1,),)]
+    assert list(ut.group_elements("B", 0, 3)) == [((1,),)]
 
 
 def test_subgroups_are_closed_under_product():
-    elements = list(ut.type_b_elements(1, 3))
-    pool = set(elements)
-    for a in elements:
-        for b in elements:
-            assert ut.mat_mul(a, b, 3) in pool
+    for kind, n in (("B", 1), ("D", 2)):
+        elements = list(ut.group_elements(kind, n, 3))
+        pool = set(elements)
+        for a in elements:
+            for b in elements:
+                assert ut.mat_mul(a, b, 3) in pool
+
+
+@pytest.mark.parametrize("kind, n, p", [("B", 2, 3), ("B", 2, 5), ("D", 3, 3)])
+def test_cayley_images_keep_the_superclass_key(kind, n, p):
+    # g - 1 = X (1 - X/2)^-1 for the Cayley image g of 1 + X, so counting keys
+    # over the Lie algebra counts them over the group
+    def keys(elements):
+        return Counter(ut.superclass_key(g, p) for g in elements)
+
+    assert keys(ut.group_elements(kind, n, p)) == keys(ut.lie_elements(kind, n, p))
 
 
 def test_scale_guard(monkeypatch):
@@ -84,6 +91,7 @@ def test_scale_guard(monkeypatch):
         raise AssertionError("an oversized table touched its family or group")
 
     monkeypatch.setattr(ut, "group_elements", refuse)
+    monkeypatch.setattr(ut, "lie_elements", refuse)
     monkeypatch.setattr(ut, "family_members", refuse)
     for kind, n, p in (("A", 7, 3), ("B", 4, 5), ("D", 5, 5)):
         with pytest.raises(ut.ScaleGuardError, match="work bound"):
@@ -94,6 +102,9 @@ def test_scale_guard(monkeypatch):
 def test_types_b_and_d_need_odd_characteristic(kind):
     with pytest.raises(ValueError, match="odd characteristic required"):
         ut.build_chartable(kind, 2, 2)
+    for elements in (ut.group_elements, ut.lie_elements):
+        with pytest.raises(ValueError, match="odd characteristic required"):
+            elements(kind, 2, 2)
 
 
 @settings(database=None, deadline=None)
@@ -119,7 +130,7 @@ def test_reduce_identity_and_idempotence():
 
 
 def test_reduce_counts_superclasses():
-    seen = {ut.superclass_reduce(g, 2) for g in ut.unitriangular_elements(3, 2)}
+    seen = {ut.superclass_reduce(g, 2) for g in ut.group_elements("A", 3, 2)}
     assert len(seen) == 5
 
 
@@ -256,6 +267,7 @@ def test_chartables_visit_no_group_element(monkeypatch, kind, n, p):
         raise AssertionError("a table touched a group element")
 
     monkeypatch.setattr(ut, "group_elements", refuse)
+    monkeypatch.setattr(ut, "lie_elements", refuse)
     monkeypatch.setattr(ut, "superclass_key", refuse)
     table = ut.build_chartable.__wrapped__(kind, n, p)
     if kind == "A":
