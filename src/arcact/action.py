@@ -16,7 +16,6 @@ from .core import (
     RookMatrix,
     StructuralError,
     _Z2,
-    chain_blocks,
     from_rook,
     to_rook,
     unlabeled,
@@ -51,7 +50,9 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
     _check_compatible(alpha, lam)
     group = lam.group
     new_labels = lam.label_map()
-    succ = dict(new_labels.keys())  # i -> j for each arc (i, j)
+    # alpha's covers have pairwise distinct ends (alpha is a linear
+    # partition), so only lam's arcs can block one
+    succ = dict(new_labels.keys())  # i -> j for each arc (i, j) of lam
     rights = set(succ.values())
     for j, j1, a_value in alpha.labels:
         cover = (j, j1)
@@ -60,18 +61,15 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
             total = add_unchecked(group, a_value, value)
             if total == group.zero:
                 del new_labels[cover]
-                del succ[j]
             else:
                 new_labels[cover] = total
         elif j not in succ and j1 not in rights:
             new_labels[cover] = a_value
-            succ[j] = j1
     # The new arc set is valid without a check: lam's arcs are, alpha's
-    # covers lie in the same ground with pairwise distinct ends (alpha is a
-    # linear partition), and a cover is inserted only where no arc of lam
-    # leaves j or enters j + 1.  Every label is nonzero.
-    blocks = chain_blocks(lam.ground, succ)
-    return LabeledSetPartition._trusted(lam.ground, group, blocks, new_labels)
+    # covers lie in the same ground, and a cover is inserted only where no
+    # arc of lam leaves j or enters j + 1.  Every label is nonzero.  The
+    # blocks are left to their first read.
+    return LabeledSetPartition._trusted(lam.ground, group, None, new_labels)
 
 
 def plus_via_matrix(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPartition:
@@ -149,8 +147,7 @@ def orbit_representative(lam: LabeledSetPartition) -> LabeledSetPartition:
     covers and inserts nothing.
     """
     labels = {(i, j): v for i, j, v in lam.labels if j != i + 1}
-    blocks = chain_blocks(lam.ground, dict(labels.keys()))
-    return LabeledSetPartition._trusted(lam.ground, lam.group, blocks, labels)
+    return LabeledSetPartition._trusted(lam.ground, lam.group, None, labels)
 
 
 def orbit_decomposition(spec: FamilySpec) -> dict[LabeledSetPartition, list[LabeledSetPartition]]:

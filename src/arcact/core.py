@@ -9,8 +9,9 @@ Ground sets come in three interval shapes:
 An arc of a partition is a pair (i, j) of elements in the same block with j
 the least block element greater than i.  A labeled partition assigns a
 nonzero group element to every arc.  Values are immutable and hashable;
-blocks are stored sorted with the block list sorted by minimum, which gives
-a canonical equality.
+blocks are sorted with the block list sorted by minimum.  The ground and the
+arcs determine the blocks, so equality and hashing read the labeled arcs and
+never the blocks.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
 class LabeledSetPartition:
     """A set partition of a ground interval with group-labeled arcs."""
 
-    __slots__ = ("ground", "group", "blocks", "labels", "_label_map", "_hash")
+    __slots__ = ("ground", "group", "_blocks", "labels", "_label_map", "_hash")
 
     def __init__(self, ground: GroundSet, group: GroupSpec, blocks, labels):
         blocks = [tuple(b) for b in blocks]
@@ -194,12 +195,18 @@ class LabeledSetPartition:
     def _trusted(cls, ground, group, blocks, label_map, labels=None) -> "LabeledSetPartition":
         """Build a value its producer has already made valid, checking nothing.
 
-        ``blocks`` must be canonical (as ``canonical_blocks`` returns them)
-        and partition the ground; ``label_map`` must be a fresh dict mapping
-        exactly the arcs of ``blocks`` to nonzero elements of ``group``.
-        ``labels``, when given, must be the ``(i, j, value)`` triples of
-        ``label_map`` in arc order; otherwise they are sorted here.  The hash
-        is computed on first use.  The producers, and what each relies on:
+        ``label_map`` must be a fresh dict mapping a valid arc set of the
+        ground (increasing arcs, no two leaving or entering one element) to
+        nonzero elements of ``group``.  ``labels``, when given, must be the
+        ``(i, j, value)`` triples of ``label_map`` in arc order; otherwise
+        they are sorted here.  ``blocks`` must be the canonical blocks of
+        those arcs (as ``canonical_blocks`` returns them), or None: a valid
+        arc set and the ground determine the blocks, so the ``blocks``
+        property then walks them out with ``chain_blocks`` on its first read
+        and keeps them.  ``plus`` and ``orbit_representative`` pass None,
+        since most of their results are only compared and hashed, which
+        never reads the blocks.  The hash is computed on first use.  The
+        producers, and what each relies on:
 
         * the family generators: ``family_shapes`` makes canonical shapes of
           the ground (the NN and NN_B shapes through ``chain_blocks``, since
@@ -234,7 +241,7 @@ class LabeledSetPartition:
     def _fill(self, ground, group, blocks, label_map, labels):
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_label_map", label_map)
         object.__setattr__(self, "_hash", None)
@@ -242,20 +249,29 @@ class LabeledSetPartition:
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
 
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        # the ground and the arcs determine the blocks, so a producer may
+        # leave them to the first read
+        blocks = self._blocks
+        if blocks is None:
+            blocks = chain_blocks(self.ground, {i: j for i, j, _ in self.labels})
+            object.__setattr__(self, "_blocks", blocks)
+        return blocks
+
+    # Equality and hashing read the labels, whose arcs fix the blocks, and
+    # never the blocks themselves.  Tuples compare their items by identity
+    # first, so the interned grounds and groups match at once.
     def __eq__(self, other):
-        return (
-            isinstance(other, LabeledSetPartition)
-            and self.ground == other.ground
-            and self.group == other.group
-            and self.blocks == other.blocks
-            and self.labels == other.labels
-        )
+        return isinstance(other, LabeledSetPartition) and (
+            self.labels, self.ground, self.group
+        ) == (other.labels, other.ground, other.group)
 
     def __hash__(self):
         # computed on first use: a streamed member is printed, never hashed
         h = self._hash
         if h is None:
-            h = hash((self.ground, self.group, self.blocks, self.labels))
+            h = hash((self.labels, self.ground, self.group))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -396,20 +412,19 @@ def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
 
 
 class ClassifyFlags:
-    """The classification of one partition.  Each flag is computed the first
-    time it is read, so a caller pays only for the flags it reads.  The flags
-    are read-only, and two classifications are equal when all their flags
-    are."""
+    """The classification of one partition.  Each flag is computed when it is
+    read, so a caller pays only for the flags it reads.  The flags are
+    read-only, and two classifications are equal when all their flags are."""
 
     _FLAGS = (
         "noncrossing", "nonnesting", "two_regular", "feasible", "poor",
         "b_feasible", "b_poor", "nc_tilde", "type_symmetric",
     )
+    __slots__ = ("_p",)
 
     def __init__(self, p: LabeledSetPartition):
         object.__setattr__(self, "_p", p)
 
-    # cached_property stores into __dict__ directly, past these two
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -431,43 +446,42 @@ class ClassifyFlags:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FLAGS)
         return f"ClassifyFlags({fields})"
 
-    @cached_property
     def _nonzero_sizes(self) -> list[int]:
         return [len([x for x in b if x != 0]) for b in self._p.blocks]
 
-    @cached_property
+    @property
     def noncrossing(self) -> bool:
         return is_noncrossing(self._p.arcs())
 
-    @cached_property
+    @property
     def nonnesting(self) -> bool:
         return is_nonnesting(self._p.arcs())
 
-    @cached_property
+    @property
     def two_regular(self) -> bool:
         return all(j != i + 1 for i, j, _ in self._p.labels)
 
-    @cached_property
+    @property
     def feasible(self) -> bool:
         return all(len(b) >= 2 for b in self._p.blocks)
 
-    @cached_property
+    @property
     def poor(self) -> bool:
         return all(len(b) <= 2 for b in self._p.blocks)
 
-    @cached_property
+    @property
     def b_feasible(self) -> bool:
-        return all(s != 1 for s in self._nonzero_sizes)
+        return all(s != 1 for s in self._nonzero_sizes())
 
-    @cached_property
+    @property
     def b_poor(self) -> bool:
-        return all(s <= 2 for s in self._nonzero_sizes)
+        return all(s <= 2 for s in self._nonzero_sizes())
 
-    @cached_property
+    @property
     def nc_tilde(self) -> bool:
         return is_nc_tilde(self._p.arcs())
 
-    @cached_property
+    @property
     def type_symmetric(self) -> bool:
         return is_type_symmetric(self._p)
 

@@ -28,6 +28,7 @@ from .core import (
     GroundSet,
     LabeledSetPartition,
     StructuralError,
+    _Z2,
     blocks_from_arcs,
     canonical_blocks,
     chain_blocks,
@@ -81,7 +82,7 @@ class FamilySpec:
     @property
     def label_group(self) -> GroupSpec:
         if self.family in UNLABELED_FAMILIES:
-            return GroupSpec((2,))
+            return _Z2
         if self.is_ab:
             return DirectSum(self.groups[0], self.groups[1]).spec
         return self.groups[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 Element = tuple[int, ...]
 
@@ -102,7 +103,7 @@ class DirectSum:
 
     @property
     def spec(self) -> GroupSpec:
-        return GroupSpec(self.a.moduli + self.b.moduli)
+        return _direct_sum_spec(self.a, self.b)
 
     def embed_a(self, x: Element) -> Element:
         self.a.check(x)
@@ -124,6 +125,16 @@ class DirectSum:
     def in_b_nonzero(self, e: Element) -> bool:
         xa, xb = self.split(e)
         return xa == self.a.zero and xb != self.b.zero
+
+
+# One spec per pair (A, B), as the ground constructors intern their grounds:
+# a two-group family's members and its acting family share their label group,
+# so comparing the groups is an identity test.
+
+
+@lru_cache(maxsize=None)
+def _direct_sum_spec(a: GroupSpec, b: GroupSpec) -> GroupSpec:
+    return GroupSpec(a.moduli + b.moduli)
 
 
 _GROUP_TOKEN = re.compile(r"Z(\d+)")

@@ -25,7 +25,7 @@ from arcact.core import (
 from arcact.families import ALL_FAMILIES, FamilySpec, enumerate_family, family_shapes
 from arcact.groups import DirectSum, GroupSpec
 from arcact.identities import GROUP_PAIRS, _embed_a
-from arcact import action, maps
+from arcact import action, core, maps
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -161,8 +161,59 @@ def test_trusted_producer_builds_what_the_public_constructor_builds(producer):
         q = LabeledSetPartition(p.ground, p.group, p.blocks, p.label_map())
         assert q == p and hash(q) == hash(p), p
         assert q.label_map() == p.label_map()
+        # equality reads no blocks, so compare them and the text directly
+        assert q.blocks == p.blocks and q.text() == p.text(), p
         built += 1
     assert built > 0
+
+
+def test_plus_builds_no_blocks(monkeypatch):
+    # plus and orbit_representative leave their results' blocks to the first
+    # read: no chain_blocks walk while they run
+    linear = list(enumerate_family(FamilySpec("L", 4, (Z3,))))
+    members = list(enumerate_family(FamilySpec("PI", 4, (Z3,))))
+    two_group = list(enumerate_family(FamilySpec("PI_AB", 3, (Z2, Z3))))
+
+    def refuse(ground, succ):
+        raise AssertionError("chain_blocks called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(core, "chain_blocks", refuse)
+        patched.setattr(action, "chain_blocks", refuse, raising=False)  # any own binding
+        sums = [(alpha, lam, plus(alpha, lam)) for alpha in linear for lam in members]
+        reps = [orbit_representative(lam) for lam in two_group]
+    assert len(sums) == len(linear) * len(members) and reps
+    for alpha, lam, result in sums:
+        assert result.blocks == plus_via_matrix(alpha, lam).blocks, result
+    for rep in reps:
+        checked = LabeledSetPartition(
+            rep.ground, rep.group, blocks_from_arcs(rep.ground, rep.arcs()), rep.label_map()
+        )
+        assert rep.blocks == checked.blocks, rep
+
+
+def test_lazy_blocks_leave_the_value_unchanged():
+    # hash, equality, repr and JSON of a partition built without its blocks
+    # are the same before and after the blocks are read
+    lam = LabeledSetPartition(ground_a(5), Z3, [(1, 3, 4), (2,), (5,)], {(1, 3): (1,), (3, 4): (2,)})
+    for alpha in enumerate_family(FamilySpec("L", 5, (Z3,))):
+        result = plus(alpha, lam)
+        checked = plus_via_matrix(alpha, lam)
+        before = (hash(result), result == checked, repr(plus(alpha, lam)), plus(alpha, lam).to_json())
+        assert result._blocks is None  # neither hash nor equality read them
+        assert result.blocks == checked.blocks
+        after = (hash(result), result == checked, repr(result), result.to_json())
+        assert before == after == (hash(checked), True, repr(checked), checked.to_json())
+
+
+def test_a_two_group_family_and_its_acting_family_share_one_group():
+    # DirectSum.spec interns one group per pair, so the compatibility check
+    # and partition equality match the groups by identity
+    spec = FamilySpec("P_B_AB", 3, (Z2, Z3))
+    alpha = next(iter(enumerate_family(acting_family(spec))))
+    rep = orbit_representative(next(iter(enumerate_family(spec))))
+    assert alpha.group is rep.group is DirectSum(Z2, Z3).spec
+    assert DirectSum(Z3, Z2).spec == GroupSpec((3, 2))
 
 
 def test_group_action_laws():
