@@ -28,12 +28,16 @@ def is_linear(p: LabeledSetPartition) -> bool:
     return all(j == i + 1 for i, j, _ in p.labels)
 
 
-def _check_compatible(alpha: LabeledSetPartition, lam: LabeledSetPartition):
+def _check_shared(alpha: LabeledSetPartition, lam: LabeledSetPartition):
     # grounds and the groups of one family are shared objects: try identity first
     if alpha.ground is not lam.ground and alpha.ground != lam.ground:
         raise StructuralError("mismatched grounds")
     if alpha.group is not lam.group and alpha.group != lam.group:
         raise StructuralError("mismatched label groups")
+
+
+def _check_compatible(alpha: LabeledSetPartition, lam: LabeledSetPartition):
+    _check_shared(alpha, lam)
     if not is_linear(alpha):
         raise StructuralError("the acting partition must be linear")
 
@@ -46,30 +50,43 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
     from its left end or enters at its right end is inserted, and any other
     cover is blocked by a longer arc and dropped.  The labels of constructed
     partitions are valid, so they are added without checking them again.
+    Both label tuples are in arc order, so the result is one merge of them,
+    which also proves alpha linear, arc by arc.
     """
-    _check_compatible(alpha, lam)
+    _check_shared(alpha, lam)  # alpha's linearity is proved by the merge
     group = lam.group
-    new_labels = lam.label_map()
-    # alpha's covers have pairwise distinct ends (alpha is a linear
-    # partition), so only lam's arcs can block one
-    succ = dict(new_labels.keys())  # i -> j for each arc (i, j) of lam
-    rights = set(succ.values())
+    zero = group.zero
+    arcs = lam.labels
+    m = len(arcs)
+    k = 0  # arcs[:k] are merged
+    rights = None  # lam's right ends, made only if a cover could be inserted
+    out = []
     for j, j1, a_value in alpha.labels:
-        cover = (j, j1)
-        value = new_labels.get(cover)
-        if value is not None:
-            total = add_unchecked(group, a_value, value)
-            if total == group.zero:
-                del new_labels[cover]
-            else:
-                new_labels[cover] = total
-        elif j not in succ and j1 not in rights:
-            new_labels[cover] = a_value
+        if j1 != j + 1:
+            raise StructuralError("the acting partition must be linear")
+        while k < m and arcs[k][0] < j:
+            out.append(arcs[k])
+            k += 1
+        if k < m and arcs[k][0] == j:
+            # an arc of lam leaves j: the cover lands on it or is blocked
+            _, right, value = arcs[k]
+            if right == j1:
+                total = add_unchecked(group, a_value, value)
+                if total != zero:
+                    out.append((j, j1, total))
+                k += 1
+            continue
+        if rights is None:
+            rights = {right for _, right, _ in arcs}
+        if j1 not in rights:
+            out.append((j, j1, a_value))
+    out.extend(arcs[k:])
     # The new arc set is valid without a check: lam's arcs are, alpha's
-    # covers lie in the same ground, and a cover is inserted only where no
-    # arc of lam leaves j or enters j + 1.  Every label is nonzero.  The
-    # blocks are left to their first read.
-    return LabeledSetPartition._trusted(lam.ground, group, None, new_labels)
+    # covers lie in the same ground with pairwise distinct ends, and a cover
+    # is inserted only where no arc of lam leaves j or enters j + 1.  Every
+    # label is nonzero, and the merge keeps arc order.  The blocks and the
+    # arc map are left to their first read.
+    return LabeledSetPartition._trusted(lam.ground, group, None, tuple(out))
 
 
 def plus_via_matrix(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPartition:
@@ -146,7 +163,7 @@ def orbit_representative(lam: LabeledSetPartition) -> LabeledSetPartition:
     of lam's covers with their labels negated acts on lam; it erases those
     covers and inserts nothing.
     """
-    labels = {(i, j): v for i, j, v in lam.labels if j != i + 1}
+    labels = tuple(t for t in lam.labels if t[1] != t[0] + 1)
     return LabeledSetPartition._trusted(lam.ground, lam.group, None, labels)
 
 

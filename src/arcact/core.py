@@ -189,62 +189,67 @@ class LabeledSetPartition:
             group.check(value)
             if value == group.zero:
                 raise StructuralError(f"arc {arc} carries the zero label")
-        self._fill(ground, group, blocks, label_map, _sorted_labels(label_map))
+        labels = tuple(sorted((i, j, v) for (i, j), v in label_map.items()))
+        self._fill(ground, group, blocks, labels)
 
     @classmethod
-    def _trusted(cls, ground, group, blocks, label_map, labels=None) -> "LabeledSetPartition":
+    def _trusted(cls, ground, group, blocks, labels) -> "LabeledSetPartition":
         """Build a value its producer has already made valid, checking nothing.
 
-        ``label_map`` must be a fresh dict mapping a valid arc set of the
-        ground (increasing arcs, no two leaving or entering one element) to
-        nonzero elements of ``group``.  ``labels``, when given, must be the
-        ``(i, j, value)`` triples of ``label_map`` in arc order; otherwise
-        they are sorted here.  ``blocks`` must be the canonical blocks of
-        those arcs (as ``canonical_blocks`` returns them), or None: a valid
-        arc set and the ground determine the blocks, so the ``blocks``
-        property then walks them out with ``chain_blocks`` on its first read
-        and keeps them.  ``plus`` and ``orbit_representative`` pass None,
-        since most of their results are only compared and hashed, which
-        never reads the blocks.  The hash is computed on first use.  The
-        producers, and what each relies on:
+        ``labels`` must be a tuple of ``(i, j, value)`` triples in arc order
+        whose arcs form a valid arc set of the ground (increasing arcs, no
+        two leaving or entering one element) and whose values are nonzero
+        elements of ``group``.  The triples are the whole content: the arc
+        map that ``arcs()``, ``label()``, ``label_map()`` and
+        ``cover_arcs()`` read is built from them on the first of those
+        reads and kept.  ``blocks`` must be the canonical blocks of those
+        arcs (as ``canonical_blocks`` returns them), or None: a valid arc
+        set and the ground determine the blocks, so the ``blocks`` property
+        then walks them out with ``chain_blocks`` on its first read and
+        keeps them.  ``plus`` and ``orbit_representative`` pass None, since
+        most of their results are only compared and hashed, which reads the
+        triples alone.  The hash is computed on first use.  The producers,
+        and what each relies on:
 
         * the family generators: ``family_shapes`` makes canonical shapes of
           the ground (the NN and NN_B shapes through ``chain_blocks``, since
           the valleys of a Dyck path have distinct left and distinct right
           ends), so ``enumerate_family`` reads each shape's arcs off its
-          blocks as their consecutive pairs, unchecked; it draws every label
-          from the nonzero elements of the group (a mirror label is the
-          negation of one) and passes the triples in arc order;
-        * ``plus``: its arguments are constructed values and it checks their
-          compatibility, so lam's arcs are valid and alpha's covers have
-          pairwise distinct ends; a cover is inserted only where no arc of
-          lam leaves its left end or enters its right end, and a sum that
-          reaches zero is erased;
-        * ``orbit_representative``: a subset of a valid arc set, with its
-          labels;
+          blocks as their consecutive pairs, unchecked, in arc order; it
+          draws every label from the nonzero elements of the group (a
+          mirror label is the negation of one);
+        * ``plus``: it checks that its arguments share ground and group, so
+          lam's arcs are valid; it merges alpha's covers into lam's triples,
+          both in arc order, refusing a non-cover arc of alpha as it meets
+          it, so alpha's covers have pairwise distinct ends; a cover is
+          inserted only where no arc of lam leaves its left end or enters
+          its right end, and a sum that reaches zero is erased;
+        * ``orbit_representative``: a subsequence of a valid partition's
+          triples;
         * ``unlabeled``: checks its blocks (nonempty, disjoint, covering the
-          ground) and makes the labels, all (1,) in Z2;
+          ground), sorts their arcs once and makes the labels, all (1,) in
+          Z2;
         * ``shift`` and ``unshift``: ``blocks_from_arcs`` checks the moved
-          arc set, and the labels are copied from a valid partition;
-        * ``identities._embed_a``: the blocks of a valid partition, with
-          labels ``DirectSum.embed_a`` checks, nonzero on the A side.
+          arc set; moving keeps arc order, and the labels are copied from a
+          valid partition;
+        * ``identities._embed_a``: a valid partition's blocks and triples,
+          with labels ``DirectSum.embed_a`` checks, nonzero on the A side.
 
         Everything else, including the independent routes that verification
         compares against, goes through the validating constructor.
         """
         self = object.__new__(cls)
-        if labels is None:
-            labels = _sorted_labels(label_map)
-        self._fill(ground, group, blocks, label_map, labels)
+        self._fill(ground, group, blocks, labels)
         return self
 
-    def _fill(self, ground, group, blocks, label_map, labels):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_label_map", label_map)
-        object.__setattr__(self, "_hash", None)
+    def _fill(self, ground, group, blocks, labels):
+        # the slots' own descriptors store past the refusing __setattr__
+        _set_ground(self, ground)
+        _set_group(self, group)
+        _set_blocks(self, blocks)
+        _set_labels(self, labels)
+        _set_label_map(self, None)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
@@ -256,12 +261,22 @@ class LabeledSetPartition:
         blocks = self._blocks
         if blocks is None:
             blocks = chain_blocks(self.ground, {i: j for i, j, _ in self.labels})
-            object.__setattr__(self, "_blocks", blocks)
+            _set_blocks(self, blocks)
         return blocks
+
+    @property
+    def _arc_labels(self) -> dict[Arc, Element]:
+        # the labels determine the arc map, so it too is left to the first read
+        label_map = self._label_map
+        if label_map is None:
+            label_map = {(i, j): v for i, j, v in self.labels}
+            _set_label_map(self, label_map)
+        return label_map
 
     # Equality and hashing read the labels, whose arcs fix the blocks, and
     # never the blocks themselves.  Tuples compare their items by identity
-    # first, so the interned grounds and groups match at once.
+    # first, so the interned grounds and groups match at once.  Equal
+    # partitions have equal triples, so the hash reads the triples alone.
     def __eq__(self, other):
         return isinstance(other, LabeledSetPartition) and (
             self.labels, self.ground, self.group
@@ -271,21 +286,21 @@ class LabeledSetPartition:
         # computed on first use: a streamed member is printed, never hashed
         h = self._hash
         if h is None:
-            h = hash((self.labels, self.ground, self.group))
-            object.__setattr__(self, "_hash", h)
+            h = hash(self.labels)
+            _set_hash(self, h)
         return h
 
     def arcs(self) -> frozenset[Arc]:
-        return frozenset(self._label_map)
+        return frozenset(self._arc_labels)
 
     def label(self, arc: Arc) -> Element:
-        return self._label_map[arc]
+        return self._arc_labels[arc]
 
     def label_map(self) -> dict[Arc, Element]:
-        return dict(self._label_map)
+        return dict(self._arc_labels)
 
     def cover_arcs(self) -> frozenset[Arc]:
-        return frozenset(a for a in self._label_map if a[1] == a[0] + 1)
+        return frozenset(a for a in self._arc_labels if a[1] == a[0] + 1)
 
     def singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b for b in self.blocks if len(b) == 1)
@@ -335,8 +350,12 @@ class LabeledSetPartition:
         )
 
 
-def _sorted_labels(label_map) -> tuple[tuple[int, int, Element], ...]:
-    return tuple(sorted((i, j, v) for (i, j), v in label_map.items()))
+_set_ground = LabeledSetPartition.ground.__set__
+_set_group = LabeledSetPartition.group.__set__
+_set_blocks = LabeledSetPartition._blocks.__set__
+_set_labels = LabeledSetPartition.labels.__set__
+_set_label_map = LabeledSetPartition._label_map.__set__
+_set_hash = LabeledSetPartition._hash.__set__
 
 
 # The JSON fragments of blocks, label values, moduli and label objects recur
@@ -404,7 +423,8 @@ def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
     if tuple(sorted(x for b in blocks for x in b)) != ground._elements:
         raise StructuralError(f"blocks do not partition the ground {ground}")
     blocks.sort(key=lambda b: b[0])
-    return LabeledSetPartition._trusted(ground, _Z2, tuple(blocks), {arc: (1,) for arc in arcs})
+    labels = tuple((i, j, (1,)) for i, j in sorted(arcs))
+    return LabeledSetPartition._trusted(ground, _Z2, tuple(blocks), labels)
 
 
 # ---------------------------------------------------------------------------

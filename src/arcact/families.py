@@ -324,10 +324,9 @@ def enumerate_family(spec: FamilySpec):
     def walk(lo, hi, depth):
         # shapes[lo:hi] share their first depth arcs, labeled by values
         if len(shapes[lo][0]) == depth:
-            arcs, blocks, lefts, rights, _ = shapes[lo]
-            yield LabeledSetPartition._trusted(
-                ground, group, blocks, dict(zip(arcs, values)), tuple(zip(lefts, rights, values))
-            )
+            _, blocks, lefts, rights, _ = shapes[lo]
+            labels = tuple(zip(lefts, rights, values))
+            yield LabeledSetPartition._trusted(ground, group, blocks, labels)
             lo += 1
         while lo < hi:
             arc = shapes[lo][0][depth]

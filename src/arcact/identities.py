@@ -185,7 +185,7 @@ def _cnt(family, n, groups, flag=None) -> int:
 
 def _embed_a(p, ds: DirectSum):
     """Relabel an A-group partition inside the direct sum."""
-    labels = {(i, j): ds.embed_a(v) for i, j, v in p.labels}  # embed_a checks v
+    labels = tuple((i, j, ds.embed_a(v)) for i, j, v in p.labels)  # embed_a checks v
     return LabeledSetPartition._trusted(p.ground, ds.spec, p.blocks, labels)
 
 

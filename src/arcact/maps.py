@@ -49,11 +49,11 @@ def _unshift_target(ground: GroundSet) -> GroundSet:
 
 def _move_arcs(p: LabeledSetPartition, target: GroundSet, delta: int) -> LabeledSetPartition:
     pos = p.ground.position
-    labels = {}
-    for i, j, v in p.labels:
-        labels[(target.from_position(pos(i)), target.from_position(pos(j) + delta))] = v
+    at = target.from_position
+    # both ends move monotonically, so the triples stay in arc order
+    labels = tuple((at(pos(i)), at(pos(j) + delta), v) for i, j, v in p.labels)
     # the moved arc set is checked here; the labels come from a valid partition
-    blocks = blocks_from_arcs(target, labels.keys())
+    blocks = blocks_from_arcs(target, ((i, j) for i, j, _ in labels))
     return LabeledSetPartition._trusted(target, p.group, blocks, labels)
 
 

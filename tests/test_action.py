@@ -92,6 +92,25 @@ def test_plus_argument_errors():
     wrong_group = LabeledSetPartition(A3, Z3, [(1, 2), (3,)], {(1, 2): (1,)})
     with pytest.raises(StructuralError):
         plus(wrong_group, lam)
+    # plus proves alpha linear while it merges, so an actor whose covers come
+    # before its longer arc is refused too, and lam is left as it was
+    A5 = ground_a(5)
+    B2 = ground_b(2)
+    cases = (
+        (_labeled(A5, Z3, {(1, 2): (1,), (3, 5): (2,)}),
+         _labeled(A5, Z3, {(1, 2): (2,), (2, 4): (1,)})),
+        (_labeled(A5, Z3, {(1, 2): (1,), (2, 3): (1,), (3, 5): (1,)}),
+         LabeledSetPartition(A5, Z3, [(i,) for i in range(1, 6)], {})),
+        (_labeled(B2, Z3, {(-2, -1): (1,), (-1, 0): (2,), (0, 2): (1,)}),
+         _labeled(B2, Z3, {(-2, 1): (1,), (-1, 0): (1,)})),
+    )
+    for alpha, lam in cases:
+        before = (lam.labels, lam.blocks, lam.label_map(), hash(lam), lam.to_json())
+        with pytest.raises(StructuralError, match="linear"):
+            plus(alpha, lam)
+        with pytest.raises(StructuralError, match="linear"):
+            plus_via_matrix(alpha, lam)
+        assert (lam.labels, lam.blocks, lam.label_map(), hash(lam), lam.to_json()) == before
 
 
 MATRIX_ROUTE_CASES = (
@@ -204,6 +223,35 @@ def test_lazy_blocks_leave_the_value_unchanged():
         assert result.blocks == checked.blocks
         after = (hash(result), result == checked, repr(result), result.to_json())
         assert before == after == (hash(checked), True, repr(checked), checked.to_json())
+
+
+def test_arc_map_is_derived_on_first_read():
+    # plus, orbit_representative and the family walk store only the label
+    # triples: hashing and equality build no arc map, the first arc read
+    # builds it from the triples, and the value is the same before and after
+    lam = LabeledSetPartition(ground_a(5), Z3, [(1, 3, 4), (2,), (5,)], {(1, 3): (1,), (3, 4): (2,)})
+    results = [plus(alpha, lam) for alpha in enumerate_family(FamilySpec("L", 5, (Z3,)))]
+    results += map(orbit_representative, enumerate_family(FamilySpec("P_B_AB", 2, (Z3, Z2))))
+    results += enumerate_family(FamilySpec("P_D", 3, (Z3,)))
+    reads = (
+        lambda p: p.label_map(),
+        lambda p: p.arcs(),
+        lambda p: p.label(p.labels[0][:2]) if p.labels else p.arcs(),
+        lambda p: p.cover_arcs(),
+    )
+    for n, p in enumerate(results):
+        twin = LabeledSetPartition(p.ground, p.group, p.blocks, {(i, j): v for i, j, v in p.labels})
+        before = (hash(p), p == twin, repr(p), p.to_json())
+        assert p._label_map is None, p
+        reads[n % len(reads)](p)
+        assert p._label_map == {(i, j): v for i, j, v in p.labels}, p
+        assert p.label_map() == twin.label_map() and p.arcs() == twin.arcs()
+        assert p.cover_arcs() == {(i, j) for i, j, _ in p.labels if j == i + 1}
+        assert all(p.label((i, j)) == v for i, j, v in p.labels)
+        assert (hash(p), p == twin, repr(p), p.to_json()) == before == (
+            hash(twin), True, repr(twin), twin.to_json()
+        )
+    assert len(results) > 100
 
 
 def test_a_two_group_family_and_its_acting_family_share_one_group():
