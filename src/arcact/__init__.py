@@ -48,6 +48,7 @@ from .cyclotomic import CycValue, theta
 from .unitriangular import (
     build_chartable,
     chi_on_class,
+    chi_row,
     inner_product,
     superclass_reduce,
     verify_counts,

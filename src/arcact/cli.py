@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from functools import lru_cache
 
 from . import identities, maps, oeis, poly, unitriangular
 from .action import acting_family, orbit_representative, plus_involution
@@ -223,13 +222,15 @@ def cmd_chartable(args) -> int:
     norms = table.norms()
     degrees = table.degrees()
     if args.format == "json":
-        text = lru_cache(maxsize=None)(str)  # each distinct value is formatted once
+        # each distinct value object is formatted once, keyed by identity
+        distinct = {id(v): v for values in table.values for v in values}
+        text = {key: str(v) for key, v in distinct.items()}
         rows = [
             {
                 "index": lam.to_json_dict(),
                 "degree": degree,
                 "norm": str(norm),
-                "values": [text(v) for v in values],
+                "values": [text[id(v)] for v in values],
             }
             for lam, values, norm, degree in zip(table.indices, table.values, norms, degrees)
         ]
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
     except (UsageError, GroupError, StructuralError, UnsupportedGroundError) as exc:
         parser.error(str(exc))  # exits with code 2
         return EXIT_USAGE
-    except unitriangular.ScaleGuardError as exc:
+    except (unitriangular.ScaleGuardError, unitriangular.ConsistencyError) as exc:
         print(f"arcact: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -24,7 +24,7 @@ from .cyclotomic import CycValue, theta
 from .families import FamilySpec, family_members
 from .groups import GroupSpec
 from .maps import halve
-from .action import orbit, plus
+from .action import plus
 from .poly import (
     bell_univariate,
     bellb_univariate,
@@ -232,39 +232,75 @@ def random_superclass_perturbation(g: Matrix, p: int, rng: random.Random) -> Mat
 # character values
 
 
-def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycValue:
-    """Supercharacter value of the index partition on the class of gamma.
+def chi_row(lam: LabeledSetPartition, classes) -> tuple[CycValue, ...]:
+    """Supercharacter values of the index partition on each class, in order.
 
-    Zero when an arc of gamma shares exactly one end with an arc (i, l) of
-    the index; otherwise p^q * theta(sum of label products over shared
-    arcs), where q counts, per index arc, the l - i - 1 inner points less
-    the arcs of gamma nested strictly inside it.  Values come from the
-    memoised ``theta``, so equal values, the one zero per p among them, are
-    one shared object.
+    The value on the class of gamma is zero when an arc (j, k) of gamma
+    shares exactly one end with an arc (i, l) of the index and lies inside
+    it: j = i and k < l, or k = l and j > i.  Otherwise it is
+    p^q * theta(sum of label products over shared arcs), where q counts,
+    per index arc, the l - i - 1 inner points less the arcs of gamma nested
+    strictly inside it.
+
+    lam's arcs are read once, into what each arc (j, k) a class may have
+    does to the value: ``cells[j][k]`` is None where the arc makes it zero,
+    else the number of index arcs strictly around (j, k) and the label of
+    the index arc (j, k), 0 if there is none.  Each class is then one pass
+    over its arcs.  Values come from the memoised ``theta``, looked up once
+    per (t mod p, q) in a row, so equal values, the one zero per p among
+    them, are one shared object.
     """
-    p = lam.group.moduli[0]
-    if not (gamma.group is lam.group and gamma.ground is lam.ground) and (
-        gamma.group != lam.group or gamma.ground != lam.ground
-    ):
-        raise ValueError("index and class live on different groups")
-    q_exponent = 0
-    theta_arg = 0
-    for i, l, value in lam.labels:
-        q_exponent += l - i - 1
-        for j, k, entry in gamma.labels:
-            if j == i:
-                if k == l:
-                    theta_arg += value[0] * entry[0]
-                elif k < l:
-                    return theta(p, 0, 0)
-            elif k == l:
-                if j > i:
-                    return theta(p, 0, 0)
-            elif i < j and k < l:
-                q_exponent -= 1
-    if q_exponent < 0:
-        raise ConsistencyError(f"negative p-exponent {q_exponent} for {lam} on {gamma}")
-    return theta(p, theta_arg, p**q_exponent)
+    group, ground = lam.group, lam.ground
+    p = group.moduli[0]
+    m = ground.size
+    arcs = lam.labels
+    left = {i: (l, value[0]) for i, l, value in arcs}
+    right = {l: i for i, l, _ in arcs}
+    inner = sum(l - i - 1 for i, l, _ in arcs)
+    cells = [[None] * (m + 1) for _ in range(m + 1)]
+    for j in range(1, m + 1):
+        # with no index arc leaving j, l = j < k makes both tests below false
+        l, value = left.get(j, (j, 0))
+        for k in range(j + 1, m + 1):
+            if k < l or right.get(k, j) < j:
+                continue
+            around = sum(1 for i, l2, _ in arcs if i < j and k < l2)
+            cells[j][k] = (around, value if k == l else 0)
+    zero = theta(p, 0, 0)
+    found = {}
+    row = []
+    for gamma in classes:
+        if not (gamma.group is group and gamma.ground is ground) and (
+            gamma.group != group or gamma.ground != ground
+        ):
+            raise ValueError("index and class live on different groups")
+        q_exponent = inner
+        theta_arg = 0
+        for j, k, (entry,) in gamma.labels:
+            cell = cells[j][k]
+            if cell is None:
+                row.append(zero)
+                break
+            around, value = cell
+            q_exponent -= around
+            theta_arg += value * entry
+        else:
+            key = q_exponent * p + theta_arg % p
+            found_value = found.get(key)
+            if found_value is None:
+                if q_exponent < 0:
+                    raise ConsistencyError(
+                        f"negative p-exponent {q_exponent} for {lam} on {gamma}"
+                    )
+                found_value = found[key] = theta(p, theta_arg, p**q_exponent)
+            row.append(found_value)
+    return tuple(row)
+
+
+def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycValue:
+    """Supercharacter value of the index partition on the class of gamma:
+    the one-cell view of ``chi_row``."""
+    return chi_row(lam, (gamma,))[0]
 
 
 def inner_product(values1, values2, sizes, group_order: int) -> Fraction:
@@ -273,14 +309,17 @@ def inner_product(values1, values2, sizes, group_order: int) -> Fraction:
     The class sizes are first summed per (v, w) pair, keyed by identity:
     table values are shared objects (``theta`` is memoised), so a few pairs
     cover every class, and equal values that are distinct objects merely
-    stay apart.  Every weight * v * conj(w) is then accumulated in one
-    vector over the powers zeta^0 .. zeta^(p-1), which is reduced to the
-    basis once at the end.
+    stay apart.  A norm, values1 and values2 one row, sums them per value
+    object alone.  Every weight * v * conj(w) is then accumulated in one vector
+    over the powers zeta^0 .. zeta^(p-1), which is reduced to the basis
+    once at the end.
     """
     p = values1[0].p
     weights = {}
-    for v, w, size in zip(values1, values2, sizes):
-        key = id(v), id(w)
+    keys = map(id, values1)
+    if values1 is not values2:
+        keys = zip(keys, map(id, values2))
+    for key, v, w, size in zip(keys, values1, values2, sizes):
         if key in weights:
             weights[key][2] += size
         else:
@@ -406,8 +445,9 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
     request before any family is built.  No kind visits a group element:
     each index names its ``ambient_class``, sized by ``superclass_size``.
     The classes are sorted by ``labels`` and share the indices' group object
-    (grounds are interned), so ``chi_on_class`` sees the same group and
-    ground by identity.  The sizes must add up to ``subgroup_order``.
+    (grounds are interned), so ``chi_row`` sees the same group and ground by
+    identity.  The sizes must add up to ``subgroup_order``.  Each row is one
+    ``chi_row`` pass over the classes; no cell is computed on its own.
     """
     if p == 2 and kind != "A":
         raise ValueError("odd characteristic required")
@@ -419,7 +459,7 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
     sizes = tuple(superclass_size(c, kind) for c in classes)
     if sum(sizes) != order:
         raise ConsistencyError(f"{kind}({n},{p}) class sizes add up to {sum(sizes)}, not {order}")
-    rows = tuple(tuple(chi_on_class(lam, c) for c in classes) for lam in ambient)
+    rows = tuple(chi_row(lam, classes) for lam in ambient)
     return CharTable(kind, n, p, classes, sizes, indices, rows, order)
 
 
@@ -447,17 +487,37 @@ def expected_counts(kind: str, n: int, p: int) -> dict:
     }
 
 
+def linear_generators(kind: str, n: int, p: int) -> list[LabeledSetPartition]:
+    """The members of the kind's linear family with one cover, or for B and
+    D one mirrored pair of covers: a generating set of the acting group.
+
+    ``plus`` adds two linear partitions slot by slot, where a slot is a
+    cover (with its mirror for B and D), so the linear family is the group
+    Z_p^s of labels on its s slots, and ``plus`` is an action of that group
+    on the indices.  Every member is the sum of its one-slot parts, so these
+    members generate the group.  An index's stabiliser is a subgroup, so it
+    is the whole group, and the index invariant, exactly when every one of
+    these members fixes the index.
+    """
+    arcs_per_slot = 1 if kind == "A" else 2
+    acting = index_family(kind, n, p, linear=True)
+    return [alpha for alpha in family_members(acting) if len(alpha.labels) == arcs_per_slot]
+
+
 def verify_counts(kind: str, n: int, p: int) -> dict:
     """Count superclasses, distinct characters, irreducibles, linears and
-    invariants, next to their predicted values."""
+    invariants, next to their predicted values.  An index is counted
+    invariant when every member of ``linear_generators`` fixes it."""
     table = build_chartable(kind, n, p)
     norms = table.norms()
     if any(f.denominator != 1 for f in norms):
         raise ConsistencyError("a character norm is not an integer")
     irreducible = {lam for lam, f in zip(table.indices, norms) if f == 1}
     noncrossing = {lam for lam in table.indices if classify(lam).noncrossing}
-    acting = index_family(kind, n, p, linear=True)
-    invariant = sum(1 for lam in table.indices if len(orbit(lam, acting)) == 1)
+    generators = linear_generators(kind, n, p)
+    invariant = sum(
+        1 for lam in table.indices if all(plus(alpha, lam) == lam for alpha in generators)
+    )
     return {
         "group_order": table.group_order,
         "num_indices": len(table.indices),

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import textwrap
 import time
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcact import identities
 from arcact.cli import main
 from arcact.core import GroundSet, LabeledSetPartition, ground_a, negate_labels
 from arcact.cyclotomic import CycValue, theta
@@ -334,6 +337,115 @@ def test_product_rule_fails_under_a_fault_in_plus(monkeypatch, kind, n, p):
     plus = ut.plus
     monkeypatch.setattr(ut, "plus", lambda alpha, lam: plus(negate_labels(alpha), lam))
     assert not ut.verify_product_rule(kind, n, p)
+
+
+@pytest.fixture
+def fresh_tables():
+    """Tables built under a fault must not outlive the test in the cache."""
+    ut.build_chartable.cache_clear()
+    yield
+    ut.build_chartable.cache_clear()
+
+
+# Each fault rewrites one line of the row pass: the nested-arc decrement
+# dropped, the zero for an arc sharing an index arc's left end dropped, and
+# the zero for one sharing its right end dropped.
+_ROW_PASS_FAULTS = {
+    "nested decrement": (
+        "around = sum(1 for i, l2, _ in arcs if i < j and k < l2)",
+        "around = 0",
+        "A(4,2): a character norm is not an integer",
+    ),
+    "shared left end": (
+        "if k < l or right.get(k, j) < j:",
+        "if right.get(k, j) < j:",
+        "A(3,2) num_irreducible: 4 != 5",
+    ),
+    "shared right end": (
+        "if k < l or right.get(k, j) < j:",
+        "if k < l:",
+        "A(3,2) num_irreducible: 4 != 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_ROW_PASS_FAULTS))
+def test_supercharacters_fail_under_a_fault_in_the_row_pass(monkeypatch, fresh_tables, fault):
+    line, faulty_line, witness = _ROW_PASS_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(ut.chi_row))
+    assert source.count(line) == 1
+    namespace = dict(vars(ut))
+    exec(source.replace(line, faulty_line), namespace)
+    monkeypatch.setattr(ut, "chi_row", namespace["chi_row"])
+    result = identities.run("supercharacters")
+    assert (result.status, result.witness) == ("fail", witness)
+
+
+def test_a_consistency_error_exits_1_with_one_line(monkeypatch, fresh_tables, capsys):
+    monkeypatch.setattr(ut, "superclass_size", lambda c, kind: 1)
+    assert main(["chartable", "--kind", "A", "--n", "3", "--p", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "arcact: A(3,2) class sizes add up to 5, not 8\n"
+
+
+@pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("B", 2, 5), ("D", 3, 3)])
+def test_linear_generators_are_the_one_slot_members(kind, n, p):
+    generators = ut.linear_generators(kind, n, p)
+    slots = n if kind == "B" else n - 1
+    assert len(generators) == slots * (p - 1)
+    assert len({min(abs(i), abs(j)) for alpha in generators for i, j in alpha.arcs()}) == slots
+
+
+def test_invariant_count_fails_under_a_generating_set_of_one_cover(monkeypatch):
+    # only the members on the first cover: every index that the other covers
+    # would move is counted invariant
+    generators = ut.linear_generators
+
+    def first_cover(kind, n, p):
+        found = generators(kind, n, p)
+        return [alpha for alpha in found if alpha.labels[0][0] == found[0].labels[0][0]]
+
+    monkeypatch.setattr(ut, "linear_generators", first_cover)
+    rec = ut.verify_counts("A", 4, 3)
+    assert rec["num_l_invariant"] != rec["expected"]["l_invariant"]
+
+
+def _pair_loop_chi(lam, gamma):
+    """The supercharacter value by the pair loop over the arcs of lam and
+    gamma that the row pass replaced: the reference the row pass must equal."""
+    p = lam.group.moduli[0]
+    q_exponent = 0
+    theta_arg = 0
+    for i, l, value in lam.labels:
+        q_exponent += l - i - 1
+        for j, k, entry in gamma.labels:
+            if j == i:
+                if k == l:
+                    theta_arg += value[0] * entry[0]
+                elif k < l:
+                    return theta(p, 0, 0)
+            elif k == l:
+                if j > i:
+                    return theta(p, 0, 0)
+            elif i < j and k < l:
+                q_exponent -= 1
+    assert q_exponent >= 0
+    return theta(p, theta_arg, p**q_exponent)
+
+
+@pytest.mark.parametrize(
+    "kind, n, p",
+    [("A", 4, 3), ("A", 3, 5), ("B", 2, 3), ("B", 3, 3), ("D", 3, 3), ("D", 4, 3)],
+)
+def test_row_pass_equals_the_pair_loop(kind, n, p):
+    table = ut.build_chartable.__wrapped__(kind, n, p)
+    ambient = table.indices if kind == "A" else [halve(lam) for lam in table.indices]
+    zero = CycValue.from_int(p, 0)
+    for lam, values in zip(ambient, table.values):
+        assert list(values) == [_pair_loop_chi(lam, c) for c in table.classes]
+        assert len({id(v) for v in values if v == zero}) <= 1
+    assert any(zero in values for values in table.values)
 
 
 def test_linear_indices_have_modulus_one_values():
