@@ -49,17 +49,21 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
     erases the arc if the sum is zero), a cover that no arc of lam leaves
     from its left end or enters at its right end is inserted, and any other
     cover is blocked by a longer arc and dropped.  The labels of constructed
-    partitions are valid, so they are added without checking them again.
-    Both label tuples are in arc order, so the result is one merge of them,
-    which also proves alpha linear, arc by arc.
+    partitions are valid, so they are added without checking them again,
+    through the group's memo of sums.  Both label tuples are in arc order,
+    so the result is one merge of them, which also proves alpha linear, arc
+    by arc.
     """
-    _check_shared(alpha, lam)  # alpha's linearity is proved by the merge
+    ground = lam.ground
     group = lam.group
+    if alpha.ground is not ground or alpha.group is not group:
+        _check_shared(alpha, lam)  # alpha's linearity is proved by the merge
+    sums = group._sums
     zero = group.zero
     arcs = lam.labels
     m = len(arcs)
     k = 0  # arcs[:k] are merged
-    rights = None  # lam's right ends, made only if a cover could be inserted
+    rights = None  # lam's right ends, read only if a cover could be inserted
     out = []
     for j, j1, a_value in alpha.labels:
         if j1 != j + 1:
@@ -71,13 +75,15 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
             # an arc of lam leaves j: the cover lands on it or is blocked
             _, right, value = arcs[k]
             if right == j1:
-                total = add_unchecked(group, a_value, value)
+                total = sums.get((a_value, value))
+                if total is None:
+                    total = add_unchecked(group, a_value, value)
                 if total != zero:
                     out.append((j, j1, total))
                 k += 1
             continue
         if rights is None:
-            rights = {right for _, right, _ in arcs}
+            rights = lam._rights  # derived once per lam and kept on it
         if j1 not in rights:
             out.append((j, j1, a_value))
     out.extend(arcs[k:])
@@ -86,7 +92,7 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
     # is inserted only where no arc of lam leaves j or enters j + 1.  Every
     # label is nonzero, and the merge keeps arc order.  The blocks and the
     # arc map are left to their first read.
-    return LabeledSetPartition._trusted(lam.ground, group, None, tuple(out))
+    return LabeledSetPartition._trusted(ground, group, None, tuple(out))
 
 
 def plus_via_matrix(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPartition:

@@ -171,7 +171,7 @@ def canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
 class LabeledSetPartition:
     """A set partition of a ground interval with group-labeled arcs."""
 
-    __slots__ = ("ground", "group", "_blocks", "labels", "_label_map", "_hash")
+    __slots__ = ("ground", "group", "_blocks", "labels", "_label_map", "_right_ends", "_hash")
 
     def __init__(self, ground: GroundSet, group: GroupSpec, blocks, labels):
         blocks = [tuple(b) for b in blocks]
@@ -208,8 +208,9 @@ class LabeledSetPartition:
         then walks them out with ``chain_blocks`` on its first read and
         keeps them.  ``plus`` and ``orbit_representative`` pass None, since
         most of their results are only compared and hashed, which reads the
-        triples alone.  The hash is computed on first use.  The producers,
-        and what each relies on:
+        triples alone.  The hash, and the set of right ends that ``plus``
+        reads, are computed on first use.  The producers, and what each
+        relies on:
 
         * the family generators: ``family_shapes`` makes canonical shapes of
           the ground (the NN and NN_B shapes through ``chain_blocks``, since
@@ -218,17 +219,22 @@ class LabeledSetPartition:
           blocks as their consecutive pairs, unchecked, in arc order; it
           draws every label from the nonzero elements of the group (a
           mirror label is the negation of one);
-        * ``plus``: it checks that its arguments share ground and group, so
-          lam's arcs are valid; it merges alpha's covers into lam's triples,
-          both in arc order, refusing a non-cover arc of alpha as it meets
-          it, so alpha's covers have pairwise distinct ends; a cover is
-          inserted only where no arc of lam leaves its left end or enters
-          its right end, and a sum that reaches zero is erased;
+        * ``plus``: it checks that its arguments share ground and group (by
+          identity, and by equality only when that fails), so lam's arcs are
+          valid; it merges alpha's covers into lam's triples, both in arc
+          order, refusing a non-cover arc of alpha as it meets it, so
+          alpha's covers have pairwise distinct ends; a cover is inserted
+          only where no arc of lam leaves its left end (the merge sees it)
+          or enters its right end (lam's right ends, derived from its
+          triples once and kept on lam), and a sum that reaches zero is
+          erased;
         * ``orbit_representative``: a subsequence of a valid partition's
           triples;
-        * ``unlabeled``: checks its blocks (nonempty, disjoint, covering the
-          ground), sorts their arcs once and makes the labels, all (1,) in
-          Z2;
+        * ``unlabeled``: checks its blocks with one sorted comparison (each
+          block nonempty, and all their elements sorted together equal to
+          the ground's, which are distinct, so the blocks are disjoint and
+          cover it); the arcs are the consecutive pairs of the sorted
+          blocks, sorted once, and the labels are all (1,) in Z2;
         * ``shift`` and ``unshift``: ``blocks_from_arcs`` checks the moved
           arc set; moving keeps arc order, and the labels are copied from a
           valid partition;
@@ -238,8 +244,16 @@ class LabeledSetPartition:
         Everything else, including the independent routes that verification
         compares against, goes through the validating constructor.
         """
+        # _fill spelled out, one call fewer per value: the trusted producers
+        # build values in their inner loops
         self = object.__new__(cls)
-        self._fill(ground, group, blocks, labels)
+        _set_ground(self, ground)
+        _set_group(self, group)
+        _set_blocks(self, blocks)
+        _set_labels(self, labels)
+        _set_label_map(self, None)
+        _set_right_ends(self, None)
+        _set_hash(self, None)
         return self
 
     def _fill(self, ground, group, blocks, labels):
@@ -249,6 +263,7 @@ class LabeledSetPartition:
         _set_blocks(self, blocks)
         _set_labels(self, labels)
         _set_label_map(self, None)
+        _set_right_ends(self, None)
         _set_hash(self, None)
 
     def __setattr__(self, name, value):
@@ -272,6 +287,16 @@ class LabeledSetPartition:
             label_map = {(i, j): v for i, j, v in self.labels}
             _set_label_map(self, label_map)
         return label_map
+
+    @property
+    def _rights(self) -> frozenset[int]:
+        # the right ends of the arcs, derived on the first read and kept: plus
+        # reads them once per partition it acts on, not once per actor
+        rights = self._right_ends
+        if rights is None:
+            rights = frozenset([j for _, j, _ in self.labels])
+            _set_right_ends(self, rights)
+        return rights
 
     # Equality and hashing read the labels, whose arcs fix the blocks, and
     # never the blocks themselves.  Tuples compare their items by identity
@@ -355,6 +380,7 @@ _set_group = LabeledSetPartition.group.__set__
 _set_blocks = LabeledSetPartition._blocks.__set__
 _set_labels = LabeledSetPartition.labels.__set__
 _set_label_map = LabeledSetPartition._label_map.__set__
+_set_right_ends = LabeledSetPartition._right_ends.__set__
 _set_hash = LabeledSetPartition._hash.__set__
 
 
@@ -416,14 +442,20 @@ _Z2 = GroupSpec((2,))
 def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
     """View a plain set partition as labeled over the two-element group.
 
-    The blocks are checked; the (1,) labels made here are not.
+    The blocks are checked; the (1,) labels made here are not.  Nonempty
+    blocks whose elements, sorted together, are the ground's partition it,
+    since the ground's elements are distinct; each sorted block's arcs are
+    then its consecutive pairs.  Blocks that fail that one comparison are
+    refused by ``arcs_of`` (an empty block, an element in two blocks) or
+    else as not partitioning the ground.
     """
     blocks = [tuple(sorted(b)) for b in blocks]
-    arcs = arcs_of(blocks)  # refuses empty and overlapping blocks
-    if tuple(sorted(x for b in blocks for x in b)) != ground._elements:
+    if not (all(blocks) and tuple(sorted([x for b in blocks for x in b])) == ground._elements):
+        arcs_of(blocks)
         raise StructuralError(f"blocks do not partition the ground {ground}")
-    blocks.sort(key=lambda b: b[0])
-    labels = tuple((i, j, (1,)) for i, j in sorted(arcs))
+    blocks.sort()  # by minimum, the blocks being disjoint
+    arcs = sorted([arc for b in blocks for arc in zip(b, b[1:])])
+    labels = tuple([(i, j, (1,)) for i, j in arcs])
     return LabeledSetPartition._trusted(ground, _Z2, tuple(blocks), labels)
 
 

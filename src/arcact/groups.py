@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 Element = tuple[int, ...]
 
@@ -20,6 +20,16 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """Z/m_1 x ... x Z/m_r, given by its moduli.
+
+    Each spec keeps its zero and a memo of the sums and negatives that
+    ``add_unchecked`` and ``neg_unchecked`` have computed, filled only by the
+    operations that run: at most order^2 sums and order negatives.  The
+    cached values live in the instance dict (cached_property stores past the
+    frozen __setattr__), outside the dataclass fields, so equality, hashing,
+    repr and str read the moduli alone.
+    """
+
     moduli: tuple[int, ...]
 
     def __post_init__(self):
@@ -34,9 +44,17 @@ class GroupSpec:
             n *= m
         return n
 
-    @property
+    @cached_property
     def zero(self) -> Element:
         return (0,) * len(self.moduli)
+
+    @cached_property
+    def _sums(self) -> dict[tuple[Element, Element], Element]:
+        return {}
+
+    @cached_property
+    def _negatives(self) -> dict[Element, Element]:
+        return {}
 
     def conforms(self, a: Element) -> bool:
         return (
@@ -77,14 +95,24 @@ def neg(spec: GroupSpec, a: Element) -> Element:
 
 # The bare operations, for operands the library has already validated (labels
 # of a constructed partition); add and neg are these behind the operand checks.
+# Each result is computed once per spec and kept in its memo (the trivial
+# group's only element, (), is falsy, so a miss is told by None).
 
 
 def add_unchecked(spec: GroupSpec, a: Element, b: Element) -> Element:
-    return tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+    sums = spec._sums
+    total = sums.get((a, b))
+    if total is None:
+        total = sums[a, b] = tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+    return total
 
 
 def neg_unchecked(spec: GroupSpec, a: Element) -> Element:
-    return tuple((-x) % m for x, m in zip(a, spec.moduli))
+    negatives = spec._negatives
+    negative = negatives.get(a)
+    if negative is None:
+        negative = negatives[a] = tuple((-x) % m for x, m in zip(a, spec.moduli))
+    return negative
 
 
 TRIVIAL = GroupSpec(())

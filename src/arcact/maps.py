@@ -48,10 +48,12 @@ def _unshift_target(ground: GroundSet) -> GroundSet:
 
 
 def _move_arcs(p: LabeledSetPartition, target: GroundSet, delta: int) -> LabeledSetPartition:
-    pos = p.ground.position
-    at = target.from_position
-    # both ends move monotonically, so the triples stay in arc order
-    labels = tuple((at(pos(i)), at(pos(j) + delta), v) for i, j, v in p.labels)
+    pos = p.ground._positions
+    at = target._elements  # at[q - 1] is the element at position q of target
+    # both ends move monotonically, so the triples stay in arc order; the
+    # target has one element more (shift) or one fewer (unshift, whose
+    # partitions have no covers), so every moved position lies in it
+    labels = tuple([(at[pos[i] - 1], at[pos[j] + delta - 1], v) for i, j, v in p.labels])
     # the moved arc set is checked here; the labels come from a valid partition
     blocks = blocks_from_arcs(target, ((i, j) for i, j, _ in labels))
     return LabeledSetPartition._trusted(target, p.group, blocks, labels)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -119,20 +120,25 @@ def test_arc_block_round_trips():
             assert arcs_of(p.blocks) == p.arcs()
 
 
+UNLABELED_REFUSALS = [
+    (ground_a(3), [(1, 2), (2, 3)], "element 2 appears in two blocks"),  # overlapping blocks
+    (ground_a(3), [(1, 2)], "blocks do not partition the ground A(3)"),  # 3 is missing
+    (ground_a(3), [(1, 2, 3), ()], "empty block"),
+    (ground_a(3), [(1, 2, 3), (4,)], "blocks do not partition the ground A(3)"),  # 4 is outside
+    (ground_a(3), [(1, 2), (4,)], "blocks do not partition the ground A(3)"),  # 4 in place of 3
+    (ground_d(1), [(-1, 0, 1)], "blocks do not partition the ground D(1)"),  # 0 is not in D(1)
+    (ground_b(1), [(-1, 1)], "blocks do not partition the ground B(1)"),  # 0 is missing
+]
+
+
 @pytest.mark.parametrize(
-    "ground, blocks",
-    [
-        (ground_a(3), [(1, 2), (2, 3)]),  # overlapping blocks
-        (ground_a(3), [(1, 2)]),  # 3 is missing
-        (ground_a(3), [(1, 2, 3), ()]),  # an empty block
-        (ground_a(3), [(1, 2, 3), (4,)]),  # 4 is outside the ground
-        (ground_a(3), [(1, 2), (4,)]),  # 4 in place of 3
-        (ground_d(1), [(-1, 0, 1)]),  # 0 is not in D(1)
-        (ground_b(1), [(-1, 1)]),  # 0 is missing
-    ],
+    "ground, blocks, message",
+    UNLABELED_REFUSALS,
+    # each case is named by its ground and blocks alone, not by its message
+    ids=[f"ground{k}-blocks{k}" for k in range(len(UNLABELED_REFUSALS))],
 )
-def test_unlabeled_refuses_blocks_that_do_not_partition_the_ground(ground, blocks):
-    with pytest.raises(StructuralError):
+def test_unlabeled_refuses_blocks_that_do_not_partition_the_ground(ground, blocks, message):
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
         unlabeled(ground, blocks)
 
 

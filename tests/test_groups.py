@@ -9,7 +9,9 @@ from arcact.groups import (
     GroupError,
     GroupSpec,
     add,
+    add_unchecked,
     neg,
+    neg_unchecked,
     parse_group,
 )
 
@@ -115,3 +117,41 @@ def test_parse_group():
 def test_parse_error_reports_position():
     with pytest.raises(GroupError, match="position 3"):
         parse_group("Z2xq3")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TRIVIAL,  # its only element, (), is falsy: a memo hit all the same
+        GroupSpec((2,)),
+        GroupSpec((3,)),
+        GroupSpec((4,)),
+        GroupSpec((2, 2)),
+        DirectSum(GroupSpec((3,)), GroupSpec((5,))).spec,  # interned, shared
+    ],
+    ids=str,
+)
+def test_memoized_arithmetic_is_the_residue_arithmetic(spec):
+    # every sum and negative, read with the memo empty and then filled, is
+    # the residue formula's; the memo holds at most order^2 sums and order
+    # negatives and changes neither equality, hashing, repr nor str
+    for memo in ("_sums", "_negatives"):
+        spec.__dict__.pop(memo, None)  # empty, even if another test filled it
+    twin = GroupSpec(spec.moduli)
+    value = (hash(spec), repr(spec), str(spec))
+    elements = list(spec.elements())
+    order = spec.order
+    for _ in range(2):
+        for a, b in itertools.product(elements, repeat=2):
+            total = tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+            assert add_unchecked(spec, a, b) == add(spec, a, b) == total
+        for a in elements:
+            negative = tuple((-x) % m for x, m in zip(a, spec.moduli))
+            assert neg_unchecked(spec, a) == neg(spec, a) == negative
+        assert len(spec._sums) == order**2 and len(spec._negatives) == order
+        assert len(spec._sums) + len(spec._negatives) <= order**2 + order
+    assert spec.zero == (0,) * len(spec.moduli) and spec.zero is spec.zero
+    assert spec == twin and (hash(spec), repr(spec), str(spec)) == value == (
+        hash(twin), repr(twin), str(twin)
+    )
+    assert "_sums" not in twin.__dict__ and "_negatives" not in twin.__dict__
