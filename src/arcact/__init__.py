@@ -49,6 +49,7 @@ from .unitriangular import (
     build_chartable,
     chi_on_class,
     chi_row,
+    decode,
     inner_product,
     superclass_reduce,
     verify_counts,

@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 from collections import Counter
+from collections.abc import Iterator
+from itertools import islice
 
 from . import identities, maps, oeis, poly, unitriangular
 from .action import acting_family, orbit_representative, plus_involution
@@ -60,18 +62,42 @@ def _family_spec(args) -> FamilySpec:
         raise UsageError(str(exc)) from exc
 
 
+def _write_json(value) -> None:
+    """print(json.dumps(value)), byte for byte, where value may hold
+    iterators (generators, maps) in place of lists: a dict is written field
+    by field and an iterator a few items at a time, so the document is
+    never held whole."""
+    write = sys.stdout.write
+
+    def emit(value):
+        if isinstance(value, dict):
+            write("{")
+            for i, (key, field) in enumerate(value.items()):
+                write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                emit(field)
+            write("}")
+        elif isinstance(value, Iterator):
+            # a few items per json.dumps call: one call per small item costs
+            # more than the item
+            write("[")
+            sep = ""
+            while batch := list(islice(value, 64)):
+                write(sep + json.dumps(batch)[1:-1])
+                sep = ", "
+            write("]")
+        else:
+            write(json.dumps(value))
+
+    emit(value)
+    write("\n")
+
+
 def _emit_partitions(parts, fmt):
     if fmt == "jsonl":
         for p in parts:
             print(p.to_json())
     elif fmt == "json":
-        # json.dumps of the whole list, written one item at a time
-        sep = ""
-        sys.stdout.write("[")
-        for p in parts:
-            sys.stdout.write(sep + json.dumps(p.to_json_dict()))
-            sep = ", "
-        print("]")
+        _write_json(p.to_json_dict() for p in parts)
     elif fmt == "csv":
         print("blocks,labels")
         for p in parts:
@@ -129,18 +155,9 @@ def cmd_poly(args) -> int:
     if args.format == "latex":
         print(value.latex())
     elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "n": args.n,
-                    "coefficients": [
-                        {"x": dx, "y": dy, "value": c}
-                        for (dx, dy), c in sorted(value.coeffs.items())
-                    ],
-                }
-            )
-        )
+        coefficients = sorted(value.coeffs.items())
+        items = ({"x": dx, "y": dy, "value": c} for (dx, dy), c in coefficients)
+        _write_json({"family": args.family, "n": args.n, "coefficients": items})
     else:
         print(value)
     return EXIT_OK
@@ -222,28 +239,28 @@ def cmd_chartable(args) -> int:
     norms = table.norms()
     degrees = table.degrees()
     if args.format == "json":
-        # each distinct value object is formatted once, keyed by identity
-        distinct = {id(v): v for values in table.values for v in values}
-        text = {key: str(v) for key, v in distinct.items()}
-        rows = [
+        # each distinct code is formatted once
+        text = {c: str(unitriangular.decode(args.p, c)) for c in set().union(*table.values)}
+        rows = (
             {
                 "index": lam.to_json_dict(),
                 "degree": degree,
                 "norm": str(norm),
-                "values": [text[id(v)] for v in values],
+                "values": [text[code] for code in values],
             }
             for lam, values, norm, degree in zip(table.indices, table.values, norms, degrees)
-        ]
-        payload = {
-            "kind": args.kind,
-            "n": args.n,
-            "p": args.p,
-            "group_order": table.group_order,
-            "classes": [c.to_json_dict() for c in table.classes],
-            "class_sizes": list(table.class_sizes),
-            "characters": rows,
-        }
-        print(json.dumps(payload))
+        )
+        _write_json(
+            {
+                "kind": args.kind,
+                "n": args.n,
+                "p": args.p,
+                "group_order": table.group_order,
+                "classes": (c.to_json_dict() for c in table.classes),
+                "class_sizes": list(table.class_sizes),
+                "characters": rows,
+            }
+        )
     else:
         print(f"group order {table.group_order}, {len(table.classes)} superclasses")
         for lam, norm, degree in zip(table.indices, norms, degrees):

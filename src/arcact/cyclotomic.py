@@ -39,16 +39,6 @@ class CycValue:
     def from_int(p: int, n: int) -> "CycValue":
         return CycValue(p, (n,) + (0,) * (p - 2))
 
-    @staticmethod
-    def zeta_power(p: int, k: int, scale: int = 1) -> "CycValue":
-        """scale * zeta^k, built in one step."""
-        k %= p
-        if k == p - 1:
-            return CycValue(p, (-scale,) * (p - 1))
-        coeffs = [0] * (p - 1)
-        coeffs[k] = scale
-        return CycValue(p, tuple(coeffs))
-
     def _check(self, other: "CycValue"):
         if self.p != other.p:
             raise ValueError("mixed cyclotomic orders")
@@ -115,14 +105,11 @@ class CycValue:
 
 
 def theta(p: int, t: int, scale: int = 1) -> CycValue:
-    """The character t -> zeta_p^t of the additive group of F_p, times scale.
-
-    Memoised on (p, t mod p, scale): values are frozen, so every caller of
-    one value shares one object.
-    """
-    return _theta(p, t % p, scale)
-
-
-@lru_cache(maxsize=None)
-def _theta(p: int, t: int, scale: int) -> CycValue:
-    return CycValue.zeta_power(p, t, scale)
+    """The character t -> zeta_p^t of the additive group of F_p, times scale:
+    scale * zeta^t, built in one step."""
+    t %= p
+    if t == p - 1:
+        return CycValue(p, (-scale,) * (p - 1))
+    coeffs = [0] * (p - 1)
+    coeffs[t] = scale
+    return CycValue(p, tuple(coeffs))

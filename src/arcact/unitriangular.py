@@ -7,7 +7,9 @@ all three kinds, and ``group_elements`` lists the B and D groups as Cayley
 images of theirs.  No table lists either: a superclass is its index read on
 the ambient type A ground, sized by the closed form ``superclass_size``.
 
-All character values are exact elements of Z[zeta_p].
+Every supercharacter value is 0 or a monomial p^q zeta_p^t, and a table
+holds each as one int code: q*p + t, or ``ZERO``.  Only this module reads
+codes; ``decode`` turns one into its exact element of Z[zeta_p].
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from .core import LabeledSetPartition, blocks_from_arcs, classify, ground_a
@@ -231,9 +233,29 @@ def random_superclass_perturbation(g: Matrix, p: int, rng: random.Random) -> Mat
 # ---------------------------------------------------------------------------
 # character values
 
+# The code of the value 0; every other code q*p + t, t < p, is p^q zeta^t.
+ZERO = -1
 
-def chi_row(lam: LabeledSetPartition, classes) -> tuple[CycValue, ...]:
-    """Supercharacter values of the index partition on each class, in order.
+
+def decode(p: int, code: int) -> CycValue:
+    """The element of Z[zeta_p] that a value code stands for."""
+    if code == ZERO:
+        return theta(p, 0, 0)
+    q, t = divmod(code, p)
+    return theta(p, t, p**q)
+
+
+def code_product(p: int, a: int, b: int) -> int:
+    """The code of the product of the values coded a and b:
+    p^q1 zeta^t1 * p^q2 zeta^t2 = p^(q1+q2) zeta^(t1+t2)."""
+    if a == ZERO or b == ZERO:
+        return ZERO
+    return a + b - p if a % p + b % p >= p else a + b
+
+
+def chi_row(lam: LabeledSetPartition, classes) -> tuple[int, ...]:
+    """Supercharacter values of the index partition on each class, in order,
+    as codes (see ``decode``).
 
     The value on the class of gamma is zero when an arc (j, k) of gamma
     shares exactly one end with an arc (i, l) of the index and lies inside
@@ -246,9 +268,7 @@ def chi_row(lam: LabeledSetPartition, classes) -> tuple[CycValue, ...]:
     does to the value: ``cells[j][k]`` is None where the arc makes it zero,
     else the number of index arcs strictly around (j, k) and the label of
     the index arc (j, k), 0 if there is none.  Each class is then one pass
-    over its arcs.  Values come from the memoised ``theta``, looked up once
-    per (t mod p, q) in a row, so equal values, the one zero per p among
-    them, are one shared object.
+    over its arcs, which ends in its code.
     """
     group, ground = lam.group, lam.ground
     p = group.moduli[0]
@@ -266,8 +286,6 @@ def chi_row(lam: LabeledSetPartition, classes) -> tuple[CycValue, ...]:
                 continue
             around = sum(1 for i, l2, _ in arcs if i < j and k < l2)
             cells[j][k] = (around, value if k == l else 0)
-    zero = theta(p, 0, 0)
-    found = {}
     row = []
     for gamma in classes:
         if not (gamma.group is group and gamma.ground is ground) and (
@@ -279,62 +297,44 @@ def chi_row(lam: LabeledSetPartition, classes) -> tuple[CycValue, ...]:
         for j, k, (entry,) in gamma.labels:
             cell = cells[j][k]
             if cell is None:
-                row.append(zero)
+                row.append(ZERO)
                 break
             around, value = cell
             q_exponent -= around
             theta_arg += value * entry
         else:
-            key = q_exponent * p + theta_arg % p
-            found_value = found.get(key)
-            if found_value is None:
-                if q_exponent < 0:
-                    raise ConsistencyError(
-                        f"negative p-exponent {q_exponent} for {lam} on {gamma}"
-                    )
-                found_value = found[key] = theta(p, theta_arg, p**q_exponent)
-            row.append(found_value)
+            if q_exponent < 0:
+                raise ConsistencyError(f"negative p-exponent {q_exponent} for {lam} on {gamma}")
+            row.append(q_exponent * p + theta_arg % p)
     return tuple(row)
 
 
 def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycValue:
     """Supercharacter value of the index partition on the class of gamma:
-    the one-cell view of ``chi_row``."""
-    return chi_row(lam, (gamma,))[0]
+    the one-cell view of ``chi_row``, decoded."""
+    return decode(lam.group.moduli[0], chi_row(lam, (gamma,))[0])
 
 
-def inner_product(values1, values2, sizes, group_order: int) -> Fraction:
-    """Exact Hermitian inner product of two class functions.
+def inner_product(p: int, codes1, codes2, sizes, group_order: int) -> Fraction:
+    """Exact Hermitian inner product of two class functions given as codes.
 
-    The class sizes are first summed per (v, w) pair, keyed by identity:
-    table values are shared objects (``theta`` is memoised), so a few pairs
-    cover every class, and equal values that are distinct objects merely
-    stay apart.  A norm, values1 and values2 one row, sums them per value
-    object alone.  Every weight * v * conj(w) is then accumulated in one vector
-    over the powers zeta^0 .. zeta^(p-1), which is reduced to the basis
-    once at the end.
+    The class sizes are first summed per (v, w) pair of codes, or per code
+    alone for a norm (codes1 is codes2): a table has few distinct codes.
+    For v = p^a zeta^s and w = p^b zeta^t, v * conj(w) is p^(a+b)
+    zeta^(s-t), so each pair adds its weight to one of the powers zeta^0 ..
+    zeta^(p-1), and the sum is reduced to the basis once at the end.
     """
-    p = values1[0].p
+    norm = codes1 is codes2
     weights = {}
-    keys = map(id, values1)
-    if values1 is not values2:
-        keys = zip(keys, map(id, values2))
-    for key, v, w, size in zip(keys, values1, values2, sizes):
-        if key in weights:
-            weights[key][2] += size
-        else:
-            weights[key] = [v, w, size]
+    for key, size in zip(codes1 if norm else zip(codes1, codes2), sizes):
+        weights[key] = weights.get(key, 0) + size
     raw = [0] * p
-    for v, w, size in weights.values():
-        if v.p != p or w.p != p:
-            raise ValueError("mixed cyclotomic orders")
-        for a_exp, a in enumerate(v.coeffs):
-            if a:
-                weight = size * a
-                for b_exp, b in enumerate(w.coeffs):
-                    if b:
-                        # a negative index wraps to (a_exp - b_exp) mod p
-                        raw[a_exp - b_exp] += weight * b
+    for key, size in weights.items():
+        v, w = (key, key) if norm else key
+        if v != ZERO and w != ZERO:
+            (a, s), (b, t) = divmod(v, p), divmod(w, p)
+            # a negative index wraps to (s - t) mod p
+            raw[s - t] += size * p ** (a + b)
     top = raw[-1]
     if any(c != top for c in raw[1:-1]):
         raise ConsistencyError("inner product is not rational")
@@ -353,18 +353,18 @@ class CharTable:
     classes: tuple[LabeledSetPartition, ...]
     class_sizes: tuple[int, ...]
     indices: tuple[LabeledSetPartition, ...]
-    values: tuple[tuple[CycValue, ...], ...]
+    values: tuple[tuple[int, ...], ...]  # codes, see ``decode``
     group_order: int
 
     def norms(self) -> tuple[Fraction, ...]:
         return tuple(
-            inner_product(v, v, self.class_sizes, self.group_order)
+            inner_product(self.p, v, v, self.class_sizes, self.group_order)
             for v in self.values
         )
 
     def degrees(self) -> tuple[int, ...]:
         empty = [k for k, c in enumerate(self.classes) if not c.arcs()]
-        return tuple(v[empty[0]].rational_value() for v in self.values)
+        return tuple(decode(self.p, v[empty[0]]).rational_value() for v in self.values)
 
 
 _FAMILY_CODES = {"A": ("PI", "L"), "B": ("P_B", "L_B"), "D": ("P_D", "L_D")}
@@ -409,8 +409,9 @@ def ambient_class(lam: LabeledSetPartition) -> LabeledSetPartition:
     return superclass_partition(lam.group, lam.ground.size, key)
 
 
-# A table has as many superclasses as indices, and each of its cells is a
-# value in Z[zeta_p] of p - 1 coefficients.
+# A table has as many superclasses as indices, and each of its cells is one
+# int code.  The bound still weighs cells by p, as it did when a cell held
+# p - 1 coefficients, so that it refuses the same tables.
 MAX_TABLE_WORK = 3 * 10**7
 _INDEX_COUNTS = {"A": "Bell", "B": "Bell_B", "D": "Bell_D"}
 
@@ -421,7 +422,7 @@ def check_table_size(kind: str, n: int, p: int) -> None:
 
     The one bound, for every kind, caps cells x p, where cells is the square
     of the index count: the kind's Bell polynomial at x = y = p - 1.  No
-    table visits a group element, so cells x p predicts its time and memory.
+    table visits a group element, so its cells predict its time and memory.
     The count grows with the rank, so it is evaluated at m = 0, 1, ... and
     the loop stops at the first m over the bound; its cost grows with
     neither n nor p, and p is not tested for primality.
@@ -532,21 +533,11 @@ def verify_counts(kind: str, n: int, p: int) -> dict:
 
 
 def verify_product_rule(kind: str, n: int, p: int) -> bool:
-    """Multiplying by a linear supercharacter matches the additive action.
-
-    The table's values are few shared ``theta`` objects, so each distinct
-    pair of them is multiplied once.
-    """
+    """Multiplying by a linear supercharacter matches the additive action,
+    value by value on the codes (``code_product``)."""
     table = build_chartable(kind, n, p)
-    row = {lam: v for lam, v in zip(table.indices, table.values)}
-    products = {}
-
-    def times(a, b):
-        ab = products.get((a, b))
-        if ab is None:
-            ab = products[a, b] = a * b
-        return ab
-
+    row = dict(zip(table.indices, table.values))
+    times = partial(code_product, p)
     for alpha in family_members(index_family(kind, n, p, linear=True)):
         va = row[alpha]
         for lam in table.indices:

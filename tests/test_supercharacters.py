@@ -34,13 +34,13 @@ def test_theta():
 
 
 def test_cyclotomic_ring():
-    z = CycValue.zeta_power(5, 1)
+    z = theta(5, 1)
     total = CycValue.from_int(5, 1)
     for k in range(1, 5):
-        total = total + CycValue.zeta_power(5, k)
+        total = total + theta(5, k)
     assert total.rational_value() == 0
     assert (z * z.conjugate()).rational_value() == 1
-    assert z.conjugate() == CycValue.zeta_power(5, 4)
+    assert z.conjugate() == theta(5, 4)
     assert not z.is_rational()
     with pytest.raises(ValueError):
         z.rational_value()
@@ -155,11 +155,11 @@ def test_vanishing_values_share_one_zero_and_groups_are_checked():
     other = LabeledSetPartition(ground_a(3), F3, [(1,), (2, 3)], {(2, 3): (2,)})
     zero = ut.chi_on_class(lam, gamma)
     assert zero == CycValue.from_int(3, 0)
-    assert ut.chi_on_class(lam, other) is zero
+    assert ut.chi_on_class(lam, other) == zero
     # equal but distinct ground and group objects pass the same-group test
     copy = LabeledSetPartition(GroundSet("A", 3), GroupSpec((3,)), [(1, 2), (3,)], {(1, 2): (1,)})
     assert copy.ground is not lam.ground and copy.group is not lam.group
-    assert ut.chi_on_class(lam, copy) is zero
+    assert ut.chi_on_class(lam, copy) == zero
     for bad in (
         LabeledSetPartition(ground_a(3), GroupSpec((5,)), [(1, 2), (3,)], {(1, 2): (1,)}),
         LabeledSetPartition(ground_a(4), F3, [(1, 2), (3,), (4,)], {(1, 2): (1,)}),
@@ -189,12 +189,12 @@ def test_inner_products():
     trivial = next(
         v for lam, v in zip(table.indices, table.values) if not lam.arcs()
     )
-    assert ut.inner_product(trivial, trivial, table.class_sizes, table.group_order) == 1
+    assert ut.inner_product(2, trivial, trivial, table.class_sizes, table.group_order) == 1
 
     lam13 = next(lam for lam in table.indices if lam.arcs() == frozenset({(1, 3)}))
     row = dict(zip(table.indices, table.values))
     assert (
-        ut.inner_product(row[lam13], row[lam13], table.class_sizes, table.group_order)
+        ut.inner_product(2, row[lam13], row[lam13], table.class_sizes, table.group_order)
         == 1
     )
 
@@ -204,46 +204,53 @@ def test_inner_products():
     )
     row4 = dict(zip(table4.indices, table4.values))
     norm = ut.inner_product(
-        row4[crossing], row4[crossing], table4.class_sizes, table4.group_order
+        2, row4[crossing], row4[crossing], table4.class_sizes, table4.group_order
     )
     assert norm > 1 and norm.denominator == 1
 
 
-def _ring_sum(values1, values2, sizes):
-    """sum(size * v * conj(w)), spelled with CycValue arithmetic term by term."""
-    total = CycValue.from_int(values1[0].p, 0)
-    for v, w, size in zip(values1, values2, sizes):
-        total = total + size * (v * w.conjugate())
+def _ring_sum(p, codes1, codes2, sizes):
+    """sum(size * v * conj(w)) over the decoded values, spelled with
+    CycValue arithmetic term by term."""
+    total = CycValue.from_int(p, 0)
+    for a, b, size in zip(codes1, codes2, sizes):
+        total = total + size * (ut.decode(p, a) * ut.decode(p, b).conjugate())
     return total
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_fused_inner_product_matches_ring_ops(p):
-    """Irrational sums raise ConsistencyError; rational ones equal the
-    ring-op spelling exactly."""
+    """On random code rows, irrational sums raise ConsistencyError; rational
+    ones, every norm among them, equal the ring-op spelling exactly."""
     rng = random.Random(p)
-    one = CycValue.from_int(p, 1)
-
-    def value():
-        return CycValue(p, tuple(rng.randrange(-4, 5) for _ in range(p - 1)))
-
+    codes = [ut.ZERO, *range(4 * p)]
+    rational = Counter()
     for _ in range(40):
         length = rng.randrange(1, 8)
-        v = [value() for _ in range(length)]
-        w = [value() for _ in range(length)]
+        v = rng.choices(codes, k=length)
+        w = rng.choices(codes, k=length)
         sizes = [rng.randrange(1, 50) for _ in range(length)]
         order = rng.randrange(1, 100)
-        total = _ring_sum(v, w, sizes)
-        if not total.is_rational():
+        norm = Fraction(_ring_sum(p, v, v, sizes).rational_value(), order)
+        assert ut.inner_product(p, v, v, sizes, order) == norm
+        total = _ring_sum(p, v, w, sizes)
+        rational[total.is_rational()] += 1
+        if total.is_rational():
+            expected = Fraction(total.rational_value(), order)
+            assert ut.inner_product(p, v, w, sizes, order) == expected
+        else:
             with pytest.raises(ut.ConsistencyError):
-                ut.inner_product(v, w, sizes, order)
-            # one more class of size 1, against the trivial value, cancels
-            # the irrational part
-            v.append(CycValue(p, (0,) + tuple(-c for c in total.coeffs[1:])))
-            w.append(one)
-            sizes.append(1)
-        expected = Fraction(_ring_sum(v, w, sizes).rational_value(), order)
-        assert ut.inner_product(v, w, sizes, order) == expected
+                ut.inner_product(p, v, w, sizes, order)
+    assert rational[True] and rational[False]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_code_product_matches_the_ring(p):
+    codes = [ut.ZERO, *range(4 * p)]  # zero and p^q zeta^t for q <= 3
+    for a in codes:
+        for b in codes:
+            product = ut.decode(p, a) * ut.decode(p, b)
+            assert ut.decode(p, ut.code_product(p, a, b)) == product, (a, b)
 
 
 @pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("A", 4, 5), ("B", 2, 3), ("D", 3, 3)])
@@ -441,11 +448,10 @@ def _pair_loop_chi(lam, gamma):
 def test_row_pass_equals_the_pair_loop(kind, n, p):
     table = ut.build_chartable.__wrapped__(kind, n, p)
     ambient = table.indices if kind == "A" else [halve(lam) for lam in table.indices]
-    zero = CycValue.from_int(p, 0)
     for lam, values in zip(ambient, table.values):
-        assert list(values) == [_pair_loop_chi(lam, c) for c in table.classes]
-        assert len({id(v) for v in values if v == zero}) <= 1
-    assert any(zero in values for values in table.values)
+        decoded = [ut.decode(p, code) for code in values]
+        assert decoded == [_pair_loop_chi(lam, c) for c in table.classes]
+    assert any(ut.ZERO in values for values in table.values)
 
 
 def test_linear_indices_have_modulus_one_values():
@@ -454,7 +460,8 @@ def test_linear_indices_have_modulus_one_values():
         linear_index = all(j == i + 1 for i, j in lam.arcs())
         assert (degree == 1) == linear_index
         if linear_index:
-            for v in values:
+            for code in values:
+                v = ut.decode(3, code)
                 assert (v * v.conjugate()).rational_value() == 1
 
 
