@@ -14,6 +14,7 @@ from .core import (
     blocks_from_arcs,
     classify,
     from_rook,
+    from_triples,
     ground_a,
     ground_b,
     ground_d,

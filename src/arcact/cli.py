@@ -73,7 +73,9 @@ def _write_json(value) -> None:
         if isinstance(value, dict):
             write("{")
             for i, (key, field) in enumerate(value.items()):
-                write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                # json.dumps writes a key that is not a string as a string
+                # ("1", "true", "null"): let it write each key
+                write(f"{', ' if i else ''}{json.dumps({key: 0})[1:-4]}: ")
                 emit(field)
             write("}")
         elif isinstance(value, Iterator):
@@ -124,19 +126,20 @@ def cmd_orbits(args) -> int:
     # representative -> orbit size, in the order the family first reaches
     # each orbit; only the representatives are held
     orbits = Counter(orbit_representative(lam) for lam in enumerate_family(spec))
-    histogram = Counter(orbits.values())
-    payload = {
-        "family": spec.family,
-        "n": spec.n,
-        "orbits": len(orbits),
-        "size_histogram": dict(sorted(histogram.items())),
-        "representatives": [rep.to_json_dict() for rep in orbits],
-    }
+    histogram = dict(sorted(Counter(orbits.values()).items()))
     if args.format == "json":
-        print(json.dumps(payload))
+        _write_json(
+            {
+                "family": spec.family,
+                "n": spec.n,
+                "orbits": len(orbits),
+                "size_histogram": histogram,
+                "representatives": (rep.to_json_dict() for rep in orbits),
+            }
+        )
     else:
-        print(f"orbits: {payload['orbits']}")
-        print(f"size histogram: {payload['size_histogram']}")
+        print(f"orbits: {len(orbits)}")
+        print(f"size histogram: {histogram}")
         for rep, size in orbits.items():
             print(f"  size {size:4d}  rep {rep.text()}")
     return EXIT_OK

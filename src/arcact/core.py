@@ -171,7 +171,7 @@ def canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
 class LabeledSetPartition:
     """A set partition of a ground interval with group-labeled arcs."""
 
-    __slots__ = ("ground", "group", "_blocks", "labels", "_label_map", "_right_ends", "_hash")
+    __slots__ = ("ground", "group", "_blocks", "labels", "_right_ends", "_hash")
 
     def __init__(self, ground: GroundSet, group: GroupSpec, blocks, labels):
         blocks = [tuple(b) for b in blocks]
@@ -185,11 +185,8 @@ class LabeledSetPartition:
         label_map = dict(labels)
         if set(label_map) != set(arcs):
             raise StructuralError("labels must cover exactly the arc set")
-        for arc, value in label_map.items():
-            group.check(value)
-            if value == group.zero:
-                raise StructuralError(f"arc {arc} carries the zero label")
         labels = tuple(sorted((i, j, v) for (i, j), v in label_map.items()))
+        _check_labels(group, labels)
         self._fill(ground, group, blocks, labels)
 
     @classmethod
@@ -199,19 +196,21 @@ class LabeledSetPartition:
         ``labels`` must be a tuple of ``(i, j, value)`` triples in arc order
         whose arcs form a valid arc set of the ground (increasing arcs, no
         two leaving or entering one element) and whose values are nonzero
-        elements of ``group``.  The triples are the whole content: the arc
-        map that ``arcs()``, ``label()``, ``label_map()`` and
-        ``cover_arcs()`` read is built from them on the first of those
-        reads and kept.  ``blocks`` must be the canonical blocks of those
-        arcs (as ``canonical_blocks`` returns them), or None: a valid arc
-        set and the ground determine the blocks, so the ``blocks`` property
-        then walks them out with ``chain_blocks`` on its first read and
-        keeps them.  ``plus`` and ``orbit_representative`` pass None, since
-        most of their results are only compared and hashed, which reads the
-        triples alone.  The hash, and the set of right ends that ``plus``
-        reads, are computed on first use.  The producers, and what each
-        relies on:
+        elements of ``group``.  The triples are the whole content:
+        ``arcs()``, ``label()``, ``label_map()`` and ``cover_arcs()`` read
+        them.  ``blocks`` must be the canonical blocks of those arcs (as
+        ``canonical_blocks`` returns them), or None: a valid arc set and the
+        ground determine the blocks, so the ``blocks`` property then walks
+        them out with ``chain_blocks`` on its first read and keeps them.
+        ``plus`` and ``orbit_representative`` pass None, since most of their
+        results are only compared and hashed, which reads the triples alone.
+        The hash, and the set of right ends that ``plus`` reads, are
+        computed on first use.  The producers, and what each relies on:
 
+        * ``from_triples``: checks the arc set with ``blocks_from_arcs`` and
+          every label with the validating constructor's own loop, then sorts
+          the triples; the structural maps, ``from_rook``, ``negate`` and the
+          superclasses of ``unitriangular`` build through it;
         * the family generators: ``family_shapes`` makes canonical shapes of
           the ground (the NN and NN_B shapes through ``chain_blocks``, since
           the valleys of a Dyck path have distinct left and distinct right
@@ -235,14 +234,11 @@ class LabeledSetPartition:
           the ground's, which are distinct, so the blocks are disjoint and
           cover it); the arcs are the consecutive pairs of the sorted
           blocks, sorted once, and the labels are all (1,) in Z2;
-        * ``shift`` and ``unshift``: ``blocks_from_arcs`` checks the moved
-          arc set; moving keeps arc order, and the labels are copied from a
-          valid partition;
         * ``identities._embed_a``: a valid partition's blocks and triples,
           with labels ``DirectSum.embed_a`` checks, nonzero on the A side.
 
-        Everything else, including the independent routes that verification
-        compares against, goes through the validating constructor.
+        Blocks from outside, through the JSON reader, ``relabel`` and the
+        public API, go through the validating constructor.
         """
         # _fill spelled out, one call fewer per value: the trusted producers
         # build values in their inner loops
@@ -251,7 +247,6 @@ class LabeledSetPartition:
         _set_group(self, group)
         _set_blocks(self, blocks)
         _set_labels(self, labels)
-        _set_label_map(self, None)
         _set_right_ends(self, None)
         _set_hash(self, None)
         return self
@@ -262,7 +257,6 @@ class LabeledSetPartition:
         _set_group(self, group)
         _set_blocks(self, blocks)
         _set_labels(self, labels)
-        _set_label_map(self, None)
         _set_right_ends(self, None)
         _set_hash(self, None)
 
@@ -278,15 +272,6 @@ class LabeledSetPartition:
             blocks = chain_blocks(self.ground, {i: j for i, j, _ in self.labels})
             _set_blocks(self, blocks)
         return blocks
-
-    @property
-    def _arc_labels(self) -> dict[Arc, Element]:
-        # the labels determine the arc map, so it too is left to the first read
-        label_map = self._label_map
-        if label_map is None:
-            label_map = {(i, j): v for i, j, v in self.labels}
-            _set_label_map(self, label_map)
-        return label_map
 
     @property
     def _rights(self) -> frozenset[int]:
@@ -316,16 +301,16 @@ class LabeledSetPartition:
         return h
 
     def arcs(self) -> frozenset[Arc]:
-        return frozenset(self._arc_labels)
+        return frozenset([(i, j) for i, j, _ in self.labels])
 
     def label(self, arc: Arc) -> Element:
-        return self._arc_labels[arc]
+        return self.label_map()[arc]
 
     def label_map(self) -> dict[Arc, Element]:
-        return dict(self._arc_labels)
+        return {(i, j): v for i, j, v in self.labels}
 
     def cover_arcs(self) -> frozenset[Arc]:
-        return frozenset(a for a in self._arc_labels if a[1] == a[0] + 1)
+        return frozenset([(i, j) for i, j, _ in self.labels if j == i + 1])
 
     def singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b for b in self.blocks if len(b) == 1)
@@ -379,9 +364,29 @@ _set_ground = LabeledSetPartition.ground.__set__
 _set_group = LabeledSetPartition.group.__set__
 _set_blocks = LabeledSetPartition._blocks.__set__
 _set_labels = LabeledSetPartition.labels.__set__
-_set_label_map = LabeledSetPartition._label_map.__set__
 _set_right_ends = LabeledSetPartition._right_ends.__set__
 _set_hash = LabeledSetPartition._hash.__set__
+
+
+def _check_labels(group: GroupSpec, labels) -> None:
+    """Refuse a label triple whose value is not a nonzero element of group."""
+    for i, j, value in labels:
+        group.check(value)
+        if value == group.zero:
+            raise StructuralError(f"arc {(i, j)} carries the zero label")
+
+
+def from_triples(ground: GroundSet, group: GroupSpec, triples) -> LabeledSetPartition:
+    """The partition whose labeled arcs are the ``(i, j, value)`` triples,
+    given in any order.  The arc set is checked by ``blocks_from_arcs`` (so
+    a refusal is an ``InvalidArcSetError``) and the labels as the validating
+    constructor checks them."""
+    triples = list(triples)
+    blocks = blocks_from_arcs(ground, [(i, j) for i, j, _ in triples])
+    # the arcs are distinct, so sorting never compares two values
+    labels = tuple(sorted(triples))
+    _check_labels(group, labels)
+    return LabeledSetPartition._trusted(ground, group, blocks, labels)
 
 
 # The JSON fragments of blocks, label values, moduli and label objects recur
@@ -575,14 +580,12 @@ def is_type_symmetric(p: LabeledSetPartition) -> bool:
     """
     if p.ground.kind not in ("B", "D"):
         return False
-    arcs = p.arcs()
-    for (i, j), value in p.label_map().items():
-        mirror = (-j, -i)
-        if mirror == (i, j):
+    label_map = p.label_map()
+    for i, j, value in p.labels:
+        mirror = label_map.get((-j, -i))
+        if i == -j or mirror is None:
             return False
-        if mirror not in arcs:
-            return False
-        if add_unchecked(p.group, value, p.label((-j, -i))) != p.group.zero:
+        if add_unchecked(p.group, value, mirror) != p.group.zero:
             return False
     return True
 
@@ -630,11 +633,8 @@ def to_rook(p: LabeledSetPartition) -> RookMatrix:
 def from_rook(ground: GroundSet, group: GroupSpec, rook: RookMatrix) -> LabeledSetPartition:
     if rook.size != ground.size:
         raise StructuralError("rook matrix size does not match the ground")
-    labels = {}
-    for r, c, v in rook.entries:
-        labels[(ground.from_position(r), ground.from_position(c))] = v
-    blocks = blocks_from_arcs(ground, labels.keys())
-    return LabeledSetPartition(ground, group, blocks, labels)
+    at = ground.from_position
+    return from_triples(ground, group, [(at(r), at(c), v) for r, c, v in rook.entries])
 
 
 def rook_noncrossing(rook: RookMatrix) -> bool:
@@ -681,14 +681,11 @@ def negate(p: LabeledSetPartition) -> LabeledSetPartition:
     """
     if p.ground.kind not in ("B", "D"):
         raise UnsupportedGroundError("negate needs a sign-symmetric ground")
-    blocks = [tuple(sorted(-x for x in b)) for b in p.blocks]
-    labels = {(-j, -i): v for (i, j), v in p.label_map().items()}
-    return LabeledSetPartition(p.ground, p.group, blocks, labels)
+    return from_triples(p.ground, p.group, [(-j, -i, v) for i, j, v in p.labels])
 
 
 def negate_labels(p: LabeledSetPartition) -> LabeledSetPartition:
-    labels = {arc: neg(p.group, v) for arc, v in p.label_map().items()}
-    return p.relabel(labels)
+    return from_triples(p.ground, p.group, [(i, j, neg(p.group, v)) for i, j, v in p.labels])
 
 
 # ---------------------------------------------------------------------------

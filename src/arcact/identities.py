@@ -58,6 +58,7 @@ from .families import (
     family_ground,
     family_members,
     family_shapes,
+    family_size,
     symmetric_partitions,
 )
 from .groups import DirectSum, GroupSpec
@@ -177,10 +178,10 @@ def _eq(witnesses, tag, *values):
 
 def _cnt(family, n, groups, flag=None) -> int:
     """Members of the family, or only those whose classification has flag."""
-    members = family_members(FamilySpec(family, n, groups))
+    spec = FamilySpec(family, n, groups)
     if flag is None:
-        return len(tuple(members))
-    return sum(1 for p in members if getattr(classify(p), flag))
+        return family_size(spec)
+    return sum(1 for p in family_members(spec) if getattr(classify(p), flag))
 
 
 def _embed_a(p, ds: DirectSum):
@@ -1170,7 +1171,7 @@ def _superclass_sizes(sizes):
         classes = [unitriangular.ambient_class(lam) for lam in indices]
         for c in classes:
             found = {"closed": unitriangular.superclass_size(c, kind)}
-            found["elements"] = counted[tuple(((i, j), v) for i, j, v in c.labels)]
+            found["elements"] = counted[c.labels]
             g = unitriangular.class_representative_matrix(c, p)
             found["rank"] = p ** _two_sided_rank(g, p, kind)
             if len(set(found.values())) > 1:

@@ -16,9 +16,9 @@ from .core import (
     StructuralError,
     UnsupportedGroundError,
     _Z2,
-    blocks_from_arcs,
     classify,
     crossings,
+    from_triples,
     ground_a,
     ground_b,
     ground_d,
@@ -50,13 +50,11 @@ def _unshift_target(ground: GroundSet) -> GroundSet:
 def _move_arcs(p: LabeledSetPartition, target: GroundSet, delta: int) -> LabeledSetPartition:
     pos = p.ground._positions
     at = target._elements  # at[q - 1] is the element at position q of target
-    # both ends move monotonically, so the triples stay in arc order; the
-    # target has one element more (shift) or one fewer (unshift, whose
+    # the target has one element more (shift) or one fewer (unshift, whose
     # partitions have no covers), so every moved position lies in it
-    labels = tuple([(at[pos[i] - 1], at[pos[j] + delta - 1], v) for i, j, v in p.labels])
-    # the moved arc set is checked here; the labels come from a valid partition
-    blocks = blocks_from_arcs(target, ((i, j) for i, j, _ in labels))
-    return LabeledSetPartition._trusted(target, p.group, blocks, labels)
+    return from_triples(
+        target, p.group, [(at[pos[i] - 1], at[pos[j] + delta - 1], v) for i, j, v in p.labels]
+    )
 
 
 def shift(p: LabeledSetPartition) -> LabeledSetPartition:
@@ -96,8 +94,7 @@ def uncross_arcs(arcs, rng: random.Random | None = None) -> frozenset[Arc]:
 def uncross(p: LabeledSetPartition, rng: random.Random | None = None) -> LabeledSetPartition:
     """Block-count preserving map onto noncrossing partitions (unlabeled)."""
     _require_unlabeled(p)
-    arcs = uncross_arcs(p.arcs(), rng)
-    return unlabeled(p.ground, blocks_from_arcs(p.ground, arcs))
+    return _from_arcs(p.ground, uncross_arcs(p.arcs(), rng))
 
 
 def uncross_b(p: LabeledSetPartition, rng: random.Random | None = None) -> LabeledSetPartition:
@@ -147,8 +144,7 @@ def uncross_b_inverse(p: LabeledSetPartition) -> LabeledSetPartition:
     arcs, inner = _rewired_center(p)
     if inner is not None:
         arcs.update([(-inner, 0), (0, inner)])
-    target = ground_b(p.ground.n)
-    return unlabeled(target, blocks_from_arcs(target, arcs))
+    return _from_arcs(ground_b(p.ground.n), arcs)
 
 
 def uncross_d_inverse(p: LabeledSetPartition) -> LabeledSetPartition:
@@ -160,12 +156,17 @@ def uncross_d_inverse(p: LabeledSetPartition) -> LabeledSetPartition:
     arcs, inner = _rewired_center(p)
     if inner is not None:
         raise StructuralError("need an even number of self-negative blocks")
-    return unlabeled(p.ground, blocks_from_arcs(p.ground, arcs))
+    return _from_arcs(p.ground, arcs)
 
 
 def _require_unlabeled(p: LabeledSetPartition):
     if p.group != _Z2:
         raise StructuralError("this map is defined on unlabeled (Z2) partitions")
+
+
+def _from_arcs(ground: GroundSet, arcs) -> LabeledSetPartition:
+    """The unlabeled partition with this arc set, checked."""
+    return from_triples(ground, _Z2, [(i, j, (1,)) for i, j in arcs])
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +179,8 @@ def halve(p: LabeledSetPartition) -> LabeledSetPartition:
     if p.ground.kind not in ("B", "D"):
         raise UnsupportedGroundError("halve needs a B or D ground")
     pos = p.ground.position
-    target = ground_a(p.ground.size)
-    labels = {
-        (pos(i), pos(j)): v for (i, j), v in p.label_map().items() if i + j < 0
-    }
-    blocks = blocks_from_arcs(target, labels.keys())
-    return LabeledSetPartition(target, p.group, blocks, labels)
+    kept = [(pos(i), pos(j), v) for i, j, v in p.labels if i + j < 0]
+    return from_triples(ground_a(p.ground.size), p.group, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ def dyck_from_nonnesting(p: LabeledSetPartition) -> DyckPath:
 
 def nn_from_dyck(path: DyckPath, ground: GroundSet) -> LabeledSetPartition:
     """Inverse of dyck_from_nonnesting over the given ground."""
-    return unlabeled(ground, blocks_from_arcs(ground, valley_arcs(path, ground)))
+    return _from_arcs(ground, valley_arcs(path, ground))
 
 
 def matching_to_dyck(p: LabeledSetPartition) -> DyckPath:

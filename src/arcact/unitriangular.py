@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
 
-from .core import LabeledSetPartition, blocks_from_arcs, classify, ground_a
+from .core import InvalidArcSetError, LabeledSetPartition, classify, from_triples, ground_a
 from .cyclotomic import CycValue, theta
 from .families import FamilySpec, family_members
 from .groups import GroupSpec
@@ -150,7 +150,8 @@ def group_elements(kind: str, n: int, p: int):
 
 def superclass_key(g: Matrix, p: int) -> tuple:
     """Canonical rook form of g - 1 under two-sided unitriangular moves, as
-    the sorted ``((i, j), (v,))`` label tuple of its superclass.
+    the sorted ``(i, j, (v,))`` label triples of its superclass: the
+    ``labels`` of the partition ``superclass_reduce`` returns.
 
     Columns are scanned left to right; in each column the lowest entry in a
     row without an earlier pivot becomes a pivot, its row is cleared to the
@@ -182,28 +183,20 @@ def superclass_key(g: Matrix, p: int) -> tuple:
                 for c2 in range(c, n):
                     row[c2] = (row[c2] + t * pivot[c2]) % p
         pivot_rows.add(r)
-        labels.append(((r + 1, c + 1), (pivot[c],)))
+        labels.append((r + 1, c + 1, (pivot[c],)))
     return tuple(sorted(labels))
-
-
-def superclass_partition(group: GroupSpec, n: int, key: tuple) -> LabeledSetPartition:
-    """The labeled partition of {1..n}, labeled in ``group``, that a
-    superclass key names."""
-    ground = ground_a(n)
-    labels = dict(key)
-    return LabeledSetPartition(ground, group, blocks_from_arcs(ground, labels), labels)
 
 
 def superclass_reduce(g: Matrix, p: int) -> LabeledSetPartition:
     """The superclass of g, as a labeled partition (see ``superclass_key``)."""
-    return superclass_partition(GroupSpec((p,)), len(g), superclass_key(g, p))
+    return from_triples(ground_a(len(g)), GroupSpec((p,)), superclass_key(g, p))
 
 
 def class_representative_matrix(lam: LabeledSetPartition, p: int) -> Matrix:
     """The unitriangular matrix 1 + sum of labeled elementary matrices."""
     n = lam.ground.size
     g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j), v in lam.label_map().items():
+    for i, j, v in lam.labels:
         g[i - 1][j - 1] = v[0] % p
     return tuple(tuple(row) for row in g)
 
@@ -405,8 +398,8 @@ def ambient_class(lam: LabeledSetPartition) -> LabeledSetPartition:
     if lam.ground.kind == "A":
         return lam
     pos = lam.ground.position
-    key = tuple(((pos(i), pos(j)), v) for i, j, v in lam.labels)
-    return superclass_partition(lam.group, lam.ground.size, key)
+    moved = [(pos(i), pos(j), v) for i, j, v in lam.labels]
+    return from_triples(ground_a(lam.ground.size), lam.group, moved)
 
 
 # A table has as many superclasses as indices, and each of its cells is one
@@ -554,23 +547,17 @@ def reflection_moves(lam: LabeledSetPartition):
     """Partitions reachable by one arc reflection (i,j) -> (m+1-j, m+1-i)
     with negated label, when the reflected arc is free."""
     m = lam.ground.size
-    group = lam.group
-    p = group.moduli[0]
-    arc_map = lam.label_map()
+    p = lam.group.moduli[0]
     out = []
-    for (i, j), value in arc_map.items():
-        target = (m + 1 - j, m + 1 - i)
-        if target in arc_map or target == (i, j):
+    for k, (i, j, value) in enumerate(lam.labels):
+        if i + j == m + 1:  # the arc is its own reflection
             continue
-        new_labels = dict(arc_map)
-        del new_labels[(i, j)]
-        new_labels[target] = ((-value[0]) % p,)
-        lefts = [a for a, _ in new_labels]
-        rights = [b for _, b in new_labels]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-            continue
-        blocks = blocks_from_arcs(lam.ground, new_labels.keys())
-        out.append(LabeledSetPartition(lam.ground, group, blocks, new_labels))
+        others = lam.labels[:k] + lam.labels[k + 1 :]
+        moved = (m + 1 - j, m + 1 - i, ((-value[0]) % p,))
+        try:
+            out.append(from_triples(lam.ground, lam.group, [*others, moved]))
+        except InvalidArcSetError:  # the reflected arc is not free
+            pass
     return out
 
 

@@ -142,6 +142,37 @@ def test_orbits_json(capsys):
     )
 
 
+def test_write_json_writes_keys_as_json_dumps_does(capsys):
+    def value(items):
+        return {
+            "ints": {1: 2, -3: {0: 4}},
+            "bools": {True: 1, False: 0},
+            "none": {None: "null"},
+            "floats": {2.5: 1, 1e20: 2, float("inf"): 3, -0.0: 4},
+            "items": items([{1: "a", "b": {None: True}}, {True: [{2.0: 3}]}]),
+            5: items([]),
+        }
+
+    cli._write_json(value(iter))
+    assert capsys.readouterr().out == json.dumps(value(list)) + "\n"
+
+
+# sha256 of `arcact orbits --family PI_AB --n 6 --groupA Z2 --groupB Z3
+# --format json`, recorded while the document was built whole before it was
+# printed
+ORBITS_PI_AB_6_SHA256 = "4170f3663c65bf094b21719096ae62ed2feebfb6a5c353e781615252c19a2104"
+
+
+def test_orbits_json_streams_the_dumped_document(capsys):
+    code, out = run_cli(
+        capsys, "orbits", "--family", "PI_AB", "--n", "6", "--groupA", "Z2",
+        "--groupB", "Z3", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBITS_PI_AB_6_SHA256
+    assert json.loads(out)["size_histogram"] == {"1": 11, "3": 20, "9": 10, "27": 10, "243": 1}
+
+
 def test_verify_single_id(capsys):
     code, out = run_cli(
         capsys, "verify", "--id", "touchard", "--profile", "quick",

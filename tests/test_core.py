@@ -14,6 +14,7 @@ from arcact.core import (
     blocks_from_arcs,
     canonical_blocks,
     classify,
+    from_triples,
     ground_a,
     ground_b,
     ground_d,
@@ -32,7 +33,7 @@ from arcact.core import (
     unlabeled,
 )
 from arcact.families import FamilySpec, enumerate_family
-from arcact.groups import GroupSpec
+from arcact.groups import GroupError, GroupSpec
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -118,6 +119,45 @@ def test_arc_block_round_trips():
         for p in enumerate_family(spec):
             assert blocks_from_arcs(p.ground, p.arcs()) == p.blocks
             assert arcs_of(p.blocks) == p.arcs()
+
+
+FROM_TRIPLES_REFUSALS = [
+    ([(2, 1, (1,))], InvalidArcSetError, "not increasing"),
+    ([(1, 4, (1,))], InvalidArcSetError, "leaves the ground"),
+    ([(0, 2, (1,))], InvalidArcSetError, "leaves the ground"),
+    ([(1, 2, (1,)), (1, 3, (1,))], InvalidArcSetError, "two arcs leave 1"),
+    ([(1, 3, (1,)), (2, 3, (2,))], InvalidArcSetError, "two arcs enter 3"),
+    ([(1, 2, (1,)), (1, 2, (2,))], InvalidArcSetError, "two arcs leave 1"),
+    ([(1, 2, (1,)), (2, 3, (0,))], StructuralError, "arc (2, 3) carries the zero label"),
+    # as in the validating constructor, a value outside the group is a GroupError
+    ([(1, 3, (3,))], GroupError, "does not conform"),
+    ([(1, 3, (1, 0))], GroupError, "does not conform"),
+    ([(1, 3, (True,))], GroupError, "does not conform"),
+]
+
+
+@pytest.mark.parametrize("triples, error, message", FROM_TRIPLES_REFUSALS)
+def test_from_triples_refuses_an_invalid_arc_set_or_label(triples, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        from_triples(ground_a(3), Z3, triples)
+    for scrambled in (triples[::-1], iter(triples)):
+        with pytest.raises(error):
+            from_triples(ground_a(3), Z3, scrambled)
+
+
+def test_from_triples_builds_what_the_public_constructor_builds(all_desk_specs):
+    built = 0
+    for spec in all_desk_specs:
+        for p in enumerate_family(spec):
+            triples = list(p.labels)
+            for given in (triples, triples[::-1], iter(triples)):
+                q = from_triples(p.ground, p.group, given)
+                assert q == p and hash(q) == hash(p) and q.labels == p.labels, p
+                assert q.blocks == p.blocks and q.text() == p.text(), p
+            public = LabeledSetPartition(p.ground, p.group, p.blocks, p.label_map())
+            assert public == q and public.blocks == q.blocks, p
+            built += 1
+    assert built > 500
 
 
 UNLABELED_REFUSALS = [

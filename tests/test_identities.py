@@ -260,6 +260,7 @@ _FAULTS = {
     "action": _identity_involution_at_two,
     "transfer_family": lambda real: lambda name, n: real(name, n) + 1,
     "family_members": _drop_first_at_two,
+    "family_size": lambda real: lambda spec: real(spec) + (spec.n == 2),
     "family_shapes": _drop_first_shape_at_two,
     "catalan": lambda real: lambda k: real(k) + (k == 3),
     "comb": lambda real: lambda a, b: real(a, b) + ((a, b) == (4, 2)),
@@ -286,11 +287,16 @@ _FAULT_WITNESSES = {
         "tilde-2": "n=0: 2 != 1",
     },
     "family_members": {
-        "orbit-main": "PI n=2 A=Z2 B=Z2 partition: 2 != 1",
-        "orbit-B": "P_B n=2 A=Z2 B=Z2 partition: 6 != 5",
-        "orbit-D": "P_D n=2 A=Z2 B=Z2 partition: 3 != 2",
+        "orbit-main": "PI n=3 A=Z2 B=Z2 representatives: 1 != 2",
+        "orbit-B": "P_B n=2 A=Z2 B=Z2 representatives: 2 != 3",
         "shift-bij-A": "A n=1 poor-nc: image mismatch missing=[] extra=['{1}{2}']",
         "shift-bij-BD": "BD n=1 (4): image mismatch missing=[] extra=['{-2}{-1}{1}{2}']",
+    },
+    # the orbit checks count each family by its size, not through its members
+    "family_size": {
+        "orbit-main": "PI n=2 A=Z2 B=Z2 partition: 2 != 3",
+        "orbit-B": "P_B n=2 A=Z2 B=Z2 partition: 6 != 7",
+        "orbit-D": "P_D n=2 A=Z2 B=Z2 partition: 3 != 4",
     },
     "family_shapes": {
         "2blocks-1": "n=2 NC_TILDE_D shapes: 2 != 3",

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from arcact import identities
 from arcact.cli import main
-from arcact.core import GroundSet, LabeledSetPartition, ground_a, negate_labels
+from arcact.core import (
+    GroundSet,
+    LabeledSetPartition,
+    blocks_from_arcs,
+    from_triples,
+    ground_a,
+    negate_labels,
+)
 from arcact.cyclotomic import CycValue, theta
 from arcact.families import FamilySpec, enumerate_family
 from arcact.groups import GroupSpec
@@ -266,9 +273,8 @@ def _mirror_closure(h, p):
     """The arcs of a halved index and their mirrors (i, j) -> (m+1-j, m+1-i),
     each mirror labeled with the negated value."""
     m = h.ground.size
-    key = [((i, j), v) for i, j, v in h.labels]
-    key += [((m + 1 - j, m + 1 - i), ((-v[0]) % p,)) for i, j, v in h.labels]
-    return ut.superclass_partition(h.group, m, tuple(key))
+    mirrors = [(m + 1 - j, m + 1 - i, ((-v[0]) % p,)) for i, j, v in h.labels]
+    return from_triples(ground_a(m), h.group, h.labels + tuple(mirrors))
 
 
 @pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("B", 3, 3), ("D", 4, 3)])
@@ -485,6 +491,25 @@ def test_reflection_class_closure():
     assert halve(lam) in cls
     for q in cls:
         assert cls == ut.reflection_class(q)
+
+
+@pytest.mark.parametrize(
+    "arcs, moves",
+    [
+        ({(1, 2): (1,)}, [{(3, 4): (2,)}]),
+        ({(1, 3): (1,)}, [{(2, 4): (2,)}]),
+        ({(1, 4): (1,)}, []),  # its own reflection
+        ({(2, 3): (2,)}, []),  # its own reflection
+        ({(1, 2): (1,), (3, 4): (1,)}, []),  # each reflection lands on the other arc
+        ({(1, 3): (1,), (2, 4): (2,)}, []),
+        ({(1, 2): (1,), (2, 4): (1,)}, []),  # (3, 4) would enter 4, (1, 3) leave 1 twice
+        ({(1, 2): (2,), (2, 3): (1,)}, [{(2, 3): (1,), (3, 4): (1,)}]),
+    ],
+)
+def test_reflection_moves_take_only_free_reflected_arcs(arcs, moves):
+    ground = ground_a(4)
+    lam = LabeledSetPartition(ground, F3, blocks_from_arcs(ground, arcs), arcs)
+    assert [q.label_map() for q in ut.reflection_moves(lam)] == moves
 
 
 # sha256 of `arcact chartable --format json` (stdout, trailing newline included),
