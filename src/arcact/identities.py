@@ -25,7 +25,9 @@ in one enumerative context per group pair (x, y integers; family terms
 exhaustive counts).  The two routes share no family term, so neither side
 of a check is ever compared with itself.
 
-All arithmetic is exact; a failing check carries a minimal witness.
+All arithmetic is exact.  A check yields its witnesses; ``run`` reads the
+first and stops, so a passing check runs to its end and a failing one ends
+at its first witness.
 """
 
 from __future__ import annotations
@@ -121,12 +123,11 @@ def run(id: str, profile: str = "desk", **overrides) -> CheckResult:
     params = dict(check.desk if profile == "desk" else check.quick)
     params.update(overrides)
     start = time.perf_counter()
-    witnesses = check.fn(**params)
+    witness = next(check.fn(**params), None)
     millis = int((time.perf_counter() - start) * 1000)
     text = "; ".join(str(p) for p in sorted(params.items()))
-    if witnesses:
-        return CheckResult(id, check.mode, text, "fail", millis, witnesses[0])
-    return CheckResult(id, check.mode, text, "pass", millis)
+    status = "pass" if witness is None else "fail"
+    return CheckResult(id, check.mode, text, status, millis, witness)
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,12 @@ def run_all(profile: str = "desk", ids=None) -> Report:
 # helpers
 
 
-def _mismatch(tag, lhs, rhs):
-    return f"{tag}: {lhs} != {rhs}"
-
-
-def _eq(witnesses, tag, *values):
+def _eq(tag, *values):
+    """Yield a mismatch if some value differs from the first."""
     first = values[0]
     for other in values[1:]:
         if other != first:
-            witnesses.append(_mismatch(tag, first, other))
+            yield f"{tag}: {first} != {other}"
             return
 
 
@@ -192,7 +190,8 @@ def _embed_a(p, ds: DirectSum):
 
 # A check registered by _per_n or _identity is a function returning the sides
 # it asserts equal at one n, read through a context c with c.x, c.y,
-# c.biv(name, n), c.uni(name, n) and c.tag(n).
+# c.biv(name, n), c.uni(name, n) and c.tag(n); _evaluate yields a mismatch at
+# each n where they differ.
 #
 # In the symbolic context x, y are the polynomials X, Y; bivariate terms come
 # from the transfer recursion (called by name, so a rebinding of
@@ -208,11 +207,9 @@ _SYMBOLIC = SimpleNamespace(
 
 
 def _evaluate(sides, contexts, n_min, n_max):
-    out = []
     for c in contexts:
         for n in range(n_min, n_max + 1):
-            _eq(out, c.tag(n), *sides(c, n))
-    return out
+            yield from _eq(c.tag(n), *sides(c, n))
 
 
 def _per_n(id, statement, desk=None, quick=None, mode="symbolic"):
@@ -298,7 +295,6 @@ def _spivey(id, statement, lhs, base, triangle, bell):
     lhs(m+n) == sum(j,k) x^(m+n-j-k) base(j)^(n-k) binom(n,k) triangle(m,j) bell(k)."""
 
     def check(m_max, n_max):
-        out = []
         for m in range(m_max + 1):
             for n in range(n_max + 1):
                 rhs = BiPoly.zero()
@@ -306,8 +302,7 @@ def _spivey(id, statement, lhs, base, triangle, bell):
                     for k in range(n + 1):
                         c = base(j) ** (n - k) * comb(n, k) * triangle(m, j)
                         rhs = rhs + c * BiPoly.term(1, m + n - j - k) * bell(k)
-                _eq(out, f"m={m},n={n}", lhs(m + n), rhs)
-        return out
+                yield from _eq(f"m={m},n={n}", lhs(m + n), rhs)
 
     _register(id, "symbolic", statement, {"m_max": 4, "n_max": 4})(check)
 
@@ -340,18 +335,16 @@ def _catd_closed(c, n):
 @_register(
     "motzkinB-closed",
     "symbolic",
-    "M_B[n](x) == M_D[n](x) == sum binom(2k,k) binom(n,2k) x^k",
+    "M_B[n](x) == sum binom(2k,k) binom(n,2k) x^k, and M_B[n](x) == M_D[n](x)"
+    " enumerated at n <= 4",
     {"n_max": 10},
 )
 def _motzkinb_closed(n_max):
-    out = []
     for n in range(n_max + 1):
-        closed = poly.motzkinb_closed(n)
-        _eq(out, f"n={n}", transfer_family("M_B", n), closed)
-        _eq(out, f"n={n} (enumerated B vs D)",
-            poly.enumerated_family("M_B", n) if n <= 4 else closed,
-            poly.enumerated_family("M_D", n) if n <= 4 else closed)
-    return out
+        yield from _eq(f"n={n}", transfer_family("M_B", n), poly.motzkinb_closed(n))
+        if n <= 4:
+            yield from _eq(f"n={n} (enumerated B vs D)",
+                           poly.enumerated_family("M_B", n), poly.enumerated_family("M_D", n))
 
 
 @_per_n("mob-rec", "M_B[n+2](x) == M_B[n+1](x) + 2(n+1) x M[n](x)")
@@ -659,23 +652,21 @@ def _three_term_2(c, n):
     {"n_max": 3},
 )
 def _nnb_counts(n_max):
-    out = []
     for n in range(n_max + 1):
         # the generator builds NN_B from symmetric Dyck paths; check that
         # what it builds meets the family's definition
         for blocks in family_shapes("NN_B", n):
             p = unlabeled(ground_d(n), blocks)
             if not classify(p).nonnesting:
-                return [f"n={n}: NN_B shape {p.text()} is nesting"]
+                yield f"n={n}: NN_B shape {p.text()} is nesting"
             if negate(p) != p:
-                return [f"n={n}: NN_B shape {p.text()} is not negation-closed"]
+                yield f"n={n}: NN_B shape {p.text()} is not negation-closed"
         hist = count_by(FamilySpec("NN_B", n), "blocks")
         total = sum(hist.values())
-        _eq(out, f"n={n} total", total, comb(2 * n, n))
+        yield from _eq(f"n={n} total", total, comb(2 * n, n))
         for k in range(n + 1):
             got = hist.get(2 * k, 0) + hist.get(2 * k + 1, 0)
-            _eq(out, f"n={n},k={k}", got, comb(n, k) ** 2)
-    return out
+            yield from _eq(f"n={n},k={k}", got, comb(n, k) ** 2)
 
 
 @_per_n("sym-dyck", "binom(2n,n) symmetric Dyck paths with 4n steps",
@@ -684,11 +675,11 @@ def _sym_dyck(c, n):
     return sum(1 for p in enumerate_dyck(2 * n) if p.is_symmetric()), comb(2 * n, n)
 
 
-def _counted_shapes(out, family, name, n):
-    """The shapes of a family at n, after comparing their number with the
-    named counting polynomial at x = y = 1."""
+def _counted_shapes(family, name, n):
+    """Yield a mismatch if the number of shapes of a family at n is not the
+    named counting polynomial at x = y = 1; return the shapes."""
     shapes = family_shapes(family, n)
-    _eq(out, f"n={n} {family} shapes", len(shapes), poly.sequence(name, n))
+    yield from _eq(f"n={n} {family} shapes", len(shapes), poly.sequence(name, n))
     return shapes
 
 
@@ -706,16 +697,12 @@ def _two_blocks(id, statement, family, name, at, test, want, desk, quick):
     polynomial ``name``, then the shapes passing ``test`` against want(n)."""
 
     def check(n_max):
-        out = []
         for n in range(n_max + 1):
             m = at(n)
-            shapes = _counted_shapes(out, family, name, m)
-            if out:
-                return out
+            shapes = yield from _counted_shapes(family, name, m)
             ground = family_ground(family, m)
             got = sum(1 for blocks in shapes if test(unlabeled(ground, blocks)))
-            _eq(out, f"n={n}", got, want(n))
-        return out
+            yield from _eq(f"n={n}", got, want(n))
 
     _register(id, "enumerative", statement, {"n_max": desk}, {"n_max": quick})(check)
 
@@ -744,7 +731,6 @@ for _row in _TWO_BLOCKS:
     {"n_max": 3},
 )
 def _uncross_b_props(n_max):
-    out = []
     for n in range(n_max + 1):
         dom_b = [
             unlabeled(ground_b(n), blocks) for blocks in family_shapes("NC_TILDE_B", n)
@@ -755,16 +741,15 @@ def _uncross_b_props(n_max):
         )
         sym_nc = [q for q in symmetric if classify(q).noncrossing]
         images = [maps.uncross_b(p) for p in dom_b]
-        _eq(out, f"n={n} b-image", sorted(q.blocks for q in images), sorted(q.blocks for q in sym_nc))
-        _eq(out, f"n={n} b-inj", len(set(images)), len(dom_b))
+        yield from _eq(f"n={n} b-image", sorted(q.blocks for q in images),
+                       sorted(q.blocks for q in sym_nc))
+        yield from _eq(f"n={n} b-inj", len(set(images)), len(dom_b))
         for p, q in zip(dom_b, images):
             k = (len(p.blocks) - 1) // 2
             if len(q.blocks) not in (2 * k, 2 * k + 1):
-                out.append(f"n={n}: block count {len(p.blocks)}->{len(q.blocks)}")
-                return out
+                yield f"n={n}: block count {len(p.blocks)}->{len(q.blocks)}"
             if maps.uncross_b_inverse(q) != p:
-                out.append(f"n={n}: uncross_b inverse fails on {p.text()}")
-                return out
+                yield f"n={n}: uncross_b inverse fails on {p.text()}"
         dom_d = [
             unlabeled(ground_d(n), blocks) for blocks in family_shapes("NC_TILDE_D", n)
         ]
@@ -774,75 +759,72 @@ def _uncross_b_props(n_max):
             if sum(1 for b in q.blocks if tuple(sorted(-x for x in b)) == b) % 2 == 0
         ]
         images_d = [maps.uncross(p) for p in dom_d]
-        _eq(out, f"n={n} d-image", sorted(q.blocks for q in images_d), sorted(q.blocks for q in codom_d))
-        _eq(out, f"n={n} d-inj", len(set(images_d)), len(dom_d))
+        yield from _eq(f"n={n} d-image", sorted(q.blocks for q in images_d),
+                       sorted(q.blocks for q in codom_d))
+        yield from _eq(f"n={n} d-inj", len(set(images_d)), len(dom_d))
         for p, q in zip(dom_d, images_d):
             if maps.uncross_d_inverse(q) != p:
-                out.append(f"n={n}: uncross inverse fails on {p.text()}")
-                return out
+                yield f"n={n}: uncross inverse fails on {p.text()}"
         for p in dom_d:
             if maps.uncross(negate(p)) != negate(maps.uncross(p)):
-                out.append(f"n={n}: uncross does not commute with negation")
-                return out
-    return out
+                yield f"n={n}: uncross does not commute with negation"
 
 
-def _orbit_checker(out, tag, family, n, groups, rep_source, size_exponent, expected_orbits):
-    """Shared orbit-theorem verification for one instantiated family.  The
-    orbits come by two routes: the family grouped by its members' cover-free
-    representatives, and the acting family applied to each representative."""
-    spec = FamilySpec(family, n, groups)
+def _orbit_checker(tag, name, n, groups, rep_source, size_exponent, expected_orbits):
+    """Shared orbit-theorem verification for the two-group family of the
+    polynomial ``name`` at n.  The orbits come by two routes: the family
+    grouped by its members' cover-free representatives, and the acting family
+    applied to each representative.  Their members are counted against the
+    polynomial at x = |A|-1, y = |B|-1."""
+    spec = FamilySpec(FAMILY_CODES[name][0] + "_AB", n, groups)
     ds = DirectSum(groups[0], groups[1])
     acting = action.acting_family(spec)
     orbits = action.orbit_decomposition(spec)
     total = sum(len(members) for members in orbits.values())
-    _eq(out, f"{tag} partition", total, _cnt(family, n, groups))
+    size = poly.family(name, n).eval_int(groups[0].order - 1, groups[1].order - 1)
+    yield from _eq(f"{tag} partition", total, size)
     for rep, members in orbits.items():
         images = action.orbit(rep, acting)
         if images != frozenset(members):
-            out.append(
+            yield (
                 f"{tag}: orbit of {rep.text()} has {len(images)} members,"
                 f" {len(members)} grouped under it"
             )
-            return
         two_regular = sum(1 for q in images if classify(q).two_regular)
         if two_regular != 1:
-            out.append(f"{tag}: orbit with {two_regular} two-regular members")
-            return
-    _eq(out, f"{tag} orbit count", len(orbits), expected_orbits)
+            yield f"{tag}: orbit with {two_regular} two-regular members"
+    yield from _eq(f"{tag} orbit count", len(orbits), expected_orbits)
     expected_reps = {_embed_a(maps.shift(p), ds) for p in rep_source}
-    _eq(out, f"{tag} representatives", len(orbits.keys() & expected_reps), len(orbits))
+    yield from _eq(f"{tag} representatives", len(orbits.keys() & expected_reps), len(orbits))
     for rep, members in orbits.items():
         s = len(maps.unshift(rep).singleton_blocks())
-        _eq(out, f"{tag} orbit size (s={s})", len(members), groups[1].order ** size_exponent(s))
+        yield from _eq(f"{tag} orbit size (s={s})", len(members),
+                       groups[1].order ** size_exponent(s))
 
 
 def _orbit_theorem(id, statement, quick_n_max, size_exponent, *rows):
-    """Register an orbit theorem.  Each row is (witness name, two-group family,
-    source family, n shift, classification flag or None, orbit polynomial): at
-    m = n + shift, the shifted members of the source family over A that carry
-    the flag represent the orbits of the two-group family at n, the orbit
-    polynomial of m at x = |A|-1 counts them, and an orbit whose unshifted
-    representative has s singletons has |B|^size_exponent(s) members."""
+    """Register an orbit theorem.  Each row is (witness name, polynomial of
+    the two-group family, source family, n shift, classification flag or None,
+    orbit polynomial): at m = n + shift, the shifted members of the source
+    family over A that carry the flag represent the orbits of the two-group
+    family at n, the orbit polynomial of m at x = |A|-1 counts them, and an
+    orbit whose unshifted representative has s singletons has
+    |B|^size_exponent(s) members."""
 
     def check(n_max, pairs):
-        out = []
         for ga, gb in pairs:
             for n in range(1, n_max + 1):
-                for name, family, source, shift, flag, orbits in rows:
+                for label, name, source, shift, flag, orbits in rows:
                     m = n + shift
                     reps = [
                         p
                         for p in family_members(FamilySpec(source, m, (ga,)))
                         if flag is None or getattr(classify(p), flag)
                     ]
-                    _orbit_checker(
-                        out, f"{name} n={n} A={ga} B={gb}", family, n, (ga, gb),
+                    yield from _orbit_checker(
+                        f"{label} n={n} A={ga} B={gb}", name, n, (ga, gb),
                         reps, size_exponent, orbits(m).eval_int(ga.order - 1),
                     )
-                if out:
-                    return out
-        return out
 
     _register(
         id, "structural", statement,
@@ -860,8 +842,8 @@ _ORBIT_THEOREMS = (
         " linear-family orbits of PI(n,A,B) [NC(n,A,B)]; orbit sizes are |B|^s",
         3,
         lambda s: s,
-        ("PI", "PI_AB", "PI", -1, None, lambda m: poly.bell_univariate(m)),
-        ("NC", "NC_AB", "NC", -1, "poor", lambda m: poly.motzkin_closed(m)),
+        ("PI", "Bell", "PI", -1, None, lambda m: poly.bell_univariate(m)),
+        ("NC", "Cat", "NC", -1, "poor", lambda m: poly.motzkin_closed(m)),
     ),
     (
         "orbit-B",
@@ -869,9 +851,9 @@ _ORBIT_THEOREMS = (
         " linear-family orbits of P_B(n,A,B) [NC~_B(n,A,B)]; orbit sizes are |B|^(s/2)",
         2,
         lambda s: s // 2,
-        ("P_B", "P_B_AB", "P_D", 0, None,
+        ("P_B", "Bell_B", "P_D", 0, None,
          lambda m: poly.bell_univariate(m).scale_x(2)),
-        ("NC~_B", "NC_TILDE_B_AB", "NC_TILDE_D", 0, "poor",
+        ("NC~_B", "Cat_B", "NC_TILDE_D", 0, "poor",
          lambda m: poly.motzkinb_closed(m)),
     ),
     (
@@ -881,8 +863,8 @@ _ORBIT_THEOREMS = (
         " |B|^floor(s/2)",
         2,
         lambda s: s // 2,
-        ("P_D", "P_D_AB", "P_B", -1, None, lambda m: poly.bellb_univariate(m)),
-        ("NC~_D", "NC_TILDE_D_AB", "NC_TILDE_B", -1, "b_poor",
+        ("P_D", "Bell_D", "P_B", -1, None, lambda m: poly.bellb_univariate(m)),
+        ("NC~_D", "Cat_D", "NC_TILDE_B", -1, "b_poor",
          lambda m: poly.motzkinb_tilde_closed(m)),
     ),
 )
@@ -897,23 +879,17 @@ def _rank_invert(id, statement, family, name, n_min, want, desk_n_max, quick_n_m
     p, and it sends p to want(p, n) blocks (no claim where want is None)."""
 
     def check(n_max):
-        out = []
         for n in range(n_min, n_max + 1):
             ground = family_ground(family, n)
-            shapes = _counted_shapes(out, family, name, n)
-            if out:
-                return out
+            shapes = yield from _counted_shapes(family, name, n)
             for blocks in shapes:
                 p = unlabeled(ground, blocks)
                 q = action.plus_involution(p)
                 if action.plus_involution(q) != p:
-                    out.append(f"n={n}: not an involution at {p.text()}")
-                    return out
+                    yield f"n={n}: not an involution at {p.text()}"
                 wanted = want(p, n)
                 if wanted is not None and len(q.blocks) != wanted:
-                    out.append(_mismatch(f"n={n} {p.text()}", len(q.blocks), wanted))
-                    return out
-        return out
+                    yield f"n={n} {p.text()}: {len(q.blocks)} != {wanted}"
 
     _register(id, "structural", statement, {"n_max": desk_n_max}, {"n_max": quick_n_max})(check)
 
@@ -942,17 +918,16 @@ def _no_adjacent_blocks(q) -> bool:
     return all(max(b) + 1 not in mins for b in q.blocks)
 
 
-def _check_shift_restriction(out, tag, domain, codomain, dom_pred, cod_pred):
+def _check_shift_restriction(tag, domain, codomain, dom_pred, cod_pred):
     selected = [p for p in domain if dom_pred(p)]
     images = [maps.shift(p) for p in selected]
     target = {q for q in codomain if cod_pred(q)}
     if len(set(images)) != len(images):
-        out.append(f"{tag}: shift is not injective")
-        return
+        yield f"{tag}: shift is not injective"
     if set(images) != target:
         missing = sorted(q.text() for q in target - set(images))[:1]
         extra = sorted(q.text() for q in set(images) - target)[:1]
-        out.append(f"{tag}: image mismatch missing={missing} extra={extra}")
+        yield f"{tag}: image mismatch missing={missing} extra={extra}"
 
 
 def _holds(tests):
@@ -974,18 +949,14 @@ def _shift_bijections(id, statement, desk, quick, *rows):
     codomain family at n + shift that pass the codomain tests."""
 
     def check(n_max, group):
-        out = []
         for n in range(n_max + 1):
             for label, domain, codomain, shift, dom_tests, cod_tests in rows:
-                _check_shift_restriction(
-                    out, label.format(n=n),
+                yield from _check_shift_restriction(
+                    label.format(n=n),
                     family_members(FamilySpec(domain, n, (group,))),
                     family_members(FamilySpec(codomain, n + shift, (group,))),
                     _holds(dom_tests), _holds(cod_tests),
                 )
-            if out:
-                return out
-        return out
 
     _register(id, "structural", statement, desk, quick)(check)
 
@@ -1041,14 +1012,12 @@ GOLDEN_SEQUENCES = {
     {"n_max": 4},
 )
 def _golden_sequences(n_max):
-    out = []
     for name, want in GOLDEN_SEQUENCES.items():
         want = list(want[: n_max + 1])
-        _eq(out, name, [poly.sequence(name, n) for n in range(len(want))], want)
+        yield from _eq(name, [poly.sequence(name, n) for n in range(len(want))], want)
     for n in range(n_max + 1):
-        _eq(out, f"Cat n={n}", poly.sequence("Cat", n), catalan(n))
-        _eq(out, f"Cat_B n={n}", poly.sequence("Cat_B", n), comb(2 * n, n))
-    return out
+        yield from _eq(f"Cat n={n}", poly.sequence("Cat", n), catalan(n))
+        yield from _eq(f"Cat_B n={n}", poly.sequence("Cat_B", n), comb(2 * n, n))
 
 
 @_register(
@@ -1061,24 +1030,23 @@ def _golden_sequences(n_max):
     {"n_max": 8, "rows": 8},
 )
 def _oeis_bfiles(n_max, rows):
-    out = []
     try:
         for name, (oeis_id, offset) in oeis.KNOWN_SEQUENCES.items():
             bfile = str(oeis.vendored_path(oeis_id))
             report = oeis.oeis_check(name, oeis_id, offset, n_max, bfile)
             for m in report["mismatches"]:
-                out.append(f"{name} vs {oeis_id} n={m['n']}: {m['computed']} != {m['bfile']}")
-            _eq(out, f"{name} vs {oeis_id} entries", report["checked"], n_max + 1)
+                yield f"{name} vs {oeis_id} n={m['n']}: {m['computed']} != {m['bfile']}"
+            yield from _eq(f"{name} vs {oeis_id} entries", report["checked"], n_max + 1)
         oeis_id = "A008299"
         triangle = oeis.load_bfile(oeis_id, str(oeis.vendored_path(oeis_id))).values
     except (oeis.BFileError, oeis.OeisIOError) as exc:
-        return out + [f"{oeis_id}: {exc}"]
+        yield f"{oeis_id}: {exc}"
+        return
     index = 1
     for n in range(2, rows + 1):
         for k in range(1, n // 2 + 1):
-            _eq(out, f"A008299 T({n},{k})", poly.assoc_stirling2(n, k), triangle.get(index))
+            yield from _eq(f"A008299 T({n},{k})", poly.assoc_stirling2(n, k), triangle.get(index))
             index += 1
-    return out
 
 
 # the (verify_counts field, expected count) pairs asserted equal for every kind
@@ -1105,21 +1073,19 @@ _SUPERCHARACTER_COUNTS = (
     {"sizes": (("A", 3, 2), ("A", 3, 3), ("B", 1, 3), ("D", 2, 3))},
 )
 def _supercharacters(sizes):
-    out = []
     for kind, n, p in sizes:
         tag = f"{kind}({n},{p})"
         try:
             rec = unitriangular.verify_counts(kind, n, p)
         except unitriangular.ConsistencyError as exc:
-            out.append(f"{tag}: {exc}")
+            yield f"{tag}: {exc}"
             continue
         for field, want in _SUPERCHARACTER_COUNTS:
-            _eq(out, f"{tag} {field}", rec[field], rec["expected"][want])
+            yield from _eq(f"{tag} {field}", rec[field], rec["expected"][want])
         if not rec["irreducible_iff_noncrossing"]:
-            out.append(f"{tag}: irreducible set is not the noncrossing set")
+            yield f"{tag}: irreducible set is not the noncrossing set"
         if not unitriangular.verify_product_rule(kind, n, p):
-            out.append(f"{tag}: product rule")
-    return out
+            yield f"{tag}: product rule"
 
 
 def _rank_mod_p(vectors, p) -> int:
@@ -1162,7 +1128,6 @@ def _superclass_sizes(sizes):
     elements reduce to are exactly those superclasses.  The elements are
     counted over ``lie_elements``: for B and D, g - 1 = X(1 - X/2)^-1 for the
     Cayley image g of 1 + X, so g and 1 + X have one key."""
-    out = []
     for kind, n, p in sizes:
         tag = f"{kind}({n},{p})"
         elements = unitriangular.lie_elements(kind, n, p)
@@ -1175,9 +1140,8 @@ def _superclass_sizes(sizes):
             g = unitriangular.class_representative_matrix(c, p)
             found["rank"] = p ** _two_sided_rank(g, p, kind)
             if len(set(found.values())) > 1:
-                return [f"{tag} {c.text()}: " + ", ".join(f"{k} {v}" for k, v in found.items())]
-        _eq(out, f"{tag} superclasses", len(counted), len(classes), len(set(classes)))
-    return out
+                yield f"{tag} {c.text()}: " + ", ".join(f"{k} {v}" for k, v in found.items())
+        yield from _eq(f"{tag} superclasses", len(counted), len(classes), len(set(classes)))
 
 
 @_register(
@@ -1218,11 +1182,10 @@ def _restriction_b(sizes):
         mismatch = unitriangular.restriction_mismatch(n, p)
         if mismatch:
             lam, reflected, nc_tilde = mismatch
-            return [
+            yield (
                 f"B({n},{p}) {lam.text()}: reflection class all noncrossing"
                 f" {reflected}, nc_tilde {nc_tilde}"
-            ]
-    return []
+            )
 
 
 @_register(
@@ -1233,19 +1196,16 @@ def _restriction_b(sizes):
     {"n_max": 5},
 )
 def _uncross_nn_nc(n_max):
-    out = []
     for n in range(n_max + 1):
         members = list(family_members(FamilySpec("NN", n)))
         images = [maps.uncross(p) for p in members]
         for p, q in zip(members, images):
             if len(q.blocks) != len(p.blocks) or not classify(q).noncrossing:
-                out.append(f"n={n}: uncross({p.text()}) = {q.text()}")
-                return out
-        _eq(out, f"n={n} injective", len(set(images)), len(members))
+                yield f"n={n}: uncross({p.text()}) = {q.text()}"
+        yield from _eq(f"n={n} injective", len(set(images)), len(members))
         targets = set(family_members(FamilySpec("NC", n, (Z2,))))
         if set(images) != targets:
-            out.append(f"n={n}: uncross image is not NC(n)")
-    return out
+            yield f"n={n}: uncross image is not NC(n)"
 
 
 @_register(
@@ -1266,8 +1226,7 @@ def _plus_matrix_route(n_max, n_max_b):
             for alpha in family_members(FamilySpec(linear, n, (group,))):
                 for lam in family_members(FamilySpec(family, n, (group,))):
                     if action.plus(alpha, lam) != action.plus_via_matrix(alpha, lam):
-                        return [f"route mismatch at {alpha.text()} + {lam.text()}"]
-    return []
+                        yield f"route mismatch at {alpha.text()} + {lam.text()}"
 
 
 UNCROSS_SEED = 20240809
@@ -1287,13 +1246,11 @@ def _uncross_confluence(n, trials):
     pool = [unlabeled(ground_a(n), blocks) for blocks in family_shapes("PI", n)]
     pool = [p for p in pool if not classify(p).noncrossing]
     want = poly.sequence("Bell", n) - poly.sequence("Cat", n)
-    if len(pool) != want:
-        return [_mismatch(f"n={n} crossing pool", len(pool), want)]
+    yield from _eq(f"n={n} crossing pool", len(pool), want)
     for _ in range(trials):
         p = rng.choice(pool)
         if maps.uncross(p, rng) != maps.uncross(p):
-            return [f"uncross order dependence at {p.text()}"]
-    return []
+            yield f"uncross order dependence at {p.text()}"
 
 
 @_register(
@@ -1311,8 +1268,7 @@ def _reduce_invariance(n, p, trials):
         g = rng.choice(elements)
         h = unitriangular.random_superclass_perturbation(g, p, rng)
         if unitriangular.superclass_reduce(g, p) != unitriangular.superclass_reduce(h, p):
-            return [f"reduction differs on {g} and {h}"]
-    return []
+            yield f"reduction differs on {g} and {h}"
 
 
 @_register(
@@ -1329,10 +1285,9 @@ def _rook_round_trip(n_max):
         for p in family_members(FamilySpec("PI", n, (Z3,))):
             rook = to_rook(p)
             if from_rook(p.ground, p.group, rook) != p:
-                return [f"n={n}: rook round trip fails at {p.text()}"]
+                yield f"n={n}: rook round trip fails at {p.text()}"
             if rook_noncrossing(rook) != (p in nc):
-                return [f"n={n}: rook_noncrossing disagrees with NC(n,Z3) at {p.text()}"]
+                yield f"n={n}: rook_noncrossing disagrees with NC(n,Z3) at {p.text()}"
             nc.discard(p)
         if nc:
-            return [f"n={n}: {min(q.text() for q in nc)} is in NC(n,Z3) but not in PI(n,Z3)"]
-    return []
+            yield f"n={n}: {min(q.text() for q in nc)} is in NC(n,Z3) but not in PI(n,Z3)"

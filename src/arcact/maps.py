@@ -22,7 +22,6 @@ from .core import (
     ground_a,
     ground_b,
     ground_d,
-    unlabeled,
 )
 from .families import DyckPath, valley_arcs
 
@@ -98,21 +97,21 @@ def uncross(p: LabeledSetPartition, rng: random.Random | None = None) -> Labeled
 
 
 def uncross_b(p: LabeledSetPartition, rng: random.Random | None = None) -> LabeledSetPartition:
-    """Uncross a B-ground partition, then strip 0 from its block.
+    """Uncross a B-ground partition, then strip 0 from its block: its arcs
+    are dropped, and its two neighbours, if it has two, joined by one arc.
 
     The result is a negation-closed noncrossing partition of the matching
     D ground.
     """
     if p.ground.kind != "B":
         raise UnsupportedGroundError("uncross_b needs a B ground")
-    q = uncross(p, rng)
-    target = ground_d(p.ground.n)
-    blocks = []
-    for b in q.blocks:
-        trimmed = tuple(x for x in b if x != 0)
-        if trimmed:
-            blocks.append(trimmed)
-    return unlabeled(target, blocks)
+    _require_unlabeled(p)
+    arcs = uncross_arcs(p.arcs(), rng)
+    left = [i for i, j in arcs if j == 0]
+    right = [j for i, j in arcs if i == 0]
+    kept = {(i, j) for i, j in arcs if 0 not in (i, j)}
+    kept.update(zip(left, right))
+    return _from_arcs(ground_d(p.ground.n), kept)
 
 
 def _rewired_center(p: LabeledSetPartition) -> tuple[set[Arc], int | None]:

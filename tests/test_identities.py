@@ -1,3 +1,5 @@
+import ast
+import inspect
 from types import SimpleNamespace
 
 import pytest
@@ -14,12 +16,8 @@ def test_unknown_id_raises():
 
 
 def test_failures_carry_witnesses():
-    out = []
-    identities._eq(out, "n=3", 5, 7)
-    assert out == ["n=3: 5 != 7"]
-    out = []
-    identities._eq(out, "tag", 1, 1, 1)
-    assert out == []
+    assert list(identities._eq("n=3", 5, 7)) == ["n=3: 5 != 7"]
+    assert list(identities._eq("tag", 1, 1, 1)) == []
 
 
 def test_witness_shape_in_both_contexts():
@@ -27,12 +25,62 @@ def test_witness_shape_in_both_contexts():
         *sides, rhs = identities._a_identities_1(c, n)
         return (*sides, rhs + 1)
 
-    symbolic = identities._evaluate(wrong, (identities._SYMBOLIC,), 0, 2)
+    symbolic = list(identities._evaluate(wrong, (identities._SYMBOLIC,), 0, 2))
     assert symbolic[0] == "n=0: 1 != 2"
     counting = identities._counting(identities.Z2, identities.Z2)
-    enumerative = identities._evaluate(wrong, (counting,), 0, 2)
+    enumerative = list(identities._evaluate(wrong, (counting,), 0, 2))
     assert enumerative[0] == "n=0,A=Z2,B=Z2: 1 != 2"
     assert len(symbolic) == len(enumerative) == 3
+
+
+def _registered(monkeypatch, fn):
+    monkeypatch.setitem(
+        identities._REGISTRY, "generator", identities.Check("generator", "structural", "", fn, {}, {})
+    )
+
+
+def test_run_stops_at_the_first_witness(monkeypatch):
+    def check():
+        yield "a"
+        raise AssertionError("read past the first witness")
+
+    _registered(monkeypatch, check)
+    result = identities.run("generator")
+    assert (result.status, result.witness) == ("fail", "a")
+
+
+def test_run_drains_a_passing_check(monkeypatch):
+    reached = []
+
+    def check():
+        yield from identities._eq("tag", 1, 1)
+        reached.append("end")
+
+    _registered(monkeypatch, check)
+    assert identities.run("generator").ok
+    assert reached == ["end"]
+
+
+# a helper that yields witnesses, called bare, builds a generator nobody reads,
+# and its check passes
+_WITNESS_HELPERS = {"_eq", "_evaluate", "_counted_shapes", "_orbit_checker",
+                    "_check_shift_restriction"}
+
+
+def test_every_witness_helper_is_drained():
+    tree = ast.parse(inspect.getsource(identities))
+    drained = {
+        id(node.value) for node in ast.walk(tree) if isinstance(node, (ast.YieldFrom, ast.Return))
+    }
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _WITNESS_HELPERS
+    ]
+    assert {node.func.id for node in calls} == _WITNESS_HELPERS
+    assert [(n.func.id, n.lineno) for n in calls if id(n) not in drained] == []
 
 
 def test_run_reports_pass():
@@ -243,6 +291,13 @@ def _identity_involution_at_two(action):
     return SimpleNamespace(**{**vars(action), "plus_involution": fake})
 
 
+def _family_off_at_two(poly):
+    def fake(name, n):
+        return poly.family(name, n) + (1 if n == 2 else 0)
+
+    return SimpleNamespace(**{**vars(poly), "family": fake})
+
+
 def _keep_first_cover(orbit_representative):
     def fake(lam):
         rep = orbit_representative(lam)
@@ -261,6 +316,7 @@ _FAULTS = {
     "transfer_family": lambda real: lambda name, n: real(name, n) + 1,
     "family_members": _drop_first_at_two,
     "family_size": lambda real: lambda spec: real(spec) + (spec.n == 2),
+    "poly": _family_off_at_two,
     "family_shapes": _drop_first_shape_at_two,
     "catalan": lambda real: lambda k: real(k) + (k == 3),
     "comb": lambda real: lambda a, b: real(a, b) + ((a, b) == (4, 2)),
@@ -292,8 +348,10 @@ _FAULT_WITNESSES = {
         "shift-bij-A": "A n=1 poor-nc: image mismatch missing=[] extra=['{1}{2}']",
         "shift-bij-BD": "BD n=1 (4): image mismatch missing=[] extra=['{-2}{-1}{1}{2}']",
     },
-    # the orbit checks count each family by its size, not through its members
-    "family_size": {
+    # the orbit checks count each two-group family by its polynomial, so no
+    # check here reads a family's size
+    "family_size": {},
+    "poly": {
         "orbit-main": "PI n=2 A=Z2 B=Z2 partition: 2 != 3",
         "orbit-B": "P_B n=2 A=Z2 B=Z2 partition: 6 != 7",
         "orbit-D": "P_D n=2 A=Z2 B=Z2 partition: 3 != 4",
