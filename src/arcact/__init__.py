@@ -53,8 +53,6 @@ from .unitriangular import (
     decode,
     inner_product,
     superclass_reduce,
-    verify_counts,
-    verify_product_rule,
 )
 from .identities import run, run_all
 

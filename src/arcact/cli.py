@@ -49,13 +49,12 @@ def _common_flags(parser, formats=()):
 
 
 def _family_spec(args) -> FamilySpec:
-    groups = []
-    if getattr(args, "groupA", None):
-        groups.append(parse_group(args.groupA))
-        if getattr(args, "groupB", None):
-            groups.append(parse_group(args.groupB))
-    elif getattr(args, "group", None):
-        groups.append(parse_group(args.group))
+    group, group_a, group_b = (getattr(args, k, None) for k in ("group", "groupA", "groupB"))
+    if group and (group_a or group_b):
+        raise UsageError("pass --group or --groupA/--groupB, not both")
+    if group_b and not group_a:
+        raise UsageError("--groupB needs --groupA")
+    groups = [parse_group(g) for g in (group, group_a, group_b) if g]
     try:
         return FamilySpec(args.family, args.n, tuple(groups))
     except ValueError as exc:
@@ -274,6 +273,8 @@ def cmd_chartable(args) -> int:
 def cmd_oeis_check(args) -> int:
     if args.name not in FAMILY_NAMES:
         raise UsageError(f"unknown polynomial family {args.name!r}")
+    if args.n_max < 0:
+        raise UsageError(f"--n-max must be at least 0, got {args.n_max}")
     try:
         report = oeis.oeis_check(args.name, args.id, args.offset, args.n_max, args.bfile)
     except (oeis.OeisIOError, ValueError) as exc:  # BFileError is a ValueError

@@ -8,8 +8,8 @@ images of theirs.  No table lists either: a superclass is its index read on
 the ambient type A ground, sized by the closed form ``superclass_size``.
 
 Every supercharacter value is 0 or a monomial p^q zeta_p^t, and a table
-holds each as one int code: q*p + t, or ``ZERO``.  Only this module reads
-codes; ``decode`` turns one into its exact element of Z[zeta_p].
+holds each as one int code: q*p + t, or ``ZERO``.  Only this module
+interprets codes; ``decode`` turns one into its exact element of Z[zeta_p].
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 
-from .core import InvalidArcSetError, LabeledSetPartition, classify, from_triples, ground_a
+from .core import InvalidArcSetError, LabeledSetPartition, from_triples, ground_a
 from .cyclotomic import CycValue, theta
 from .families import FamilySpec, family_members
 from .groups import GroupSpec
 from .maps import halve
-from .action import plus
 from .poly import (
     bell_univariate,
     bellb_univariate,
@@ -335,7 +334,8 @@ def inner_product(p: int, codes1, codes2, sizes, group_order: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# verification
+# the table, and the counts, index families and linear generators that the
+# supercharacter checks in ``identities`` read next to it
 
 
 @dataclass(frozen=True)
@@ -485,7 +485,7 @@ def linear_generators(kind: str, n: int, p: int) -> list[LabeledSetPartition]:
     """The members of the kind's linear family with one cover, or for B and
     D one mirrored pair of covers: a generating set of the acting group.
 
-    ``plus`` adds two linear partitions slot by slot, where a slot is a
+    ``action.plus`` adds two linear partitions slot by slot, where a slot is a
     cover (with its mirror for B and D), so the linear family is the group
     Z_p^s of labels on its s slots, and ``plus`` is an action of that group
     on the indices.  Every member is the sum of its one-slot parts, so these
@@ -496,47 +496,6 @@ def linear_generators(kind: str, n: int, p: int) -> list[LabeledSetPartition]:
     arcs_per_slot = 1 if kind == "A" else 2
     acting = index_family(kind, n, p, linear=True)
     return [alpha for alpha in family_members(acting) if len(alpha.labels) == arcs_per_slot]
-
-
-def verify_counts(kind: str, n: int, p: int) -> dict:
-    """Count superclasses, distinct characters, irreducibles, linears and
-    invariants, next to their predicted values.  An index is counted
-    invariant when every member of ``linear_generators`` fixes it."""
-    table = build_chartable(kind, n, p)
-    norms = table.norms()
-    if any(f.denominator != 1 for f in norms):
-        raise ConsistencyError("a character norm is not an integer")
-    irreducible = {lam for lam, f in zip(table.indices, norms) if f == 1}
-    noncrossing = {lam for lam in table.indices if classify(lam).noncrossing}
-    generators = linear_generators(kind, n, p)
-    invariant = sum(
-        1 for lam in table.indices if all(plus(alpha, lam) == lam for alpha in generators)
-    )
-    return {
-        "group_order": table.group_order,
-        "num_indices": len(table.indices),
-        "num_superclasses": len(table.classes),
-        "num_distinct": len(set(table.values)),
-        "num_irreducible": len(irreducible),
-        "irreducible_iff_noncrossing": irreducible == noncrossing,
-        "num_linear": sum(1 for d in table.degrees() if d == 1),
-        "num_l_invariant": invariant,
-        "expected": expected_counts(kind, n, p),
-    }
-
-
-def verify_product_rule(kind: str, n: int, p: int) -> bool:
-    """Multiplying by a linear supercharacter matches the additive action,
-    value by value on the codes (``code_product``)."""
-    table = build_chartable(kind, n, p)
-    row = dict(zip(table.indices, table.values))
-    times = partial(code_product, p)
-    for alpha in family_members(index_family(kind, n, p, linear=True)):
-        va = row[alpha]
-        for lam in table.indices:
-            if tuple(map(times, va, row[lam])) != row[plus(alpha, lam)]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +533,3 @@ def reflection_class(lam: LabeledSetPartition) -> frozenset:
                     nxt.append(r)
         frontier = nxt
     return frozenset(seen)
-
-
-def restriction_mismatch(n: int, p: int):
-    """A type B index should be relaxed-noncrossing exactly when the
-    reflection class of its halved partition contains only noncrossing
-    partitions.  Returns the first index where the two verdicts disagree,
-    as (index, reflection verdict, nc_tilde verdict), or None."""
-    for lam in family_members(index_family("B", n, p)):
-        all_nc = all(
-            classify(q).noncrossing for q in reflection_class(halve(lam))
-        )
-        nc_tilde = classify(lam).nc_tilde
-        if all_nc != nc_tilde:
-            return lam, all_nc, nc_tilde
-    return None

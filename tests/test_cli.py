@@ -198,6 +198,34 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--group", "Z3", "--groupB", "Z2"], "pass --group or --groupA/--groupB, not both"),
+        (["--groupA", "Z2", "--group", "Z3"], "pass --group or --groupA/--groupB, not both"),
+        (["--groupB", "Z2"], "--groupB needs --groupA"),
+    ],
+    ids=["group-and-groupB", "groupA-and-group", "groupB-alone"],
+)
+def test_enum_contradictory_group_flags_are_usage_errors(capsys, flags, message):
+    with pytest.raises(SystemExit) as err:
+        main(["enum", "--family", "PI", "--n", "2", *flags])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    # argparse's usage banner, then the one error line
+    assert captured.err.splitlines()[-1] == f"arcact: error: {message}"
+
+
+def test_oeis_check_negative_n_max_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["oeis-check", "--name", "Bell_B", "--id", "A007405", "--n-max", "-5"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == "arcact: error: --n-max must be at least 0, got -5"
+
+
 def test_oeis_check_unknown_name_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["oeis-check", "--name", "Nope", "--id", "A007405"])

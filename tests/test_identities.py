@@ -230,11 +230,7 @@ PINNED_REGISTRY = {
     ),
     "uncross-NN-NC": ("structural", _n(7), _n(5)),
     "plus-matrix-route": ("structural", f"{_n(4)}; ('n_max_b', 2)", f"{_n(3)}; ('n_max_b', 1)"),
-    "uncross-confluence": (
-        "structural",
-        "('n', 7); ('trials', 1000)",
-        "('n', 5); ('trials', 100)",
-    ),
+    "uncross-confluence": ("structural", "('n', 7)", "('n', 5)"),
     "reduce-invariance": (
         "structural",
         "('n', 4); ('p', 3); ('trials', 1000)",

@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcact import identities
+from arcact.action import plus
 from arcact.cli import main
 from arcact.core import (
     GroundSet,
     LabeledSetPartition,
     blocks_from_arcs,
+    classify,
     from_triples,
     ground_a,
     negate_labels,
@@ -310,46 +312,87 @@ def test_negative_p_exponent_is_an_error_not_an_assert():
         ut.chi_on_class(lam, gamma)
 
 
+def _counts(kind, n, p):
+    """The counts the supercharacters check compares, read off the table."""
+    table = ut.build_chartable(kind, n, p)
+    norms = table.norms()
+    assert all(f.denominator == 1 for f in norms)
+    irreducible = {lam for lam, f in zip(table.indices, norms) if f == 1}
+    generators = ut.linear_generators(kind, n, p)
+    return {
+        "group_order": table.group_order,
+        "num_superclasses": len(table.classes),
+        "num_distinct": len(set(table.values)),
+        "num_irreducible": len(irreducible),
+        "irreducible_iff_noncrossing": irreducible
+        == {lam for lam in table.indices if classify(lam).noncrossing},
+        "num_linear": table.degrees().count(1),
+        "num_l_invariant": sum(
+            all(plus(alpha, lam) == lam for alpha in generators) for lam in table.indices
+        ),
+        "expected": ut.expected_counts(kind, n, p),
+    }
+
+
+def _check_passes(kind, n, p):
+    return identities.run("supercharacters", sizes=((kind, n, p),)).ok
+
+
 def test_counts_type_a():
-    rec = ut.verify_counts("A", 3, 2)
+    rec = _counts("A", 3, 2)
     assert rec["num_superclasses"] == rec["expected"]["distinct"] == 5
     assert rec["num_distinct"] == 5
     assert rec["num_irreducible"] == 5 and rec["irreducible_iff_noncrossing"]
-    rec = ut.verify_counts("A", 4, 2)
+    assert _check_passes("A", 3, 2)
+    rec = _counts("A", 4, 2)
     assert rec["num_distinct"] == 15 and rec["num_irreducible"] == 14
     assert rec["num_linear"] == rec["expected"]["linear"] == 8
     assert rec["num_l_invariant"] == rec["expected"]["l_invariant"]
+    assert _check_passes("A", 4, 2)
 
 
 def test_counts_type_b_small():
-    rec = ut.verify_counts("B", 1, 3)
+    rec = _counts("B", 1, 3)
     assert rec["group_order"] == 3
     assert rec["num_distinct"] == rec["expected"]["distinct"] == 3
     assert rec["num_irreducible"] == rec["expected"]["irreducible"] == 3
     assert rec["irreducible_iff_noncrossing"]
     assert rec["num_l_invariant"] == rec["expected"]["l_invariant"] == 0
+    assert _check_passes("B", 1, 3)
 
 
 def test_counts_type_d_small():
-    rec = ut.verify_counts("D", 2, 3)
+    rec = _counts("D", 2, 3)
     assert rec["group_order"] == 9
     assert rec["num_distinct"] == rec["expected"]["distinct"] == 5
     assert rec["num_irreducible"] == rec["expected"]["irreducible"] == 3
     assert rec["irreducible_iff_noncrossing"]
+    assert _check_passes("D", 2, 3)
 
 
 def test_product_rule_small():
-    assert ut.verify_product_rule("A", 3, 2)
-    assert ut.verify_product_rule("D", 2, 3)
+    assert identities.run("supercharacters", sizes=(("A", 3, 2), ("D", 2, 3))).ok
 
 
-@pytest.mark.parametrize("kind, n, p", [("A", 3, 3), ("B", 1, 3), ("D", 2, 3)])
+# the first linear partition and index the product rule fails at, under
+# the fault below
+_PRODUCT_RULE_WITNESSES = {
+    ("A", 3, 3): "A(3,3): product rule fails at {1}{2,3} (2,3)=1 + {1}{2}{3}",
+    ("B", 1, 3): "B(1,3): product rule fails at {-1,0,1} (-1,0)=1 (0,1)=2 + {-1}{0}{1}",
+    ("D", 2, 3): "D(2,3): product rule fails at {-2,-1}{1,2} (-2,-1)=1 (1,2)=2 + {-2}{-1}{1}{2}",
+}
+
+
+@pytest.mark.parametrize("kind, n, p", sorted(_PRODUCT_RULE_WITNESSES))
 def test_product_rule_fails_under_a_fault_in_plus(monkeypatch, kind, n, p):
     # the linear partition acts with its labels negated, which moves every
-    # index its covers touch to a different supercharacter
-    plus = ut.plus
-    monkeypatch.setattr(ut, "plus", lambda alpha, lam: plus(negate_labels(alpha), lam))
-    assert not ut.verify_product_rule(kind, n, p)
+    # index its covers touch to a different supercharacter; the one-cover
+    # generators are closed under negation, so the counts still hold
+    monkeypatch.setattr(
+        identities.action, "plus", lambda alpha, lam: plus(negate_labels(alpha), lam)
+    )
+    result = identities.run("supercharacters", sizes=((kind, n, p),))
+    assert (result.status, result.witness) == ("fail", _PRODUCT_RULE_WITNESSES[kind, n, p])
 
 
 @pytest.fixture
@@ -420,8 +463,8 @@ def test_invariant_count_fails_under_a_generating_set_of_one_cover(monkeypatch):
         return [alpha for alpha in found if alpha.labels[0][0] == found[0].labels[0][0]]
 
     monkeypatch.setattr(ut, "linear_generators", first_cover)
-    rec = ut.verify_counts("A", 4, 3)
-    assert rec["num_l_invariant"] != rec["expected"]["l_invariant"]
+    result = identities.run("supercharacters", sizes=(("A", 4, 3),))
+    assert (result.status, result.witness) == ("fail", "A(4,3) num_l_invariant: 16 != 4")
 
 
 def _pair_loop_chi(lam, gamma):
@@ -477,8 +520,7 @@ def test_chi_b_distinct_value_vectors_n1():
 
 
 def test_restriction_equivalence_predicate():
-    assert ut.restriction_mismatch(1, 3) is None
-    assert ut.restriction_mismatch(2, 3) is None
+    assert identities.run("restriction-B", sizes=((1, 3), (2, 3))).ok
 
 
 def test_reflection_class_closure():
