@@ -205,15 +205,12 @@ def _read_partition(path: str):
 
 
 def cmd_verify(args) -> int:
-    ids = None
+    # argparse admits exactly one of --all and --id
     if args.id:
         unknown = set(args.id) - set(identities.registry_ids())
         if unknown:
             raise UsageError(f"unknown check ids: {sorted(unknown)}")
-        ids = args.id
-    elif not args.all:
-        raise UsageError("pass --all or --id")
-    report = identities.run_all(profile=args.profile, ids=ids)
+    report = identities.run_all(profile=args.profile, ids=args.id)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -283,10 +280,10 @@ def cmd_oeis_check(args) -> int:
     if args.format == "json":
         print(json.dumps(report))
     else:
-        status = "ok" if report["ok"] else "MISMATCH"
+        status = "ok" if report["ok"] else "MISMATCH" if report["mismatches"] else "INCOMPLETE"
         print(
             f"{report['sequence']} vs {report['oeis_id']} (offset {report['offset']}):"
-            f" {report['checked']} terms {status}"
+            f" {report['checked']} of {args.n_max + 1} terms checked, {status}"
         )
         for m in report["mismatches"]:
             print(f"  n={m['n']}: computed {m['computed']} != b-file {m['bfile']}")
@@ -336,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("verify", help="run the identity and structure checks")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--id", action="append", help="run only this check id")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--id", action="append", help="run only this check id")
     p.add_argument("--profile", default="desk", choices=("desk", "quick"))
     _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_verify)

@@ -168,26 +168,43 @@ def canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
+def _partition_blocks(ground: GroundSet, blocks):
+    """The canonical blocks of a partition of the ground, and its arcs in
+    arc order; anything else is refused.
+
+    Nonempty blocks whose elements, sorted together, are the ground's
+    partition it, since the ground's elements are distinct; each sorted
+    block's arcs are then its consecutive pairs.  Blocks that fail that one
+    comparison are refused by ``arcs_of`` (an empty block, an element in two
+    blocks) or else as not partitioning the ground.
+    """
+    blocks = [tuple(sorted(b)) for b in blocks]
+    if not (all(blocks) and tuple(sorted([x for b in blocks for x in b])) == ground._elements):
+        arcs_of(blocks)
+        raise StructuralError(f"blocks do not partition the ground {ground}")
+    blocks.sort()  # by minimum, the blocks being disjoint
+    return tuple(blocks), sorted([arc for b in blocks for arc in zip(b, b[1:])])
+
+
 class LabeledSetPartition:
     """A set partition of a ground interval with group-labeled arcs."""
 
     __slots__ = ("ground", "group", "_blocks", "labels", "_right_ends", "_hash")
 
     def __init__(self, ground: GroundSet, group: GroupSpec, blocks, labels):
-        blocks = [tuple(b) for b in blocks]
-        if not all(blocks):  # before canonical_blocks reads each b[0]
-            raise StructuralError("empty block")
-        blocks = canonical_blocks(blocks)
-        covered = [x for b in blocks for x in b]
-        if sorted(covered) != sorted(ground.elements()):
-            raise StructuralError(f"blocks do not partition the ground {ground}")
-        arcs = arcs_of(blocks)
+        blocks, arcs = _partition_blocks(ground, blocks)
         label_map = dict(labels)
         if set(label_map) != set(arcs):
             raise StructuralError("labels must cover exactly the arc set")
-        labels = tuple(sorted((i, j, v) for (i, j), v in label_map.items()))
+        labels = tuple([(i, j, label_map[i, j]) for i, j in arcs])
         _check_labels(group, labels)
-        self._fill(ground, group, blocks, labels)
+        # the slots' own descriptors store past the refusing __setattr__
+        _set_ground(self, ground)
+        _set_group(self, group)
+        _set_blocks(self, blocks)
+        _set_labels(self, labels)
+        _set_right_ends(self, None)
+        _set_hash(self, None)
 
     @classmethod
     def _trusted(cls, ground, group, blocks, labels) -> "LabeledSetPartition":
@@ -240,8 +257,6 @@ class LabeledSetPartition:
         Blocks from outside, through the JSON reader, ``relabel`` and the
         public API, go through the validating constructor.
         """
-        # _fill spelled out, one call fewer per value: the trusted producers
-        # build values in their inner loops
         self = object.__new__(cls)
         _set_ground(self, ground)
         _set_group(self, group)
@@ -250,15 +265,6 @@ class LabeledSetPartition:
         _set_right_ends(self, None)
         _set_hash(self, None)
         return self
-
-    def _fill(self, ground, group, blocks, labels):
-        # the slots' own descriptors store past the refusing __setattr__
-        _set_ground(self, ground)
-        _set_group(self, group)
-        _set_blocks(self, blocks)
-        _set_labels(self, labels)
-        _set_right_ends(self, None)
-        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
@@ -447,21 +453,12 @@ _Z2 = GroupSpec((2,))
 def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
     """View a plain set partition as labeled over the two-element group.
 
-    The blocks are checked; the (1,) labels made here are not.  Nonempty
-    blocks whose elements, sorted together, are the ground's partition it,
-    since the ground's elements are distinct; each sorted block's arcs are
-    then its consecutive pairs.  Blocks that fail that one comparison are
-    refused by ``arcs_of`` (an empty block, an element in two blocks) or
-    else as not partitioning the ground.
+    The blocks are checked as the validating constructor checks them; the
+    (1,) labels made here are not.
     """
-    blocks = [tuple(sorted(b)) for b in blocks]
-    if not (all(blocks) and tuple(sorted([x for b in blocks for x in b])) == ground._elements):
-        arcs_of(blocks)
-        raise StructuralError(f"blocks do not partition the ground {ground}")
-    blocks.sort()  # by minimum, the blocks being disjoint
-    arcs = sorted([arc for b in blocks for arc in zip(b, b[1:])])
+    blocks, arcs = _partition_blocks(ground, blocks)
     labels = tuple([(i, j, (1,)) for i, j in arcs])
-    return LabeledSetPartition._trusted(ground, _Z2, tuple(blocks), labels)
+    return LabeledSetPartition._trusted(ground, _Z2, blocks, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ three modes:
                 prime fields), every cardinality obtained by exhaustive
                 generation;
 * structural  - bijectivity, orbit, rank and route-agreement statements checked
-                by exhaustive image comparison or by fixed-seed random trials.
+                by exhaustive image comparison, or by one step of every
+                generator from every element.
 
 The paper's bivariate identities are polynomials in x and y that count
 labeled partitions at x = |A|-1, y = |B|-1.  Each is defined once, as a
@@ -32,7 +33,6 @@ at its first witness.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -45,6 +45,7 @@ from . import action, maps, oeis, poly, unitriangular
 from .core import (
     LabeledSetPartition,
     classify,
+    crossings,
     from_rook,
     ground_a,
     ground_b,
@@ -1246,45 +1247,64 @@ def _plus_matrix_route(n_max, n_max_b):
                         yield f"route mismatch at {alpha.text()} + {lam.text()}"
 
 
-UNCROSS_SEED = 20240809
-REDUCE_SEED = 11
-
-
 @_register(
     "uncross-confluence",
     "structural",
     "uncross does not depend on the order in which crossings are resolved:"
-    " every crossing partition of [n], each under a random pick order",
+    " every crossing partition of [n], every crossing resolved first",
     {"n": 7},
     {"n": 5},
 )
 def _uncross_confluence(n):
-    rng = random.Random(UNCROSS_SEED)
+    # A rewrite keeps the set of left ends and the set of right ends, so it
+    # stays inside the partitions of [n], and raises the sum of squared arc
+    # lengths by 2(l-k)(j-i) > 0, so every order terminates.  So if every
+    # first step leads to the same fixed point, every order does, by
+    # induction on that sum.
     pool = [unlabeled(ground_a(n), blocks) for blocks in family_shapes("PI", n)]
     pool = [p for p in pool if not classify(p).noncrossing]
     want = poly.sequence("Bell", n) - poly.sequence("Cat", n)
     yield from _eq(f"n={n} crossing pool", len(pool), want)
     for p in pool:
-        if maps.uncross(p, rng) != maps.uncross(p):
-            yield f"uncross order dependence at {p.text()}"
+        arcs = p.arcs()
+        fixed = maps.uncross_arcs(arcs)
+        for (i, k), (j, l) in crossings(arcs):
+            step = arcs - {(i, k), (j, l)} | {(i, l), (j, k)}
+            if maps.uncross_arcs(step) != fixed:
+                yield f"uncross order dependence at {p.text()}: ({i},{k}) ({j},{l}) first"
+
+
+def _generator_moves(g, p):
+    """One step of each generator 1 + E_rs of U(n,p) on X = g - 1, from
+    either side: ``(side, r, s, 1 + X')`` with r < s counted from 1.  The
+    left move adds row s of X to row r, the right move adds column r to
+    column s.  Only strictly upper entries change, and there g and X agree."""
+    n = len(g)
+    for s in range(n):
+        for r in range(s):
+            added = [(a + b) % p for a, b in zip(g[r][s + 1 :], g[s][s + 1 :])]
+            yield "left", r + 1, s + 1, g[:r] + (g[r][: s + 1] + tuple(added),) + g[r + 1 :]
+            right = [row[:s] + ((row[s] + row[r]) % p,) + row[s + 1 :] for row in g[:r]]
+            yield "right", r + 1, s + 1, tuple(right) + g[r:]
 
 
 @_register(
     "reduce-invariance",
     "structural",
     "superclass reduction is constant on two-sided orbits g -> u(g-1)v+1:"
-    " random moves of random elements of U(n,p)",
-    {"n": 4, "p": 3, "trials": 1000},
-    {"n": 3, "p": 3, "trials": 100},
+    " every generator step, on either side, of every element of U(n,p)",
+    {"n": 4, "p": 3},
+    {"n": 3, "p": 3},
 )
-def _reduce_invariance(n, p, trials):
-    rng = random.Random(REDUCE_SEED)
-    elements = list(unitriangular.lie_elements("A", n, p))
-    for _ in range(trials):
-        g = rng.choice(elements)
-        h = unitriangular.random_superclass_perturbation(g, p, rng)
-        if unitriangular.superclass_reduce(g, p) != unitriangular.superclass_reduce(h, p):
-            yield f"reduction differs on {g} and {h}"
+def _reduce_invariance(n, p):
+    # the elements 1 + E_rs generate U(n,p), so a key no step changes is
+    # constant on every two-sided orbit
+    key = unitriangular.superclass_key
+    for g in unitriangular.lie_elements("A", n, p):
+        want = key(g, p)
+        for side, r, s, h in _generator_moves(g, p):
+            if key(h, p) != want:
+                yield f"reduction of {g} changes under the {side} move ({r},{s})"
 
 
 @_register(

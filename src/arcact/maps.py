@@ -7,8 +7,6 @@ entry one column to the right.  Working through the order isomorphism onto
 
 from __future__ import annotations
 
-import random
-
 from .core import (
     Arc,
     GroundSet,
@@ -73,30 +71,30 @@ def unshift(p: LabeledSetPartition) -> LabeledSetPartition:
 # uncross
 
 
-def uncross_arcs(arcs, rng: random.Random | None = None) -> frozenset[Arc]:
-    """Rewrite crossings (i,k),(j,l) -> (i,l),(j,k) until none remain.
+def uncross_arcs(arcs) -> frozenset[Arc]:
+    """Rewrite crossings (i,k),(j,l) -> (i,l),(j,k) until none remain, the
+    lexicographically least crossing pair first.
 
-    The fixed point does not depend on the rewrite order; by default the
-    lexicographically least crossing pair is taken, and a random generator
-    may be supplied to exercise other orders.
+    The fixed point does not depend on the rewrite order: the
+    ``uncross-confluence`` check resolves every crossing first.
     """
     arcs = set(arcs)
     while True:
         found = crossings(arcs)
         if not found:
             return frozenset(arcs)
-        (i, k), (j, l) = found[0] if rng is None else rng.choice(found)
+        (i, k), (j, l) = found[0]
         arcs.difference_update([(i, k), (j, l)])
         arcs.update([(i, l), (j, k)])
 
 
-def uncross(p: LabeledSetPartition, rng: random.Random | None = None) -> LabeledSetPartition:
+def uncross(p: LabeledSetPartition) -> LabeledSetPartition:
     """Block-count preserving map onto noncrossing partitions (unlabeled)."""
     _require_unlabeled(p)
-    return _from_arcs(p.ground, uncross_arcs(p.arcs(), rng))
+    return _from_arcs(p.ground, uncross_arcs(p.arcs()))
 
 
-def uncross_b(p: LabeledSetPartition, rng: random.Random | None = None) -> LabeledSetPartition:
+def uncross_b(p: LabeledSetPartition) -> LabeledSetPartition:
     """Uncross a B-ground partition, then strip 0 from its block: its arcs
     are dropped, and its two neighbours, if it has two, joined by one arc.
 
@@ -106,7 +104,7 @@ def uncross_b(p: LabeledSetPartition, rng: random.Random | None = None) -> Label
     if p.ground.kind != "B":
         raise UnsupportedGroundError("uncross_b needs a B ground")
     _require_unlabeled(p)
-    arcs = uncross_arcs(p.arcs(), rng)
+    arcs = uncross_arcs(p.arcs())
     left = [i for i, j in arcs if j == 0]
     right = [j for i, j in arcs if i == 0]
     kept = {(i, j) for i, j in arcs if 0 not in (i, j)}

@@ -81,7 +81,11 @@ def oeis_check(
     n_max: int,
     path: str | None = None,
 ) -> dict:
-    """Compare sequence(name, n) with b-file entry n + offset for n <= n_max."""
+    """Compare sequence(name, n) with b-file entry n + offset for n <= n_max.
+
+    ``checked`` counts the terms the b-file has; the report is ok only if
+    it has all n_max + 1 of them and each matches.
+    """
     ref = load_bfile(oeis_id, path)
     mismatches = []
     checked = 0
@@ -102,6 +106,6 @@ def oeis_check(
         "offset": offset,
         "source": ref.source,
         "checked": checked,
-        "ok": checked > 0 and not mismatches,
+        "ok": 0 < checked == n_max + 1 and not mismatches,
         "mismatches": mismatches,
     }

@@ -15,7 +15,6 @@ interprets codes; ``decode`` turns one into its exact element of Z[zeta_p].
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,28 +197,6 @@ def class_representative_matrix(lam: LabeledSetPartition, p: int) -> Matrix:
     for i, j, v in lam.labels:
         g[i - 1][j - 1] = v[0] % p
     return tuple(tuple(row) for row in g)
-
-
-def random_superclass_perturbation(g: Matrix, p: int, rng: random.Random) -> Matrix:
-    """u (g - 1) v + 1 for random unitriangular u, v."""
-    n = len(g)
-
-    def rand_unitriangular():
-        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i][j] = rng.randrange(p)
-        return tuple(tuple(row) for row in m)
-
-    u, v = rand_unitriangular(), rand_unitriangular()
-    nil = tuple(
-        tuple((g[i][j] - (1 if i == j else 0)) % p for j in range(n)) for i in range(n)
-    )
-    moved = mat_mul(mat_mul(u, nil, p), v, p)
-    return tuple(
-        tuple((moved[i][j] + (1 if i == j else 0)) % p for j in range(n))
-        for i in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------

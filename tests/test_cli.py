@@ -189,6 +189,24 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--id", "coker", "--all"], "argument --all: not allowed with argument --id"),
+        ([], "one of the arguments --all --id is required"),
+    ],
+    ids=["id-and-all", "neither"],
+)
+def test_verify_needs_exactly_one_of_all_and_id(capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(cli.identities, "run", lambda *a, **k: pytest.fail("a check ran"))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *flags])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == f"arcact verify: error: {message}"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enum", "--family", "NOPE", "--n", "2", "--group", "Z2"])
@@ -287,6 +305,20 @@ def test_oeis_check_cli(capsys):
         ["oeis-check", "--name", "Bell_B", "--id", "A007405", "--offset", "3"]
     )
     assert code == 1
+
+
+def test_oeis_check_past_the_bfile_is_not_ok(capsys):
+    # A007405's b-file ends at n = 23: the terms past it were never checked
+    argv = ["oeis-check", "--name", "Bell_B", "--id", "A007405", "--n-max"]
+    code, out = run_cli(capsys, *argv, "100000")
+    assert code == 1
+    assert out == "Bell_B vs A007405 (offset 0): 24 of 100001 terms checked, INCOMPLETE\n"
+    code, out = run_cli(capsys, *argv, "100000", "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and not report["ok"] and report["checked"] == 24 and not report["mismatches"]
+    code, out = run_cli(capsys, *argv, "23")
+    assert code == 0
+    assert out == "Bell_B vs A007405 (offset 0): 24 of 24 terms checked, ok\n"
 
 
 def test_chartable_json(capsys):

@@ -180,6 +180,9 @@ UNLABELED_REFUSALS = [
 def test_unlabeled_refuses_blocks_that_do_not_partition_the_ground(ground, blocks, message):
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
         unlabeled(ground, blocks)
+    # the validating constructor checks its blocks first, with the same words
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        LabeledSetPartition(ground, Z3, blocks, {})
 
 
 def test_classify_examples():
