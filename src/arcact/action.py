@@ -20,7 +20,7 @@ from .core import (
     to_rook,
     unlabeled,
 )
-from .families import FamilySpec, family_members
+from .families import LINEAR, FamilySpec, family_members
 from .groups import add, add_unchecked
 
 
@@ -149,12 +149,10 @@ def _top_linear(ground: GroundSet) -> LabeledSetPartition:
 
 def acting_family(spec: FamilySpec) -> FamilySpec:
     """The linear family acting on the given two-group family."""
-    base = {"PI_AB": "L_AB", "NC_AB": "L_AB",
-            "P_B_AB": "L_B_AB", "NC_TILDE_B_AB": "L_B_AB",
-            "P_D_AB": "L_D_AB", "NC_TILDE_D_AB": "L_D_AB"}
-    if spec.family not in base:
+    linear = LINEAR[spec.ground.kind]
+    if not spec.is_ab or spec.base == linear:
         raise ValueError(f"family {spec.family} is not an orbit-decomposable family")
-    return FamilySpec(base[spec.family], spec.n, spec.groups)
+    return FamilySpec(linear + "_AB", spec.n, spec.groups)
 
 
 def orbit(lam: LabeledSetPartition, acting: FamilySpec) -> frozenset[LabeledSetPartition]:

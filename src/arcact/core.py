@@ -228,11 +228,10 @@ class LabeledSetPartition:
           every label with the validating constructor's own loop, then sorts
           the triples; the structural maps, ``from_rook``, ``negate`` and the
           superclasses of ``unitriangular`` build through it;
-        * the family generators: ``family_shapes`` makes canonical shapes of
-          the ground (the NN and NN_B shapes through ``chain_blocks``, since
-          the valleys of a Dyck path have distinct left and distinct right
-          ends), so ``enumerate_family`` reads each shape's arcs off its
-          blocks as their consecutive pairs, unchecked, in arc order; it
+        * the family generators: ``family_shapes`` grows canonical shapes
+          of the ground, each block sorted and the blocks sorted by minimum,
+          so ``enumerate_family`` reads each shape's arcs off its blocks as
+          their consecutive pairs, unchecked, in arc order; it
           draws every label from the nonzero elements of the group (a
           mirror label is the negation of one);
         * ``plus``: it checks that its arguments share ground and group (by

@@ -2,13 +2,16 @@
 
 Families are named by short codes:
 
-* A-ground: PI, NC, L, NN and the two-group variants PI_AB, NC_AB
+* A-ground: PI, NC, L, NN and the two-group variants PI_AB, NC_AB, L_AB
 * B-ground: P_B, NC_TILDE_B, L_B and *_AB variants
 * D-ground: P_D, NC_TILDE_D, L_D, NN_B and *_AB variants
 
-The two-group ("AB") families put the second group's labels on cover arcs
-and the first group's labels on all other arcs.  Streams are duplicate-free
-and sorted by the row-major reading of the rook matrix.
+Each family is the set partitions of its ground whose arcs pass one join
+rule (``FAMILIES``), and its shapes grow by that rule.  The two-group
+("AB") families have the shapes of their base family; they put the second
+group's labels on cover arcs and the first group's labels on all other
+arcs.  Streams are duplicate-free and sorted by the row-major reading of
+the rook matrix.
 
 ``enumerate_family`` streams a family in that order, sorting nothing and
 holding no member, so one pass over a large family runs in the memory of
@@ -18,7 +21,6 @@ back to a family: it builds the members once per process and keeps them.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,29 +31,62 @@ from .core import (
     LabeledSetPartition,
     StructuralError,
     _Z2,
-    blocks_from_arcs,
     canonical_blocks,
-    chain_blocks,
     ground_a,
     ground_b,
     ground_d,
 )
 from .groups import DirectSum, GroupSpec, neg_unchecked
 
-A_FAMILIES = {"PI", "NC", "L", "NN", "PI_AB", "NC_AB", "L_AB"}
-B_FAMILIES = {"P_B", "NC_TILDE_B", "L_B", "P_B_AB", "NC_TILDE_B_AB", "L_B_AB"}
-D_FAMILIES = {"P_D", "NC_TILDE_D", "L_D", "NN_B", "P_D_AB", "NC_TILDE_D_AB", "L_D_AB"}
+# ---------------------------------------------------------------------------
+# join rules
+#
+# The growers place the elements in increasing order, so an element x that
+# joins a block with top a adds the arc (a, x), which ends after every arc
+# placed so far.  A rule, called with the blocks before the join, is true
+# when it refuses the join.
+
+
+def crossing(blocks, a, x) -> bool:
+    """An arc spans a, so (a, x) would cross it."""
+    return any(c[0] < a < c[-1] for c in blocks)
+
+
+def nesting(blocks, a, x) -> bool:
+    """An arc starts after a, so (a, x) would nest over it."""
+    return any(c[-2] > a for c in blocks if len(c) > 1)
+
+
+def not_cover(blocks, a, x) -> bool:
+    """a is not the element before x, so (a, x) is not a cover."""
+    return a != x - 1
+
+
+# Each base family: the kind of its ground and the join rule its shapes grow
+# by (None refuses nothing).
+FAMILIES = {
+    "PI": ("A", None),
+    "NC": ("A", crossing),
+    "NN": ("A", nesting),
+    "L": ("A", not_cover),
+    "P_B": ("B", None),
+    "NC_TILDE_B": ("B", crossing),
+    "L_B": ("B", not_cover),
+    "P_D": ("D", None),
+    "NC_TILDE_D": ("D", crossing),
+    "NN_B": ("D", nesting),
+    "L_D": ("D", not_cover),
+}
 UNLABELED_FAMILIES = {"NN", "NN_B"}
-ALL_FAMILIES = A_FAMILIES | B_FAMILIES | D_FAMILIES
+ALL_FAMILIES = set(FAMILIES) | {f + "_AB" for f in FAMILIES if f not in UNLABELED_FAMILIES}
+# the linear family of each ground kind: every arc is a cover
+LINEAR = {kind: family for family, (kind, rule) in FAMILIES.items() if rule is not_cover}
+_GROUNDS = {"A": ground_a, "B": ground_b, "D": ground_d}
 
 
 def family_ground(family: str, n: int) -> GroundSet:
     """The ground set a family of parameter n lives on."""
-    if family in A_FAMILIES:
-        return ground_a(n)
-    if family in B_FAMILIES:
-        return ground_b(n)
-    return ground_d(n)
+    return _GROUNDS[FAMILIES[family.removesuffix("_AB")][0]](n)
 
 
 @dataclass(frozen=True)
@@ -76,6 +111,11 @@ class FamilySpec:
         return self.family.endswith("_AB")
 
     @property
+    def base(self) -> str:
+        """The family whose shapes this one has: X for X_AB."""
+        return self.family.removesuffix("_AB")
+
+    @property
     def ground(self) -> GroundSet:
         return family_ground(self.family, self.n)
 
@@ -92,16 +132,15 @@ class FamilySpec:
 # block structures
 
 
-def set_partitions(elements):
-    """All partitions of an ordered element list (restricted growth order).
+def set_partitions(elements, rule=None):
+    """The partitions of an ordered element list whose every join passes
+    ``rule`` (all of them for None), in restricted growth order.
 
-    Blocks keep the list's order, so an increasing list gives canonical
-    block structures.
+    Each element joins a block, unless ``rule`` refuses the join, or starts
+    a block.  Blocks keep the list's order, so an increasing list gives
+    canonical block structures.
     """
     elements = list(elements)
-    if not elements:
-        yield ()
-        return
 
     def rec(k, blocks):
         if k == len(elements):
@@ -109,6 +148,8 @@ def set_partitions(elements):
             return
         x = elements[k]
         for b in blocks:
+            if rule is not None and rule(blocks, b[-1], x):
+                continue
             b.append(x)
             yield from rec(k + 1, blocks)
             b.pop()
@@ -119,28 +160,23 @@ def set_partitions(elements):
     yield from rec(0, [])
 
 
-def _subsets(values):
-    values = list(values)
-    for r in range(len(values) + 1):
-        yield from itertools.combinations(values, r)
-
-
-def symmetric_partitions(n, has_zero, allow_self_negative, *, nc_tilde=False):
+def symmetric_partitions(n, has_zero, allow_self_negative, rule=None):
     """Partitions of [-n..n] (optionally with 0) whose block set is negation
-    closed, each once.
+    closed and whose every join passes ``rule`` (all of them for None), each
+    once.
 
     ``allow_self_negative`` admits nonzero blocks B with B = -B; switching it
     off yields exactly the block structures in which every block pair is
     {B, -B} with B != -B, apart from the zero block when present.
-    ``nc_tilde`` keeps the relaxed noncrossing ones: every crossing is of a
-    mirror pair (i, k), (-k, -i).
 
     For i = 1..n, i joins a block b and -i joins -b (b = -b for the zero
     block and the self-negative ones), or +-i start a pair {i}, {-i} or a
     block {-i, i}.  As i tops every value placed so far, a join to a block
-    with top a adds exactly the arcs (a, i) and (-i, -a), a mirror pair that
-    crosses an earlier arc exactly when one spans a or, by symmetry, -a:
-    when some block c has c[0] < a < c[-1].  nc_tilde skips those joins.
+    with top a adds exactly the arcs (a, i) and (-i, -a), a mirror pair.
+    Each rule refuses the mirror arc exactly when it refuses (a, i), since
+    the arcs placed so far are mirror closed, so ``rule`` is asked about
+    (a, i) alone; the block {-i, i}, whose arc is (-i, i), is asked about
+    as a = -i.
     """
     blocks = [[0]] if has_zero else []  # each kept sorted
     mirror = [0] if has_zero else []  # the index of each block's negation
@@ -150,8 +186,7 @@ def symmetric_partitions(n, has_zero, allow_self_negative, *, nc_tilde=False):
             yield canonical_blocks(blocks)
             return
         for k, b in enumerate(blocks):
-            a = b[-1]
-            if nc_tilde and any(c[0] < a < c[-1] for c in blocks):
+            if rule is not None and rule(blocks, b[-1], i):
                 continue
             nb = blocks[mirror[k]]
             b.append(i)
@@ -163,30 +198,14 @@ def symmetric_partitions(n, has_zero, allow_self_negative, *, nc_tilde=False):
         blocks.extend(([i], [-i]))
         mirror.extend((k + 1, k))
         yield from grow(i + 1)
-        if allow_self_negative:
-            blocks[k:] = [[-i, i]]
-            mirror[k:] = [k]
-            yield from grow(i + 1)
         del blocks[k:], mirror[k:]
+        if allow_self_negative and not (rule is not None and rule(blocks, -i, i)):
+            blocks.append([-i, i])
+            mirror.append(k)
+            yield from grow(i + 1)
+            del blocks[k:], mirror[k:]
 
     yield from grow(1)
-
-
-def _linear_blocks(ground: GroundSet):
-    """Block structures whose arcs are all covers (consecutive-integer blocks)."""
-    elements = ground.elements()
-    if ground.kind == "A":
-        slots = [(i, i + 1) for i in elements if i + 1 in elements]
-    else:
-        # cover slots come in mirrored pairs; enumerate the nonnegative side
-        slots = [(i, i + 1) for i in range(0 if ground.kind == "B" else 1, ground.n)]
-    for chosen in _subsets(slots):
-        arcs = set()
-        for i, j in chosen:
-            arcs.add((i, j))
-            if ground.kind != "A":
-                arcs.add((-j, -i))
-        yield tuple(sorted(arcs))
 
 
 def _noncrossing_shapes(n):
@@ -217,41 +236,26 @@ def _noncrossing_shapes(n):
     return nc(1, n)
 
 
-def _nonnesting_shapes(paths, ground):
-    # the valleys of a Dyck path have distinct left and distinct right ends
-    return [chain_blocks(ground, dict(valley_arcs(p, ground))) for p in paths]
-
-
 @lru_cache(maxsize=None)
 def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Unlabeled block structures of a family, deterministically ordered.
+    """Unlabeled block structures of a base family, sorted.  X_AB has the
+    shapes of X.
 
-    NC comes from a first-block recursion, NN and NN_B from Dyck paths
-    through ``valley_arcs`` (all paths of 2n steps, the symmetric paths of
-    4n steps).  PI lists the set partitions.  The P and NC~ families grow
-    the negation-closed partitions centre-outward, NC~ skipping every join
-    whose arcs would cross an earlier one (``symmetric_partitions``), and
-    the L families choose cover arcs.  No family is filtered.
+    Each family grows by its join rule (``FAMILIES``): the type A families
+    through ``set_partitions``, the B and D families centre-outward through
+    ``symmetric_partitions``.  NC alone comes from a first-block recursion,
+    which builds each shape once where the grower would try and refuse
+    crossing joins.  No family is filtered.
     """
-    base = family[:-3] if family.endswith("_AB") else family
-    if base == "PI":
-        shapes = set_partitions(range(1, n + 1))
-    elif base == "NC":
+    kind, rule = FAMILIES[family]
+    if family == "NC":
         shapes = _noncrossing_shapes(n)
-    elif base == "NN":
-        shapes = _nonnesting_shapes(enumerate_dyck(n), ground_a(n))
-    elif base == "NN_B":
-        shapes = _nonnesting_shapes(symmetric_dyck(n), ground_d(n))
-    elif base in ("L", "L_B", "L_D"):
-        g = family_ground(base, n)
-        shapes = [blocks_from_arcs(g, arcs) for arcs in _linear_blocks(g)]
-    elif base in ("P_B", "NC_TILDE_B", "P_D", "NC_TILDE_D"):
-        # the B ground holds 0; no arc (-i, i): nonzero blocks are not self-negative
-        shapes = symmetric_partitions(
-            n, base.endswith("B"), False, nc_tilde=base.startswith("NC_TILDE")
-        )
-    else:  # pragma: no cover
-        raise ValueError(base)
+    elif kind == "A":
+        shapes = set_partitions(range(1, n + 1), rule)
+    else:
+        # a label on an arc (-i, i) would be its own negation, so only the
+        # unlabeled NN_B has self-negative blocks
+        shapes = symmetric_partitions(n, kind == "B", family in UNLABELED_FAMILIES, rule)
     return tuple(sorted(shapes))
 
 
@@ -299,7 +303,7 @@ def enumerate_family(spec: FamilySpec):
     shapes = sorted(
         (
             (sorted(arc for b in blocks for arc in zip(b, b[1:])), blocks)
-            for blocks in family_shapes(spec.family, spec.n)
+            for blocks in family_shapes(spec.base, spec.n)
         ),
         key=lambda shape: [(-i, -j) for i, j in shape[0]],
     )
@@ -436,35 +440,19 @@ def valley_arcs(path: DyckPath, ground: GroundSet) -> list[Arc]:
     return [(at[(x - y) // 2 - 1], at[(x + y) // 2]) for x, y in path.valleys()]
 
 
-def _ballot_steps(length: int, closed: bool):
-    """Step strings of the given length that never dip below the axis and,
-    if closed, end on it; lexicographic with U < D."""
-    stack = [("", 0)]
-    while stack:
-        steps, height = stack.pop()
-        remaining = length - len(steps)
-        if remaining == 0:
-            yield steps
-            continue
-        # D is pushed first so that U is taken first
-        if height > 0:
-            stack.append((steps + "D", height - 1))
-        if not closed or remaining > height:
-            stack.append((steps + "U", height + 1))
-
-
 def enumerate_dyck(m: int):
     """All Dyck paths with 2m steps, lexicographic with U < D."""
     if m < 0:
         raise ValueError("need m >= 0")
-    for steps in _ballot_steps(2 * m, True):
-        yield DyckPath(steps)
-
-
-def symmetric_dyck(m: int):
-    """The Dyck paths with 4m steps that equal their reversed, flipped copy:
-    each ballot path of 2m steps followed by its own reversed, flipped copy."""
-    if m < 0:
-        raise ValueError("need m >= 0")
-    for steps in _ballot_steps(2 * m, False):
-        yield DyckPath(steps + steps[::-1].translate(_FLIP))
+    stack = [("", 0)]
+    while stack:
+        steps, height = stack.pop()
+        remaining = 2 * m - len(steps)
+        if remaining == 0:
+            yield DyckPath(steps)
+            continue
+        # D is pushed first so that U is taken first
+        if height > 0:
+            stack.append((steps + "D", height - 1))
+        if remaining > height:
+            stack.append((steps + "U", height + 1))

@@ -158,7 +158,8 @@ class Report:
 
 
 def run_all(profile: str = "desk", ids=None) -> Report:
-    ids = registry_ids() if ids is None else tuple(ids)
+    # a repeated id runs and reports once
+    ids = registry_ids() if ids is None else tuple(dict.fromkeys(ids))
     results = [run(i, profile) for i in ids]
     return Report(tuple(sorted(results, key=lambda r: r.id)))
 

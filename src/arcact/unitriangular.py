@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .core import InvalidArcSetError, LabeledSetPartition, from_triples, ground_a
 from .cyclotomic import CycValue, theta
-from .families import FamilySpec, family_members
+from .families import LINEAR, FamilySpec, family_members
 from .groups import GroupSpec
 from .maps import halve
 from .poly import (
@@ -337,12 +337,10 @@ class CharTable:
         return tuple(decode(self.p, v[empty[0]]).rational_value() for v in self.values)
 
 
-_FAMILY_CODES = {"A": ("PI", "L"), "B": ("P_B", "L_B"), "D": ("P_D", "L_D")}
-
-
 def index_family(kind: str, n: int, p: int, linear: bool = False) -> FamilySpec:
     """The supercharacter indices of the kind over Z_p, or the linear ones."""
-    return FamilySpec(_FAMILY_CODES[kind][linear], n, (GroupSpec((p,)),))
+    family = LINEAR[kind] if linear else ("PI" if kind == "A" else "P_" + kind)
+    return FamilySpec(family, n, (GroupSpec((p,)),))
 
 
 def superclass_size(c: LabeledSetPartition, kind: str) -> int:

@@ -151,7 +151,7 @@ def _members(specs, flag=None):
 def _scrambled_shapes():
     # every shape of each source, its blocks and their elements in reverse
     for spec in LABELED_SOURCES:
-        for shape in family_shapes(spec.family, spec.n):
+        for shape in family_shapes(spec.base, spec.n):
             yield spec.ground, [tuple(reversed(b)) for b in reversed(shape)]
 
 

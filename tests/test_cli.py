@@ -183,6 +183,18 @@ def test_verify_single_id(capsys):
     assert data["ok"] and data["results"][0]["id"] == "touchard"
 
 
+def test_verify_runs_a_repeated_id_once(capsys, monkeypatch):
+    ran = []
+    run = cli.identities.run
+    monkeypatch.setattr(cli.identities, "run", lambda i, profile: ran.append(i) or run(i, profile))
+    code, out = run_cli(
+        capsys, "verify", "--id", "coker", "--id", "touchard", "--id", "coker",
+        "--profile", "quick", "--format", "json",
+    )
+    assert code == 0 and ran == ["coker", "touchard"]
+    assert [r["id"] for r in json.loads(out)["results"]] == ["coker", "touchard"]
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--id", "bogus"])

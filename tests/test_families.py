@@ -8,6 +8,8 @@ from arcact.core import (
     arcs_of,
     canonical_blocks,
     classify,
+    ground_a,
+    ground_d,
     is_nc_tilde,
     is_noncrossing,
     is_nonnesting,
@@ -16,14 +18,17 @@ from arcact.families import (
     DyckPath,
     FamilySpec,
     count_by,
+    crossing,
     enumerate_dyck,
     enumerate_family,
     family_shapes,
     family_size,
+    nesting,
+    not_cover,
     set_partitions,
-    symmetric_dyck,
     symmetric_partitions,
 )
+from arcact.maps import nn_from_dyck
 from arcact.poly import catalan
 from arcact.groups import GroupSpec
 from arcact.poly import (
@@ -101,29 +106,54 @@ def test_nonnesting_counts():
         assert family_size(FamilySpec("NN_B", n)) == comb(2 * n, n)
 
 
+def _all_covers(arcs):
+    return all(j == i + 1 for i, j in arcs)
+
+
 def _filtered_shapes(family, n):
-    """The shapes of NC, NN, NN_B or the NC~ families by testing every
-    candidate partition: the route the direct generators replaced, kept as
+    """The shapes of NC, NN, NN_B, the NC~ or the L families by testing
+    every candidate partition: the route the join rules replaced, kept as
     their oracle."""
     if family == "NN_B":
         candidates = symmetric_partitions(n, False, True)
-    elif family.startswith("NC_TILDE"):
+    elif family[-2:] in ("_B", "_D"):
         candidates = family_shapes("P" + family[-2:], n)
     else:
         candidates = set_partitions(range(1, n + 1))
-    test = {"NC": is_noncrossing, "NN": is_nonnesting, "NN_B": is_nonnesting}.get(
-        family, is_nc_tilde
-    )
+    test = {"NC": is_noncrossing, "NN": is_nonnesting, "NC_TILDE": is_nc_tilde, "L": _all_covers}[
+        family.removesuffix("_B").removesuffix("_D")
+    ]
     return tuple(sorted({canonical_blocks(s) for s in candidates if test(arcs_of(s))}))
 
 
 @pytest.mark.parametrize(
     "family,n_max",
-    [("NC", 8), ("NN", 8), ("NN_B", 5), ("NC_TILDE_B", 7), ("NC_TILDE_D", 7)],
+    [
+        ("NC", 8), ("NN", 8), ("NN_B", 5), ("NC_TILDE_B", 7), ("NC_TILDE_D", 7),
+        ("L", 8), ("L_B", 6), ("L_D", 6),
+    ],
 )
 def test_direct_generators_match_the_filter_route(family, n_max):
     for n in range(n_max + 1):
         assert family_shapes(family, n) == _filtered_shapes(family, n), n
+
+
+def test_nc_grows_by_its_rule():
+    # NC has its own first-block recursion; its row's rule grows the same shapes
+    for n in range(9):
+        assert family_shapes("NC", n) == tuple(sorted(set_partitions(range(1, n + 1), crossing)))
+
+
+def test_nonnesting_shapes_are_the_dyck_bijection_images():
+    # maps.nn_from_dyck reads each Dyck path's valleys as arcs, an oracle
+    # that shares nothing with the nesting rule
+    for n in range(10):
+        want = sorted(nn_from_dyck(p, ground_a(n)).blocks for p in enumerate_dyck(n))
+        assert family_shapes("NN", n) == tuple(want), n
+    for n in range(7):
+        paths = [p for p in enumerate_dyck(2 * n) if p.is_symmetric()]
+        want = sorted(nn_from_dyck(p, ground_d(n)).blocks for p in paths)
+        assert family_shapes("NN_B", n) == tuple(want), n
 
 
 @pytest.mark.parametrize("family", ["P_B", "P_D"])
@@ -149,12 +179,15 @@ def test_symmetric_shapes_match_the_set_partition_filter(family):
 @pytest.mark.parametrize("has_zero", [False, True])
 @pytest.mark.parametrize("allow_self_negative", [False, True])
 def test_symmetric_partitions_yield_each_shape_once(has_zero, allow_self_negative):
+    # each join rule keeps exactly the shapes whose arcs pass its test
+    rules = ((crossing, is_nc_tilde), (nesting, is_nonnesting), (not_cover, _all_covers))
     for n in range(6):
         shapes = list(symmetric_partitions(n, has_zero, allow_self_negative))
-        pruned = list(symmetric_partitions(n, has_zero, allow_self_negative, nc_tilde=True))
         assert len(set(shapes)) == len(shapes), n
-        assert len(set(pruned)) == len(pruned), n
-        assert set(pruned) == {s for s in shapes if is_nc_tilde(arcs_of(s))}, n
+        for rule, keeps in rules:
+            grown = list(symmetric_partitions(n, has_zero, allow_self_negative, rule))
+            assert len(set(grown)) == len(grown), (rule, n)
+            assert set(grown) == {s for s in shapes if keeps(arcs_of(s))}, (rule, n)
 
 
 def test_direct_generator_counts():
@@ -267,12 +300,3 @@ def test_dyck_paths():
     assert not DyckPath("UUDDUD").is_symmetric()
     assert DyckPath("UDUD").valleys() == ((2, 0),)
     assert DyckPath("UUDUDDUD").valleys() == ((3, 1), (6, 0))
-
-
-def test_symmetric_dyck_paths():
-    for m in range(5):
-        paths = list(symmetric_dyck(m))
-        assert len(paths) == comb(2 * m, m)
-        assert set(paths) == {p for p in enumerate_dyck(2 * m) if p.is_symmetric()}
-    with pytest.raises(ValueError):
-        symmetric_dyck(-1).__next__()
