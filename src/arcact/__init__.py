@@ -7,7 +7,6 @@ from .core import (
     GroundSet,
     InvalidArcSetError,
     LabeledSetPartition,
-    RookMatrix,
     StructuralError,
     UnsupportedGroundError,
     arcs_of,
@@ -25,7 +24,7 @@ from .core import (
     unlabeled,
 )
 from .groups import DirectSum, Element, GroupError, GroupSpec, add, neg, parse_group
-from .families import DyckPath, FamilySpec, count_by, enumerate_dyck, enumerate_family
+from .families import FamilySpec, count_by, enumerate_family
 from .action import (
     orbit,
     orbit_decomposition,
@@ -36,6 +35,7 @@ from .action import (
 )
 from .maps import (
     dyck_from_nonnesting,
+    enumerate_dyck,
     halve,
     matching_to_dyck,
     nn_from_dyck,

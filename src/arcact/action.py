@@ -13,10 +13,10 @@ from functools import lru_cache
 from .core import (
     GroundSet,
     LabeledSetPartition,
-    RookMatrix,
     StructuralError,
     _Z2,
     from_rook,
+    from_triples,
     to_rook,
     unlabeled,
 )
@@ -101,23 +101,23 @@ def plus_via_matrix(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> Lab
     in their row."""
     _check_compatible(alpha, lam)
     group = lam.group
-    entries = to_rook(lam).entry_map()
-    for (r, c), v in to_rook(alpha).entry_map().items():
+    rook = to_rook(lam)
+    entries = rook.label_map()
+    for (r, c), v in to_rook(alpha).label_map().items():
         total = add(group, v, entries.get((r, c), group.zero))
         if total == group.zero:
             entries.pop((r, c), None)
         else:
             entries[(r, c)] = total
-    kept = {}
+    kept = []
     for (r, c), v in entries.items():
         if c == r + 1:
             below = any(rr < r and cc == c for rr, cc in entries)
             left = any(rr == r and cc > c for rr, cc in entries)
             if below or left:
                 continue
-        kept[(r, c)] = v
-    rook = RookMatrix(lam.ground.size, tuple(sorted((r, c, v) for (r, c), v in kept.items())))
-    return from_rook(lam.ground, group, rook)
+        kept.append((r, c, v))
+    return from_rook(lam.ground, from_triples(rook.ground, group, kept))
 
 
 def plus_involution(p: LabeledSetPartition) -> LabeledSetPartition:

@@ -226,8 +226,9 @@ class LabeledSetPartition:
 
         * ``from_triples``: checks the arc set with ``blocks_from_arcs`` and
           every label with the validating constructor's own loop, then sorts
-          the triples; the structural maps, ``from_rook``, ``negate`` and the
-          superclasses of ``unitriangular`` build through it;
+          the triples; the structural maps, ``to_rook``, ``from_rook``,
+          ``negate`` and the superclasses of ``unitriangular`` build through
+          it;
         * the family generators: ``family_shapes`` grows canonical shapes
           of the ground, each block sorted and the blocks sorted by minimum,
           so ``enumerate_family`` reads each shape's arcs off its blocks as
@@ -431,12 +432,12 @@ def partition_from_json_dict(data: dict) -> LabeledSetPartition:
         ground = GroundSet(data["ground"]["kind"], _json_int(data["ground"]["n"], "n"))
         group = GroupSpec(tuple(_json_int(m, "group modulus") for m in data["group"]))
         blocks = [tuple(_json_int(x, "block element") for x in b) for b in data["blocks"]]
-        labels = {
-            (_json_int(entry["i"], "i"), _json_int(entry["j"], "j")): tuple(
-                _json_int(v, "label value") for v in entry["value"]
-            )
-            for entry in data["labels"]
-        }
+        labels = {}
+        for entry in data["labels"]:
+            arc = (_json_int(entry["i"], "i"), _json_int(entry["j"], "j"))
+            if arc in labels:
+                raise StructuralError(f"arc {arc} is labeled twice")
+            labels[arc] = tuple(_json_int(v, "label value") for v in entry["value"])
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed partition JSON: {exc}") from exc
     return LabeledSetPartition(ground, group, blocks, labels)
@@ -591,58 +592,46 @@ def classify(p: LabeledSetPartition) -> ClassifyFlags:
 
 
 # ---------------------------------------------------------------------------
-# rook matrices
+# rook placements
 
 
-@dataclass(frozen=True)
-class RookMatrix:
-    """Strictly upper-triangular sparse matrix with <= 1 entry per row/column."""
-
-    size: int
-    entries: tuple[tuple[int, int, Element], ...]
-
-    def __post_init__(self):
-        rows = set()
-        cols = set()
-        for r, c, v in self.entries:
-            if not 1 <= r < c <= self.size:
-                raise StructuralError(f"entry ({r},{c}) not strictly upper triangular")
-            if r in rows:
-                raise StructuralError(f"two entries in row {r}")
-            if c in cols:
-                raise StructuralError(f"two entries in column {c}")
-            rows.add(r)
-            cols.add(c)
-
-    def entry_map(self) -> dict[tuple[int, int], Element]:
-        return {(r, c): v for r, c, v in self.entries}
-
-
-def to_rook(p: LabeledSetPartition) -> RookMatrix:
-    pos = p.ground.position
-    entries = tuple(
-        sorted((pos(i), pos(j), v) for i, j, v in p.labels)
+def to_rook(p: LabeledSetPartition) -> LabeledSetPartition:
+    """The rook placement of p: the partition of A(m), m = ``p.ground.size``,
+    whose labeled arcs are p's moved to their positions.  Read as the matrix
+    1 + sum of v E_ij over its labeled arcs (i, j, v), it is the superclass
+    representative of Diaconis-Isaacs.  On an A ground the positions are the
+    elements, and p is its own rook placement."""
+    ground = p.ground
+    if ground.kind == "A":
+        return p
+    pos = ground._positions
+    return from_triples(
+        ground_a(ground.size), p.group, [(pos[i], pos[j], v) for i, j, v in p.labels]
     )
-    return RookMatrix(p.ground.size, entries)
 
 
-def from_rook(ground: GroundSet, group: GroupSpec, rook: RookMatrix) -> LabeledSetPartition:
-    if rook.size != ground.size:
-        raise StructuralError("rook matrix size does not match the ground")
-    at = ground.from_position
-    return from_triples(ground, group, [(at(r), at(c), v) for r, c, v in rook.entries])
+def from_rook(ground: GroundSet, rook: LabeledSetPartition) -> LabeledSetPartition:
+    """The partition of the ground, over the rook's group, whose rook
+    placement is ``rook``: the inverse of ``to_rook``."""
+    if rook.ground != ground_a(ground.size):
+        raise StructuralError("rook placement does not match the ground")
+    at = ground._elements  # at[r - 1] is the element at position r
+    return from_triples(
+        ground, rook.group, [(at[r - 1], at[c - 1], v) for r, c, v in rook.labels]
+    )
 
 
-def rook_noncrossing(rook: RookMatrix) -> bool:
-    """Matrix reading of the noncrossing condition.
+def rook_noncrossing(rook: LabeledSetPartition) -> bool:
+    """Matrix reading of the noncrossing condition on a rook placement.
 
     A position above the diagonal that is strictly south of an entry in its
     column and strictly west of an entry in its row witnesses a crossing.
     """
-    by_col = {c: r for r, c, _ in rook.entries}
-    by_row = {r: c for r, c, _ in rook.entries}
-    for r in range(1, rook.size + 1):
-        for c in range(r + 1, rook.size + 1):
+    by_col = {c: r for r, c, _ in rook.labels}
+    by_row = {r: c for r, c, _ in rook.labels}
+    m = rook.ground.size
+    for r in range(1, m + 1):
+        for c in range(r + 1, m + 1):
             south = c in by_col and by_col[c] < r
             west = r in by_row and by_row[r] > c
             if south and west:

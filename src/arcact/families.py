@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
-    Arc,
     GroundSet,
     LabeledSetPartition,
-    StructuralError,
     _Z2,
     canonical_blocks,
     ground_a,
@@ -389,70 +387,3 @@ def count_by(spec: FamilySpec, stat: str) -> dict[int, int]:
     for p in family_members(spec):
         hist[statistic(p, stat)] += 1
     return dict(sorted(hist.items()))
-
-
-# ---------------------------------------------------------------------------
-# Dyck paths
-
-_FLIP = str.maketrans("UD", "DU")
-
-
-@dataclass(frozen=True)
-class DyckPath:
-    steps: str
-
-    def __post_init__(self):
-        height = 0
-        for s in self.steps:
-            if s not in "UD":
-                raise ValueError(f"bad step {s!r}")
-            height += 1 if s == "U" else -1
-            if height < 0:
-                raise ValueError("path dips below the axis")
-        if height != 0:
-            raise ValueError("path does not return to the axis")
-
-    def __len__(self):
-        return len(self.steps)
-
-    def valleys(self) -> tuple[tuple[int, int], ...]:
-        """Points ending a down-step and starting an up-step."""
-        steps = self.steps
-        out = []
-        k = steps.find("DU")
-        while k >= 0:
-            x = k + 1
-            out.append((x, 2 * steps.count("U", 0, x) - x))
-            k = steps.find("DU", x)
-        return tuple(out)
-
-    def is_symmetric(self) -> bool:
-        return self.steps[::-1].translate(_FLIP) == self.steps
-
-
-def valley_arcs(path: DyckPath, ground: GroundSet) -> list[Arc]:
-    """Arcs of the nonnesting partition of the ground read off a Dyck path
-    with 2 * ground.size steps: the valley (x, y) is the arc between the
-    ground elements at positions (x - y) / 2 and (x + y) / 2 + 1."""
-    if len(path) != 2 * ground.size:
-        raise StructuralError("path length does not match the ground")
-    at = ground.elements()
-    return [(at[(x - y) // 2 - 1], at[(x + y) // 2]) for x, y in path.valleys()]
-
-
-def enumerate_dyck(m: int):
-    """All Dyck paths with 2m steps, lexicographic with U < D."""
-    if m < 0:
-        raise ValueError("need m >= 0")
-    stack = [("", 0)]
-    while stack:
-        steps, height = stack.pop()
-        remaining = 2 * m - len(steps)
-        if remaining == 0:
-            yield DyckPath(steps)
-            continue
-        # D is pushed first so that U is taken first
-        if height > 0:
-            stack.append((steps + "D", height - 1))
-        if remaining > height:
-            stack.append((steps + "U", height + 1))

@@ -141,19 +141,6 @@ class DirectSum:
         self.b.check(y)
         return self.a.zero + y
 
-    def split(self, e: Element) -> tuple[Element, Element]:
-        self.spec.check(e)
-        k = len(self.a.moduli)
-        return e[:k], e[k:]
-
-    def in_a_nonzero(self, e: Element) -> bool:
-        xa, xb = self.split(e)
-        return xa != self.a.zero and xb == self.b.zero
-
-    def in_b_nonzero(self, e: Element) -> bool:
-        xa, xb = self.split(e)
-        return xa == self.a.zero and xb != self.b.zero
-
 
 # One spec per pair (A, B), as the ground constructors intern their grounds:
 # a two-group family's members and its acting family share their label group,

@@ -3,6 +3,8 @@
 All shift maps are the same move in rook-matrix coordinates: slide every
 entry one column to the right.  Working through the order isomorphism onto
 {1, ..., size} keeps the three ground shapes (A, B, D) on one code path.
+A Dyck path is its string of U (up) and D (down) steps; only
+``nn_from_dyck`` takes one from outside, and only it checks one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .core import (
     ground_a,
     ground_b,
     ground_d,
+    to_rook,
 )
-from .families import DyckPath, valley_arcs
 
 
 def _shift_target(ground: GroundSet) -> GroundSet:
@@ -171,57 +173,107 @@ def _from_arcs(ground: GroundSet, arcs) -> LabeledSetPartition:
 
 
 def halve(p: LabeledSetPartition) -> LabeledSetPartition:
-    """Keep one arc from each mirrored pair (the one with i + j < 0) and
-    re-index the ground onto {1, ..., size}."""
+    """Keep one arc from each mirrored pair of p, on its rook placement: the
+    arcs (i, j) of ``to_rook(p)`` with i + j <= m, m the ground's size.
+
+    The mirror (-j, -i) of an arc sits at (m+1-j, m+1-i) there, so of a
+    mirrored pair exactly one has i + j <= m, and no arc (-i, i) does.
+    """
     if p.ground.kind not in ("B", "D"):
         raise UnsupportedGroundError("halve needs a B or D ground")
-    pos = p.ground.position
-    kept = [(pos(i), pos(j), v) for i, j, v in p.labels if i + j < 0]
-    return from_triples(ground_a(p.ground.size), p.group, kept)
+    rook = to_rook(p)
+    m = rook.ground.n
+    return from_triples(rook.ground, p.group, [t for t in rook.labels if t[0] + t[1] <= m])
 
 
 # ---------------------------------------------------------------------------
-# Dyck path bijections
+# Dyck paths
+
+_FLIP = str.maketrans("UD", "DU")
 
 
-def _reindexed_arcs(p: LabeledSetPartition) -> list[Arc]:
-    pos = p.ground.position
-    return sorted((pos(i), pos(j)) for i, j in p.arcs())
+def enumerate_dyck(m: int):
+    """All Dyck paths with 2m steps, lexicographic with U < D."""
+    if m < 0:
+        raise ValueError("need m >= 0")
+    stack = [("", 0)]
+    while stack:
+        steps, height = stack.pop()
+        remaining = 2 * m - len(steps)
+        if remaining == 0:
+            yield steps
+            continue
+        # D is pushed first so that U is taken first
+        if height > 0:
+            stack.append((steps + "D", height - 1))
+        if remaining > height:
+            stack.append((steps + "U", height + 1))
 
 
-def dyck_from_nonnesting(p: LabeledSetPartition) -> DyckPath:
-    """The Dyck path whose valleys sit at (j+i-1, j-i-1) for arcs (i, j)."""
+def valleys(steps: str) -> tuple[tuple[int, int], ...]:
+    """Points of a Dyck path ending a down-step and starting an up-step."""
+    out = []
+    k = steps.find("DU")
+    while k >= 0:
+        x = k + 1
+        out.append((x, 2 * steps.count("U", 0, x) - x))
+        k = steps.find("DU", x)
+    return tuple(out)
+
+
+def is_symmetric(steps: str) -> bool:
+    """Whether the path is its own mirror image."""
+    return steps[::-1].translate(_FLIP) == steps
+
+
+def dyck_from_nonnesting(p: LabeledSetPartition) -> str:
+    """The Dyck path whose valleys sit at (j+i-1, j-i-1) for the arcs (i, j)
+    of p's rook placement."""
     if not classify(p).nonnesting:
         raise StructuralError("partition is nesting")
-    m = p.ground.size
-    valleys = sorted((j + i - 1, j - i - 1) for i, j in _reindexed_arcs(p))
+    rook = to_rook(p)
+    m = rook.ground.n
+    points = sorted((j + i - 1, j - i - 1) for i, j, _ in rook.labels)
     steps = []
     x, y = 0, 0
-    for vx, vy in valleys + [(2 * m, 0)]:
+    for vx, vy in points + [(2 * m, 0)]:
         up = ((vx - x) + (vy - y)) // 2
         down = (vx - x) - up
         if up < 0 or down < 0 or (vx - x + vy - y) % 2 != 0:
             raise StructuralError("arc set does not give a lattice path")
         steps.append("U" * up + "D" * down)
         x, y = vx, vy
-    return DyckPath("".join(steps))
+    return "".join(steps)
 
 
-def nn_from_dyck(path: DyckPath, ground: GroundSet) -> LabeledSetPartition:
-    """Inverse of dyck_from_nonnesting over the given ground."""
-    return _from_arcs(ground, valley_arcs(path, ground))
+def nn_from_dyck(steps: str, ground: GroundSet) -> LabeledSetPartition:
+    """Inverse of dyck_from_nonnesting over the given ground: the valley
+    (x, y) is the arc between the ground elements at positions (x - y) / 2
+    and (x + y) / 2 + 1.  A string that is not a Dyck path with
+    2 * ground.size steps is refused."""
+    height = 0
+    for s in steps:
+        if s not in "UD":
+            raise StructuralError(f"bad step {s!r}")
+        height += 1 if s == "U" else -1
+        if height < 0:
+            raise StructuralError("path dips below the axis")
+    if height != 0:
+        raise StructuralError("path does not return to the axis")
+    if len(steps) != 2 * ground.size:
+        raise StructuralError("path length does not match the ground")
+    at = ground._elements
+    return _from_arcs(ground, [(at[(x - y) // 2 - 1], at[(x + y) // 2]) for x, y in valleys(steps)])
 
 
-def matching_to_dyck(p: LabeledSetPartition) -> DyckPath:
+def matching_to_dyck(p: LabeledSetPartition) -> str:
     """Noncrossing perfect matchings of {1..2k} to Dyck paths: smaller block
     elements go up, larger go down."""
     if any(len(b) != 2 for b in p.blocks):
         raise StructuralError("matching_to_dyck needs all blocks of size two")
     if not classify(p).noncrossing:
         raise StructuralError("matching must be noncrossing")
-    pos = p.ground.position
-    mins = {pos(min(b)) for b in p.blocks}
-    steps = "".join(
-        "U" if k in mins else "D" for k in range(1, p.ground.size + 1)
-    )
-    return DyckPath(steps)
+    # each block is one arc, whose left end is the smaller element
+    rook = to_rook(p)
+    ups = {i for i, _, _ in rook.labels}
+    return "".join("U" if k in ups else "D" for k in range(1, rook.ground.n + 1))

@@ -4,8 +4,9 @@ Matrices are tuples of tuples of residues mod p.  The groups of types B and
 D are the fixed points of g -> dagger(g)^-1 in the unitriangular groups of
 sizes 2n+1 and 2n (Andre-Neto).  ``lie_elements`` lists the Lie algebras of
 all three kinds, and ``group_elements`` lists the B and D groups as Cayley
-images of theirs.  No table lists either: a superclass is its index read on
-the ambient type A ground, sized by the closed form ``superclass_size``.
+images of theirs.  No table lists either: a superclass is the rook placement
+of its index on the ambient type A ground (``core.to_rook``), sized by the
+closed form ``superclass_size``.
 
 Every supercharacter value is 0 or a monomial p^q zeta_p^t, and a table
 holds each as one int code: q*p + t, or ``ZERO``.  Only this module
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .core import InvalidArcSetError, LabeledSetPartition, from_triples, ground_a
+from .core import InvalidArcSetError, LabeledSetPartition, from_triples, ground_a, to_rook
 from .cyclotomic import CycValue, theta
 from .families import LINEAR, FamilySpec, family_members
 from .groups import GroupSpec
@@ -287,19 +288,17 @@ def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycVal
 def inner_product(p: int, codes1, codes2, sizes, group_order: int) -> Fraction:
     """Exact Hermitian inner product of two class functions given as codes.
 
-    The class sizes are first summed per (v, w) pair of codes, or per code
-    alone for a norm (codes1 is codes2): a table has few distinct codes.
-    For v = p^a zeta^s and w = p^b zeta^t, v * conj(w) is p^(a+b)
-    zeta^(s-t), so each pair adds its weight to one of the powers zeta^0 ..
-    zeta^(p-1), and the sum is reduced to the basis once at the end.
+    The class sizes are first summed per (v, w) pair of codes: a table has
+    few distinct codes.  For v = p^a zeta^s and w = p^b zeta^t, v * conj(w)
+    is p^(a+b) zeta^(s-t), so each pair adds its weight to one of the powers
+    zeta^0 .. zeta^(p-1), and the sum is reduced to the basis once at the
+    end.
     """
-    norm = codes1 is codes2
     weights = {}
-    for key, size in zip(codes1 if norm else zip(codes1, codes2), sizes):
+    for key, size in zip(zip(codes1, codes2), sizes):
         weights[key] = weights.get(key, 0) + size
     raw = [0] * p
-    for key, size in weights.items():
-        v, w = (key, key) if norm else key
+    for (v, w), size in weights.items():
         if v != ZERO and w != ZERO:
             (a, s), (b, t) = divmod(v, p), divmod(w, p)
             # a negative index wraps to (s - t) mod p
@@ -327,9 +326,13 @@ class CharTable:
     group_order: int
 
     def norms(self) -> tuple[Fraction, ...]:
+        """The inner product of each row with itself: a cell p^q zeta^t has
+        |p^q zeta^t|^2 = p^(2q), so a norm is the sum of size * p^(2q) over
+        the row's nonzero cells, divided by the group order."""
+        p, sizes, order = self.p, self.class_sizes, self.group_order
         return tuple(
-            inner_product(self.p, v, v, self.class_sizes, self.group_order)
-            for v in self.values
+            Fraction(sum([s * p ** (2 * (v // p)) for v, s in zip(row, sizes) if v != ZERO]), order)
+            for row in self.values
         )
 
     def degrees(self) -> tuple[int, ...]:
@@ -349,10 +352,11 @@ def superclass_size(c: LabeledSetPartition, kind: str) -> int:
     (Diaconis-Isaacs), of p^e elements: an arc (i, l) spreads up its column
     over the i - 1 rows above it and along its row over the n - l columns
     after it, and an arc pair (i, l), (j, k) with i < j and l < k reaches
-    the entry (i, k) both ways.  Types B and D, c an ``ambient_class`` with
-    a arcs: p^((2e - a)/4).  That is observed, not proved; the registered
-    check ``superclass-sizes-BD`` compares it with element counts over
-    ``lie_elements`` and with p^rank of a -> aX + X dagger(a)."""
+    the entry (i, k) both ways.  Types B and D, c the rook placement
+    (``core.to_rook``) of an index, with a arcs: p^((2e - a)/4).  That is
+    observed, not proved; the registered check ``superclass-sizes-BD``
+    compares it with element counts over ``lie_elements`` and with p^rank
+    of a -> aX + X dagger(a)."""
     n = c.ground.size
     arcs = [(i, l) for i, l, _ in c.labels]
     exponent = sum(i - 1 + n - l for i, l in arcs)
@@ -362,19 +366,6 @@ def superclass_size(c: LabeledSetPartition, kind: str) -> int:
     if kind != "A":
         exponent = (2 * exponent - len(arcs)) // 4
     return c.group.moduli[0] ** exponent
-
-
-def ambient_class(lam: LabeledSetPartition) -> LabeledSetPartition:
-    """The superclass that the index lam names on the ambient type A ground:
-    lam itself for type A; for B and D, the labeled arcs of lam with each end
-    moved to its position.  As lam is mirror-closed with opposite labels,
-    these are the arcs of ``halve(lam)`` and their mirrors (i, j) ->
-    (m+1-j, m+1-i), each labeled with the negated value."""
-    if lam.ground.kind == "A":
-        return lam
-    pos = lam.ground.position
-    moved = [(pos(i), pos(j), v) for i, j, v in lam.labels]
-    return from_triples(ground_a(lam.ground.size), lam.group, moved)
 
 
 # A table has as many superclasses as indices, and each of its cells is one
@@ -412,7 +403,8 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
 
     Types B and D need an odd p; ``check_table_size`` refuses an oversized
     request before any family is built.  No kind visits a group element:
-    each index names its ``ambient_class``, sized by ``superclass_size``.
+    each index names the superclass of its rook placement (``to_rook``),
+    sized by ``superclass_size``.
     The classes are sorted by ``labels`` and share the indices' group object
     (grounds are interned), so ``chi_row`` sees the same group and ground by
     identity.  The sizes must add up to ``subgroup_order``.  Each row is one
@@ -424,7 +416,7 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
     order = subgroup_order(kind, n, p)
     indices = tuple(family_members(index_family(kind, n, p)))
     ambient = indices if kind == "A" else tuple(halve(lam) for lam in indices)
-    classes = tuple(sorted(map(ambient_class, indices), key=lambda c: c.labels))
+    classes = tuple(sorted(map(to_rook, indices), key=lambda c: c.labels))
     sizes = tuple(superclass_size(c, kind) for c in classes)
     if sum(sizes) != order:
         raise ConsistencyError(f"{kind}({n},{p}) class sizes add up to {sum(sizes)}, not {order}")

@@ -26,7 +26,7 @@ def all_desk_specs():
 
 
 def _dense_rook_reading(p):
-    entries = to_rook(p).entry_map()
+    entries = to_rook(p).label_map()
     zero = p.group.zero
     m = p.ground.size
     return tuple(

@@ -172,9 +172,9 @@ TRUSTED_PRODUCERS = {
     "negate": lambda: map(core.negate, _members(LABELED_SOURCES[1:])),
     "halve": lambda: map(maps.halve, _members(LABELED_SOURCES[1:])),
     "from_rook": lambda: (
-        core.from_rook(p.ground, p.group, core.to_rook(p)) for p in _members(LABELED_SOURCES)
+        core.from_rook(p.ground, core.to_rook(p)) for p in _members(LABELED_SOURCES)
     ),
-    "ambient_class": lambda: map(ut.ambient_class, _b_d_indices()),
+    "to_rook": lambda: map(core.to_rook, _b_d_indices()),
     "superclass_reduce": lambda: (
         ut.superclass_reduce(g, 3) for kind, n in (("A", 3), ("B", 1), ("D", 2))
         for g in ut.group_elements(kind, n, 3)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import pytest
@@ -450,6 +451,25 @@ def test_partition_json_with_bool_label_is_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["render", "--input", str(path)])
     assert err.value.code == 2
+
+
+def test_partition_json_with_a_repeated_arc_is_usage_error(capsys, monkeypatch):
+    # the second label of (1, 2) must not silently replace the first
+    data = {
+        "ground": {"kind": "A", "n": 2},
+        "group": [3],
+        "blocks": [[1, 2]],
+        "labels": [{"i": 1, "j": 2, "value": [1]}, {"i": 1, "j": 2, "value": [2]}],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    with pytest.raises(SystemExit) as err:
+        main(["map", "--op", "shift", "--input", "-"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        "arcact: error: bad partition input: arc (1, 2) is labeled twice"
+    )
 
 
 def test_partition_json_with_empty_block_is_usage_error(capsys, tmp_path):

@@ -14,6 +14,7 @@ from arcact.core import (
     blocks_from_arcs,
     canonical_blocks,
     classify,
+    from_rook,
     from_triples,
     ground_a,
     ground_b,
@@ -287,16 +288,29 @@ def test_type_symmetric_consequences():
 
 
 def test_to_rook_examples():
+    # on an A ground the positions are the elements
     p = LabeledSetPartition(ground_a(3), Z2, [(1, 3), (2,)], {(1, 3): (1,)})
-    assert to_rook(p).entry_map() == {(1, 3): (1,)}
+    assert to_rook(p) is p
+    assert to_rook(p).label_map() == {(1, 3): (1,)}
 
     q = LabeledSetPartition(
         ground_b(1), Z3, [(-1, 0, 1)], {(-1, 0): (1,), (0, 1): (2,)}
     )
-    assert to_rook(q).entry_map() == {(1, 2): (1,), (2, 3): (2,)}
+    assert to_rook(q).ground == ground_a(3) and to_rook(q).group == Z3
+    assert to_rook(q).label_map() == {(1, 2): (1,), (2, 3): (2,)}
+    assert from_rook(ground_b(1), to_rook(q)) == q
+
+    # D(2) = {-2, -1, 1, 2} at positions 1..4: no position for 0
+    r = LabeledSetPartition(
+        ground_d(2), Z3, [(-2, 1), (-1, 2)], {(-2, 1): (1,), (-1, 2): (2,)}
+    )
+    assert to_rook(r).label_map() == {(1, 3): (1,), (2, 4): (2,)}
+    assert from_rook(ground_d(2), to_rook(r)) == r
+    with pytest.raises(StructuralError, match="does not match the ground"):
+        from_rook(ground_b(2), to_rook(r))
 
     empty = unlabeled(ground_a(3), [(1,), (2,), (3,)])
-    assert to_rook(empty).entry_map() == {}
+    assert to_rook(empty).label_map() == {}
 
 
 def test_rook_noncrossing_predicate_matches():

@@ -64,14 +64,6 @@ def test_direct_sum():
     assert DirectSum(GroupSpec((3,)), GroupSpec((3,))).embed_b((2,)) == (0, 2)
 
 
-def test_direct_sum_classification():
-    ds = DirectSum(GroupSpec((2,)), GroupSpec((3,)))
-    assert ds.in_a_nonzero((1, 0))
-    assert not ds.in_a_nonzero((1, 1))
-    assert ds.in_b_nonzero((0, 2))
-    assert not ds.in_b_nonzero((0, 0))
-
-
 @pytest.mark.parametrize(
     "moduli", [(2,), (3,), (5,), (2, 2), (2, 3), (4, 2), (2, 2, 2), (16,)]
 )

@@ -6,7 +6,7 @@ import pytest
 
 from arcact import action, identities
 from arcact import unitriangular as ut
-from arcact.core import LabeledSetPartition, blocks_from_arcs
+from arcact.core import LabeledSetPartition, blocks_from_arcs, to_rook
 from arcact.families import family_members
 
 
@@ -530,7 +530,7 @@ def test_rank_route_sizes_every_class_past_enumeration(kind, n, p):
     # 5^9 and 3^12 elements: too many to count, but the rank needs only the
     # class's labeled arcs
     for lam in family_members(ut.index_family(kind, n, p)):
-        c = ut.ambient_class(lam)
+        c = to_rook(lam)
         rank = identities._two_sided_rank(ut.class_representative_matrix(c, p), p, kind)
         assert p**rank == ut.superclass_size(c, kind), c.text()
 

@@ -14,17 +14,13 @@ from arcact.core import (
     negate,
     unlabeled,
 )
-from arcact.families import (
-    DyckPath,
-    FamilySpec,
-    enumerate_dyck,
-    enumerate_family,
-    family_shapes,
-)
+from arcact.families import FamilySpec, enumerate_family, family_shapes
 from arcact.groups import GroupSpec
 from arcact.maps import (
     dyck_from_nonnesting,
+    enumerate_dyck,
     halve,
+    is_symmetric,
     matching_to_dyck,
     nn_from_dyck,
     shift,
@@ -33,6 +29,7 @@ from arcact.maps import (
     uncross_b_inverse,
     uncross_d_inverse,
     unshift,
+    valleys,
 )
 
 Z2 = GroupSpec((2,))
@@ -177,10 +174,14 @@ def test_halve_empty_and_arc_count():
 
 def test_dyck_from_nonnesting_examples():
     singles = unlabeled(ground_a(3), [(1,), (2,), (3,)])
-    assert dyck_from_nonnesting(singles).steps == "UUUDDD"
+    assert dyck_from_nonnesting(singles) == "UUUDDD"
     p = unlabeled(ground_a(3), [(1, 2), (3,)])
-    path = dyck_from_nonnesting(p)
-    assert (2, 0) in path.valleys()
+    assert dyck_from_nonnesting(p) == "UDUUDD"
+    assert (2, 0) in valleys(dyck_from_nonnesting(p))
+    # NN_B(2) on D(2) = {-2, -1, 1, 2}: the arcs (-2, 1), (-1, 2) sit at
+    # positions (1, 3), (2, 4)
+    q = unlabeled(ground_d(2), [(-2, 1), (-1, 2)])
+    assert dyck_from_nonnesting(q) == "UUDUDUDD"
     with pytest.raises(StructuralError):
         dyck_from_nonnesting(unlabeled(ground_a(4), [(1, 4), (2, 3)]))
 
@@ -191,24 +192,38 @@ def test_dyck_bijection_round_trip():
         for p in enumerate_family(FamilySpec("NN", n)):
             path = dyck_from_nonnesting(p)
             assert nn_from_dyck(path, ground_a(n)) == p
-            paths.add(path.steps)
-        assert len(paths) == len(list(enumerate_dyck(n)))
-    with pytest.raises(StructuralError):
-        nn_from_dyck(DyckPath("UD"), ground_a(2))
+            paths.add(path)
+        assert paths == set(enumerate_dyck(n))
+
+
+@pytest.mark.parametrize(
+    "steps, n, message",
+    [
+        ("UDD", 1, "dips below the axis"),
+        ("DU", 1, "dips below the axis"),
+        ("UDU", 1, "does not return to the axis"),
+        ("UXD", 1, "bad step 'X'"),
+        ("UD", 2, "path length does not match the ground"),
+        ("UUDD", 1, "path length does not match the ground"),
+    ],
+)
+def test_nn_from_dyck_refuses_what_is_not_a_dyck_path_of_the_ground(steps, n, message):
+    with pytest.raises(StructuralError, match=message):
+        nn_from_dyck(steps, ground_a(n))
 
 
 def test_nnb_maps_to_symmetric_paths():
     for n in range(5):
         for p in enumerate_family(FamilySpec("NN_B", n)):
-            assert dyck_from_nonnesting(p).is_symmetric()
-        count = sum(1 for q in enumerate_dyck(2 * n) if q.is_symmetric())
+            assert is_symmetric(dyck_from_nonnesting(p))
+        count = sum(map(is_symmetric, enumerate_dyck(2 * n)))
         assert count == comb(2 * n, n)
 
 
 def test_matching_to_dyck():
-    assert matching_to_dyck(unlabeled(ground_a(2), [(1, 2)])).steps == "UD"
-    assert matching_to_dyck(unlabeled(ground_a(4), [(1, 4), (2, 3)])).steps == "UUDD"
-    assert matching_to_dyck(unlabeled(ground_a(4), [(1, 2), (3, 4)])).steps == "UDUD"
+    assert matching_to_dyck(unlabeled(ground_a(2), [(1, 2)])) == "UD"
+    assert matching_to_dyck(unlabeled(ground_a(4), [(1, 4), (2, 3)])) == "UUDD"
+    assert matching_to_dyck(unlabeled(ground_a(4), [(1, 2), (3, 4)])) == "UDUD"
     with pytest.raises(StructuralError):
         matching_to_dyck(unlabeled(ground_a(3), [(1, 2), (3,)]))
     with pytest.raises(StructuralError):
@@ -222,5 +237,5 @@ def test_matching_to_dyck_is_bijection():
             for blocks in family_shapes("NC", 2 * k)
             if all(len(b) == 2 for b in blocks)
         ]
-        images = {matching_to_dyck(p).steps for p in matchings}
-        assert len(images) == len(matchings) == len(list(enumerate_dyck(k)))
+        images = {matching_to_dyck(p) for p in matchings}
+        assert len(matchings) == len(images) and images == set(enumerate_dyck(k))

@@ -218,6 +218,13 @@ def test_inner_products():
     assert norm > 1 and norm.denominator == 1
 
 
+@pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("B", 2, 3), ("D", 3, 3)])
+def test_norms_are_the_inner_products_of_each_row_with_itself(kind, n, p):
+    table = ut.build_chartable(kind, n, p)
+    sizes, order = table.class_sizes, table.group_order
+    assert table.norms() == tuple(ut.inner_product(p, v, v, sizes, order) for v in table.values)
+
+
 def _ring_sum(p, codes1, codes2, sizes):
     """sum(size * v * conj(w)) over the decoded values, spelled with
     CycValue arithmetic term by term."""
