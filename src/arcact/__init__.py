@@ -44,7 +44,7 @@ from .maps import (
     uncross_b,
     unshift,
 )
-from .poly import BiPoly, family, number_tables, sequence, transfer_family
+from .poly import BiPoly, family, sequence, transfer_family
 from .cyclotomic import CycValue, theta
 from .unitriangular import (
     build_chartable,

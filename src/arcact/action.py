@@ -133,7 +133,7 @@ def plus_involution(p: LabeledSetPartition) -> LabeledSetPartition:
 
 @lru_cache
 def _top_linear(ground: GroundSet) -> LabeledSetPartition:
-    elements = ground.elements()
+    elements = ground.elements
     if ground.kind == "D":
         n = ground.n
         blocks = [tuple(range(-n, 0)), tuple(range(1, n + 1))]

@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true")
     which.add_argument("--id", action="append", help="run only this check id")
-    p.add_argument("--profile", default="desk", choices=("desk", "quick"))
+    p.add_argument("--profile", default="desk", choices=identities.PROFILES)
     _common_flags(p, ("json", "table"))
     p.set_defaults(fn=cmd_verify)
 

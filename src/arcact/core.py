@@ -17,7 +17,7 @@ never the blocks.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .groups import Element, GroupSpec, add_unchecked, neg
@@ -48,10 +48,12 @@ class GroundSet:
         if self.n < 0:
             raise StructuralError("ground parameter must be nonnegative")
 
-    # the element tuple and its position map are computed once per object
-    # (cached_property stores into __dict__, past the frozen __setattr__)
+    # The elements in increasing order, and each element's position, the
+    # order-preserving bijection onto {1, ..., size}: the element at position
+    # r is elements[r - 1].  Both are computed once per object
+    # (cached_property stores into __dict__, past the frozen __setattr__).
     @cached_property
-    def _elements(self) -> tuple[int, ...]:
+    def elements(self) -> tuple[int, ...]:
         n = self.n
         if self.kind == "A":
             return tuple(range(1, n + 1))
@@ -60,30 +62,15 @@ class GroundSet:
         return tuple(range(-n, 0)) + tuple(range(1, n + 1))
 
     @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(self._elements, 1)}
-
-    def elements(self) -> tuple[int, ...]:
-        return self._elements
+    def positions(self) -> dict[int, int]:
+        return {x: i for i, x in enumerate(self.elements, 1)}
 
     @property
     def size(self) -> int:
-        return len(self._elements)
+        return len(self.elements)
 
     def __contains__(self, x) -> bool:
-        return x in self._positions
-
-    def position(self, x: int) -> int:
-        """Order-preserving bijection onto {1, ..., size}."""
-        try:
-            return self._positions[x]
-        except KeyError:
-            raise StructuralError(f"{x} not in ground {self}") from None
-
-    def from_position(self, p: int) -> int:
-        if not 1 <= p <= self.size:
-            raise StructuralError(f"position {p} out of range for {self}")
-        return self._elements[p - 1]
+        return x in self.positions
 
     def __str__(self) -> str:
         return f"{self.kind}({self.n})"
@@ -106,6 +93,10 @@ def ground_b(n: int) -> GroundSet:
 @lru_cache(maxsize=None)
 def ground_d(n: int) -> GroundSet:
     return GroundSet("D", n)
+
+
+# kind -> the interned ground constructor
+GROUNDS = {"A": ground_a, "B": ground_b, "D": ground_d}
 
 
 def arcs_of(blocks) -> frozenset[Arc]:
@@ -153,7 +144,7 @@ def chain_blocks(ground: GroundSet, succ: dict[int, int]) -> tuple[tuple[int, ..
     """
     entered = set(succ.values())
     blocks = []
-    for x in ground._elements:
+    for x in ground.elements:
         if x in entered:
             continue
         block = [x]
@@ -179,7 +170,7 @@ def _partition_blocks(ground: GroundSet, blocks):
     blocks) or else as not partitioning the ground.
     """
     blocks = [tuple(sorted(b)) for b in blocks]
-    if not (all(blocks) and tuple(sorted([x for b in blocks for x in b])) == ground._elements):
+    if not (all(blocks) and tuple(sorted([x for b in blocks for x in b])) == ground.elements):
         arcs_of(blocks)
         raise StructuralError(f"blocks do not partition the ground {ground}")
     blocks.sort()  # by minimum, the blocks being disjoint
@@ -214,8 +205,8 @@ class LabeledSetPartition:
         whose arcs form a valid arc set of the ground (increasing arcs, no
         two leaving or entering one element) and whose values are nonzero
         elements of ``group``.  The triples are the whole content:
-        ``arcs()``, ``label()``, ``label_map()`` and ``cover_arcs()`` read
-        them.  ``blocks`` must be the canonical blocks of those arcs (as
+        ``arcs()``, ``label_map()`` and ``cover_arcs()`` read them.
+        ``blocks`` must be the canonical blocks of those arcs (as
         ``canonical_blocks`` returns them), or None: a valid arc set and the
         ground determine the blocks, so the ``blocks`` property then walks
         them out with ``chain_blocks`` on its first read and keeps them.
@@ -254,8 +245,8 @@ class LabeledSetPartition:
         * ``identities._embed_a``: a valid partition's blocks and triples,
           with labels ``DirectSum.embed_a`` checks, nonzero on the A side.
 
-        Blocks from outside, through the JSON reader, ``relabel`` and the
-        public API, go through the validating constructor.
+        Blocks from outside, through the JSON reader and the public API, go
+        through the validating constructor.
         """
         self = object.__new__(cls)
         _set_ground(self, ground)
@@ -309,9 +300,6 @@ class LabeledSetPartition:
     def arcs(self) -> frozenset[Arc]:
         return frozenset([(i, j) for i, j, _ in self.labels])
 
-    def label(self, arc: Arc) -> Element:
-        return self.label_map()[arc]
-
     def label_map(self) -> dict[Arc, Element]:
         return {(i, j): v for i, j, v in self.labels}
 
@@ -326,9 +314,6 @@ class LabeledSetPartition:
             if x in b:
                 return b
         raise StructuralError(f"{x} not in ground {self.ground}")
-
-    def relabel(self, labels) -> "LabeledSetPartition":
-        return LabeledSetPartition(self.ground, self.group, self.blocks, labels)
 
     def __repr__(self):
         return f"LabeledSetPartition({self.text()!r})"
@@ -429,7 +414,11 @@ def _json_int(x, what: str) -> int:
 def partition_from_json_dict(data: dict) -> LabeledSetPartition:
     """Read the canonical JSON form; every integer field must be a JSON integer."""
     try:
-        ground = GroundSet(data["ground"]["kind"], _json_int(data["ground"]["n"], "n"))
+        kind = data["ground"]["kind"]
+        # a kind that is not a string may be unhashable: no dict lookup
+        if not (isinstance(kind, str) and kind in GROUNDS):
+            raise StructuralError(f"unknown ground kind {kind!r}")
+        ground = GROUNDS[kind](_json_int(data["ground"]["n"], "n"))
         group = GroupSpec(tuple(_json_int(m, "group modulus") for m in data["group"]))
         blocks = [tuple(_json_int(x, "block element") for x in b) for b in data["blocks"]]
         labels = {}
@@ -466,39 +455,15 @@ def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
 
 
 class ClassifyFlags:
-    """The classification of one partition.  Each flag is computed when it is
-    read, so a caller pays only for the flags it reads.  The flags are
-    read-only, and two classifications are equal when all their flags are."""
+    """The classification of one partition: its flags.  Each flag is
+    computed when it is read, so a caller pays only for the flags it reads.
+    The flags are read-only properties, and the slots admit no other
+    attribute."""
 
-    _FLAGS = (
-        "noncrossing", "nonnesting", "two_regular", "feasible", "poor",
-        "b_feasible", "b_poor", "nc_tilde", "type_symmetric",
-    )
     __slots__ = ("_p",)
 
     def __init__(self, p: LabeledSetPartition):
-        object.__setattr__(self, "_p", p)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple[bool, ...]:
-        return tuple(getattr(self, name) for name in self._FLAGS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FLAGS)
-        return f"ClassifyFlags({fields})"
+        self._p = p
 
     def _nonzero_sizes(self) -> list[int]:
         return [len([x for x in b if x != 0]) for b in self._p.blocks]
@@ -604,7 +569,7 @@ def to_rook(p: LabeledSetPartition) -> LabeledSetPartition:
     ground = p.ground
     if ground.kind == "A":
         return p
-    pos = ground._positions
+    pos = ground.positions
     return from_triples(
         ground_a(ground.size), p.group, [(pos[i], pos[j], v) for i, j, v in p.labels]
     )
@@ -615,7 +580,7 @@ def from_rook(ground: GroundSet, rook: LabeledSetPartition) -> LabeledSetPartiti
     placement is ``rook``: the inverse of ``to_rook``."""
     if rook.ground != ground_a(ground.size):
         raise StructuralError("rook placement does not match the ground")
-    at = ground._elements  # at[r - 1] is the element at position r
+    at = ground.elements  # at[r - 1] is the element at position r
     return from_triples(
         ground, rook.group, [(at[r - 1], at[c - 1], v) for r, c, v in rook.labels]
     )
@@ -679,7 +644,7 @@ def negate_labels(p: LabeledSetPartition) -> LabeledSetPartition:
 
 def render_ascii(p: LabeledSetPartition) -> str:
     """Deterministic text diagram: elements in a row, labeled arcs overhead."""
-    elements = p.ground.elements()
+    elements = p.ground.elements
     names = [str(x) for x in elements]
     label_texts = {(i, j): format_element(v) for i, j, v in p.labels}
     cell = max(

@@ -25,15 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (
-    GroundSet,
-    LabeledSetPartition,
-    _Z2,
-    canonical_blocks,
-    ground_a,
-    ground_b,
-    ground_d,
-)
+from .core import GROUNDS, GroundSet, LabeledSetPartition, _Z2, canonical_blocks
 from .groups import DirectSum, GroupSpec, neg_unchecked
 
 # ---------------------------------------------------------------------------
@@ -79,12 +71,11 @@ UNLABELED_FAMILIES = {"NN", "NN_B"}
 ALL_FAMILIES = set(FAMILIES) | {f + "_AB" for f in FAMILIES if f not in UNLABELED_FAMILIES}
 # the linear family of each ground kind: every arc is a cover
 LINEAR = {kind: family for family, (kind, rule) in FAMILIES.items() if rule is not_cover}
-_GROUNDS = {"A": ground_a, "B": ground_b, "D": ground_d}
 
 
 def family_ground(family: str, n: int) -> GroundSet:
     """The ground set a family of parameter n lives on."""
-    return _GROUNDS[FAMILIES[family.removesuffix("_AB")][0]](n)
+    return GROUNDS[FAMILIES[family.removesuffix("_AB")][0]](n)
 
 
 @dataclass(frozen=True)

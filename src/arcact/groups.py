@@ -115,9 +115,6 @@ def neg_unchecked(spec: GroupSpec, a: Element) -> Element:
     return negative
 
 
-TRIVIAL = GroupSpec(())
-
-
 @dataclass(frozen=True)
 class DirectSum:
     """A @ B with the two canonical embeddings.

@@ -44,6 +44,7 @@ from types import SimpleNamespace
 from . import action, maps, oeis, poly, unitriangular
 from .core import (
     LabeledSetPartition,
+    StructuralError,
     classify,
     crossings,
     from_rook,
@@ -65,7 +66,7 @@ from .families import (
     symmetric_partitions,
 )
 from .groups import DirectSum, GroupSpec
-from .poly import FAMILY_CODES, BiPoly, X, Y, catalan, transfer_family
+from .poly import COUNTING_POLY, FAMILY_CODES, BiPoly, X, Y, catalan, transfer_family
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -113,13 +114,14 @@ def registry_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def statement(id: str) -> str:
-    return _REGISTRY[id].statement
+PROFILES = ("desk", "quick")
 
 
 def run(id: str, profile: str = "desk", **overrides) -> CheckResult:
     if id not in _REGISTRY:
         raise ValueError(f"unknown check id {id!r}")
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}")
     check = _REGISTRY[id]
     params = dict(check.desk if profile == "desk" else check.quick)
     params.update(overrides)
@@ -677,11 +679,11 @@ def _sym_dyck(c, n):
     return sum(map(maps.is_symmetric, maps.enumerate_dyck(2 * n))), comb(2 * n, n)
 
 
-def _counted_shapes(family, name, n):
-    """Yield a mismatch if the number of shapes of a family at n is not the
-    named counting polynomial at x = y = 1; return the shapes."""
+def _counted_shapes(family, n):
+    """Yield a mismatch if the number of shapes of a family at n is not its
+    counting polynomial at x = y = 1; return the shapes."""
     shapes = family_shapes(family, n)
-    yield from _eq(f"n={n} {family} shapes", len(shapes), poly.sequence(name, n))
+    yield from _eq(f"n={n} {family} shapes", len(shapes), poly.sequence(COUNTING_POLY[family], n))
     return shapes
 
 
@@ -693,15 +695,15 @@ def _b_poor_without_nonzero_singletons(p) -> bool:
     return classify(p).b_poor and not any(len(b) == 1 and b[0] != 0 for b in p.blocks)
 
 
-def _two_blocks(id, statement, family, name, at, test, want, desk, quick):
+def _two_blocks(id, statement, family, at, test, want, desk, quick):
     """Register a count over the shapes of a family: at every n up to n_max
-    the shapes of the family at m = at(n) are counted against the
-    polynomial ``name``, then the shapes passing ``test`` against want(n)."""
+    the shapes of the family at m = at(n) are counted against its counting
+    polynomial, then the shapes passing ``test`` against want(n)."""
 
     def check(n_max):
         for n in range(n_max + 1):
             m = at(n)
-            shapes = yield from _counted_shapes(family, name, m)
+            shapes = yield from _counted_shapes(family, m)
             ground = family_ground(family, m)
             got = sum(1 for blocks in shapes if test(unlabeled(ground, blocks)))
             yield from _eq(f"n={n}", got, want(n))
@@ -711,12 +713,12 @@ def _two_blocks(id, statement, family, name, at, test, want, desk, quick):
 
 _TWO_BLOCKS = (
     ("2blocks-1", "NC~_D(2n) has binom(2n,n) members whose blocks all have size two",
-     "NC_TILDE_D", "Cat_D", lambda n: 2 * n, _matching, lambda n: comb(2 * n, n), 3, 2),
+     "NC_TILDE_D", lambda n: 2 * n, _matching, lambda n: comb(2 * n, n), 3, 2),
     ("2blocks-2", "NC~_D(2n+1) has no members whose blocks all have size two",
-     "NC_TILDE_D", "Cat_D", lambda n: 2 * n + 1, _matching, lambda n: 0, 2, 2),
+     "NC_TILDE_D", lambda n: 2 * n + 1, _matching, lambda n: 0, 2, 2),
     ("2blocks-3",
      "binom(n,floor(n/2)) B-poor members of NC~_B(n) without nonzero singletons",
-     "NC_TILDE_B", "Cat_B", lambda n: n, _b_poor_without_nonzero_singletons,
+     "NC_TILDE_B", lambda n: n, _b_poor_without_nonzero_singletons,
      lambda n: comb(n, n // 2), 5, 5),
 )
 for _row in _TWO_BLOCKS:
@@ -874,16 +876,16 @@ for _row in _ORBIT_THEOREMS:
     _orbit_theorem(*_row)
 
 
-def _rank_invert(id, statement, family, name, n_min, want, desk_n_max, quick_n_max):
+def _rank_invert(id, statement, family, n_min, want, desk_n_max, quick_n_max):
     """Register an involution check on the shapes of a family.  At every n
-    from n_min to n_max the shapes are counted against the polynomial
-    ``name``; then for each shape p the full-block action is an involution at
+    from n_min to n_max the shapes are counted against its counting
+    polynomial; then for each shape p the full-block action is an involution at
     p, and it sends p to want(p, n) blocks (no claim where want is None)."""
 
     def check(n_max):
         for n in range(n_min, n_max + 1):
             ground = family_ground(family, n)
-            shapes = yield from _counted_shapes(family, name, n)
+            shapes = yield from _counted_shapes(family, n)
             for blocks in shapes:
                 p = unlabeled(ground, blocks)
                 q = action.plus_involution(p)
@@ -900,15 +902,15 @@ _RANK_INVERSIONS = (
     ("rank-invert-A",
      "the full-block action is an involution, and on NC(n) it sends k blocks"
      " to n+1-k blocks",
-     "PI", "Bell", 1,
+     "PI", 1,
      lambda p, n: n + 1 - len(p.blocks) if classify(p).noncrossing else None, 8, 5),
     ("rank-invert-B",
      "on NC~_B(n), 2k+1 blocks map to 2(n-k)+1 blocks under the involution",
-     "NC_TILDE_B", "Cat_B", 0, lambda p, n: 2 * (n - (len(p.blocks) - 1) // 2) + 1, 5, 3),
+     "NC_TILDE_B", 0, lambda p, n: 2 * (n - (len(p.blocks) - 1) // 2) + 1, 5, 3),
     ("rank-invert-D",
      "on NC~_D(n) the involution sends m blocks to 2n+2-m when -1 tops its"
      " block, else to 2n-m",
-     "NC_TILDE_D", "Cat_D", 1,
+     "NC_TILDE_D", 1,
      lambda p, n: 2 * n + (2 if max(p.block_of(-1)) == -1 else 0) - len(p.blocks), 5, 3),
 )
 for _row in _RANK_INVERSIONS:
@@ -1307,23 +1309,42 @@ def _reduce_invariance(n, p):
                 yield f"reduction of {g} changes under the {side} move ({r},{s})"
 
 
+def _round_trip(tag, p, rook):
+    """Yield a witness unless ``from_rook`` reads p back from its rook placement."""
+    try:
+        back = from_rook(p.ground, rook)
+    except StructuralError as exc:  # a refusal fails the round trip as well
+        yield f"{tag}: rook round trip fails at {p.text()}: {exc}"
+        return
+    if back != p:
+        yield f"{tag}: rook round trip fails at {p.text()}"
+
+
 @_register(
     "rook-round-trip",
     "structural",
-    "from_rook inverts to_rook on every PI(n,Z3), and the matrix reading of"
-    " noncrossing picks exactly NC(n,Z3) out of PI(n,Z3)",
-    {"n_max": 5},
-    {"n_max": 3},
+    "from_rook inverts to_rook on every PI(n,Z3), P_B(n_bd,Z3) and P_D(n_bd,Z3);"
+    " the matrix reading of noncrossing picks exactly NC(n,Z3) out of PI(n,Z3),"
+    " and on P_B and P_D it agrees with the noncrossing flag",
+    {"n_max": 5, "n_max_bd": 3},
+    {"n_max": 3, "n_max_bd": 2},
 )
-def _rook_round_trip(n_max):
+def _rook_round_trip(n_max, n_max_bd):
     for n in range(n_max + 1):
         nc = set(family_members(FamilySpec("NC", n, (Z3,))))
         for p in family_members(FamilySpec("PI", n, (Z3,))):
             rook = to_rook(p)
-            if from_rook(p.ground, rook) != p:
-                yield f"n={n}: rook round trip fails at {p.text()}"
+            yield from _round_trip(f"n={n}", p, rook)
             if rook_noncrossing(rook) != (p in nc):
                 yield f"n={n}: rook_noncrossing disagrees with NC(n,Z3) at {p.text()}"
             nc.discard(p)
         if nc:
             yield f"n={n}: {min(q.text() for q in nc)} is in NC(n,Z3) but not in PI(n,Z3)"
+    # on B and D grounds to_rook moves every arc to its positions
+    for family in ("P_B", "P_D"):
+        for n in range(n_max_bd + 1):
+            for p in family_members(FamilySpec(family, n, (Z3,))):
+                rook = to_rook(p)
+                yield from _round_trip(f"{family} n={n}", p, rook)
+                if rook_noncrossing(rook) != classify(p).noncrossing:
+                    yield f"{family} n={n}: rook_noncrossing disagrees with classify at {p.text()}"

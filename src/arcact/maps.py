@@ -47,8 +47,8 @@ def _unshift_target(ground: GroundSet) -> GroundSet:
 
 
 def _move_arcs(p: LabeledSetPartition, target: GroundSet, delta: int) -> LabeledSetPartition:
-    pos = p.ground._positions
-    at = target._elements  # at[q - 1] is the element at position q of target
+    pos = p.ground.positions
+    at = target.elements  # at[q - 1] is the element at position q of target
     # the target has one element more (shift) or one fewer (unshift, whose
     # partitions have no covers), so every moved position lies in it
     return from_triples(
@@ -262,7 +262,7 @@ def nn_from_dyck(steps: str, ground: GroundSet) -> LabeledSetPartition:
         raise StructuralError("path does not return to the axis")
     if len(steps) != 2 * ground.size:
         raise StructuralError("path length does not match the ground")
-    at = ground._elements
+    at = ground.elements
     return _from_arcs(ground, [(at[(x - y) // 2 - 1], at[(x + y) // 2]) for x, y in valleys(steps)])
 
 

@@ -61,14 +61,6 @@ class BiPoly:
         return BiPoly({(0, 0): c})
 
     @staticmethod
-    def x() -> "BiPoly":
-        return BiPoly({(1, 0): 1})
-
-    @staticmethod
-    def y() -> "BiPoly":
-        return BiPoly({(0, 1): 1})
-
-    @staticmethod
     def term(c: int, dx: int, dy: int = 0) -> "BiPoly":
         return BiPoly({(dx, dy): c})
 
@@ -176,8 +168,8 @@ class BiPoly:
         return f"BiPoly({self})"
 
 
-X = BiPoly.x()
-Y = BiPoly.y()
+X = BiPoly.term(1, 1)
+Y = BiPoly.term(1, 0, 1)
 ONE = BiPoly.const(1)
 
 
@@ -262,35 +254,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("need n >= 0")
     return comb(2 * n, n) // (n + 1)
-
-
-def central_binomial(n: int) -> int:
-    if n < 0:
-        raise ValueError("need n >= 0")
-    return comb(2 * n, n)
-
-
-_TRIANGLES = {
-    "stirling2": stirling2,
-    "assoc_stirling2": assoc_stirling2,
-    "narayana": narayana,
-    "whitney2_B": whitney2_B,
-    "binomial": comb,
-}
-_SEQUENCES = {"catalan": catalan, "central_binomial": central_binomial}
-
-
-def number_tables(kind: str, n: int, k: int = 0) -> int:
-    """Entry (n, k) of a number triangle, or term n of a sequence (k unused).
-
-    Only the binomial table admits k > n."""
-    if kind in _SEQUENCES:
-        return _SEQUENCES[kind](n)
-    if kind not in _TRIANGLES:
-        raise ValueError(f"unknown number table {kind!r}")
-    if n < 0 or k < 0 or (k > n and kind != "binomial"):
-        raise ValueError(f"indices ({n},{k}) out of range")
-    return _TRIANGLES[kind](n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +585,8 @@ FAMILY_CODES = {
 }
 
 FAMILY_NAMES = tuple(FAMILY_CODES)
+# partition family -> the polynomial that counts its members
+COUNTING_POLY = {code: name for name, (code, flag) in FAMILY_CODES.items() if flag is None}
 
 
 def family(name: str, n: int) -> BiPoly:

@@ -27,6 +27,7 @@ from .families import LINEAR, FamilySpec, family_members
 from .groups import GroupSpec
 from .maps import halve
 from .poly import (
+    COUNTING_POLY,
     bell_univariate,
     bellb_univariate,
     cat_univariate,
@@ -372,7 +373,6 @@ def superclass_size(c: LabeledSetPartition, kind: str) -> int:
 # int code.  The bound still weighs cells by p, as it did when a cell held
 # p - 1 coefficients, so that it refuses the same tables.
 MAX_TABLE_WORK = 3 * 10**7
-_INDEX_COUNTS = {"A": "Bell", "B": "Bell_B", "D": "Bell_D"}
 
 
 def check_table_size(kind: str, n: int, p: int) -> None:
@@ -386,7 +386,7 @@ def check_table_size(kind: str, n: int, p: int) -> None:
     the loop stops at the first m over the bound; its cost grows with
     neither n nor p, and p is not tested for primality.
     """
-    name = _INDEX_COUNTS[kind]
+    name = COUNTING_POLY[index_family(kind, n, p).family]
     for m in range(n + 1):
         indices = family(name, m).eval_int(p - 1, p - 1)
         if indices * indices * p > MAX_TABLE_WORK:

@@ -472,6 +472,21 @@ def test_partition_json_with_a_repeated_arc_is_usage_error(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("kind", ["C", "a", None, 1, ["A"], {"A": 1}], ids=repr)
+def test_partition_json_with_a_bad_ground_kind_is_usage_error(capsys, monkeypatch, kind):
+    data = unlabeled(ground_a(2), [(1, 2)]).to_json_dict()
+    data["ground"]["kind"] = kind
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    with pytest.raises(SystemExit) as err:
+        main(["render", "--input", "-"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        f"arcact: error: bad partition input: unknown ground kind {kind!r}"
+    )
+
+
 def test_partition_json_with_empty_block_is_usage_error(capsys, tmp_path):
     data = unlabeled(ground_a(2), [(1, 2)]).to_json_dict()
     data["blocks"].append([])

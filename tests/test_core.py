@@ -41,13 +41,13 @@ Z3 = GroupSpec((3,))
 
 
 def test_grounds():
-    assert ground_a(4).elements() == (1, 2, 3, 4)
-    assert ground_b(2).elements() == (-2, -1, 0, 1, 2)
-    assert ground_d(2).elements() == (-2, -1, 1, 2)
+    assert ground_a(4).elements == (1, 2, 3, 4)
+    assert ground_b(2).elements == (-2, -1, 0, 1, 2)
+    assert ground_d(2).elements == (-2, -1, 1, 2)
     assert ground_b(2).size == 5 and ground_d(3).size == 6
     g = ground_d(3)
-    for x in g.elements():
-        assert g.from_position(g.position(x)) == x
+    for x in g.elements:
+        assert g.elements[g.positions[x] - 1] == x
 
 
 # the interval formulas each ground kind spells out: (size, position of an
@@ -71,16 +71,8 @@ def test_ground_positions_match_the_interval_formulas(kind):
         for x in range(-n - 1, n + 2):
             want = position(n, x)
             assert (x in g) == (want is not None)
-            if want is None:
-                with pytest.raises(StructuralError):
-                    g.position(x)
-            else:
-                assert g.position(x) == want
-        for p in range(1, g.size + 1):
-            assert g.from_position(p) == element(n, p)
-        for p in (0, g.size + 1):
-            with pytest.raises(StructuralError):
-                g.from_position(p)
+            assert g.positions.get(x) == want
+        assert g.elements == tuple(element(n, p) for p in range(1, g.size + 1))
 
 
 def test_arcs_of_standard_examples():
@@ -238,7 +230,7 @@ def test_classify_computes_only_the_flags_read(monkeypatch):
         flags.type_symmetric
 
 
-def test_classify_flags_are_a_read_only_value():
+def test_classify_flags_are_read_only():
     p = unlabeled(ground_a(3), [(1, 3), (2,)])
     flags = classify(p)
     assert flags.poor
@@ -246,14 +238,9 @@ def test_classify_flags_are_a_read_only_value():
         flags.poor = False
     with pytest.raises(AttributeError):
         del flags.poor
+    with pytest.raises(AttributeError):
+        flags.crowded = True
     assert flags.poor
-    assert flags == classify(p) and hash(flags) == hash(classify(p))
-    assert flags != classify(unlabeled(ground_a(3), [(1, 2, 3)]))
-    assert repr(flags) == (
-        "ClassifyFlags(noncrossing=True, nonnesting=True, two_regular=True,"
-        " feasible=False, poor=True, b_feasible=False, b_poor=True, nc_tilde=True,"
-        " type_symmetric=False)"
-    )
 
 
 def test_is_nc_tilde_admits_only_mirror_pair_crossings():
@@ -366,6 +353,12 @@ def test_partition_json_is_read_strictly():
         target[path[-1]] = bad
         with pytest.raises(StructuralError):
             partition_from_json_dict(data)
+
+
+def test_partition_json_reads_onto_the_interned_ground():
+    for ground in (ground_a(2), ground_b(1), ground_d(2)):
+        p = unlabeled(ground, [ground.elements])
+        assert partition_from_json(p.to_json()).ground is ground
 
 
 def test_canonical_text_and_json():

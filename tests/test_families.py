@@ -166,7 +166,7 @@ def test_symmetric_shapes_match_the_set_partition_filter(family):
         want = tuple(
             sorted(
                 s
-                for s in set_partitions(ground.elements())
+                for s in set_partitions(ground.elements)
                 if {negated(b) for b in s} == set(s)
                 and all(0 in b or negated(b) != b for b in s)
             )

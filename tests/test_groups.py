@@ -4,7 +4,6 @@ import pytest
 
 from arcact.core import LabeledSetPartition, ground_a
 from arcact.groups import (
-    TRIVIAL,
     DirectSum,
     GroupError,
     GroupSpec,
@@ -25,7 +24,7 @@ def test_add_examples():
 def test_neg_examples():
     assert neg(GroupSpec((3,)), (1,)) == (2,)
     assert neg(GroupSpec((2,)), (1,)) == (1,)
-    assert neg(TRIVIAL, ()) == ()
+    assert neg(GroupSpec(()), ()) == ()
 
 
 def test_nonzero_elements():
@@ -60,7 +59,7 @@ def test_direct_sum():
     ds = DirectSum(GroupSpec((2,)), GroupSpec((3,)))
     assert ds.spec.moduli == (2, 3)
     assert ds.embed_a((1,)) == (1, 0)
-    assert DirectSum(TRIVIAL, GroupSpec((3,))).spec == GroupSpec((3,))
+    assert DirectSum(GroupSpec(()), GroupSpec((3,))).spec == GroupSpec((3,))
     assert DirectSum(GroupSpec((3,)), GroupSpec((3,))).embed_b((2,)) == (0, 2)
 
 
@@ -114,7 +113,7 @@ def test_parse_error_reports_position():
 @pytest.mark.parametrize(
     "spec",
     [
-        TRIVIAL,  # its only element, (), is falsy: a memo hit all the same
+        GroupSpec(()),  # its only element, (), is falsy: a memo hit all the same
         GroupSpec((2,)),
         GroupSpec((3,)),
         GroupSpec((4,)),

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from arcact import action, identities
+from arcact import action, core, identities
 from arcact import unitriangular as ut
 from arcact.core import LabeledSetPartition, blocks_from_arcs, to_rook
 from arcact.families import family_members
@@ -13,6 +13,14 @@ from arcact.families import family_members
 def test_unknown_id_raises():
     with pytest.raises(ValueError):
         identities.run("no-such-check")
+
+
+def test_unknown_profile_raises():
+    # an unknown profile once ran the quick parameters
+    with pytest.raises(ValueError, match="^unknown profile 'large'$"):
+        identities.run("rank-invert-A", "large")
+    with pytest.raises(ValueError, match="^unknown profile 'large'$"):
+        identities.run_all("large", ids=["rank-invert-A"])
 
 
 def test_failures_carry_witnesses():
@@ -232,7 +240,7 @@ PINNED_REGISTRY = {
     "plus-matrix-route": ("structural", f"{_n(4)}; ('n_max_b', 2)", f"{_n(3)}; ('n_max_b', 1)"),
     "uncross-confluence": ("structural", "('n', 7)", "('n', 5)"),
     "reduce-invariance": ("structural", "('n', 4); ('p', 3)", "('n', 3); ('p', 3)"),
-    "rook-round-trip": ("structural", _n(5), _n(3)),
+    "rook-round-trip": ("structural", f"{_n(5)}; ('n_max_bd', 3)", f"{_n(3)}; ('n_max_bd', 2)"),
 }
 
 
@@ -296,7 +304,7 @@ def _keep_first_cover(orbit_representative):
         covers = sorted(lam.cover_arcs())
         if not covers:
             return rep
-        labels = {**rep.label_map(), covers[0]: lam.label(covers[0])}
+        labels = {**rep.label_map(), covers[0]: lam.label_map()[covers[0]]}
         blocks = blocks_from_arcs(lam.ground, labels)
         return LabeledSetPartition(lam.ground, lam.group, blocks, labels)
 
@@ -432,6 +440,28 @@ def test_definition_witnesses(monkeypatch, cid, name, fault, witness):
     monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
     result = identities.run(cid, "quick")
     assert (result.status, result.witness) == ("fail", witness)
+
+
+def _from_rook_reading_d_positions_as_b():
+    # from_rook with the element at position r of D(n) read as r - n - 1, as
+    # on B(n): the positions after the gap at 0 land one element low
+    source = inspect.getsource(core.from_rook)
+    assert source.count("at = ground.elements") == 1
+    scope = {}
+    wrong = 'at = tuple(range(-ground.n, ground.n)) if ground.kind == "D" else ground.elements'
+    exec(source.replace("at = ground.elements", wrong), vars(core).copy(), scope)
+    return scope["from_rook"]
+
+
+@pytest.mark.parametrize("profile", ["desk", "quick"])
+def test_rook_round_trip_witness_with_a_wrong_d_position_reading(monkeypatch, profile):
+    monkeypatch.setattr(identities, "from_rook", _from_rook_reading_d_positions_as_b())
+    result = identities.run("rook-round-trip", profile)
+    assert (result.status, result.witness) == (
+        "fail",
+        "P_D n=2: rook round trip fails at {-2,1}{-1,2} (-2,1)=1 (-1,2)=2:"
+        " arc (-2,0) leaves the ground D(2)",
+    )
 
 
 def _highest_pivot_key():

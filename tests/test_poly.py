@@ -22,7 +22,8 @@ from arcact.poly import (
     family,
     feasible_closed,
     motzkin_closed,
-    number_tables,
+    narayana,
+    stirling2,
     transfer_family,
 )
 
@@ -41,19 +42,20 @@ def test_arithmetic():
 
 
 def test_number_tables():
-    assert number_tables("narayana", 4, 2) == 6
-    assert number_tables("catalan", 3) == 5
-    assert [number_tables("stirling2", 4, k) for k in range(1, 5)] == [1, 7, 6, 1]
-    assert number_tables("assoc_stirling2", 6, 2) == 25
-    assert number_tables("whitney2_B", 2, 1) == 4
-    assert number_tables("binomial", 5, 2) == 10
-    assert number_tables("central_binomial", 3) == 20
+    assert narayana(4, 2) == 6
+    assert catalan(3) == 5
+    assert [stirling2(4, k) for k in range(1, 5)] == [1, 7, 6, 1]
+    assert poly.assoc_stirling2(6, 2) == 25
+    assert poly.whitney2_B(2, 1) == 4
+    # past the end of a row every triangle is zero
+    assert stirling2(3, 4) == narayana(3, 4) == poly.assoc_stirling2(4, 3) == 0
+    for table in (stirling2, narayana, poly.assoc_stirling2, poly.whitney2_B):
+        with pytest.raises(ValueError):
+            table(-1, 0)
+        with pytest.raises(ValueError):
+            table(1, -1)
     with pytest.raises(ValueError):
-        number_tables("stirling2", 3, 4)
-    with pytest.raises(ValueError):
-        number_tables("narayana", -1, 0)
-    with pytest.raises(ValueError):
-        number_tables("nope", 1, 1)
+        catalan(-1)
 
 
 def test_family_examples():
@@ -201,14 +203,14 @@ def test_diagonal_specialisations():
     for n in range(7):
         assert bell_univariate(n) == sum(
             (
-                BiPoly.term(number_tables("stirling2", n, k), n - k)
+                BiPoly.term(stirling2(n, k), n - k)
                 for k in range(n + 1)
             ),
             BiPoly.zero(),
         )
         assert cat_univariate(n) == sum(
             (
-                BiPoly.term(number_tables("narayana", n, k), n - k)
+                BiPoly.term(narayana(n, k), n - k)
                 for k in range(n + 1)
             ),
             BiPoly.zero(),
