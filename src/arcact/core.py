@@ -67,7 +67,9 @@ class GroundSet:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        # from kind and n alone: a huge ground's elements are never built
+        # to learn how many there are
+        return self.n if self.kind == "A" else 2 * self.n + (self.kind == "B")
 
     def __contains__(self, x) -> bool:
         return x in self.positions
@@ -165,12 +167,15 @@ def _partition_blocks(ground: GroundSet, blocks):
 
     Nonempty blocks whose elements, sorted together, are the ground's
     partition it, since the ground's elements are distinct; each sorted
-    block's arcs are then its consecutive pairs.  Blocks that fail that one
-    comparison are refused by ``arcs_of`` (an empty block, an element in two
-    blocks) or else as not partitioning the ground.
+    block's arcs are then its consecutive pairs.  The element count is
+    compared first, so blocks too few for a huge ground are refused before
+    its elements are built.  Blocks that fail are refused by ``arcs_of`` (an
+    empty block, an element in two blocks) or else as not partitioning the
+    ground.
     """
     blocks = [tuple(sorted(b)) for b in blocks]
-    if not (all(blocks) and tuple(sorted([x for b in blocks for x in b])) == ground.elements):
+    elements = sorted([x for b in blocks for x in b])
+    if not (all(blocks) and len(elements) == ground.size and tuple(elements) == ground.elements):
         arcs_of(blocks)
         raise StructuralError(f"blocks do not partition the ground {ground}")
     blocks.sort()  # by minimum, the blocks being disjoint

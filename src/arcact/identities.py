@@ -48,6 +48,7 @@ from .core import (
     classify,
     crossings,
     from_rook,
+    from_triples,
     ground_a,
     ground_b,
     ground_d,
@@ -176,6 +177,41 @@ def _eq(tag, *values):
         if other != first:
             yield f"{tag}: {first} != {other}"
             return
+
+
+def _bijection(tag, f, domain, codomain, inverse=None):
+    """Yield a witness wherever f fails to map the domain one-to-one onto the
+    codomain (a codomain of None claims one-to-one alone) or the inverse fails
+    to take an image back; return the map image -> member, in domain order.
+    A witness names a member that f refuses (``StructuralError``), the first
+    two members that share an image, an image that the inverse refuses or
+    sends elsewhere, or the least missing and least extra image.  Set
+    equality is f the identity."""
+    # an image is kept as the codomain member it equals: no second copy is held
+    members = {} if codomain is None else {q: q for q in codomain}
+    found = {}
+    for p in domain:
+        try:
+            q = f(p)
+        except StructuralError as exc:
+            yield f"{tag}: no image of {p.text()}: {exc}"
+            continue
+        first = found.setdefault(members.get(q, q), p)
+        if first is not p:
+            yield f"{tag}: {first.text()} and {p.text()} both map to {q.text()}"
+        elif inverse is not None:
+            try:
+                back = inverse(q)
+            except StructuralError as exc:
+                yield f"{tag}: the inverse refuses {q.text()}, the image of {p.text()}: {exc}"
+                continue
+            if back != p:
+                yield f"{tag}: the inverse takes {q.text()} to {back.text()}, not {p.text()}"
+    if codomain is not None and found.keys() != members.keys():
+        missing = sorted(q.text() for q in members.keys() - found.keys())[:1]
+        extra = sorted(q.text() for q in found.keys() - members.keys())[:1]
+        yield f"{tag}: image mismatch missing={missing} extra={extra}"
+    return found
 
 
 def _cnt(family, n, groups, flag=None) -> int:
@@ -681,10 +717,12 @@ def _sym_dyck(c, n):
 
 def _counted_shapes(family, n):
     """Yield a mismatch if the number of shapes of a family at n is not its
-    counting polynomial at x = y = 1; return the shapes."""
+    counting polynomial at x = y = 1; return the shapes, as unlabeled
+    partitions of the family's ground."""
     shapes = family_shapes(family, n)
     yield from _eq(f"n={n} {family} shapes", len(shapes), poly.sequence(COUNTING_POLY[family], n))
-    return shapes
+    ground = family_ground(family, n)
+    return [unlabeled(ground, blocks) for blocks in shapes]
 
 
 def _matching(p) -> bool:
@@ -702,11 +740,8 @@ def _two_blocks(id, statement, family, at, test, want, desk, quick):
 
     def check(n_max):
         for n in range(n_max + 1):
-            m = at(n)
-            shapes = yield from _counted_shapes(family, m)
-            ground = family_ground(family, m)
-            got = sum(1 for blocks in shapes if test(unlabeled(ground, blocks)))
-            yield from _eq(f"n={n}", got, want(n))
+            shapes = yield from _counted_shapes(family, at(n))
+            yield from _eq(f"n={n}", sum(map(test, shapes)), want(n))
 
     _register(id, "enumerative", statement, {"n_max": desk}, {"n_max": quick})(check)
 
@@ -736,41 +771,24 @@ for _row in _TWO_BLOCKS:
 )
 def _uncross_b_props(n_max):
     for n in range(n_max + 1):
-        dom_b = [
-            unlabeled(ground_b(n), blocks) for blocks in family_shapes("NC_TILDE_B", n)
-        ]
-        symmetric = (
-            unlabeled(ground_d(n), blocks)
-            for blocks in sorted(symmetric_partitions(n, False, True))
-        )
+        dom_b = [unlabeled(ground_b(n), blocks) for blocks in family_shapes("NC_TILDE_B", n)]
+        symmetric = (unlabeled(ground_d(n), b) for b in symmetric_partitions(n, False, True))
         sym_nc = [q for q in symmetric if classify(q).noncrossing]
-        images = [maps.uncross_b(p) for p in dom_b]
-        yield from _eq(f"n={n} b-image", sorted(q.blocks for q in images),
-                       sorted(q.blocks for q in sym_nc))
-        yield from _eq(f"n={n} b-inj", len(set(images)), len(dom_b))
-        for p, q in zip(dom_b, images):
+        images = yield from _bijection(
+            f"n={n} uncross_b", maps.uncross_b, dom_b, sym_nc, maps.uncross_b_inverse
+        )
+        for q, p in images.items():
             k = (len(p.blocks) - 1) // 2
             if len(q.blocks) not in (2 * k, 2 * k + 1):
                 yield f"n={n}: block count {len(p.blocks)}->{len(q.blocks)}"
-            if maps.uncross_b_inverse(q) != p:
-                yield f"n={n}: uncross_b inverse fails on {p.text()}"
-        dom_d = [
-            unlabeled(ground_d(n), blocks) for blocks in family_shapes("NC_TILDE_D", n)
-        ]
-        codom_d = [
-            q
-            for q in sym_nc
-            if sum(1 for b in q.blocks if tuple(sorted(-x for x in b)) == b) % 2 == 0
-        ]
-        images_d = [maps.uncross(p) for p in dom_d]
-        yield from _eq(f"n={n} d-image", sorted(q.blocks for q in images_d),
-                       sorted(q.blocks for q in codom_d))
-        yield from _eq(f"n={n} d-inj", len(set(images_d)), len(dom_d))
-        for p, q in zip(dom_d, images_d):
-            if maps.uncross_d_inverse(q) != p:
-                yield f"n={n}: uncross inverse fails on {p.text()}"
-        for p in dom_d:
-            if maps.uncross(negate(p)) != negate(maps.uncross(p)):
+        dom_d = [unlabeled(ground_d(n), blocks) for blocks in family_shapes("NC_TILDE_D", n)]
+        # a block is its own negative exactly when it holds an arc (-i, i)
+        codom_d = [q for q in sym_nc if sum(i == -j for i, j in q.arcs()) % 2 == 0]
+        images = yield from _bijection(
+            f"n={n} uncross", maps.uncross, dom_d, codom_d, maps.uncross_d_inverse
+        )
+        for q, p in images.items():
+            if maps.uncross(negate(p)) != negate(q):
                 yield f"n={n}: uncross does not commute with negation"
 
 
@@ -789,17 +807,14 @@ def _orbit_checker(tag, name, n, groups, rep_source, size_exponent, expected_orb
     yield from _eq(f"{tag} partition", total, size)
     for rep, members in orbits.items():
         images = action.orbit(rep, acting)
-        if images != frozenset(members):
-            yield (
-                f"{tag}: orbit of {rep.text()} has {len(images)} members,"
-                f" {len(members)} grouped under it"
-            )
+        yield from _bijection(f"{tag} orbit", lambda q: q, images, members)
         two_regular = sum(1 for q in images if classify(q).two_regular)
         if two_regular != 1:
             yield f"{tag}: orbit with {two_regular} two-regular members"
     yield from _eq(f"{tag} orbit count", len(orbits), expected_orbits)
-    expected_reps = {_embed_a(maps.shift(p), ds) for p in rep_source}
-    yield from _eq(f"{tag} representatives", len(orbits.keys() & expected_reps), len(orbits))
+    yield from _bijection(
+        f"{tag} representatives", lambda p: _embed_a(maps.shift(p), ds), rep_source, orbits
+    )
     for rep, members in orbits.items():
         s = len(maps.unshift(rep).singleton_blocks())
         yield from _eq(f"{tag} orbit size (s={s})", len(members),
@@ -808,9 +823,9 @@ def _orbit_checker(tag, name, n, groups, rep_source, size_exponent, expected_orb
 
 def _orbit_theorem(id, statement, quick_n_max, size_exponent, *rows):
     """Register an orbit theorem.  Each row is (witness name, polynomial of
-    the two-group family, source family, n shift, classification flag or None,
+    the two-group family, source family, n shift, classification flags,
     orbit polynomial): at m = n + shift, the shifted members of the source
-    family over A that carry the flag represent the orbits of the two-group
+    family over A that carry the flags represent the orbits of the two-group
     family at n, the orbit polynomial of m at x = |A|-1 counts them, and an
     orbit whose unshifted representative has s singletons has
     |B|^size_exponent(s) members."""
@@ -818,13 +833,9 @@ def _orbit_theorem(id, statement, quick_n_max, size_exponent, *rows):
     def check(n_max, pairs):
         for ga, gb in pairs:
             for n in range(1, n_max + 1):
-                for label, name, source, shift, flag, orbits in rows:
+                for label, name, source, shift, flags, orbits in rows:
                     m = n + shift
-                    reps = [
-                        p
-                        for p in family_members(FamilySpec(source, m, (ga,)))
-                        if flag is None or getattr(classify(p), flag)
-                    ]
+                    reps = filter(_holds(flags), family_members(FamilySpec(source, m, (ga,))))
                     yield from _orbit_checker(
                         f"{label} n={n} A={ga} B={gb}", name, n, (ga, gb),
                         reps, size_exponent, orbits(m).eval_int(ga.order - 1),
@@ -846,8 +857,8 @@ _ORBIT_THEOREMS = (
         " linear-family orbits of PI(n,A,B) [NC(n,A,B)]; orbit sizes are |B|^s",
         3,
         lambda s: s,
-        ("PI", "Bell", "PI", -1, None, lambda m: poly.bell_univariate(m)),
-        ("NC", "Cat", "NC", -1, "poor", lambda m: poly.motzkin_closed(m)),
+        ("PI", "Bell", "PI", -1, (), lambda m: poly.bell_univariate(m)),
+        ("NC", "Cat", "NC", -1, ("poor",), lambda m: poly.motzkin_closed(m)),
     ),
     (
         "orbit-B",
@@ -855,9 +866,9 @@ _ORBIT_THEOREMS = (
         " linear-family orbits of P_B(n,A,B) [NC~_B(n,A,B)]; orbit sizes are |B|^(s/2)",
         2,
         lambda s: s // 2,
-        ("P_B", "Bell_B", "P_D", 0, None,
+        ("P_B", "Bell_B", "P_D", 0, (),
          lambda m: poly.bell_univariate(m).scale_x(2)),
-        ("NC~_B", "Cat_B", "NC_TILDE_D", 0, "poor",
+        ("NC~_B", "Cat_B", "NC_TILDE_D", 0, ("poor",),
          lambda m: poly.motzkinb_closed(m)),
     ),
     (
@@ -867,8 +878,8 @@ _ORBIT_THEOREMS = (
         " |B|^floor(s/2)",
         2,
         lambda s: s // 2,
-        ("P_D", "Bell_D", "P_B", -1, None, lambda m: poly.bellb_univariate(m)),
-        ("NC~_D", "Cat_D", "NC_TILDE_B", -1, "b_poor",
+        ("P_D", "Bell_D", "P_B", -1, (), lambda m: poly.bellb_univariate(m)),
+        ("NC~_D", "Cat_D", "NC_TILDE_B", -1, ("b_poor",),
          lambda m: poly.motzkinb_tilde_closed(m)),
     ),
 )
@@ -876,24 +887,30 @@ for _row in _ORBIT_THEOREMS:
     _orbit_theorem(*_row)
 
 
+def _involution_of_a_copy(p):
+    # plus keeps the right ends it reads on the partition it acts on; acting
+    # on a copy keeps them off the shapes that a bijection check holds
+    return action.plus_involution(LabeledSetPartition._trusted(p.ground, p.group, None, p.labels))
+
+
 def _rank_invert(id, statement, family, n_min, want, desk_n_max, quick_n_max):
     """Register an involution check on the shapes of a family.  At every n
     from n_min to n_max the shapes are counted against its counting
-    polynomial; then for each shape p the full-block action is an involution at
-    p, and it sends p to want(p, n) blocks (no claim where want is None)."""
+    polynomial; then the full-block action maps the shapes one-to-one onto
+    themselves and is its own inverse, and it sends each shape p to want(p, n)
+    blocks (no claim where want is None)."""
 
     def check(n_max):
         for n in range(n_min, n_max + 1):
-            ground = family_ground(family, n)
             shapes = yield from _counted_shapes(family, n)
-            for blocks in shapes:
-                p = unlabeled(ground, blocks)
-                q = action.plus_involution(p)
-                if action.plus_involution(q) != p:
-                    yield f"n={n}: not an involution at {p.text()}"
+            images = yield from _bijection(
+                f"n={n}", _involution_of_a_copy, shapes, shapes, action.plus_involution
+            )
+            for q, p in images.items():
                 wanted = want(p, n)
                 if wanted is not None and len(q.blocks) != wanted:
                     yield f"n={n} {p.text()}: {len(q.blocks)} != {wanted}"
+            del shapes, images  # gone before the shapes of n + 1 are built
 
     _register(id, "structural", statement, {"n_max": desk_n_max}, {"n_max": quick_n_max})(check)
 
@@ -922,18 +939,6 @@ def _no_adjacent_blocks(q) -> bool:
     return all(max(b) + 1 not in mins for b in q.blocks)
 
 
-def _check_shift_restriction(tag, domain, codomain, dom_pred, cod_pred):
-    selected = [p for p in domain if dom_pred(p)]
-    images = [maps.shift(p) for p in selected]
-    target = {q for q in codomain if cod_pred(q)}
-    if len(set(images)) != len(images):
-        yield f"{tag}: shift is not injective"
-    if set(images) != target:
-        missing = sorted(q.text() for q in target - set(images))[:1]
-        extra = sorted(q.text() for q in set(images) - target)[:1]
-        yield f"{tag}: image mismatch missing={missing} extra={extra}"
-
-
 def _holds(tests):
     """The predicate that a partition carries every classification flag named
     in tests and passes every callable one."""
@@ -955,11 +960,11 @@ def _shift_bijections(id, statement, desk, quick, *rows):
     def check(n_max, group):
         for n in range(n_max + 1):
             for label, domain, codomain, shift, dom_tests, cod_tests in rows:
-                yield from _check_shift_restriction(
-                    label.format(n=n),
-                    family_members(FamilySpec(domain, n, (group,))),
-                    family_members(FamilySpec(codomain, n + shift, (group,))),
-                    _holds(dom_tests), _holds(cod_tests),
+                dom = family_members(FamilySpec(domain, n, (group,)))
+                cod = family_members(FamilySpec(codomain, n + shift, (group,)))
+                yield from _bijection(
+                    label.format(n=n), maps.shift,
+                    filter(_holds(dom_tests), dom), filter(_holds(cod_tests), cod),
                 )
 
     _register(id, "structural", statement, desk, quick)(check)
@@ -1088,7 +1093,7 @@ def _supercharacters(sizes):
         want = unitriangular.expected_counts(kind, n, p)
         yield from _eq(f"{tag} num_superclasses", len(table.classes), want["distinct"])
         yield from _eq(f"{tag} num_distinct", len(set(table.values)), want["distinct"])
-        irreducible = {lam for lam, f in zip(table.indices, norms) if f == 1}
+        irreducible = [lam for lam, f in zip(table.indices, norms) if f == 1]
         yield from _eq(f"{tag} num_irreducible", len(irreducible), want["irreducible"])
         yield from _eq(f"{tag} num_linear", table.degrees().count(1), want["linear"])
         generators = unitriangular.linear_generators(kind, n, p)
@@ -1096,8 +1101,8 @@ def _supercharacters(sizes):
             all(action.plus(alpha, lam) == lam for alpha in generators) for lam in table.indices
         )
         yield from _eq(f"{tag} num_l_invariant", invariant, want["l_invariant"])
-        if irreducible != {lam for lam in table.indices if classify(lam).noncrossing}:
-            yield f"{tag}: irreducible set is not the noncrossing set"
+        noncrossing = [lam for lam in table.indices if classify(lam).noncrossing]
+        yield from _bijection(f"{tag} irreducible", lambda q: q, irreducible, noncrossing)
         row = dict(zip(table.indices, table.values))
         times = partial(unitriangular.code_product, p)
         for alpha in family_members(unitriangular.index_family(kind, n, p, linear=True)):
@@ -1142,16 +1147,19 @@ def _two_sided_rank(g, p, kind) -> int:
 
 def _superclass_sizes(sizes):
     """At each (kind, n, p), the closed-form size of each superclass built
-    from an index equals its element count and p^rank, and the keys the
-    elements reduce to are exactly those superclasses.  The elements are
-    counted over ``lie_elements``: for B and D, g - 1 = X(1 - X/2)^-1 for the
-    Cayley image g of 1 + X, so g and 1 + X have one key."""
+    from an index equals its element count and p^rank, and ``to_rook`` maps
+    the indices one-to-one onto the keys that the elements reduce to.  The
+    elements are counted over ``lie_elements``: for B and D, g - 1 =
+    X(1 - X/2)^-1 for the Cayley image g of 1 + X, so g and 1 + X have one
+    key."""
     for kind, n, p in sizes:
         tag = f"{kind}({n},{p})"
         elements = unitriangular.lie_elements(kind, n, p)
         counted = Counter(unitriangular.superclass_key(g, p) for g in elements)
-        indices = family_members(unitriangular.index_family(kind, n, p))
-        classes = [to_rook(lam) for lam in indices]
+        spec = unitriangular.index_family(kind, n, p)
+        ambient = ground_a(spec.ground.size)
+        keys = [from_triples(ambient, spec.label_group, key) for key in counted]
+        classes = yield from _bijection(f"{tag} superclasses", to_rook, family_members(spec), keys)
         for c in classes:
             found = {"closed": unitriangular.superclass_size(c, kind)}
             found["elements"] = counted[c.labels]
@@ -1159,7 +1167,6 @@ def _superclass_sizes(sizes):
             found["rank"] = p ** _two_sided_rank(g, p, kind)
             if len(set(found.values())) > 1:
                 yield f"{tag} {c.text()}: " + ", ".join(f"{k} {v}" for k, v in found.items())
-        yield from _eq(f"{tag} superclasses", len(counted), len(classes), len(set(classes)))
 
 
 @_register(
@@ -1217,15 +1224,13 @@ def _restriction_b(sizes):
 )
 def _uncross_nn_nc(n_max):
     for n in range(n_max + 1):
-        members = list(family_members(FamilySpec("NN", n)))
-        images = [maps.uncross(p) for p in members]
-        for p, q in zip(members, images):
+        images = yield from _bijection(
+            f"n={n}", maps.uncross,
+            family_members(FamilySpec("NN", n)), family_members(FamilySpec("NC", n, (Z2,))),
+        )
+        for q, p in images.items():
             if len(q.blocks) != len(p.blocks) or not classify(q).noncrossing:
                 yield f"n={n}: uncross({p.text()}) = {q.text()}"
-        yield from _eq(f"n={n} injective", len(set(images)), len(members))
-        targets = set(family_members(FamilySpec("NC", n, (Z2,))))
-        if set(images) != targets:
-            yield f"n={n}: uncross image is not NC(n)"
 
 
 @_register(
@@ -1309,17 +1314,6 @@ def _reduce_invariance(n, p):
                 yield f"reduction of {g} changes under the {side} move ({r},{s})"
 
 
-def _round_trip(tag, p, rook):
-    """Yield a witness unless ``from_rook`` reads p back from its rook placement."""
-    try:
-        back = from_rook(p.ground, rook)
-    except StructuralError as exc:  # a refusal fails the round trip as well
-        yield f"{tag}: rook round trip fails at {p.text()}: {exc}"
-        return
-    if back != p:
-        yield f"{tag}: rook round trip fails at {p.text()}"
-
-
 @_register(
     "rook-round-trip",
     "structural",
@@ -1330,21 +1324,17 @@ def _round_trip(tag, p, rook):
     {"n_max": 3, "n_max_bd": 2},
 )
 def _rook_round_trip(n_max, n_max_bd):
-    for n in range(n_max + 1):
-        nc = set(family_members(FamilySpec("NC", n, (Z3,))))
-        for p in family_members(FamilySpec("PI", n, (Z3,))):
-            rook = to_rook(p)
-            yield from _round_trip(f"n={n}", p, rook)
-            if rook_noncrossing(rook) != (p in nc):
-                yield f"n={n}: rook_noncrossing disagrees with NC(n,Z3) at {p.text()}"
-            nc.discard(p)
-        if nc:
-            yield f"n={n}: {min(q.text() for q in nc)} is in NC(n,Z3) but not in PI(n,Z3)"
     # on B and D grounds to_rook moves every arc to its positions
-    for family in ("P_B", "P_D"):
-        for n in range(n_max_bd + 1):
-            for p in family_members(FamilySpec(family, n, (Z3,))):
-                rook = to_rook(p)
-                yield from _round_trip(f"{family} n={n}", p, rook)
-                if rook_noncrossing(rook) != classify(p).noncrossing:
-                    yield f"{family} n={n}: rook_noncrossing disagrees with classify at {p.text()}"
+    for family, top in (("PI", n_max), ("P_B", n_max_bd), ("P_D", n_max_bd)):
+        for n in range(top + 1):
+            spec = FamilySpec(family, n, (Z3,))
+            tag = f"{family} n={n}"
+            rooks = yield from _bijection(
+                tag, to_rook, family_members(spec), None, partial(from_rook, spec.ground)
+            )
+            selected = [p for rook, p in rooks.items() if rook_noncrossing(rook)]
+            if family == "PI":
+                noncrossing = family_members(FamilySpec("NC", n, (Z3,)))
+            else:
+                noncrossing = [p for p in rooks.values() if classify(p).noncrossing]
+            yield from _bijection(f"{tag} rook_noncrossing", lambda q: q, selected, noncrossing)

@@ -69,12 +69,6 @@ class BiPoly:
             other = BiPoly.const(other)
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __add__(self, other):
         if isinstance(other, int):
             other = BiPoly.const(other)
@@ -92,9 +86,6 @@ class BiPoly:
         if isinstance(other, int):
             other = BiPoly.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -6,7 +6,9 @@ import pytest
 
 from arcact import cli, families, poly, unitriangular
 from arcact.cli import main
-from arcact.core import LabeledSetPartition, partition_from_json, unlabeled, ground_a
+from arcact.core import (
+    LabeledSetPartition, StructuralError, partition_from_json, unlabeled, ground_a,
+)
 from arcact.families import enumerate_family
 from arcact.unitriangular import expected_counts
 
@@ -194,6 +196,24 @@ def test_verify_runs_a_repeated_id_once(capsys, monkeypatch):
     )
     assert code == 0 and ran == ["coker", "touchard"]
     assert [r["id"] for r in json.loads(out)["results"]] == ["coker", "touchard"]
+
+
+def test_verify_reports_a_refusal_inside_a_check_as_a_failed_check(capsys, monkeypatch):
+    # a map that refuses its argument inside a check is a witness, exit 1; it
+    # once escaped the check as a usage error naming no check, exit 2
+    def refuse_self_negative_blocks(p):
+        if any(tuple(sorted(-x for x in b)) == b for b in p.blocks):
+            raise StructuralError("need an even number of self-negative blocks")
+        return uncross_d_inverse(p)
+
+    uncross_d_inverse = cli.identities.maps.uncross_d_inverse
+    monkeypatch.setattr(cli.identities.maps, "uncross_d_inverse", refuse_self_negative_blocks)
+    code, out = run_cli(capsys, "verify", "--id", "uncrossB-props")
+    assert code == 1
+    assert out.splitlines()[0].split("witness: ")[1] == (
+        "n=2 uncross: the inverse refuses {-2,2}{-1,1} (-2,2)=1 (-1,1)=1, the image of"
+        " {-2,1}{-1,2} (-2,1)=1 (-1,2)=1: need an even number of self-negative blocks"
+    )
 
 
 def test_verify_unknown_id_is_usage_error(capsys):

@@ -361,6 +361,20 @@ def test_partition_json_reads_onto_the_interned_ground():
         assert partition_from_json(p.to_json()).ground is ground
 
 
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+def test_partition_json_refuses_a_short_block_list_before_building_the_ground(monkeypatch, kind):
+    # the element count alone refuses it: a 90-byte input once built all
+    # 4,000,000 elements of its ground first, at 172 MB peak
+    def unbuilt(ground):
+        raise AssertionError(f"the elements of {ground} were built")
+
+    monkeypatch.setattr(core.GroundSet, "elements", property(unbuilt))
+    data = {"ground": {"kind": kind, "n": 4_000_000}, "group": [2], "blocks": [[1]], "labels": []}
+    refusal = rf"^blocks do not partition the ground {kind}\(4000000\)$"
+    with pytest.raises(StructuralError, match=refusal):
+        partition_from_json_dict(data)
+
+
 def test_canonical_text_and_json():
     p = LabeledSetPartition(
         ground_d(2),

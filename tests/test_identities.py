@@ -6,8 +6,10 @@ import pytest
 
 from arcact import action, core, identities
 from arcact import unitriangular as ut
-from arcact.core import LabeledSetPartition, blocks_from_arcs, to_rook
-from arcact.families import family_members
+from arcact.core import (
+    LabeledSetPartition, blocks_from_arcs, ground_a, ground_b, to_rook, unlabeled,
+)
+from arcact.families import family_members, family_shapes
 
 
 def test_unknown_id_raises():
@@ -26,6 +28,51 @@ def test_unknown_profile_raises():
 def test_failures_carry_witnesses():
     assert list(identities._eq("n=3", 5, 7)) == ["n=3: 5 != 7"]
     assert list(identities._eq("tag", 1, 1, 1)) == []
+
+
+def _drained(gen):
+    """The witnesses a helper yields, and what it returns."""
+    witnesses = []
+    while True:
+        try:
+            witnesses.append(next(gen))
+        except StopIteration as stop:
+            return witnesses, stop.value
+
+
+def test_bijection_witnesses():
+    a, b = unlabeled(ground_a(2), [(1,), (2,)]), unlabeled(ground_a(2), [(1, 2)])
+
+    def refuse(p):
+        raise core.StructuralError("refused")
+
+    assert _drained(identities._bijection("t", lambda p: p, [a, b], [b, a])) == ([], {a: a, b: b})
+    swap = {a: b, b: a}.get
+    assert _drained(identities._bijection("t", swap, [a, b], [a, b], swap)) == ([], {b: a, a: b})
+    assert _drained(identities._bijection("t", refuse, [a], None)) == (
+        ["t: no image of {1}{2}: refused"], {}
+    )
+    assert _drained(identities._bijection("t", lambda p: a, [a, b], [a, b])) == (
+        [
+            "t: {1}{2} and {1,2} (1,2)=1 both map to {1}{2}",
+            "t: image mismatch missing=['{1,2} (1,2)=1'] extra=[]",
+        ],
+        {a: a},
+    )
+    assert _drained(identities._bijection("t", lambda p: p, [a, b], [a], lambda q: a)) == (
+        [
+            "t: the inverse takes {1,2} (1,2)=1 to {1}{2}, not {1,2} (1,2)=1",
+            "t: image mismatch missing=[] extra=['{1,2} (1,2)=1']",
+        ],
+        {a: a, b: b},
+    )
+    assert _drained(identities._bijection("t", lambda p: p, [a], None, refuse)) == (
+        ["t: the inverse refuses {1}{2}, the image of {1}{2}: refused"], {a: a}
+    )
+    # an image is kept as the codomain member it equals, not as f's own copy
+    copy = unlabeled(ground_a(2), [(1,), (2,)])
+    (kept,) = _drained(identities._bijection("t", lambda p: copy, [a], [a]))[1]
+    assert kept is a and copy is not a
 
 
 def test_witness_shape_in_both_contexts():
@@ -71,8 +118,7 @@ def test_run_drains_a_passing_check(monkeypatch):
 
 # a helper that yields witnesses, called bare, builds a generator nobody reads,
 # and its check passes
-_WITNESS_HELPERS = {"_eq", "_evaluate", "_counted_shapes", "_orbit_checker",
-                    "_check_shift_restriction"}
+_WITNESS_HELPERS = {"_eq", "_evaluate", "_counted_shapes", "_orbit_checker", "_bijection"}
 
 
 def test_every_witness_helper_is_drained():
@@ -343,8 +389,10 @@ _FAULT_WITNESSES = {
         "tilde-2": "n=0: 2 != 1",
     },
     "family_members": {
-        "orbit-main": "PI n=3 A=Z2 B=Z2 representatives: 1 != 2",
-        "orbit-B": "P_B n=2 A=Z2 B=Z2 representatives: 2 != 3",
+        "orbit-main": "PI n=3 A=Z2 B=Z2 representatives:"
+        " image mismatch missing=['{1}{2}{3}'] extra=[]",
+        "orbit-B": "P_B n=2 A=Z2 B=Z2 representatives:"
+        " image mismatch missing=['{-2}{-1}{0}{1}{2}'] extra=[]",
         "shift-bij-A": "A n=1 poor-nc: image mismatch missing=[] extra=['{1}{2}']",
         "shift-bij-BD": "BD n=1 (4): image mismatch missing=[] extra=['{-2}{-1}{1}{2}']",
     },
@@ -383,10 +431,12 @@ _FAULT_WITNESSES = {
         " != 1 + 16*x + 59*x^2 + 42*x^3 + x^4",
     },
     "orbit_representative": {
-        "orbit-main": "PI n=2 A=Z2 B=Z2: orbit of {1}{2} has 2 members, 1 grouped under it",
-        "orbit-B": "P_B n=1 A=Z2 B=Z2: orbit of {-1}{0}{1} has 2 members, 1 grouped under it",
-        "orbit-D": "P_D n=2 A=Z2 B=Z2: orbit of {-2}{-1}{1}{2} has 2 members,"
-        " 1 grouped under it",
+        "orbit-main": "PI n=2 A=Z2 B=Z2 orbit:"
+        " image mismatch missing=[] extra=['{1,2} (1,2)=(0,1)']",
+        "orbit-B": "P_B n=1 A=Z2 B=Z2 orbit:"
+        " image mismatch missing=[] extra=['{-1,0,1} (-1,0)=(0,1) (0,1)=(0,1)']",
+        "orbit-D": "P_D n=2 A=Z2 B=Z2 orbit:"
+        " image mismatch missing=[] extra=['{-2,-1}{1,2} (-2,-1)=(0,1) (1,2)=(0,1)']",
     },
 }
 
@@ -431,7 +481,9 @@ _SHAPE_WITNESSES = (
     ("uncross-confluence", "family_shapes", _with_extra_shape("PI", 5, ((1, 3), (2, 4), (5,))),
      "n=5 crossing pool: 11 != 10"),
     ("rook-round-trip", "family_members", _without_first_member("NC", 3),
-     "n=3: rook_noncrossing disagrees with NC(n,Z3) at {1}{2}{3}"),
+     "PI n=3 rook_noncrossing: image mismatch missing=[] extra=['{1}{2}{3}']"),
+    ("uncross-NN-NC", "family_members", _without_first_member("NC", 3),
+     "n=3: image mismatch missing=[] extra=['{1}{2}{3}']"),
 )
 
 
@@ -459,8 +511,8 @@ def test_rook_round_trip_witness_with_a_wrong_d_position_reading(monkeypatch, pr
     result = identities.run("rook-round-trip", profile)
     assert (result.status, result.witness) == (
         "fail",
-        "P_D n=2: rook round trip fails at {-2,1}{-1,2} (-2,1)=1 (-1,2)=2:"
-        " arc (-2,0) leaves the ground D(2)",
+        "P_D n=2: the inverse refuses {1,3}{2,4} (1,3)=1 (2,4)=2, the image of"
+        " {-2,1}{-1,2} (-2,1)=1 (-1,2)=2: arc (-2,0) leaves the ground D(2)",
     )
 
 
@@ -590,4 +642,80 @@ def test_superclass_size_witness_with_one_pair_too_many(monkeypatch):
     assert (result.status, result.witness) == (
         "fail",
         "A(3,2) {1,2,3} (1,2)=1 (2,3)=1: closed 1, elements 2, rank 2",
+    )
+
+
+def test_uncross_b_collision_witness_names_the_two_members(monkeypatch):
+    # at n = 3 the last NC~_B shape goes where the first does: one short
+    # line, where comparing the sorted block lists of both sides printed
+    # 1,303 characters
+    shapes = [unlabeled(ground_b(3), blocks) for blocks in family_shapes("NC_TILDE_B", 3)]
+    uncross_b = identities.maps.uncross_b
+    monkeypatch.setattr(
+        identities.maps, "uncross_b", lambda p: uncross_b(shapes[0] if p == shapes[-1] else p)
+    )
+    result = identities.run("uncrossB-props")
+    assert (result.status, result.witness) == (
+        "fail",
+        "n=3 uncross_b: {-3}{-2}{-1}{0}{1}{2}{3} and {-3,2}{-2,3}{-1,0,1} (-3,2)=1 (-2,3)=1"
+        " (-1,0)=1 (0,1)=1 both map to {-3}{-2}{-1}{1}{2}{3}",
+    )
+
+
+def test_supercharacters_witness_with_two_norms_swapped(monkeypatch):
+    # the first norm 1 swapped with the first other norm keeps every count,
+    # and first misreads the crossing index of D(2,3)
+    norms = ut.CharTable.norms
+
+    def swapped(table):
+        values = list(norms(table))
+        other = [k for k, f in enumerate(values) if f != 1]
+        if other:
+            i = values.index(1)
+            values[i], values[other[0]] = values[other[0]], values[i]
+        return tuple(values)
+
+    monkeypatch.setattr(ut.CharTable, "norms", swapped)
+    result = identities.run("supercharacters", "quick")
+    assert (result.status, result.witness) == (
+        "fail",
+        "D(2,3) irreducible: image mismatch missing=['{-2}{-1}{1}{2}']"
+        " extra=['{-2,1}{-1,2} (-2,1)=1 (-1,2)=2']",
+    )
+
+
+@pytest.mark.parametrize(
+    "cid, witness",
+    [
+        ("superclass-sizes-A",
+         "A(3,2) superclasses: image mismatch missing=[] extra=['{1,2,3} (1,2)=1 (2,3)=1']"),
+        ("superclass-sizes-BD",
+         "B(1,3) superclasses: image mismatch missing=['{1,2}{3} (1,2)=1']"
+         " extra=['{1,2,3} (1,2)=1 (2,3)=2']"),
+    ],
+)
+def test_superclass_keys_witness_with_the_last_arc_dropped(monkeypatch, cid, witness):
+    # a reduction that drops the last labeled arc reaches no two-arc class
+    key = ut.superclass_key
+    monkeypatch.setattr(ut, "superclass_key", lambda g, p: key(g, p)[:-1])
+    result = identities.run(cid, "quick")
+    assert (result.status, result.witness) == ("fail", witness)
+
+
+def test_rank_invert_witness_with_a_shape_mapped_outside_its_family(monkeypatch):
+    # acting by the top linear partition of the positive elements alone is
+    # an involution, but it breaks the negation symmetry of NC~_D(2)
+    def positive_half(p):
+        elements = p.ground.elements
+        blocks = [(x,) for x in elements if x < 0] + [tuple(x for x in elements if x > 0)]
+        return action.plus(unlabeled(p.ground, blocks), p)
+
+    monkeypatch.setattr(
+        identities, "action", SimpleNamespace(**{**vars(action), "plus_involution": positive_half})
+    )
+    result = identities.run("rank-invert-D", "quick")
+    assert (result.status, result.witness) == (
+        "fail",
+        "n=2: image mismatch missing=['{-2,-1}{1,2} (-2,-1)=1 (1,2)=1']"
+        " extra=['{-2,-1}{1}{2} (-2,-1)=1']",
     )

@@ -37,6 +37,34 @@ def test_wrong_offset_is_detected():
     assert report["mismatches"][0]["n"] == 0
 
 
+def test_a_gap_or_a_wrong_term_in_the_bfile_is_reported_in_index_order(tmp_path):
+    # entries out of order, a gap at index 3, a negative index below the
+    # offset and a wrong term at n = 5: the first mismatch in n order is
+    # reported, counted with the terms before it
+    path = tmp_path / "b.txt"
+    path.write_text("5 649\n0 1\n-1 7\n2 6\n1 2\n4 116\n6 4088\n")
+    report = oeis.oeis_check("Bell_B", "A007405", 0, 6, str(path))
+    assert (report["checked"], report["ok"]) == (5, False)
+    assert report["mismatches"] == [{"n": 5, "computed": 648, "bfile": 649}]
+    report = oeis.oeis_check("Bell_B", "A007405", 0, 4, str(path))
+    assert (report["checked"], report["ok"], report["mismatches"]) == (4, False, [])
+
+
+def test_oeis_check_time_does_not_grow_with_n_max():
+    # 10^12 terms asked of a 24-entry b-file: only its entries are walked
+    # (walking every n took 1.8 s at n_max = 3*10^7, so hours here)
+    code = (
+        "from arcact import oeis; r = oeis.oeis_check('Bell_B', 'A007405', 0, 10**12);"
+        " print(r['checked'], r['ok'], r['mismatches'])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        timeout=20,
+    )
+    assert out.stdout.strip() == "24 False []"
+
+
 def test_missing_bfile_raises_io_error():
     with pytest.raises(oeis.OeisIOError):
         oeis.load_bfile("A999999")
