@@ -2,6 +2,10 @@
 
 Exit codes: 0 all good, 1 a verification failed, 2 usage error, 3 an
 input/output problem.
+
+``main`` may be called many times in one process: the parser is built on
+the first call, not at import, and reused by every later call.  Parsing
+keeps no state between calls, so each call sees only its own argv.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import json
 import sys
 from collections import Counter
 from collections.abc import Iterator
+from functools import cache
 from itertools import islice
 
 from . import identities, maps, oeis, poly, unitriangular
@@ -290,7 +295,10 @@ def cmd_oeis_check(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: every caller
+    shares it, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="arcact",
         description="labeled set partitions, their linear action, and"

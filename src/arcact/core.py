@@ -324,12 +324,13 @@ class LabeledSetPartition:
         return f"LabeledSetPartition({self.text()!r})"
 
     def text(self) -> str:
-        """Canonical one-line form: blocks, then arc labels."""
+        """Canonical one-line form: blocks, then arc labels; ``(empty)`` for
+        the partition of an empty ground."""
         blocks = "".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
         labels = " ".join(
             f"({i},{j})={format_element(v)}" for i, j, v in self.labels
         )
-        return blocks if not labels else f"{blocks} {labels}"
+        return f"{blocks} {labels}" if labels else blocks or "(empty)"
 
     def to_json_dict(self) -> dict:
         return {

@@ -28,7 +28,8 @@ of a check is ever compared with itself.
 
 All arithmetic is exact.  A check yields its witnesses; ``run`` reads the
 first and stops, so a passing check runs to its end and a failing one ends
-at its first witness.
+at its first witness.  A ``StructuralError`` that escapes a check is that
+check's witness, naming the check and the error.
 """
 
 from __future__ import annotations
@@ -127,7 +128,10 @@ def run(id: str, profile: str = "desk", **overrides) -> CheckResult:
     params = dict(check.desk if profile == "desk" else check.quick)
     params.update(overrides)
     start = time.perf_counter()
-    witness = next(check.fn(**params), None)
+    try:
+        witness = next(check.fn(**params), None)
+    except StructuralError as exc:  # a map refused an argument mid-check
+        witness = f"{id}: {type(exc).__name__}: {exc}"
     millis = int((time.perf_counter() - start) * 1000)
     text = "; ".join(str(p) for p in sorted(params.items()))
     status = "pass" if witness is None else "fail"

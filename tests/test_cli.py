@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,56 @@ def test_verify_reports_a_refusal_inside_a_check_as_a_failed_check(capsys, monke
         "n=2 uncross: the inverse refuses {-2,2}{-1,1} (-2,2)=1 (-1,1)=1, the image of"
         " {-2,1}{-1,2} (-2,1)=1 (-1,2)=1: need an even number of self-negative blocks"
     )
+
+
+def test_verify_reports_a_refusal_outside_bijection_as_a_failed_check(capsys, monkeypatch):
+    # negate runs outside identities._bijection; its refusal once escaped run
+    # and exited 2 as a usage error that named no check
+    def refuse(p):
+        raise StructuralError("refused for test")
+
+    monkeypatch.setattr(cli.identities, "negate", refuse)
+    code, out = run_cli(capsys, "verify", "--id", "NNB-counts")
+    assert code == 1
+    assert out.splitlines()[0].split("witness: ")[1] == (
+        "NNB-counts: StructuralError: refused for test"
+    )
+
+
+def test_main_builds_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_verify_ids_do_not_carry_over_between_calls(capsys):
+    for cid in ("coker", "riordan"):
+        code, out = run_cli(capsys, "verify", "--id", cid, "--format", "json")
+        assert code == 0
+        assert [r["id"] for r in json.loads(out)["results"]] == [cid]
+
+
+def test_format_falls_back_to_table_after_a_json_call(capsys):
+    code, out = run_cli(capsys, "poly", "--family", "Cat_B", "--n", "3", "--format", "json")
+    assert code == 0 and out.startswith("{")
+    code, out = run_cli(capsys, "poly", "--family", "Cat_B", "--n", "3")
+    assert code == 0 and out == f"{poly.family('Cat_B', 3)}\n"
+
+
+def test_usage_error_after_a_call_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    argv = ["poly", "--family", "Nope", "--n", "3"]
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    fresh = subprocess.run(
+        [sys.executable, "-m", "arcact.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert fresh.returncode == 2 and fresh.stdout == ""
+    assert run_cli(capsys, "poly", "--family", "Cat_B", "--n", "3")[0] == 0
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err == fresh.stderr
+    assert "unknown polynomial family 'Nope'" in fresh.stderr
 
 
 def test_verify_unknown_id_is_usage_error(capsys):
@@ -568,15 +622,17 @@ def test_enum_jsonl_streams_are_pinned(capsys, all_desk_specs):
 # sha256 of `arcact orbits` per two-group family, over n = 0..3 and the
 # group pairs below, each output headed by its --n/--groupA/--groupB flags:
 # the json format, then the table format.  Recorded while every orbit was
-# still built by applying the whole acting family to one of its members.
+# still built by applying the whole acting family to one of its members, and
+# re-recorded when the table began naming the empty partition "(empty)": the
+# n = 0 table lines of the A and D families are the only outputs that moved.
 ORBIT_PAIRS = (("Z2", "Z2"), ("Z2", "Z3"), ("Z3", "Z2"))
 ORBITS_SHA256 = {
-    "NC_AB": "68150b9a015cf6c03d0e0762bcfe35f26b732cd1305133be69ad1b8ee4f3ef4b",
+    "NC_AB": "d5352b81ce2c75bca6fc67ec651800d3df394999f6a5e78939c99ebd41ea870e",
     "NC_TILDE_B_AB": "ea7f2ae5a09e30490d9eeafebd0642b4e58d0439c922ad7d1074d00b51ec0011",
-    "NC_TILDE_D_AB": "e4eb10db1e5011991cdd682f776116f59f0fdcba4fa0d53324d94fec75cdd2d0",
-    "PI_AB": "52dfc81ff525c05db779dee228c656f5b34ff7e0ba27d20c6e2932c358e72239",
+    "NC_TILDE_D_AB": "414446dffbf39b79244623a8f6ab2c9db1d197a77609934898d3a2e66177004d",
+    "PI_AB": "aa673c19aaae6cbb2e20b658939cca323075760a02afc92038959cf933726d2a",
     "P_B_AB": "4ebb5fe8a2b70f2d93a975be7735a60551821494ed1fb1f79c33217dd2125630",
-    "P_D_AB": "37b38dbd65db352aff9e0cf8cfe074759b1487098b2ffa04b5bdf7213d2c31a9",
+    "P_D_AB": "d2b89b64d000e0455119cf779dece463d6778e2012a487d580ecd2a1c5048c55",
 }
 
 

@@ -386,6 +386,19 @@ def test_canonical_text_and_json():
     assert partition_from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize("ground", [ground_a(0), ground_d(0)], ids=["A", "D"])
+def test_empty_partition_text_is_a_visible_ascii_token(ground):
+    # a witness at n = 0 names its partition; the JSON form is unchanged
+    p = unlabeled(ground, ())
+    assert p.text() == "(empty)" and repr(p) == "LabeledSetPartition('(empty)')"
+    assert p.to_json() == (
+        f'{{"blocks": [], "ground": {{"kind": "{ground.kind}", "n": 0}}, "group": [2],'
+        ' "labels": []}'
+    )
+    # the one-point ground of type B is not empty
+    assert unlabeled(ground_b(0), ((0,),)).text() == "{0}"
+
+
 def test_to_json_is_sorted_json_dumps(all_desk_specs):
     Z2xZ2 = GroupSpec((2, 2))
     extra = [

@@ -116,6 +116,38 @@ def test_run_drains_a_passing_check(monkeypatch):
     assert reached == ["end"]
 
 
+@pytest.mark.parametrize(
+    "cid, namespace, name",
+    [
+        ("NNB-counts", identities, "negate"),
+        ("restriction-B", identities.maps, "halve"),
+        ("orbit-main", identities.maps, "unshift"),
+        ("superclass-sizes-A", identities, "from_triples"),
+    ],
+)
+def test_a_refusal_escaping_a_check_is_its_witness(monkeypatch, cid, namespace, name):
+    # each map is called outside _bijection, so its refusal reaches run; it
+    # once escaped run and cli.main reported a usage error naming no check
+    def refuse(*args):
+        raise core.StructuralError("refused for test")
+
+    monkeypatch.setattr(namespace, name, refuse)
+    result = identities.run(cid, "quick")
+    assert (result.status, result.witness) == (
+        "fail", f"{cid}: StructuralError: refused for test"
+    )
+
+
+def test_a_witness_at_n_0_names_the_empty_partition(monkeypatch):
+    def refuse(p):
+        raise core.StructuralError("refused for test")
+
+    monkeypatch.setattr(identities.maps, "uncross_d_inverse", refuse)
+    assert identities.run("uncrossB-props", "quick").witness == (
+        "n=0 uncross: the inverse refuses (empty), the image of (empty): refused for test"
+    )
+
+
 # a helper that yields witnesses, called bare, builds a generator nobody reads,
 # and its check passes
 _WITNESS_HELPERS = {"_eq", "_evaluate", "_counted_shapes", "_orbit_checker", "_bijection"}
