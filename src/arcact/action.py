@@ -83,7 +83,7 @@ def plus(alpha: LabeledSetPartition, lam: LabeledSetPartition) -> LabeledSetPart
                 k += 1
             continue
         if rights is None:
-            rights = lam._rights  # derived once per lam and kept on it
+            rights = {j for _, j, _ in arcs}
         if j1 not in rights:
             out.append((j, j1, a_value))
     out.extend(arcs[k:])

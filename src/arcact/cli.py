@@ -53,6 +53,13 @@ def _common_flags(parser, formats=()):
     parser.add_argument("--seed", type=int, default=0, help="accepted; no command reads it")
 
 
+def _command(sub, name, fn, help):
+    """A subcommand's parser: it runs fn and reports fn's usage errors."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(fn=fn, parser=parser)
+    return parser
+
+
 def _family_spec(args) -> FamilySpec:
     group, group_a, group_b = (getattr(args, k, None) for k in ("group", "groupA", "groupB"))
     if group and (group_a or group_b):
@@ -306,74 +313,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enum", help="list a partition family")
+    p = _command(sub, "enum", cmd_enum, "list a partition family")
     p.add_argument("--family", required=True, choices=sorted(ALL_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", help="label group, e.g. Z3 or Z2xZ2")
     p.add_argument("--groupA", help="first label group of a two-group family")
     p.add_argument("--groupB", help="second label group of a two-group family")
     _common_flags(p, ("json", "jsonl", "csv", "table"))
-    p.set_defaults(fn=cmd_enum)
 
-    p = sub.add_parser("orbits", help="orbit decomposition of a two-group family")
+    p = _command(sub, "orbits", cmd_orbits, "orbit decomposition of a two-group family")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--groupA", required=True)
     p.add_argument("--groupB", required=True)
     _common_flags(p, ("json", "table"))
-    p.set_defaults(fn=cmd_orbits)
 
-    p = sub.add_parser("poly", help="print a named counting polynomial")
+    p = _command(sub, "poly", cmd_poly, "print a named counting polynomial")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     _common_flags(p, ("json", "table", "latex"))
-    p.set_defaults(fn=cmd_poly)
 
-    p = sub.add_parser("map", help="apply a structural map to a partition")
+    p = _command(sub, "map", cmd_map, "apply a structural map to a partition")
     p.add_argument("--op", required=True)
     p.add_argument("--input", default="-", help="JSON partition file, - for stdin")
     _common_flags(p)
-    p.set_defaults(fn=cmd_map)
 
-    p = sub.add_parser("render", help="draw a partition as text")
+    p = _command(sub, "render", cmd_render, "draw a partition as text")
     p.add_argument("--input", default="-", help="JSON partition file, - for stdin")
     _common_flags(p)
-    p.set_defaults(fn=cmd_render)
 
-    p = sub.add_parser("verify", help="run the identity and structure checks")
+    p = _command(sub, "verify", cmd_verify, "run the identity and structure checks")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true")
     which.add_argument("--id", action="append", help="run only this check id")
     p.add_argument("--profile", default="desk", choices=identities.PROFILES)
     _common_flags(p, ("json", "table"))
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("chartable", help="supercharacter value table")
+    p = _command(sub, "chartable", cmd_chartable, "supercharacter value table")
     p.add_argument("--kind", required=True, choices=("A", "B", "D"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     _common_flags(p, ("json", "table"))
-    p.set_defaults(fn=cmd_chartable)
 
-    p = sub.add_parser("oeis-check", help="compare a sequence against a b-file")
+    p = _command(sub, "oeis-check", cmd_oeis_check, "compare a sequence against a b-file")
     p.add_argument("--name", required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--offset", type=int, default=0)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--bfile", help="explicit b-file path")
     _common_flags(p, ("json", "table"))
-    p.set_defaults(fn=cmd_oeis_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, GroupError, StructuralError, UnsupportedGroundError) as exc:
-        parser.error(str(exc))  # exits with code 2
+        args.parser.error(str(exc))  # as argparse's own errors: exit 2
         return EXIT_USAGE
     except (unitriangular.ScaleGuardError, unitriangular.ConsistencyError) as exc:
         print(f"arcact: {exc}", file=sys.stderr)

@@ -185,7 +185,7 @@ def _partition_blocks(ground: GroundSet, blocks):
 class LabeledSetPartition:
     """A set partition of a ground interval with group-labeled arcs."""
 
-    __slots__ = ("ground", "group", "_blocks", "labels", "_right_ends", "_hash")
+    __slots__ = ("ground", "group", "_blocks", "labels", "_hash")
 
     def __init__(self, ground: GroundSet, group: GroupSpec, blocks, labels):
         blocks, arcs = _partition_blocks(ground, blocks)
@@ -199,7 +199,6 @@ class LabeledSetPartition:
         _set_group(self, group)
         _set_blocks(self, blocks)
         _set_labels(self, labels)
-        _set_right_ends(self, None)
         _set_hash(self, None)
 
     @classmethod
@@ -217,8 +216,8 @@ class LabeledSetPartition:
         them out with ``chain_blocks`` on its first read and keeps them.
         ``plus`` and ``orbit_representative`` pass None, since most of their
         results are only compared and hashed, which reads the triples alone.
-        The hash, and the set of right ends that ``plus`` reads, are
-        computed on first use.  The producers, and what each relies on:
+        The hash is computed on first use.  The producers, and what each
+        relies on:
 
         * ``from_triples``: checks the arc set with ``blocks_from_arcs`` and
           every label with the validating constructor's own loop, then sorts
@@ -237,9 +236,8 @@ class LabeledSetPartition:
           order, refusing a non-cover arc of alpha as it meets it, so
           alpha's covers have pairwise distinct ends; a cover is inserted
           only where no arc of lam leaves its left end (the merge sees it)
-          or enters its right end (lam's right ends, derived from its
-          triples once and kept on lam), and a sum that reaches zero is
-          erased;
+          or enters its right end (lam's right ends, read off its triples
+          once per call), and a sum that reaches zero is erased;
         * ``orbit_representative``: a subsequence of a valid partition's
           triples;
         * ``unlabeled``: checks its blocks with one sorted comparison (each
@@ -258,7 +256,6 @@ class LabeledSetPartition:
         _set_group(self, group)
         _set_blocks(self, blocks)
         _set_labels(self, labels)
-        _set_right_ends(self, None)
         _set_hash(self, None)
         return self
 
@@ -274,16 +271,6 @@ class LabeledSetPartition:
             blocks = chain_blocks(self.ground, {i: j for i, j, _ in self.labels})
             _set_blocks(self, blocks)
         return blocks
-
-    @property
-    def _rights(self) -> frozenset[int]:
-        # the right ends of the arcs, derived on the first read and kept: plus
-        # reads them once per partition it acts on, not once per actor
-        rights = self._right_ends
-        if rights is None:
-            rights = frozenset([j for _, j, _ in self.labels])
-            _set_right_ends(self, rights)
-        return rights
 
     # Equality and hashing read the labels, whose arcs fix the blocks, and
     # never the blocks themselves.  Tuples compare their items by identity
@@ -361,7 +348,6 @@ _set_ground = LabeledSetPartition.ground.__set__
 _set_group = LabeledSetPartition.group.__set__
 _set_blocks = LabeledSetPartition._blocks.__set__
 _set_labels = LabeledSetPartition.labels.__set__
-_set_right_ends = LabeledSetPartition._right_ends.__set__
 _set_hash = LabeledSetPartition._hash.__set__
 
 
@@ -649,8 +635,11 @@ def negate_labels(p: LabeledSetPartition) -> LabeledSetPartition:
 
 
 def render_ascii(p: LabeledSetPartition) -> str:
-    """Deterministic text diagram: elements in a row, labeled arcs overhead."""
+    """Deterministic text diagram: elements in a row, labeled arcs overhead;
+    ``(empty)`` for the partition of an empty ground, as ``text()`` names it."""
     elements = p.ground.elements
+    if not elements:
+        return "(empty)"
     names = [str(x) for x in elements]
     label_texts = {(i, j): format_element(v) for i, j, v in p.labels}
     cell = max(

@@ -225,7 +225,6 @@ def _noncrossing_shapes(n):
     return nc(1, n)
 
 
-@lru_cache(maxsize=None)
 def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Unlabeled block structures of a base family, sorted.  X_AB has the
     shapes of X.

@@ -891,12 +891,6 @@ for _row in _ORBIT_THEOREMS:
     _orbit_theorem(*_row)
 
 
-def _involution_of_a_copy(p):
-    # plus keeps the right ends it reads on the partition it acts on; acting
-    # on a copy keeps them off the shapes that a bijection check holds
-    return action.plus_involution(LabeledSetPartition._trusted(p.ground, p.group, None, p.labels))
-
-
 def _rank_invert(id, statement, family, n_min, want, desk_n_max, quick_n_max):
     """Register an involution check on the shapes of a family.  At every n
     from n_min to n_max the shapes are counted against its counting
@@ -908,7 +902,7 @@ def _rank_invert(id, statement, family, n_min, want, desk_n_max, quick_n_max):
         for n in range(n_min, n_max + 1):
             shapes = yield from _counted_shapes(family, n)
             images = yield from _bijection(
-                f"n={n}", _involution_of_a_copy, shapes, shapes, action.plus_involution
+                f"n={n}", action.plus_involution, shapes, shapes, action.plus_involution
             )
             for q, p in images.items():
                 wanted = want(p, n)

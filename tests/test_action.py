@@ -267,35 +267,6 @@ def test_arc_map_is_derived_on_first_read():
     assert len(results) > 100
 
 
-def test_cached_right_ends_leave_the_value_unchanged():
-    # plus keeps lam's right ends on lam the first time it needs them: one lam
-    # pushed through a whole acting family derives them once, and hash,
-    # equality, repr and JSON read the triples alone, before and after
-    acting = FamilySpec("L_B_AB", 3, (Z2, Z3))
-    group = acting.label_group
-    def build():
-        return LabeledSetPartition(
-            ground_b(3), group, [(-3, -1, 1), (-2,), (0,), (2, 3)],
-            {(-3, -1): (1, 0), (-1, 1): (1, 2), (2, 3): (0, 1)},
-        )
-
-    alphas = list(enumerate_family(acting))
-    built = build()
-    summed = plus(alphas[-1], build())  # a plus result, its own slot unfilled
-    assert summed != built
-    for lam in (built, summed):
-        twin = LabeledSetPartition(lam.ground, lam.group, lam.blocks, lam.label_map())
-        before = (hash(lam), lam == twin, repr(lam), lam.to_json())
-        assert lam._right_ends is None, lam
-        for alpha in alphas:
-            assert plus(alpha, lam) == plus_via_matrix(alpha, lam), (alpha, lam)
-        assert lam._right_ends == {j for _, j, _ in lam.labels}, lam
-        assert (hash(lam), lam == twin, repr(lam), lam.to_json()) == before == (
-            hash(twin), True, repr(twin), twin.to_json()
-        )
-    assert len(alphas) == 27
-
-
 def test_a_two_group_family_and_its_acting_family_share_one_group():
     # DirectSum.spec interns one group per pair, so the compatibility check
     # and partition equality match the groups by identity

@@ -135,6 +135,13 @@ def test_render_golden_display(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_render_of_an_empty_ground_names_it(capsys, monkeypatch, kind):
+    data = {"ground": {"kind": kind, "n": 0}, "group": [2], "blocks": [], "labels": []}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    assert run_cli(capsys, "render", "--input", "-") == (0, "(empty)\n")
+
+
 def test_orbits_json(capsys):
     code, out = run_cli(
         capsys, "orbits", "--family", "NC_AB", "--n", "3",
@@ -267,7 +274,9 @@ def test_usage_error_after_a_call_prints_what_a_fresh_process_prints(capsys, mon
         main(argv)
     assert err.value.code == 2
     assert capsys.readouterr().err == fresh.stderr
-    assert "unknown polynomial family 'Nope'" in fresh.stderr
+    # the chosen subcommand's usage and name, as in argparse's own errors
+    assert fresh.stderr.startswith("usage: arcact poly ")
+    assert fresh.stderr.splitlines()[-1] == "arcact poly: error: unknown polynomial family 'Nope'"
 
 
 def test_verify_unknown_id_is_usage_error(capsys):
@@ -319,7 +328,7 @@ def test_enum_contradictory_group_flags_are_usage_errors(capsys, flags, message)
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     # argparse's usage banner, then the one error line
-    assert captured.err.splitlines()[-1] == f"arcact: error: {message}"
+    assert captured.err.splitlines()[-1] == f"arcact enum: error: {message}"
 
 
 def test_oeis_check_negative_n_max_is_usage_error(capsys):
@@ -328,7 +337,9 @@ def test_oeis_check_negative_n_max_is_usage_error(capsys):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.splitlines()[-1] == "arcact: error: --n-max must be at least 0, got -5"
+    assert captured.err.splitlines()[-1] == (
+        "arcact oeis-check: error: --n-max must be at least 0, got -5"
+    )
 
 
 def test_oeis_check_unknown_name_is_usage_error(capsys):
@@ -542,7 +553,7 @@ def test_partition_json_with_a_repeated_arc_is_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines()[-1] == (
-        "arcact: error: bad partition input: arc (1, 2) is labeled twice"
+        "arcact map: error: bad partition input: arc (1, 2) is labeled twice"
     )
 
 
@@ -557,7 +568,7 @@ def test_partition_json_with_a_bad_ground_kind_is_usage_error(capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines()[-1] == (
-        f"arcact: error: bad partition input: unknown ground kind {kind!r}"
+        f"arcact render: error: bad partition input: unknown ground kind {kind!r}"
     )
 
 

@@ -189,13 +189,11 @@ def test_symmetric_partitions_yield_each_shape_once(has_zero, allow_self_negativ
 
 
 def test_direct_generator_counts():
-    # uncached, so the session does not keep the large shape tuples
-    shapes = family_shapes.__wrapped__
     for n in range(12):
-        assert len(shapes("NC", n)) == catalan(n), n
-        assert len(shapes("NN", n)) == catalan(n), n
+        assert len(family_shapes("NC", n)) == catalan(n), n
+        assert len(family_shapes("NN", n)) == catalan(n), n
     for n in range(8):
-        assert len(shapes("NN_B", n)) == comb(2 * n, n), n
+        assert len(family_shapes("NN_B", n)) == comb(2 * n, n), n
 
 
 def test_ab_label_condition():
