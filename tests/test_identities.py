@@ -472,6 +472,13 @@ _D_AS_B_WITNESS = {
 # superclass_key with each column's pivot in the highest free row, not the
 # lowest: a canonical form that depends on the representative
 _HIGHEST_PIVOT = _rewrite("range(c - 1, -1, -1)", "range(c)")
+_NC3_FIRST_DROPPED = _without_first_member(lambda spec: (spec.family, spec.n) == ("NC", 3))
+
+
+def _last_arc_dropped(real):
+    return lambda g, p: real(g, p)[:-1]
+
+
 FAULTS = {
     "action": Fault(
         action, "plus_involution", lambda real: lambda p: p if p.ground.n == 2 else real(p),
@@ -659,14 +666,14 @@ FAULTS = {
         identities, "family_shapes", _with_extra_shape("PI", 5, ((1, 3), (2, 4), (5,))),
         {"uncross-confluence": "n=5 crossing pool: 11 != 10"},
     ),
-    "NC(3) first member dropped": Fault(
-        identities, "family_members",
-        _without_first_member(lambda spec: (spec.family, spec.n) == ("NC", 3)),
-        {
-            "rook-round-trip": "PI n=3 rook_noncrossing:"
-            " image mismatch missing=[] extra=['{1}{2}{3}']",
-            "uncross-NN-NC": "n=3: image mismatch missing=[] extra=['{1}{2}{3}']",
-        },
+    "NC(3) first member dropped, rook-round-trip": Fault(
+        identities, "family_members", _NC3_FIRST_DROPPED,
+        {"rook-round-trip": "PI n=3 rook_noncrossing:"
+         " image mismatch missing=[] extra=['{1}{2}{3}']"},
+    ),
+    "NC(3) first member dropped, uncross-NN-NC": Fault(
+        identities, "family_members", _NC3_FIRST_DROPPED,
+        {"uncross-NN-NC": "n=3: image mismatch missing=[] extra=['{1}{2}{3}']"},
     ),
     "D positions read as B, desk": Fault(identities, "from_rook", _D_AS_B, _D_AS_B_WITNESS, "desk"),
     "D positions read as B, quick": Fault(identities, "from_rook", _D_AS_B, _D_AS_B_WITNESS),
@@ -727,14 +734,15 @@ FAULTS = {
          " extra=['{-2,1}{-1,2} (-2,1)=1 (-1,2)=2']"},
     ),
     # a reduction that drops the last labeled arc reaches no two-arc class
-    "last arc dropped": Fault(
-        ut, "superclass_key", lambda real: lambda g, p: real(g, p)[:-1],
-        {
-            "superclass-sizes-A": "A(3,2) superclasses:"
-            " image mismatch missing=[] extra=['{1,2,3} (1,2)=1 (2,3)=1']",
-            "superclass-sizes-BD": "B(1,3) superclasses: image mismatch"
-            " missing=['{1,2}{3} (1,2)=1'] extra=['{1,2,3} (1,2)=1 (2,3)=2']",
-        },
+    "last arc dropped, superclass-sizes-A": Fault(
+        ut, "superclass_key", _last_arc_dropped,
+        {"superclass-sizes-A": "A(3,2) superclasses:"
+         " image mismatch missing=[] extra=['{1,2,3} (1,2)=1 (2,3)=1']"},
+    ),
+    "last arc dropped, superclass-sizes-BD": Fault(
+        ut, "superclass_key", _last_arc_dropped,
+        {"superclass-sizes-BD": "B(1,3) superclasses: image mismatch"
+         " missing=['{1,2}{3} (1,2)=1'] extra=['{1,2,3} (1,2)=1 (2,3)=2']"},
     ),
     "positive half": Fault(
         action, "plus_involution", _positive_half,
