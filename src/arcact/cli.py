@@ -16,11 +16,12 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 
 from . import identities, maps, oeis, poly, unitriangular
 from .action import acting_family, orbit_representative, plus_involution
 from .core import (
+    LabeledSetPartition,
     StructuralError,
     UnsupportedGroundError,
     partition_from_json,
@@ -79,47 +80,56 @@ def _write_json(value) -> None:
     by field and an iterator a few items at a time, so the document is
     never held whole."""
     write = sys.stdout.write
-
-    def emit(value):
-        if isinstance(value, dict):
-            write("{")
-            for i, (key, field) in enumerate(value.items()):
-                # json.dumps writes a key that is not a string as a string
-                # ("1", "true", "null"): let it write each key
-                write(f"{', ' if i else ''}{json.dumps({key: 0})[1:-4]}: ")
-                emit(field)
-            write("}")
-        elif isinstance(value, Iterator):
-            # a few items per json.dumps call: one call per small item costs
-            # more than the item
-            write("[")
-            sep = ""
-            while batch := list(islice(value, 64)):
-                write(sep + json.dumps(batch)[1:-1])
-                sep = ", "
-            write("]")
-        else:
-            write(json.dumps(value))
-
-    emit(value)
+    _emit_json(value, write)
     write("\n")
 
 
-def _emit_partitions(parts, fmt):
-    if fmt == "jsonl":
-        for p in parts:
-            print(p.to_json())
-    elif fmt == "json":
-        _write_json(p.to_json_dict() for p in parts)
-    elif fmt == "csv":
-        print("blocks,labels")
-        for p in parts:
-            blocks = "".join("{" + ",".join(map(str, b)) + "}" for b in p.blocks)
-            labels = ";".join(f"({i},{j})={'/'.join(map(str, v))}" for i, j, v in p.labels)
-            print(f"{blocks},{labels}")
+def _emit_json(value, write) -> None:
+    if isinstance(value, dict):
+        write("{")
+        for i, (key, field) in enumerate(value.items()):
+            # json.dumps writes a key that is not a string as a string
+            # ("1", "true", "null"): let it write each key
+            write(f"{', ' if i else ''}{json.dumps({key: 0})[1:-4]}: ")
+            _emit_json(field, write)
+        write("}")
+    elif isinstance(value, Iterator):
+        # a few items per json.dumps call: one call per small item costs
+        # more than the item
+        write("[")
+        sep = ""
+        while batch := list(islice(value, 64)):
+            write(sep + json.dumps(batch)[1:-1])
+            sep = ", "
+        write("]")
     else:
-        for p in parts:
-            print(p.text())
+        write(json.dumps(value))
+
+
+def _write_lines(lines) -> None:
+    """print() each of an iterator of lines, byte for byte, a few hundred
+    lines per write: one write per line costs more than a short line."""
+    write = sys.stdout.write
+    while batch := list(islice(lines, 256)):
+        batch.append("")
+        write("\n".join(batch))
+
+
+def _csv_row(p) -> str:
+    blocks = "".join("{" + ",".join(map(str, b)) + "}" for b in p.blocks)
+    labels = ";".join(f"({i},{j})={'/'.join(map(str, v))}" for i, j, v in p.labels)
+    return f"{blocks},{labels}"
+
+
+def _emit_partitions(parts, fmt):
+    if fmt == "json":
+        _write_json(p.to_json_dict() for p in parts)
+    elif fmt == "jsonl":
+        _write_lines(map(LabeledSetPartition.to_json, parts))
+    elif fmt == "csv":
+        _write_lines(chain(["blocks,labels"], map(_csv_row, parts)))
+    else:
+        _write_lines(map(LabeledSetPartition.text, parts))
 
 
 def cmd_enum(args) -> int:

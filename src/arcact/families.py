@@ -13,8 +13,8 @@ group's labels on cover arcs and the first group's labels on all other
 arcs.  Streams are duplicate-free and sorted by the row-major reading of
 the rook matrix.
 
-``enumerate_family`` streams a family in that order, sorting nothing and
-holding no member, so one pass over a large family runs in the memory of
+``enumerate_family`` streams a family in that order, sorting no member and
+holding none, so one pass over a large family runs in the memory of
 its shapes.  ``family_members`` is the same stream for readers that come
 back to a family: it builds the members once per process and keeps them.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .core import GROUNDS, GroundSet, LabeledSetPartition, _Z2, canonical_blocks
 from .groups import DirectSum, GroupSpec, neg_unchecked
@@ -129,24 +130,24 @@ def set_partitions(elements, rule=None):
     a block.  Blocks keep the list's order, so an increasing list gives
     canonical block structures.
     """
-    elements = list(elements)
+    return _grow_partitions(list(elements), rule, 0, [])
 
-    def rec(k, blocks):
-        if k == len(elements):
-            yield tuple(tuple(b) for b in blocks)
-            return
-        x = elements[k]
-        for b in blocks:
-            if rule is not None and rule(blocks, b[-1], x):
-                continue
-            b.append(x)
-            yield from rec(k + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from rec(k + 1, blocks)
-        blocks.pop()
 
-    yield from rec(0, [])
+def _grow_partitions(elements, rule, k, blocks):
+    # elements[:k] are placed in blocks; place elements[k]
+    if k == len(elements):
+        yield tuple(tuple(b) for b in blocks)
+        return
+    x = elements[k]
+    for b in blocks:
+        if rule is not None and rule(blocks, b[-1], x):
+            continue
+        b.append(x)
+        yield from _grow_partitions(elements, rule, k + 1, blocks)
+        b.pop()
+    blocks.append([x])
+    yield from _grow_partitions(elements, rule, k + 1, blocks)
+    blocks.pop()
 
 
 def symmetric_partitions(n, has_zero, allow_self_negative, rule=None):
@@ -169,32 +170,33 @@ def symmetric_partitions(n, has_zero, allow_self_negative, rule=None):
     """
     blocks = [[0]] if has_zero else []  # each kept sorted
     mirror = [0] if has_zero else []  # the index of each block's negation
+    return _grow_symmetric(n, allow_self_negative, rule, 1, blocks, mirror)
 
-    def grow(i):
-        if i > n:
-            yield canonical_blocks(blocks)
-            return
-        for k, b in enumerate(blocks):
-            if rule is not None and rule(blocks, b[-1], i):
-                continue
-            nb = blocks[mirror[k]]
-            b.append(i)
-            nb.insert(0, -i)
-            yield from grow(i + 1)
-            del nb[0]
-            b.pop()
-        k = len(blocks)
-        blocks.extend(([i], [-i]))
-        mirror.extend((k + 1, k))
-        yield from grow(i + 1)
+
+def _grow_symmetric(n, allow_self_negative, rule, i, blocks, mirror):
+    # +-1..+-(i-1) are placed in blocks; place +-i
+    if i > n:
+        yield canonical_blocks(blocks)
+        return
+    for k, b in enumerate(blocks):
+        if rule is not None and rule(blocks, b[-1], i):
+            continue
+        nb = blocks[mirror[k]]
+        b.append(i)
+        nb.insert(0, -i)
+        yield from _grow_symmetric(n, allow_self_negative, rule, i + 1, blocks, mirror)
+        del nb[0]
+        b.pop()
+    k = len(blocks)
+    blocks.extend(([i], [-i]))
+    mirror.extend((k + 1, k))
+    yield from _grow_symmetric(n, allow_self_negative, rule, i + 1, blocks, mirror)
+    del blocks[k:], mirror[k:]
+    if allow_self_negative and not (rule is not None and rule(blocks, -i, i)):
+        blocks.append([-i, i])
+        mirror.append(k)
+        yield from _grow_symmetric(n, allow_self_negative, rule, i + 1, blocks, mirror)
         del blocks[k:], mirror[k:]
-        if allow_self_negative and not (rule is not None and rule(blocks, -i, i)):
-            blocks.append([-i, i])
-            mirror.append(k)
-            yield from grow(i + 1)
-            del blocks[k:], mirror[k:]
-
-    yield from grow(1)
 
 
 def _noncrossing_shapes(n):
@@ -207,22 +209,22 @@ def _noncrossing_shapes(n):
     partition of every gap and of the tail after ak.  Blocks come out
     sorted by minimum, so every shape is canonical.
     """
-    memo = {}
+    return _noncrossing(1, n, {})
 
-    def nc(lo, hi):
-        if lo > hi:
-            return ((),)
-        key = (lo, hi)
-        if key not in memo:
-            out = [((lo,),) + t for t in nc(lo + 1, hi)]
-            for j in range(lo + 1, hi + 1):
-                tails = nc(j, hi)
-                for g in nc(lo + 1, j - 1):
-                    out.extend(((lo,) + t[0],) + g + t[1:] for t in tails)
-            memo[key] = out
-        return memo[key]
 
-    return nc(1, n)
+def _noncrossing(lo, hi, memo):
+    # the noncrossing shapes of [lo..hi], kept in memo by (lo, hi)
+    if lo > hi:
+        return ((),)
+    key = (lo, hi)
+    if key not in memo:
+        out = [((lo,),) + t for t in _noncrossing(lo + 1, hi, memo)]
+        for j in range(lo + 1, hi + 1):
+            tails = _noncrossing(j, hi, memo)
+            for g in _noncrossing(lo + 1, j - 1, memo):
+                out.extend(((lo,) + t[0],) + g + t[1:] for t in tails)
+        memo[key] = out
+    return memo[key]
 
 
 def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -271,70 +273,116 @@ def _pools(spec: FamilySpec) -> tuple[tuple, tuple]:
 def enumerate_family(spec: FamilySpec):
     """Stream of all family members, each once, in rook-matrix order.
 
-    Nothing is held but the shapes.  ``rook_sort_key`` reads a member as its
-    arcs in order, each arc as its position ``(-i, -j)`` and then its label,
-    a shorter reading first.  So the shapes are sorted by their position
-    sequences and walked as a trie: at depth d the shape with exactly d arcs
-    comes first, then each run of shapes sharing the d-th arc, once for each
-    label that arc may carry, in ascending order.  On a B or D ground an arc
-    (i, j) with i + j > 0 carries the negated label of its mirror (-j, -i),
-    which comes earlier in arc order and so has been chosen already; it has
-    one value and never decides the order.  (The unlabeled NN_B mirrors
-    nothing: every arc carries (1,).)
+    Nothing is held but the shapes' plans (``_plans``).  ``rook_sort_key``
+    reads a member as its arcs in order, each arc as its position
+    ``(-i, -j)`` and then its label, a shorter reading first.  So the shapes
+    are sorted by their position sequences and walked as a trie: at depth d
+    the shape with exactly d arcs comes first, then each run of shapes
+    sharing the d-th arc, once for each label that arc may carry, in
+    ascending order.  On a B or D ground an arc (i, j) with i + j > 0
+    carries the negated label of its mirror (-j, -i), which comes earlier
+    in arc order and so has been chosen already; it has one value and never
+    decides the order.  (The unlabeled NN_B mirrors nothing: every arc
+    carries (1,).)
+
+    A stream costs one plan per shape, set up before the first member, and
+    one trie leaf per member, which ``to_json`` costs about as much again.
+    On a family with one member per shape (any family over Z2) the plans
+    cost about as much as the walk, so each is built in one pass over
+    int-coded arcs, into tuples.  The walk and the shape growers recurse
+    through module-level functions, never through a closure that refers to
+    itself, so a stream's working set is freed by reference counting as
+    soon as the stream ends or is dropped, and the cyclic collector never
+    has to find it.
     """
-    ground = spec.ground
-    group = spec.label_group
+    plans = _plans(spec)
+    yield from _walk(plans, 0, len(plans), 0, [], spec.ground, spec.label_group)
+
+
+def _arc_code(n: int, i: int, j: int) -> int:
+    """The arc (i, j) of a ground of parameter n as one int.
+
+    Every end lies in [-n..n], so with w = 2n + 2 the codes ``-(i*w + j)``
+    order the arcs exactly as their positions ``(-i, -j)`` do.
+    """
+    return -(i * (2 * n + 2) + j)
+
+
+def _plans(spec: FamilySpec) -> list[tuple]:
+    """One plan per shape of the family, sorted by arc positions.
+
+    A plan is the tuple ``(codes, lefts, rights, sources, blocks)``: the
+    shape's arcs in arc order, each as its ``_arc_code``, their left and
+    right ends, each arc's source of labels (a pool, or the index of the arc
+    it mirrors) and the canonical blocks.  The shapes sort by their code
+    tuples as by their position sequences.  Every field is a tuple of ints
+    or labels, which the collector stops tracking, so it never re-scans the
+    plans.
+    """
+    n = spec.n
     cover_pool, other_pool = _pools(spec)
-    mirrored = ground.kind != "A" and spec.family not in UNLABELED_FAMILIES
+    mirrored = spec.ground.kind != "A" and spec.family not in UNLABELED_FAMILIES
+    # every arc of the ground by its code: its ends, and its source of labels
+    # (for an arc after its mirror, the mirror's code; None for an arc that
+    # mirrors itself)
+    lefts, rights, sources = {}, {}, {}
+    elements = spec.ground.elements
+    for i in elements:
+        for j in elements:
+            if j > i:
+                code = _arc_code(n, i, j)
+                lefts[code], rights[code] = i, j
+                if not mirrored or i + j < 0:
+                    sources[code] = cover_pool if j == i + 1 else other_pool
+                else:
+                    sources[code] = _arc_code(n, -j, -i) if i + j > 0 else None
+    left, right, source = lefts.__getitem__, rights.__getitem__, sources.__getitem__
+    plans = []
+    block_codes = {}  # the shapes share most of their blocks
     # family_shapes makes canonical blocks, so a shape's arcs are the
-    # consecutive pairs of its blocks; the arc positions exist only to sort
-    shapes = sorted(
-        (
-            (sorted(arc for b in blocks for arc in zip(b, b[1:])), blocks)
-            for blocks in family_shapes(spec.base, spec.n)
-        ),
-        key=lambda shape: [(-i, -j) for i, j in shape[0]],
-    )
-
-    def plan(arcs, blocks):
-        # the arcs, blocks, left and right ends, and each arc's source of
-        # labels: a pool, or the index of the arc it mirrors
-        index = {arc: k for k, arc in enumerate(arcs)}
-        sources = []
-        for i, j in arcs:
-            if not mirrored or i + j < 0:
-                sources.append(cover_pool if j == i + 1 else other_pool)
-            elif i + j > 0:
-                sources.append(index[(-j, -i)])
-            else:
+    # consecutive pairs of its blocks
+    for blocks in family_shapes(spec.base, n):
+        codes = []
+        for b in blocks:
+            b_codes = block_codes.get(b)
+            if b_codes is None:
+                b_codes = block_codes[b] = [_arc_code(n, i, j) for i, j in zip(b, b[1:])]
+            codes += b_codes
+        codes.sort(reverse=True)  # arc order, (i, j) ascending: the codes descending
+        if mirrored:
+            at = codes.index  # a mirror-closed shape holds every mirror
+            arc_sources = tuple([at(s) if s.__class__ is int else s for s in map(source, codes)])
+            if None in arc_sources:
                 raise ValueError("self-mirrored arc in a mirror-labeled family")
-        return arcs, blocks, [i for i, _ in arcs], [j for _, j in arcs], sources
+        else:
+            arc_sources = tuple(map(source, codes))
+        plans.append(
+            (tuple(codes), tuple(map(left, codes)), tuple(map(right, codes)), arc_sources, blocks)
+        )
+    plans.sort(key=itemgetter(0))
+    return plans
 
-    shapes = [plan(arcs, blocks) for arcs, blocks in shapes]
-    values = []
 
-    def walk(lo, hi, depth):
-        # shapes[lo:hi] share their first depth arcs, labeled by values
-        if len(shapes[lo][0]) == depth:
-            _, blocks, lefts, rights, _ = shapes[lo]
-            labels = tuple(zip(lefts, rights, values))
-            yield LabeledSetPartition._trusted(ground, group, blocks, labels)
-            lo += 1
-        while lo < hi:
-            arc = shapes[lo][0][depth]
-            end = lo + 1
-            while end < hi and shapes[end][0][depth] == arc:
-                end += 1
-            source = shapes[lo][4][depth]
-            if not isinstance(source, tuple):
-                source = (neg_unchecked(group, values[source]),)
-            for value in source:
-                values.append(value)
-                yield from walk(lo, end, depth + 1)
-                values.pop()
-            lo = end
-
-    yield from walk(0, len(shapes), 0)
+def _walk(plans, lo, hi, depth, values, ground, group):
+    # plans[lo:hi] share their first depth arcs, labeled by values
+    codes, lefts, rights, _, blocks = plans[lo]
+    if len(codes) == depth:
+        yield LabeledSetPartition._trusted(ground, group, blocks, tuple(zip(lefts, rights, values)))
+        lo += 1
+    while lo < hi:
+        plan = plans[lo]
+        code = plan[0][depth]
+        end = lo + 1
+        while end < hi and plans[end][0][depth] == code:
+            end += 1
+        source = plan[3][depth]
+        if source.__class__ is int:
+            source = (neg_unchecked(group, values[source]),)
+        for value in source:
+            values.append(value)
+            yield from _walk(plans, lo, end, depth + 1, values, ground, group)
+            values.pop()
+        lo = end
 
 
 @lru_cache(maxsize=None)

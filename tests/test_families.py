@@ -1,9 +1,12 @@
+import gc
+from itertools import product
 from math import comb
 
 import pytest
 
 from arcact import families
 from arcact.core import (
+    GROUNDS,
     LabeledSetPartition,
     arcs_of,
     canonical_blocks,
@@ -15,6 +18,7 @@ from arcact.core import (
     is_nonnesting,
 )
 from arcact.families import (
+    FAMILIES,
     FamilySpec,
     count_by,
     crossing,
@@ -222,6 +226,9 @@ def test_streams_sorted_and_duplicate_free(all_desk_specs, dense_rook_reading):
         FamilySpec("NC_TILDE_D", 3, (Z4,)),
         FamilySpec("PI_AB", 3, (Z2xZ2, Z4)),
         FamilySpec("L_D_AB", 3, (Z4, Z2xZ2)),
+        # mirrored arcs whose sources lie deep in the trie
+        FamilySpec("P_D", 4, (Z3,)),
+        FamilySpec("NC_TILDE_B_AB", 3, (Z3, Z4)),
     ]:
         members = list(enumerate_family(spec))
         assert members == sorted(members, key=dense_rook_reading), spec
@@ -234,6 +241,46 @@ def test_self_mirrored_arc_is_refused(monkeypatch):
     monkeypatch.setattr(families, "family_shapes", lambda family, n: (((-1, 1), (0,)),))
     with pytest.raises(ValueError, match="self-mirrored arc"):
         list(enumerate_family(FamilySpec("P_B", 1, (Z3,))))
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_arc_codes_order_arcs_as_their_positions(kind):
+    # the walk compares one int per arc where rook_sort_key reads (-i, -j)
+    for n in range(9):
+        elements = GROUNDS[kind](n).elements
+        arcs = [(i, j) for i in elements for j in elements if i < j]
+        for (i, j), (k, l) in product(arcs, repeat=2):
+            codes = families._arc_code(n, i, j), families._arc_code(n, k, l)
+            assert (codes[0] < codes[1]) == ((-i, -j) < (-k, -l)), (n, (i, j), (k, l))
+            assert (codes[0] == codes[1]) == ((i, j) == (k, l)), (n, (i, j), (k, l))
+
+
+def test_streams_leave_no_cyclic_garbage():
+    # the growers and the trie walk recurse through module-level functions,
+    # never through a closure that refers to itself, so reference counting
+    # alone frees a stream's working set, whether the stream is exhausted or
+    # dropped after its first member
+    specs = [
+        FamilySpec("PI", 4, (Z3,)),
+        FamilySpec("NC", 5, (Z2,)),
+        FamilySpec("P_B", 3, (Z3,)),
+        FamilySpec("NC_TILDE_D", 3, (Z2,)),
+        FamilySpec("NN_B", 3),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in specs:
+            for _ in enumerate_family(spec):
+                pass
+            stream = enumerate_family(spec)
+            next(stream)
+            del stream
+        for family in FAMILIES:
+            family_shapes(family, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_generated_members_match_the_public_constructor(all_desk_specs):
