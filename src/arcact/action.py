@@ -125,7 +125,7 @@ def plus_involution(p: LabeledSetPartition) -> LabeledSetPartition:
 
     Applying the map twice gives back the argument.
     """
-    if p.group != _Z2:
+    if p.group is not _Z2 and p.group != _Z2:
         raise StructuralError("the involution is defined on unlabeled (Z2) partitions")
     top = _top_linear(p.ground)
     return plus(top, p)
@@ -156,8 +156,18 @@ def acting_family(spec: FamilySpec) -> FamilySpec:
 
 
 def orbit(lam: LabeledSetPartition, acting: FamilySpec) -> frozenset[LabeledSetPartition]:
-    """The orbit of lam: every member of the acting family applied to it."""
-    return frozenset(plus(alpha, lam) for alpha in family_members(acting))
+    """The orbit of lam: every member of the acting family applied to it.
+
+    Most images recur, so each is keyed by its label triples, hashed and
+    compared as one tuple, and the first image of each key is kept.  Every
+    image has lam's ground and group, so equal triples mean equal
+    partitions.
+    """
+    images = {}
+    for alpha in family_members(acting):
+        image = plus(alpha, lam)
+        images.setdefault(image.labels, image)
+    return frozenset(images.values())
 
 
 def orbit_representative(lam: LabeledSetPartition) -> LabeledSetPartition:

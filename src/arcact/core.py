@@ -215,19 +215,21 @@ class LabeledSetPartition:
         ground determine the blocks, so the ``blocks`` property then walks
         them out with ``chain_blocks`` on its first read and keeps them.
         ``plus`` and ``orbit_representative`` pass None, since most of their
-        results are only compared and hashed, which reads the triples alone.
-        The hash is computed on first use.  The producers, and what each
-        relies on:
+        results are only compared and hashed, which reads the triples alone
+        (``orbit`` keys the images of ``plus`` by their triples and hashes
+        only the first image of each).  The hash is computed on first use.
+        The producers, and what each relies on:
 
         * ``from_triples``: checks the arc set with ``blocks_from_arcs`` and
           every label with the validating constructor's own loop, then sorts
           the triples; the structural maps, ``to_rook``, ``from_rook``,
           ``negate`` and the superclasses of ``unitriangular`` build through
           it;
-        * the family generators: ``family_shapes`` grows canonical shapes
-          of the ground, each block sorted and the blocks sorted by minimum,
-          so ``enumerate_family`` reads each shape's arcs off its blocks as
-          their consecutive pairs, unchecked, in arc order; it
+        * the family generators: the growers behind ``family_shapes`` make
+          canonical shapes of the ground, each block sorted and the blocks
+          sorted by minimum, so ``enumerate_family`` reads each shape's arcs
+          off its blocks as their consecutive pairs, unchecked, in arc
+          order; it
           draws every label from the nonzero elements of the group (a
           mirror label is the negation of one);
         * ``plus``: it checks that its arguments share ground and group (by
@@ -240,6 +242,10 @@ class LabeledSetPartition:
           once per call), and a sum that reaches zero is erased;
         * ``orbit_representative``: a subsequence of a valid partition's
           triples;
+        * ``unlabeled_shape``: the canonical blocks of a shape that
+          ``family_shapes`` or ``symmetric_partitions`` grew, kept as
+          given, with their consecutive pairs sorted once as the arcs, all
+          labeled (1,) in Z2; nothing is checked;
         * ``unlabeled``: checks its blocks with one sorted comparison (each
           block nonempty, and all their elements sorted together equal to
           the ground's, which are distinct, so the blocks are disjoint and
@@ -442,6 +448,21 @@ def unlabeled(ground: GroundSet, blocks) -> LabeledSetPartition:
     return LabeledSetPartition._trusted(ground, _Z2, blocks, labels)
 
 
+def unlabeled_shape(ground: GroundSet, blocks) -> LabeledSetPartition:
+    """``unlabeled`` for a shape a family generator grew, checking nothing.
+
+    ``blocks`` must be canonical blocks of the ground, as ``family_shapes``
+    and ``symmetric_partitions`` make them: each sorted, sorted by minimum,
+    together partitioning the ground.  The arcs are then the consecutive
+    pairs of the blocks, sorted once into arc order, as the walk of
+    ``enumerate_family`` reads them; the blocks are kept as given.  Blocks
+    from anywhere else go through ``unlabeled``.
+    """
+    # no element leaves two arcs, so the sort compares left ends alone
+    labels = tuple(sorted([(i, j, (1,)) for b in blocks for i, j in zip(b, b[1:])]))
+    return LabeledSetPartition._trusted(ground, _Z2, blocks, labels)
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -508,7 +529,16 @@ def crossings(arcs) -> list[tuple[Arc, Arc]]:
 
 
 def is_noncrossing(arcs) -> bool:
-    return not crossings(arcs)
+    # stops at the first crossing, which crossings would list with the rest;
+    # past an arc (j, l) with j >= k every arc starts at or after k
+    arcs = sorted(arcs)
+    for s, (i, k) in enumerate(arcs):
+        for j, l in arcs[s + 1 :]:
+            if j >= k:
+                break
+            if i < j < k < l:
+                return False
+    return True
 
 
 def is_nc_tilde(arcs) -> bool:
@@ -517,9 +547,13 @@ def is_nc_tilde(arcs) -> bool:
 
 
 def is_nonnesting(arcs) -> bool:
+    # stops at the first nesting; past an arc (j, k) with j >= l every arc
+    # starts at or after l
     arcs = sorted(arcs)
     for s, (i, l) in enumerate(arcs):
         for j, k in arcs[s + 1 :]:
+            if j >= l:
+                break
             if i < j < k < l:
                 return False
     return True

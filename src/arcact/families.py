@@ -229,7 +229,13 @@ def _noncrossing(lo, hi, memo):
 
 def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Unlabeled block structures of a base family, sorted.  X_AB has the
-    shapes of X.
+    shapes of X."""
+    return tuple(sorted(_grown_shapes(family, n)))
+
+
+def _grown_shapes(family: str, n: int):
+    """The canonical block structures of a base family, each once, in the
+    order its grower makes them.
 
     Each family grows by its join rule (``FAMILIES``): the type A families
     through ``set_partitions``, the B and D families centre-outward through
@@ -246,7 +252,7 @@ def family_shapes(family: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...
         # a label on an arc (-i, i) would be its own negation, so only the
         # unlabeled NN_B has self-negative blocks
         shapes = symmetric_partitions(n, kind == "B", family in UNLABELED_FAMILIES, rule)
-    return tuple(sorted(shapes))
+    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +345,10 @@ def _plans(spec: FamilySpec) -> list[tuple]:
     left, right, source = lefts.__getitem__, rights.__getitem__, sources.__getitem__
     plans = []
     block_codes = {}  # the shapes share most of their blocks
-    # family_shapes makes canonical blocks, so a shape's arcs are the
-    # consecutive pairs of its blocks
-    for blocks in family_shapes(spec.base, n):
+    # the growers make canonical blocks, so a shape's arcs are the
+    # consecutive pairs of its blocks; the plans are sorted below, so the
+    # shapes are read in the order they are grown
+    for blocks in _grown_shapes(spec.base, n):
         codes = []
         for b in blocks:
             b_codes = block_codes.get(b)

@@ -56,7 +56,7 @@ from .core import (
     negate,
     rook_noncrossing,
     to_rook,
-    unlabeled,
+    unlabeled_shape,
 )
 from .families import (
     FamilySpec,
@@ -700,7 +700,7 @@ def _nnb_counts(n_max):
         # the generator grows NN_B by the nesting rule; check that what it
         # builds meets the family's definition
         for blocks in family_shapes("NN_B", n):
-            p = unlabeled(ground_d(n), blocks)
+            p = unlabeled_shape(ground_d(n), blocks)
             if not classify(p).nonnesting:
                 yield f"n={n}: NN_B shape {p.text()} is nesting"
             if negate(p) != p:
@@ -726,7 +726,7 @@ def _counted_shapes(family, n):
     shapes = family_shapes(family, n)
     yield from _eq(f"n={n} {family} shapes", len(shapes), poly.sequence(COUNTING_POLY[family], n))
     ground = family_ground(family, n)
-    return [unlabeled(ground, blocks) for blocks in shapes]
+    return [unlabeled_shape(ground, blocks) for blocks in shapes]
 
 
 def _matching(p) -> bool:
@@ -775,8 +775,8 @@ for _row in _TWO_BLOCKS:
 )
 def _uncross_b_props(n_max):
     for n in range(n_max + 1):
-        dom_b = [unlabeled(ground_b(n), blocks) for blocks in family_shapes("NC_TILDE_B", n)]
-        symmetric = (unlabeled(ground_d(n), b) for b in symmetric_partitions(n, False, True))
+        dom_b = [unlabeled_shape(ground_b(n), b) for b in family_shapes("NC_TILDE_B", n)]
+        symmetric = (unlabeled_shape(ground_d(n), b) for b in symmetric_partitions(n, False, True))
         sym_nc = [q for q in symmetric if classify(q).noncrossing]
         images = yield from _bijection(
             f"n={n} uncross_b", maps.uncross_b, dom_b, sym_nc, maps.uncross_b_inverse
@@ -785,7 +785,7 @@ def _uncross_b_props(n_max):
             k = (len(p.blocks) - 1) // 2
             if len(q.blocks) not in (2 * k, 2 * k + 1):
                 yield f"n={n}: block count {len(p.blocks)}->{len(q.blocks)}"
-        dom_d = [unlabeled(ground_d(n), blocks) for blocks in family_shapes("NC_TILDE_D", n)]
+        dom_d = [unlabeled_shape(ground_d(n), b) for b in family_shapes("NC_TILDE_D", n)]
         # a block is its own negative exactly when it holds an arc (-i, i)
         codom_d = [q for q in sym_nc if sum(i == -j for i, j in q.arcs()) % 2 == 0]
         images = yield from _bijection(
@@ -1266,7 +1266,7 @@ def _uncross_confluence(n):
     # lengths by 2(l-k)(j-i) > 0, so every order terminates.  So if every
     # first step leads to the same fixed point, every order does, by
     # induction on that sum.
-    pool = [unlabeled(ground_a(n), blocks) for blocks in family_shapes("PI", n)]
+    pool = [unlabeled_shape(ground_a(n), blocks) for blocks in family_shapes("PI", n)]
     pool = [p for p in pool if not classify(p).noncrossing]
     want = poly.sequence("Bell", n) - poly.sequence("Cat", n)
     yield from _eq(f"n={n} crossing pool", len(pool), want)

@@ -4,7 +4,7 @@ Every named family can be computed three ways:
 
 * ``transfer_family`` - a transfer recursion that builds partitions element
                         by element and never consults a closed formula; all
-                        of them run on one driver, ``_transfer``, to which
+                        of them run on one driver, ``_Transfer``, to which
                         each step yields the next state and the monomial
                         (c, dx, dy) of the way, so no recursion does
                         polynomial arithmetic;
@@ -23,7 +23,7 @@ enumeration, so the recursion is read by the checks and the tests only.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 # ---------------------------------------------------------------------------
@@ -263,27 +263,6 @@ def catalan(n: int) -> int:
 _ONE, _X, _Y = (1, 0, 0), (1, 1, 0), (1, 0, 1)
 
 
-def _transfer(start, step, n: int) -> dict:
-    """The states after n insertions, each with the coefficients
-    ``{(dx, dy): c}`` of the polynomial of the ways to reach it.
-    ``step(i, state)`` yields ``(next_state, (c, dx, dy))`` for every way to
-    insert element (pair) i into ``state``; that way multiplies the count by
-    c x^dx y^dy, which is added into the next state's coefficients in place."""
-    states = {start: {(0, 0): 1}}
-    for i in range(1, n + 1):
-        new = {}
-        for state, coeffs in states.items():
-            for nxt, (c, dx, dy) in step(i, state):
-                into = new.get(nxt)
-                if into is None:
-                    into = new[nxt] = {}
-                for (a, b), v in coeffs.items():
-                    key = (a + dx, b + dy)
-                    into[key] = into.get(key, 0) + c * v
-        states = new
-    return states
-
-
 def _total(states: dict, keep=lambda state: True) -> BiPoly:
     out = {}
     for state, coeffs in states.items():
@@ -293,39 +272,102 @@ def _total(states: dict, keep=lambda state: True) -> BiPoly:
     return BiPoly._clean(out)
 
 
+class _Transfer:
+    """One transfer recursion, run as far as it has been asked.
+
+    The states after i insertions are a dict of each state's coefficients
+    ``{(dx, dy): c}``, the polynomial of the ways to reach it.
+    ``step(i, state)`` yields ``(next_state, (c, dx, dy))`` for every way to
+    insert element (pair) i into ``state``; that way multiplies the count by
+    c x^dx y^dy, which is added into the next state's coefficients in place.
+    ``finish(states)`` makes the recursion's value at n from the states
+    after n insertions.
+
+    The states after i insertions do not depend on how many insertions are
+    asked for, so each is computed once per process: the recursion keeps its
+    last states and its value at every n it has passed, and asking for a
+    larger n extends the run from the last states instead of starting again
+    from ``start``.  Each set of states is dropped once the next is made.
+    """
+
+    def __init__(self, start, step, finish=_total):
+        self.start, self.step, self.finish = start, step, finish
+        self.cache_clear()
+
+    def __call__(self, n: int):
+        """The recursion's value at n."""
+        values, step = self.values, self.step
+        while len(values) <= n:
+            i = len(values)
+            new = {}
+            for state, coeffs in self.states.items():
+                for nxt, (c, dx, dy) in step(i, state):
+                    into = new.get(nxt)
+                    if into is None:
+                        into = new[nxt] = {}
+                    for (a, b), v in coeffs.items():
+                        key = (a + dx, b + dy)
+                        into[key] = into.get(key, 0) + c * v
+            self.states = new
+            values.append(self.finish(new))
+        return values[n]
+
+    def cache_clear(self):
+        """Forget every insertion: the next call starts from ``start``."""
+        self.states = {self.start: {(0, 0): 1}}
+        self.values = [self.finish(self.states)]
+
+
+# Each recursion is a step and the _Transfer that runs it.  A recursion that
+# runs with or without a central element (has_zero) has a _Transfer for
+# each, indexed by has_zero.
+
+
+def _bell_step(i, k):  # k: number of blocks
+    yield k + 1, _ONE
+    if i >= 2:
+        yield k, _Y  # join the block of the previous element
+        if k >= 2:
+            yield k, (k - 1, 1, 0)
+
+
+_BELL = _Transfer(0, _bell_step)
+
+
 @lru_cache(maxsize=None)
 def _bell_bivariate(n: int) -> BiPoly:
-    def step(i, k):  # k: number of blocks
-        yield k + 1, _ONE
-        if i >= 2:
-            yield k, _Y  # join the block of the previous element
-            if k >= 2:
-                yield k, (k - 1, 1, 0)
+    return _BELL(n)
 
-    return _total(_transfer(0, step, n))
+
+def _cat_step(i, r):  # r: number of attachment points not under an arc
+    yield r + 1, _ONE
+    for j in range(1, r + 1):
+        yield j, _Y if j == r else _X
+
+
+_CAT = _Transfer(0, _cat_step)
 
 
 @lru_cache(maxsize=None)
 def _cat_bivariate(n: int) -> BiPoly:
-    def step(i, r):  # r: number of attachment points not under an arc
-        yield r + 1, _ONE
-        for j in range(1, r + 1):
-            yield j, _Y if j == r else _X
+    return _CAT(n)
 
-    return _total(_transfer(0, step, n))
+
+def _bellx_step(has_zero, i, e):  # e: number of attachment ends
+    yield e + 2, _ONE
+    hot = has_zero or i >= 2
+    if hot and e >= 1:
+        yield e, _Y
+        if e >= 2:
+            yield e, (e - 1, 1, 0)
+
+
+_BELLX = (_Transfer(0, partial(_bellx_step, False)), _Transfer(1, partial(_bellx_step, True)))
 
 
 @lru_cache(maxsize=None)
 def _bellx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    def step(i, e):  # e: number of attachment ends
-        yield e + 2, _ONE
-        hot = has_zero or i >= 2
-        if hot and e >= 1:
-            yield e, _Y
-            if e >= 2:
-                yield e, (e - 1, 1, 0)
-
-    return _total(_transfer(1 if has_zero else 0, step, n))
+    return _BELLX[has_zero](n)
 
 
 # Slot alphabets for the noncrossing mirrored recursion.  A slot records the
@@ -333,46 +375,80 @@ def _bellx_bivariate(n: int, has_zero: bool) -> BiPoly:
 # negative end, '2' both ends of a still-singleton mirrored pair.
 
 
+def _catx_step(i, s):
+    yield s + ("2",), _ONE
+    for j, slot in enumerate(s):
+        if slot in ("+", "2"):
+            # a positive-side join covers exactly the ends of larger
+            # absolute value; the negative twin survives
+            weight = _Y if j == len(s) - 1 else _X
+            rest = ("-",) if slot == "2" else ()
+            yield s[:j] + rest + ("+",), weight
+        if slot in ("-", "2"):
+            # a negative-side join spans the centre: the two new
+            # mirrored arcs cover every other live end
+            yield ("+",), _X
+
+
+_CATX = (_Transfer((), _catx_step), _Transfer(("+",), _catx_step))
+
+
 @lru_cache(maxsize=None)
 def _catx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    def step(i, s):
-        yield s + ("2",), _ONE
-        for j, slot in enumerate(s):
-            if slot in ("+", "2"):
-                # a positive-side join covers exactly the ends of larger
-                # absolute value; the negative twin survives
-                weight = _Y if j == len(s) - 1 else _X
-                rest = ("-",) if slot == "2" else ()
-                yield s[:j] + rest + ("+",), weight
-            if slot in ("-", "2"):
-                # a negative-side join spans the centre: the two new
-                # mirrored arcs cover every other live end
-                yield ("+",), _X
+    return _CATX[has_zero](n)
 
-    return _total(_transfer(("+",) if has_zero else (), step, n))
+
+def _feasible_step(i, s):  # s: (singleton blocks, larger blocks)
+    s1, s2 = s
+    yield (s1 + 1, s2), _ONE
+    if s1:
+        yield (s1 - 1, s2 + 1), (s1, 1, 0)
+    if s2:
+        yield (s1, s2), (s2, 1, 0)
+
+
+_FEASIBLE = _Transfer((0, 0), _feasible_step, partial(_total, keep=lambda s: s[0] == 0))
 
 
 @lru_cache(maxsize=None)
 def _feasible_poly(n: int) -> BiPoly:
-    def step(i, s):  # s: (singleton blocks, larger blocks)
-        s1, s2 = s
-        yield (s1 + 1, s2), _ONE
-        if s1:
-            yield (s1 - 1, s2 + 1), (s1, 1, 0)
-        if s2:
-            yield (s1, s2), (s2, 1, 0)
+    return _FEASIBLE(n)
 
-    return _total(_transfer((0, 0), step, n), lambda s: s[0] == 0)
+
+def _motzkin_step(i, r):  # r: open singleton blocks not under an arc
+    yield r + 1, _ONE
+    for j in range(1, r + 1):
+        yield j - 1, _X
+
+
+_MOTZKIN = _Transfer(0, _motzkin_step)
 
 
 @lru_cache(maxsize=None)
 def _motzkin_poly(n: int) -> BiPoly:
-    def step(i, r):  # r: open singleton blocks not under an arc
-        yield r + 1, _ONE
-        for j in range(1, r + 1):
-            yield j - 1, _X
+    return _MOTZKIN(n)
 
-    return _total(_transfer(0, step, n))
+
+def _feasiblex_step(has_zero, i, s):  # s: (singleton pairs, grown pairs, centre grown)
+    p1, p2, z = s
+    yield (p1 + 1, p2, z), _ONE
+    if p1:
+        yield (p1 - 1, p2 + 1, z), (2 * p1, 1, 0)
+    if p2:
+        yield (p1, p2, z), (2 * p2, 1, 0)
+    if has_zero:
+        yield (p1, p2, 1), _X
+
+
+def _feasiblex_totals(has_zero, states) -> tuple[BiPoly, BiPoly]:
+    strict = _total(states, lambda s: s[0] == 0 and (s[2] or not has_zero))
+    return strict, _total(states, lambda s: s[0] == 0)
+
+
+_FEASIBLEX = tuple(
+    _Transfer((0, 0, 0), partial(_feasiblex_step, z), partial(_feasiblex_totals, z))
+    for z in (False, True)
+)
 
 
 @lru_cache(maxsize=None)
@@ -384,47 +460,42 @@ def _feasiblex_poly(n: int, has_zero: bool) -> tuple[BiPoly, BiPoly]:
     central block, which is the B-feasible relaxation.  Without a central
     element both components agree.
     """
+    return _FEASIBLEX[has_zero](n)
 
-    def step(i, s):  # s: (singleton pairs, grown pairs, centre grown)
-        p1, p2, z = s
-        yield (p1 + 1, p2, z), _ONE
-        if p1:
-            yield (p1 - 1, p2 + 1, z), (2 * p1, 1, 0)
-        if p2:
-            yield (p1, p2, z), (2 * p2, 1, 0)
-        if has_zero:
-            yield (p1, p2, 1), _X
 
-    states = _transfer((0, 0, 0), step, n)
-    strict = _total(states, lambda s: s[0] == 0 and (s[2] or not has_zero))
-    return strict, _total(states, lambda s: s[0] == 0)
+# Poor mirrored noncrossing: a join fills both blocks of a pair, so the pair
+# retires on use; the central block is never extended.  Only the number of
+# live singleton pairs matters.
+def _motzkinx_step(i, r):
+    yield r + 1, _ONE
+    for j in range(r):
+        yield j, _X  # positive-side join of pair j
+        yield 0, _X  # negative-side join spans the centre
+
+
+_MOTZKINX = _Transfer(0, _motzkinx_step)
 
 
 @lru_cache(maxsize=None)
 def _motzkinx_poly(n: int) -> BiPoly:
-    # Poor mirrored noncrossing: a join fills both blocks of a pair, so the
-    # pair retires on use; the central block is never extended.  Only the
-    # number of live singleton pairs matters.
-    def step(i, r):
-        yield r + 1, _ONE
-        for j in range(r):
-            yield j, _X  # positive-side join of pair j
-            yield 0, _X  # negative-side join spans the centre
+    return _MOTZKINX(n)
 
-    return _total(_transfer(0, step, n))
+
+# B-poor variant: the central block may be extended exactly once.
+def _motzkinx_tilde_step(i, s):
+    yield s + ("2",), _ONE
+    for j, slot in enumerate(s):
+        yield s[:j], _X  # positive-side (or central) join
+        if slot != "Z":
+            yield (), _X  # negative-side join spans the centre
+
+
+_MOTZKINX_TILDE = _Transfer(("Z",), _motzkinx_tilde_step)
 
 
 @lru_cache(maxsize=None)
 def _motzkinx_tilde_poly(n: int) -> BiPoly:
-    # B-poor variant: the central block may be extended exactly once.
-    def step(i, s):
-        yield s + ("2",), _ONE
-        for j, slot in enumerate(s):
-            yield s[:j], _X  # positive-side (or central) join
-            if slot != "Z":
-                yield (), _X  # negative-side join spans the centre
-
-    return _total(_transfer(("Z",), step, n))
+    return _MOTZKINX_TILDE(n)
 
 
 # name -> transfer recursion, for every named family
@@ -596,7 +667,7 @@ def family(name: str, n: int) -> BiPoly:
 
 def enumerated_family(name: str, n: int) -> BiPoly:
     """Statistics summed over the actual block structures (desk scale only)."""
-    from .core import classify, unlabeled
+    from .core import classify, unlabeled_shape
     from .families import family_ground, family_shapes
 
     if name not in FAMILY_CODES:
@@ -606,7 +677,7 @@ def enumerated_family(name: str, n: int) -> BiPoly:
     mirrored = ground.kind != "A"
     total = BiPoly.zero()
     for blocks in family_shapes(code, n):
-        p = unlabeled(ground, blocks)
+        p = unlabeled_shape(ground, blocks)
         if flag is not None and not getattr(classify(p), flag):
             continue
         arcs = len(p.arcs())

@@ -21,8 +21,11 @@ from arcact.core import (
     ground_b,
     ground_d,
     unlabeled,
+    unlabeled_shape,
 )
-from arcact.families import ALL_FAMILIES, FamilySpec, enumerate_family, family_shapes
+from arcact.families import (
+    ALL_FAMILIES, FamilySpec, enumerate_family, family_members, family_shapes,
+)
 from arcact.groups import DirectSum, GroupSpec
 from arcact.identities import GROUP_PAIRS, _embed_a
 from arcact import action, core, maps
@@ -166,6 +169,10 @@ TRUSTED_PRODUCERS = {
     "shift": lambda: map(maps.shift, _members(LABELED_SOURCES)),
     "unshift": lambda: map(maps.unshift, _members(LABELED_SOURCES, "two_regular")),
     "unlabeled": lambda: (unlabeled(g, blocks) for g, blocks in _scrambled_shapes()),
+    "unlabeled_shape": lambda: (
+        unlabeled_shape(spec.ground, blocks)
+        for spec in LABELED_SOURCES for blocks in family_shapes(spec.base, spec.n)
+    ),
     "uncross": lambda: map(maps.uncross, _members(UNLABELED_SOURCES)),
     "negate": lambda: map(core.negate, _members(LABELED_SOURCES[1:])),
     "halve": lambda: map(maps.halve, _members(LABELED_SOURCES[1:])),
@@ -366,6 +373,23 @@ def test_orbit_applies_every_acting_member(groups):
                 assert members == {
                     plus_via_matrix(alpha, lam) for alpha in enumerate_family(acting)
                 }, lam
+
+
+def test_orbit_keeps_one_image_per_triple_tuple():
+    # orbit keys its images by their label triples: the same set as every
+    # acting member's image hashed and compared as a partition
+    for spec in (
+        FamilySpec("PI_AB", 4, (Z2, Z2)),
+        FamilySpec("P_B_AB", 3, (Z2, Z3)),
+        FamilySpec("NC_TILDE_D_AB", 3, (Z3, Z2)),
+    ):
+        acting = acting_family(spec)
+        reps = orbit_decomposition(spec)
+        assert len(reps) > 1
+        for rep in reps:
+            images = orbit(rep, acting)
+            assert images == frozenset(plus(alpha, rep) for alpha in family_members(acting))
+            assert len({q.labels for q in images}) == len(images), rep
 
 
 def test_orbit_refuses_incompatible_acting_families():

@@ -14,6 +14,7 @@ from arcact.core import (
     blocks_from_arcs,
     canonical_blocks,
     classify,
+    crossings,
     from_rook,
     from_triples,
     ground_a,
@@ -32,8 +33,9 @@ from arcact.core import (
     rook_sort_key,
     to_rook,
     unlabeled,
+    unlabeled_shape,
 )
-from arcact.families import FamilySpec, enumerate_family
+from arcact.families import FamilySpec, enumerate_family, family_shapes
 from arcact.groups import GroupError, GroupSpec
 
 Z2 = GroupSpec((2,))
@@ -220,12 +222,15 @@ def test_classify_computes_only_the_flags_read(monkeypatch):
         raise AssertionError("a flag that was not read was computed")
 
     monkeypatch.setattr(core, "crossings", unread)
+    monkeypatch.setattr(core, "is_noncrossing", unread)
     monkeypatch.setattr(core, "is_type_symmetric", unread)
     p = unlabeled(ground_b(2), [(-2, 1), (-1, 2), (0,)])
     flags = classify(p)
     assert flags.two_regular and flags.poor
     with pytest.raises(AssertionError):
         flags.noncrossing
+    with pytest.raises(AssertionError):
+        flags.nc_tilde
     with pytest.raises(AssertionError):
         flags.type_symmetric
 
@@ -241,6 +246,22 @@ def test_classify_flags_are_read_only():
     with pytest.raises(AttributeError):
         flags.crowded = True
     assert flags.poor
+
+
+def test_crossing_and_nesting_tests_stop_at_the_first_pair():
+    # against every ordered pair of arcs, on all partitions of A(6), B(3) and
+    # D(3) and on arc sets that share ends
+    arc_sets = [
+        unlabeled_shape(ground, blocks).arcs()
+        for ground, family in ((ground_a(6), "PI"), (ground_b(3), "P_B"), (ground_d(3), "P_D"))
+        for blocks in family_shapes(family, ground.n)
+    ]
+    arc_sets += [{(1, 3), (1, 4), (2, 5)}, {(1, 4), (2, 4), (3, 5)}, {(1, 5), (1, 3), (2, 4)}]
+    for arcs in arc_sets:
+        pairs = list(itertools.permutations(arcs, 2))
+        assert is_noncrossing(arcs) == (not crossings(arcs)), arcs
+        assert is_noncrossing(arcs) == all(not i < j < k < l for (i, k), (j, l) in pairs), arcs
+        assert is_nonnesting(arcs) == all(not i < j < k < l for (i, l), (j, k) in pairs), arcs
 
 
 def test_is_nc_tilde_admits_only_mirror_pair_crossings():

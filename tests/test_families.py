@@ -16,6 +16,8 @@ from arcact.core import (
     is_nc_tilde,
     is_noncrossing,
     is_nonnesting,
+    unlabeled,
+    unlabeled_shape,
 )
 from arcact.families import (
     FAMILIES,
@@ -23,6 +25,7 @@ from arcact.families import (
     count_by,
     crossing,
     enumerate_family,
+    family_ground,
     family_shapes,
     family_size,
     nesting,
@@ -238,7 +241,7 @@ def test_streams_sorted_and_duplicate_free(all_desk_specs, dense_rook_reading):
 def test_self_mirrored_arc_is_refused(monkeypatch):
     # no labeled B or D family has an arc (-i, i): its label would have to be
     # its own negation
-    monkeypatch.setattr(families, "family_shapes", lambda family, n: (((-1, 1), (0,)),))
+    monkeypatch.setattr(families, "_grown_shapes", lambda family, n: (((-1, 1), (0,)),))
     with pytest.raises(ValueError, match="self-mirrored arc"):
         list(enumerate_family(FamilySpec("P_B", 1, (Z3,))))
 
@@ -253,6 +256,28 @@ def test_arc_codes_order_arcs_as_their_positions(kind):
             codes = families._arc_code(n, i, j), families._arc_code(n, k, l)
             assert (codes[0] < codes[1]) == ((-i, -j) < (-k, -l)), (n, (i, j), (k, l))
             assert (codes[0] == codes[1]) == ((i, j) == (k, l)), (n, (i, j), (k, l))
+
+
+def test_generator_shapes_build_trusted_as_unlabeled_builds_them():
+    # unlabeled_shape checks nothing: every shape the generators grow passes
+    # unlabeled's check and builds the same partition, blocks included
+    sources = [
+        (family_ground(family, n), family_shapes(family, n))
+        for family, (kind, _) in FAMILIES.items()
+        for n in range(8 if kind == "A" else 6)
+    ]
+    sources += [
+        (GROUNDS["B" if has_zero else "D"](n), symmetric_partitions(n, has_zero, self_negative))
+        for n in range(6)
+        for has_zero, self_negative in product((False, True), repeat=2)
+    ]
+    built = 0
+    for ground, shapes in sources:
+        for blocks in shapes:
+            p, q = unlabeled_shape(ground, blocks), unlabeled(ground, blocks)
+            assert p == q and p.group is q.group and p.blocks == q.blocks, (ground, blocks)
+            built += 1
+    assert built > 5000
 
 
 def test_streams_leave_no_cyclic_garbage():

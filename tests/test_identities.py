@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import pytest
 
-from arcact import action, core, identities, oeis
+from arcact import action, core, families, identities, oeis
 from arcact import unitriangular as ut
 from arcact.core import (
     LabeledSetPartition, ground_a, ground_b, to_rook, unlabeled,
@@ -635,9 +635,10 @@ FAULTS = {
         },
     ),
     # the size-two claim of 2blocks-2 follows from the mirror pairing by
-    # parity, so only a pairing that admits self-negative blocks can fail it
+    # parity, so only a pairing that admits self-negative blocks can fail it;
+    # family_shapes sorts what the growers make, so the rewrite reaches it
     "self-negative D blocks": Fault(
-        identities, "family_shapes", _rewrite("family in UNLABELED_FAMILIES", 'kind == "D"'),
+        families, "_grown_shapes", _rewrite("family in UNLABELED_FAMILIES", 'kind == "D"'),
         {
             "2blocks-1": "n=2 NC_TILDE_D shapes: 7 != 3",
             "2blocks-2": "n=1 NC_TILDE_D shapes: 2 != 1",

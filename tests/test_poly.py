@@ -78,12 +78,23 @@ def test_transfer_equals_enumeration():
             assert transfer_family(name, n) == enumerated_family(name, n), (name, n)
 
 
+def _recursions():
+    """The nine cached recursions and the _Transfer each reads (one for
+    each has_zero where it takes one)."""
+    recursions = [f for f in vars(poly).values() if hasattr(f, "cache_info")]
+    transfers = [
+        t for v in vars(poly).values() for t in (v if isinstance(v, tuple) else (v,))
+        if isinstance(t, poly._Transfer)
+    ]
+    assert (len(recursions), len(transfers)) == (9, 12)
+    return recursions + transfers
+
+
 def test_recursions_do_no_polynomial_arithmetic(monkeypatch):
     """The driver adds each way's monomial into plain coefficient dicts: with
     BiPoly's arithmetic made to raise, every recursion, run cold, gives the
     values it gave before."""
-    recursions = [f for f in vars(poly).values() if hasattr(f, "cache_info")]
-    assert len(recursions) == 9
+    recursions = _recursions()
     expected = {
         (name, n): dict(transfer_family(name, n).coeffs)
         for name in FAMILY_NAMES
@@ -99,6 +110,25 @@ def test_recursions_do_no_polynomial_arithmetic(monkeypatch):
         recursion.cache_clear()
     for (name, n), coeffs in expected.items():
         assert transfer_family(name, n).coeffs == coeffs, (name, n)
+
+
+def test_recursions_extend_in_any_order():
+    """Each recursion keeps its last states and its value at every n it has
+    passed, and extends the run, so any order of requests gives the values
+    of the ascending one, each order run cold."""
+    ascending = [(name, n) for n in range(13) for name in FAMILY_NAMES]
+    # M_B(n+2) before M_B(n+1), and so on: each request one past the last
+    interleaved = [(name, m) for n in range(12) for m in (n + 1, n) for name in FAMILY_NAMES]
+    shuffled = ascending[:]
+    random.Random(0).shuffle(shuffled)
+    values = []
+    for order in (ascending, ascending[::-1], interleaved + [(name, 12) for name in FAMILY_NAMES],
+                  shuffled):
+        for recursion in _recursions():
+            recursion.cache_clear()
+        values.append({key: transfer_family(*key).coeffs for key in order})
+    assert len(values[0]) == 13 * len(FAMILY_NAMES)
+    assert all(v == values[0] for v in values[1:])
 
 
 def _random_coeffs(rng, terms, zeros=True):
