@@ -28,7 +28,7 @@ from .core import (
     render_ascii,
 )
 from .cyclotomic import is_prime
-from .families import ALL_FAMILIES, FamilySpec, enumerate_family
+from .families import ALL_FAMILIES, FamilySpec, enumerate_family, enumerate_jsonl
 from .groups import GroupError, parse_group
 from .poly import FAMILY_NAMES
 
@@ -121,20 +121,17 @@ def _csv_row(p) -> str:
     return f"{blocks},{labels}"
 
 
-def _emit_partitions(parts, fmt):
-    if fmt == "json":
-        _write_json(p.to_json_dict() for p in parts)
-    elif fmt == "jsonl":
-        _write_lines(map(LabeledSetPartition.to_json, parts))
-    elif fmt == "csv":
-        _write_lines(chain(["blocks,labels"], map(_csv_row, parts)))
-    else:
-        _write_lines(map(LabeledSetPartition.text, parts))
-
-
 def cmd_enum(args) -> int:
     spec = _family_spec(args)
-    _emit_partitions(enumerate_family(spec), args.format)
+    if args.format == "jsonl":
+        # each line is written from its shape's plan: no partition is built
+        _write_lines(enumerate_jsonl(spec))
+    elif args.format == "json":
+        _write_json(p.to_json_dict() for p in enumerate_family(spec))
+    elif args.format == "csv":
+        _write_lines(chain(["blocks,labels"], map(_csv_row, enumerate_family(spec))))
+    else:
+        _write_lines(map(LabeledSetPartition.text, enumerate_family(spec)))
     return EXIT_OK
 
 

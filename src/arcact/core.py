@@ -222,16 +222,17 @@ class LabeledSetPartition:
 
         * ``from_triples``: checks the arc set with ``blocks_from_arcs`` and
           every label with the validating constructor's own loop, then sorts
-          the triples; the structural maps, ``to_rook``, ``from_rook``,
-          ``negate`` and the superclasses of ``unitriangular`` build through
-          it;
+          the triples; the structural maps other than ``shift`` and
+          ``unshift``, ``to_rook``, ``from_rook``, ``negate`` and the
+          superclasses of ``unitriangular`` build through it;
         * the family generators: the growers behind ``family_shapes`` make
           canonical shapes of the ground, each block sorted and the blocks
           sorted by minimum, so ``enumerate_family`` reads each shape's arcs
-          off its blocks as their consecutive pairs, unchecked, in arc
-          order; it
+          off its blocks as their consecutive pairs, unchecked, and extends
+          the triples one arc at a time, in arc order, as it walks them; it
           draws every label from the nonzero elements of the group (a
-          mirror label is the negation of one);
+          mirror label is the negation of one).  ``enumerate_jsonl`` walks
+          the same arcs and labels into JSON lines and builds no partition;
         * ``plus``: it checks that its arguments share ground and group (by
           identity, and by equality only when that fails), so lam's arcs are
           valid; it merges alpha's covers into lam's triples, both in arc
@@ -252,7 +253,12 @@ class LabeledSetPartition:
           cover it); the arcs are the consecutive pairs of the sorted
           blocks, sorted once, and the labels are all (1,) in Z2;
         * ``identities._embed_a``: a valid partition's blocks and triples,
-          with labels ``DirectSum.embed_a`` checks, nonzero on the A side.
+          with labels ``DirectSum.embed_a`` checks, nonzero on the A side;
+        * ``maps.shift`` and ``maps.unshift``: a valid partition's triples,
+          their left and right ends each moved by a strictly increasing map
+          of positions, so they stay a valid arc set in arc order
+          (``unshift`` first refuses an arc whose ends would meet); no
+          blocks.
 
         Blocks from outside, through the JSON reader and the public API, go
         through the validating constructor.
@@ -336,18 +342,14 @@ class LabeledSetPartition:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), sort_keys=True)``, spelled out.
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``, spelled out
+        from the fragments ``families.enumerate_jsonl`` writes lines from.
 
         Every field is an integer, a list of integers or the ground kind
         (one of A, B, D), so no value needs escaping.
         """
-        ground = self.ground
-        blocks = ", ".join(map(_json_ints, self.blocks))
-        labels = ", ".join(map(_label_json, self.labels))
-        return (
-            f'{{"blocks": [{blocks}], "ground": {{"kind": "{ground.kind}", "n": {ground.n}}},'
-            f' "group": {_json_ints(self.group.moduli)}, "labels": [{labels}]}}'
-        )
+        head = _json_blocks(self.blocks) + _json_frame(self.ground, self.group)
+        return f"{head}{', '.join(map(_label_json, self.labels))}]}}"
 
 
 _set_ground = LabeledSetPartition.ground.__set__
@@ -394,6 +396,22 @@ def _json_ints(values) -> str:
 def _label_json(label) -> str:
     i, j, v = label
     return f'{{"i": {i}, "j": {j}, "value": {_json_ints(v)}}}'
+
+
+# A partition's JSON line is _json_blocks, then _json_frame, then the
+# _label_json of each label joined by ", ", then "]}".
+
+
+def _json_blocks(blocks) -> str:
+    return '{"blocks": [' + ", ".join(map(_json_ints, blocks)) + "], "
+
+
+def _json_frame(ground: GroundSet, group: GroupSpec) -> str:
+    """The ground, the group and the opening of the label list."""
+    return (
+        f'"ground": {{"kind": "{ground.kind}", "n": {ground.n}}},'
+        f' "group": {_json_ints(group.moduli)}, "labels": ['
+    )
 
 
 def format_element(v: Element) -> str:

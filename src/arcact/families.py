@@ -23,10 +23,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
-from .core import GROUNDS, GroundSet, LabeledSetPartition, _Z2, canonical_blocks
+from .core import (
+    GROUNDS,
+    GroundSet,
+    LabeledSetPartition,
+    _json_blocks,
+    _json_frame,
+    _label_json,
+    _Z2,
+    canonical_blocks,
+)
 from .groups import DirectSum, GroupSpec, neg_unchecked
 
 # ---------------------------------------------------------------------------
@@ -292,17 +301,54 @@ def enumerate_family(spec: FamilySpec):
     carries (1,).)
 
     A stream costs one plan per shape, set up before the first member, and
-    one trie leaf per member, which ``to_json`` costs about as much again.
-    On a family with one member per shape (any family over Z2) the plans
-    cost about as much as the walk, so each is built in one pass over
-    int-coded arcs, into tuples.  The walk and the shape growers recurse
-    through module-level functions, never through a closure that refers to
-    itself, so a stream's working set is freed by reference counting as
-    soon as the stream ends or is dropped, and the cyclic collector never
-    has to find it.
+    one trie leaf per member.  The walk (``_walk``) carries what its leaves
+    read down the trie, one edge at a time: here the label triples, a tuple
+    extended by one triple per edge, which each leaf hands with its shape's
+    blocks to ``LabeledSetPartition._trusted``; in ``enumerate_jsonl`` the
+    labels' JSON text, which each leaf closes into a line.  The members of
+    a run share their first d labels, so each is built once per run, not
+    once per member.  On a family with one member per shape (any family
+    over Z2) the plans cost about as much as the walk, so a plan is only
+    its arc codes and its blocks, built in one pass over int-coded arcs;
+    what an arc's code stands for is looked up per edge.  The walk and the
+    shape growers recurse through module-level functions, never through a
+    closure that refers to itself, so a stream's working set is freed by
+    reference counting as soon as the stream ends or is dropped, and the
+    cyclic collector never has to find it.
     """
-    plans = _plans(spec)
-    yield from _walk(plans, 0, len(plans), 0, [], spec.ground, spec.label_group)
+    group = spec.label_group
+    leaf = partial(LabeledSetPartition._trusted, spec.ground, group)
+    arcs, plans = _plans(spec)
+    yield from _walk(plans, 0, len(plans), 0, arcs, {}, (), _extend_labels, leaf, group)
+
+
+def enumerate_jsonl(spec: FamilySpec):
+    """``enumerate_family``'s members as their ``to_json`` lines, byte for
+    byte, in the same order, and no partition built.
+
+    The same walk carries the labels' JSON text: each edge appends its
+    label's ``_label_json``, and each leaf writes its shape's blocks (their
+    ``_json_blocks``, made once per shape in place of the blocks), the
+    ground and group (``_json_frame``, made once per stream), the text and
+    ``]}``.
+    """
+    group = spec.label_group
+    leaf = partial(_json_line, _json_frame(spec.ground, group))
+    arcs, plans = _plans(spec, _json_blocks)
+    yield from _walk(plans, 0, len(plans), 0, arcs, {}, "", _extend_json, leaf, group)
+
+
+def _extend_labels(labels, i, j, value):
+    return labels + ((i, j, value),)
+
+
+def _extend_json(text, i, j, value):
+    label = _label_json((i, j, value))
+    return f"{text}, {label}" if text else label
+
+
+def _json_line(frame, blocks, labels):
+    return f"{blocks}{frame}{labels}]}}"
 
 
 def _arc_code(n: int, i: int, j: int) -> int:
@@ -314,35 +360,33 @@ def _arc_code(n: int, i: int, j: int) -> int:
     return -(i * (2 * n + 2) + j)
 
 
-def _plans(spec: FamilySpec) -> list[tuple]:
-    """One plan per shape of the family, sorted by arc positions.
+def _plans(spec: FamilySpec, shape=None) -> tuple[dict, list]:
+    """The arcs of the family's ground by code, and one plan per shape of
+    the family, sorted by arc positions.
 
-    A plan is the tuple ``(codes, lefts, rights, sources, blocks)``: the
-    shape's arcs in arc order, each as its ``_arc_code``, their left and
-    right ends, each arc's source of labels (a pool, or the index of the arc
-    it mirrors) and the canonical blocks.  The shapes sort by their code
-    tuples as by their position sequences.  Every field is a tuple of ints
-    or labels, which the collector stops tracking, so it never re-scans the
-    plans.
+    Each arc's entry is ``(i, j, source)``: its ends and its source of
+    labels, the pool it draws from or, for an arc that carries the negated
+    label of its mirror, the mirror's code.  A plan is the pair ``(codes,
+    blocks)``: the shape's arcs in arc order, each as its ``_arc_code``, and
+    its canonical blocks, or what ``shape`` makes of them when it is given.
+    The shapes sort by their code tuples as by their position sequences.
+    Every plan holds only ints and tuples of them, or a string, which the
+    collector stops tracking, so it never re-scans the plans.
     """
     n = spec.n
     cover_pool, other_pool = _pools(spec)
     mirrored = spec.ground.kind != "A" and spec.family not in UNLABELED_FAMILIES
-    # every arc of the ground by its code: its ends, and its source of labels
-    # (for an arc after its mirror, the mirror's code; None for an arc that
-    # mirrors itself)
-    lefts, rights, sources = {}, {}, {}
+    arcs = {}
     elements = spec.ground.elements
     for i in elements:
         for j in elements:
             if j > i:
-                code = _arc_code(n, i, j)
-                lefts[code], rights[code] = i, j
                 if not mirrored or i + j < 0:
-                    sources[code] = cover_pool if j == i + 1 else other_pool
+                    source = cover_pool if j == i + 1 else other_pool
                 else:
-                    sources[code] = _arc_code(n, -j, -i) if i + j > 0 else None
-    left, right, source = lefts.__getitem__, rights.__getitem__, sources.__getitem__
+                    # None for an arc that mirrors itself
+                    source = _arc_code(n, -j, -i) if i + j > 0 else None
+                arcs[_arc_code(n, i, j)] = (i, j, source)
     plans = []
     block_codes = {}  # the shapes share most of their blocks
     # the growers make canonical blocks, so a shape's arcs are the
@@ -354,41 +398,38 @@ def _plans(spec: FamilySpec) -> list[tuple]:
             b_codes = block_codes.get(b)
             if b_codes is None:
                 b_codes = block_codes[b] = [_arc_code(n, i, j) for i, j in zip(b, b[1:])]
+                if any(arcs[code][2] is None for code in b_codes):
+                    raise ValueError("self-mirrored arc in a mirror-labeled family")
             codes += b_codes
         codes.sort(reverse=True)  # arc order, (i, j) ascending: the codes descending
-        if mirrored:
-            at = codes.index  # a mirror-closed shape holds every mirror
-            arc_sources = tuple([at(s) if s.__class__ is int else s for s in map(source, codes)])
-            if None in arc_sources:
-                raise ValueError("self-mirrored arc in a mirror-labeled family")
-        else:
-            arc_sources = tuple(map(source, codes))
-        plans.append(
-            (tuple(codes), tuple(map(left, codes)), tuple(map(right, codes)), arc_sources, blocks)
-        )
+        plans.append((tuple(codes), blocks if shape is None else shape(blocks)))
     plans.sort(key=itemgetter(0))
-    return plans
+    return arcs, plans
 
 
-def _walk(plans, lo, hi, depth, values, ground, group):
-    # plans[lo:hi] share their first depth arcs, labeled by values
-    codes, lefts, rights, _, blocks = plans[lo]
-    if len(codes) == depth:
-        yield LabeledSetPartition._trusted(ground, group, blocks, tuple(zip(lefts, rights, values)))
+def _walk(plans, lo, hi, depth, arcs, values, acc, extend, leaf, group):
+    # plans[lo:hi] share their first depth arcs, whose labels values holds
+    # by code and extend has carried into acc; leaf makes a member of a
+    # plan's blocks (or what stands for them) and acc.  A mirror-closed
+    # shape holds the mirror of each of its arcs among the arcs before it.
+    plan = plans[lo]
+    if len(plan[0]) == depth:
+        yield leaf(plan[1], acc)
         lo += 1
     while lo < hi:
-        plan = plans[lo]
-        code = plan[0][depth]
+        code = plans[lo][0][depth]
         end = lo + 1
         while end < hi and plans[end][0][depth] == code:
             end += 1
-        source = plan[3][depth]
+        i, j, source = arcs[code]
         if source.__class__ is int:
             source = (neg_unchecked(group, values[source]),)
         for value in source:
-            values.append(value)
-            yield from _walk(plans, lo, end, depth + 1, values, ground, group)
-            values.pop()
+            values[code] = value
+            yield from _walk(
+                plans, lo, end, depth + 1, arcs, values, extend(acc, i, j, value), extend, leaf,
+                group,
+            )
         lo = end
 
 

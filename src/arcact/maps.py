@@ -47,13 +47,16 @@ def _unshift_target(ground: GroundSet) -> GroundSet:
 
 
 def _move_arcs(p: LabeledSetPartition, target: GroundSet, delta: int) -> LabeledSetPartition:
+    # left ends keep their positions and right ends move by delta, each
+    # through a strictly increasing map, so the arcs stay a valid arc set in
+    # arc order: built unchecked, the blocks left to their first read.  The
+    # target has one element more (shift) or one fewer (unshift, whose
+    # partitions have no arc between neighbouring positions), so every moved
+    # position lies in it
     pos = p.ground.positions
     at = target.elements  # at[q - 1] is the element at position q of target
-    # the target has one element more (shift) or one fewer (unshift, whose
-    # partitions have no covers), so every moved position lies in it
-    return from_triples(
-        target, p.group, [(at[pos[i] - 1], at[pos[j] + delta - 1], v) for i, j, v in p.labels]
-    )
+    labels = tuple([(at[pos[i] - 1], at[pos[j] + delta - 1], v) for i, j, v in p.labels])
+    return LabeledSetPartition._trusted(target, p.group, None, labels)
 
 
 def shift(p: LabeledSetPartition) -> LabeledSetPartition:
@@ -63,9 +66,12 @@ def shift(p: LabeledSetPartition) -> LabeledSetPartition:
 
 
 def unshift(p: LabeledSetPartition) -> LabeledSetPartition:
-    """Right inverse of shift, defined on two-regular partitions."""
-    if not classify(p).two_regular:
-        raise StructuralError("unshift needs a two-regular partition")
+    """Right inverse of shift, defined on partitions whose rook placement is
+    two-regular: no arc joins neighbouring positions.  On a D ground that
+    refuses the arc (-1, 1) too, whose ends unshift would merge."""
+    pos = p.ground.positions
+    if any(pos[j] == pos[i] + 1 for i, j, _ in p.labels):
+        raise StructuralError("unshift needs a two-regular rook placement")
     return _move_arcs(p, _unshift_target(p.ground), -1)
 
 

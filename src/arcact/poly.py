@@ -23,7 +23,7 @@ enumeration, so the recursion is read by the checks and the tests only.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 
 # ---------------------------------------------------------------------------
@@ -334,11 +334,6 @@ def _bell_step(i, k):  # k: number of blocks
 _BELL = _Transfer(0, _bell_step)
 
 
-@lru_cache(maxsize=None)
-def _bell_bivariate(n: int) -> BiPoly:
-    return _BELL(n)
-
-
 def _cat_step(i, r):  # r: number of attachment points not under an arc
     yield r + 1, _ONE
     for j in range(1, r + 1):
@@ -346,11 +341,6 @@ def _cat_step(i, r):  # r: number of attachment points not under an arc
 
 
 _CAT = _Transfer(0, _cat_step)
-
-
-@lru_cache(maxsize=None)
-def _cat_bivariate(n: int) -> BiPoly:
-    return _CAT(n)
 
 
 def _bellx_step(has_zero, i, e):  # e: number of attachment ends
@@ -363,11 +353,6 @@ def _bellx_step(has_zero, i, e):  # e: number of attachment ends
 
 
 _BELLX = (_Transfer(0, partial(_bellx_step, False)), _Transfer(1, partial(_bellx_step, True)))
-
-
-@lru_cache(maxsize=None)
-def _bellx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    return _BELLX[has_zero](n)
 
 
 # Slot alphabets for the noncrossing mirrored recursion.  A slot records the
@@ -393,11 +378,6 @@ def _catx_step(i, s):
 _CATX = (_Transfer((), _catx_step), _Transfer(("+",), _catx_step))
 
 
-@lru_cache(maxsize=None)
-def _catx_bivariate(n: int, has_zero: bool) -> BiPoly:
-    return _CATX[has_zero](n)
-
-
 def _feasible_step(i, s):  # s: (singleton blocks, larger blocks)
     s1, s2 = s
     yield (s1 + 1, s2), _ONE
@@ -410,11 +390,6 @@ def _feasible_step(i, s):  # s: (singleton blocks, larger blocks)
 _FEASIBLE = _Transfer((0, 0), _feasible_step, partial(_total, keep=lambda s: s[0] == 0))
 
 
-@lru_cache(maxsize=None)
-def _feasible_poly(n: int) -> BiPoly:
-    return _FEASIBLE(n)
-
-
 def _motzkin_step(i, r):  # r: open singleton blocks not under an arc
     yield r + 1, _ONE
     for j in range(1, r + 1):
@@ -422,11 +397,6 @@ def _motzkin_step(i, r):  # r: open singleton blocks not under an arc
 
 
 _MOTZKIN = _Transfer(0, _motzkin_step)
-
-
-@lru_cache(maxsize=None)
-def _motzkin_poly(n: int) -> BiPoly:
-    return _MOTZKIN(n)
 
 
 def _feasiblex_step(has_zero, i, s):  # s: (singleton pairs, grown pairs, centre grown)
@@ -441,6 +411,13 @@ def _feasiblex_step(has_zero, i, s):  # s: (singleton pairs, grown pairs, centre
 
 
 def _feasiblex_totals(has_zero, states) -> tuple[BiPoly, BiPoly]:
+    """Mirrored feasible counts: (zero block grown, any zero block).
+
+    The first component requires the central block to have been extended
+    (so every block has at least two elements); the second allows a bare
+    central block, which is the B-feasible relaxation.  Without a central
+    element both components agree.
+    """
     strict = _total(states, lambda s: s[0] == 0 and (s[2] or not has_zero))
     return strict, _total(states, lambda s: s[0] == 0)
 
@@ -449,18 +426,6 @@ _FEASIBLEX = tuple(
     _Transfer((0, 0, 0), partial(_feasiblex_step, z), partial(_feasiblex_totals, z))
     for z in (False, True)
 )
-
-
-@lru_cache(maxsize=None)
-def _feasiblex_poly(n: int, has_zero: bool) -> tuple[BiPoly, BiPoly]:
-    """Mirrored feasible counts; returns (zero block grown, any zero block).
-
-    The first component requires the central block to have been extended
-    (so every block has at least two elements); the second allows a bare
-    central block, which is the B-feasible relaxation.  Without a central
-    element both components agree.
-    """
-    return _FEASIBLEX[has_zero](n)
 
 
 # Poor mirrored noncrossing: a join fills both blocks of a pair, so the pair
@@ -476,11 +441,6 @@ def _motzkinx_step(i, r):
 _MOTZKINX = _Transfer(0, _motzkinx_step)
 
 
-@lru_cache(maxsize=None)
-def _motzkinx_poly(n: int) -> BiPoly:
-    return _MOTZKINX(n)
-
-
 # B-poor variant: the central block may be extended exactly once.
 def _motzkinx_tilde_step(i, s):
     yield s + ("2",), _ONE
@@ -493,27 +453,22 @@ def _motzkinx_tilde_step(i, s):
 _MOTZKINX_TILDE = _Transfer(("Z",), _motzkinx_tilde_step)
 
 
-@lru_cache(maxsize=None)
-def _motzkinx_tilde_poly(n: int) -> BiPoly:
-    return _MOTZKINX_TILDE(n)
-
-
 # name -> transfer recursion, for every named family
 _TRANSFER = {
-    "Bell": _bell_bivariate,
-    "Cat": _cat_bivariate,
-    "F": _feasible_poly,
-    "M": _motzkin_poly,
-    "Bell_B": lambda n: _bellx_bivariate(n, True),
-    "Bell_D": lambda n: _bellx_bivariate(n, False),
-    "Cat_B": lambda n: _catx_bivariate(n, True),
-    "Cat_D": lambda n: _catx_bivariate(n, False),
-    "F_B": lambda n: _feasiblex_poly(n, True)[0],
-    "F_D": lambda n: _feasiblex_poly(n, False)[0],
-    "M_B": _motzkinx_poly,
-    "M_D": _motzkinx_poly,
-    "F_B_tilde": lambda n: _feasiblex_poly(n, True)[1],
-    "M_B_tilde": _motzkinx_tilde_poly,
+    "Bell": _BELL,
+    "Cat": _CAT,
+    "F": _FEASIBLE,
+    "M": _MOTZKIN,
+    "Bell_B": _BELLX[True],
+    "Bell_D": _BELLX[False],
+    "Cat_B": _CATX[True],
+    "Cat_D": _CATX[False],
+    "F_B": lambda n: _FEASIBLEX[True](n)[0],
+    "F_D": lambda n: _FEASIBLEX[False](n)[0],
+    "M_B": _MOTZKINX,
+    "M_D": _MOTZKINX,
+    "F_B_tilde": lambda n: _FEASIBLEX[True](n)[1],
+    "M_B_tilde": _MOTZKINX_TILDE,
 }
 
 

@@ -25,6 +25,7 @@ from arcact.families import (
     count_by,
     crossing,
     enumerate_family,
+    enumerate_jsonl,
     family_ground,
     family_shapes,
     family_size,
@@ -46,6 +47,7 @@ from arcact.poly import (
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
+Z2xZ2 = GroupSpec((2, 2))
 
 
 def test_spec_validation():
@@ -296,16 +298,52 @@ def test_streams_leave_no_cyclic_garbage():
     gc.disable()
     try:
         for spec in specs:
-            for _ in enumerate_family(spec):
-                pass
-            stream = enumerate_family(spec)
-            next(stream)
-            del stream
+            for stream_of in (enumerate_family, enumerate_jsonl):
+                for _ in stream_of(spec):
+                    pass
+                stream = stream_of(spec)
+                next(stream)
+                del stream
         for family in FAMILIES:
             family_shapes(family, 4)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _jsonl_specs():
+    # every family at n <= 3 over Z2, Z3 and Z2xZ2, the two-group families
+    # over groups of unequal order both ways round
+    for family in sorted(families.ALL_FAMILIES):
+        if family in families.UNLABELED_FAMILIES:
+            choices = [()]
+        elif family.endswith("_AB"):
+            choices = [(Z2, Z3), (Z3, Z2), (Z2xZ2, Z2)]
+        else:
+            choices = [(Z2,), (Z3,), (Z2xZ2,)]
+        for groups in choices:
+            for n in range(4):
+                yield FamilySpec(family, n, groups)
+
+
+def test_jsonl_stream_is_the_members_to_json():
+    lines = 0
+    for spec in _jsonl_specs():
+        want = [p.to_json() for p in enumerate_family(spec)]
+        assert list(enumerate_jsonl(spec)) == want, spec
+        lines += len(want)
+    assert lines > 1500
+
+
+def test_jsonl_stream_builds_no_partition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a partition was built")
+
+    want = {spec: [p.to_json() for p in enumerate_family(spec)] for spec in _jsonl_specs()}
+    monkeypatch.setattr(LabeledSetPartition, "_trusted", refuse)
+    monkeypatch.setattr(LabeledSetPartition, "__init__", refuse)
+    for spec, lines in want.items():
+        assert list(enumerate_jsonl(spec)) == lines, spec
 
 
 def test_generated_members_match_the_public_constructor(all_desk_specs):

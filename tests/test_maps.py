@@ -8,10 +8,12 @@ from arcact.core import (
     blocks_from_arcs,
     canonical_blocks,
     classify,
+    from_triples,
     ground_a,
     ground_b,
     ground_d,
     negate,
+    to_rook,
     unlabeled,
 )
 from arcact.families import FamilySpec, enumerate_family, family_shapes
@@ -34,6 +36,7 @@ from arcact.maps import (
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
+Z2xZ2 = GroupSpec((2, 2))
 
 
 def _labeled(ground, group, arcs):
@@ -71,6 +74,58 @@ def test_unshift_round_trip_exhaustive():
 def test_unshift_requires_two_regular():
     with pytest.raises(StructuralError):
         unshift(unlabeled(ground_a(2), [(1, 2)]))
+
+
+# The families that shift-bij-A and shift-bij-BD shift at their desk n, over
+# Z3, and those that the orbit checks shift at theirs, over the first groups
+# of their pairs
+_SHIFTED = [
+    *(FamilySpec("PI", n, (Z3,)) for n in range(6)),
+    *(FamilySpec(family, n, (Z3,)) for family in ("P_B", "P_D") for n in range(4)),
+    *(
+        FamilySpec(family, n, (group,))
+        for group in (Z2, Z3, Z2xZ2)
+        for family, n_max in (
+            ("PI", 3), ("NC", 3), ("P_D", 4), ("NC_TILDE_D", 4), ("P_B", 3), ("NC_TILDE_B", 3)
+        )
+        for n in range(n_max + 1)
+    ),
+]
+
+
+def test_shift_and_unshift_build_what_from_triples_builds():
+    # both build unchecked: every image is the checked build of its label
+    # triples, in the same arc order and with the same blocks
+    built = 0
+    for spec in _SHIFTED:
+        for p in enumerate_family(spec):
+            image = shift(p)
+            back = unshift(image)
+            assert back == p, p
+            for q in (image, back):
+                checked = from_triples(q.ground, q.group, q.labels)
+                assert q.labels == checked.labels and q.blocks == checked.blocks, p
+            built += 1
+    assert built > 1000
+
+
+def test_unshift_refuses_an_arc_between_neighbouring_positions():
+    # -1 and 1 are neighbours on a D ground, so unshift would close the arc
+    # (-1, 1) into a loop: it is refused with every other two-regular rook
+    # placement, and the rest unshift to valid partitions
+    with pytest.raises(StructuralError, match="two-regular rook placement"):
+        unshift(unlabeled(ground_d(2), [(-2,), (-1, 1), (2,)]))
+    refused = 0
+    for n in range(1, 4):
+        for p in enumerate_family(FamilySpec("NN_B", n)):
+            if classify(to_rook(p)).two_regular:
+                q = unshift(p)
+                assert q.blocks == from_triples(q.ground, q.group, q.labels).blocks, p
+            else:
+                with pytest.raises(StructuralError):
+                    unshift(p)
+                refused += 1
+    assert refused > 0
 
 
 def test_shift_d_to_b_display():

@@ -79,21 +79,20 @@ def test_transfer_equals_enumeration():
 
 
 def _recursions():
-    """The nine cached recursions and the _Transfer each reads (one for
-    each has_zero where it takes one)."""
-    recursions = [f for f in vars(poly).values() if hasattr(f, "cache_info")]
+    """The twelve transfer recursions (one for each has_zero where a
+    recursion takes one)."""
     transfers = [
         t for v in vars(poly).values() for t in (v if isinstance(v, tuple) else (v,))
         if isinstance(t, poly._Transfer)
     ]
-    assert (len(recursions), len(transfers)) == (9, 12)
-    return recursions + transfers
+    assert len(transfers) == 12
+    return transfers
 
 
 def test_recursions_do_no_polynomial_arithmetic(monkeypatch):
     """The driver adds each way's monomial into plain coefficient dicts: with
-    BiPoly's arithmetic made to raise, every recursion, run cold, gives the
-    values it gave before."""
+    BiPoly's arithmetic and every closed formula made to raise, every
+    recursion, run cold, gives the values it gave before."""
     recursions = _recursions()
     expected = {
         (name, n): dict(transfer_family(name, n).coeffs)
@@ -102,10 +101,14 @@ def test_recursions_do_no_polynomial_arithmetic(monkeypatch):
     }
 
     def refuse(*args):
-        raise AssertionError("a transfer recursion did polynomial arithmetic")
+        raise AssertionError("a transfer recursion read a closed formula or did arithmetic")
 
     for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(BiPoly, op, refuse)
+    monkeypatch.setattr(poly, "CLOSED", dict.fromkeys(poly.CLOSED, refuse))
+    for name in list(vars(poly)):
+        if name.endswith(("_closed", "_univariate")) or name in ("catalan", "narayana"):
+            monkeypatch.setattr(poly, name, refuse)
     for recursion in recursions:
         recursion.cache_clear()
     for (name, n), coeffs in expected.items():
