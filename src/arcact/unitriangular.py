@@ -16,10 +16,11 @@ interprets codes; ``decode`` turns one into its exact element of Z[zeta_p].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .core import InvalidArcSetError, LabeledSetPartition, from_triples, ground_a, to_rook
 from .cyclotomic import CycValue, theta
@@ -224,9 +225,53 @@ def code_product(p: int, a: int, b: int) -> int:
     return a + b - p if a % p + b % p >= p else a + b
 
 
+# The classes that share one shape, the tuple of their arc positions:
+# ``positions`` the arcs (j, k) in arc order, ``members`` the classes'
+# indices in class order, ``labels`` per position the members' labels there.
+Shape = namedtuple("Shape", "positions members labels")
+
+# Classes grouped by shape, once per table (see ``class_shapes``): ``order``
+# holds, for each class in class order, its place in a list of per-class
+# items laid out shape after shape; None when that is the identity.
+ClassShapes = namedtuple("ClassShapes", "classes shapes order")
+
+
+def _same_space(a: LabeledSetPartition, b: LabeledSetPartition) -> bool:
+    """Whether a and b live on one group and ground: by identity, as the
+    interned grounds and a table's shared group are, else by equality."""
+    return (a.group is b.group and a.ground is b.ground) or (
+        a.group == b.group and a.ground == b.ground
+    )
+
+
+def class_shapes(classes) -> ClassShapes:
+    """The classes grouped by shape, shapes in order of their first class.
+
+    Every class must live on the first one's group and ground, so that
+    ``chi_row`` compares the index with that one class only, once per row.
+    """
+    classes = tuple(classes)
+    first = classes[0] if classes else None
+    grouped = {}
+    for index, gamma in enumerate(classes):
+        if not _same_space(gamma, first):
+            raise ValueError("classes live on different groups")
+        grouped.setdefault(tuple([(j, k) for j, k, _ in gamma.labels]), []).append(index)
+    shapes = []
+    for positions, members in grouped.items():
+        labels = zip(*[[v for _, _, (v,) in classes[c].labels] for c in members])
+        shapes.append(Shape(positions, tuple(members), tuple(labels)))
+    order = [0] * len(classes)
+    for position, c in enumerate(itertools.chain.from_iterable(grouped.values())):
+        order[c] = position
+    identity = order == list(range(len(order)))
+    return ClassShapes(classes, tuple(shapes), None if identity else tuple(order))
+
+
 def chi_row(lam: LabeledSetPartition, classes) -> tuple[int, ...]:
     """Supercharacter values of the index partition on each class, in order,
-    as codes (see ``decode``).
+    as codes (see ``decode``).  ``classes`` is a sequence of partitions, or
+    their ``class_shapes``, which a table builds once for all its rows.
 
     The value on the class of gamma is zero when an arc (j, k) of gamma
     shares exactly one end with an arc (i, l) of the index and lies inside
@@ -238,8 +283,10 @@ def chi_row(lam: LabeledSetPartition, classes) -> tuple[int, ...]:
     lam's arcs are read once, into what each arc (j, k) a class may have
     does to the value: ``cells[j][k]`` is None where the arc makes it zero,
     else the number of index arcs strictly around (j, k) and the label of
-    the index arc (j, k), 0 if there is none.  Each class is then one pass
-    over its arcs, which ends in its code.
+    the index arc (j, k), 0 if there is none.  That depends on the position
+    alone, so each shape is one pass over its arcs, which settles the zero
+    test and q for all its classes; only the shared positions' labels are
+    then read class by class.
     """
     group, ground = lam.group, lam.ground
     p = group.moduli[0]
@@ -257,27 +304,44 @@ def chi_row(lam: LabeledSetPartition, classes) -> tuple[int, ...]:
                 continue
             around = sum(1 for i, l2, _ in arcs if i < j and k < l2)
             cells[j][k] = (around, value if k == l else 0)
-    row = []
-    for gamma in classes:
-        if not (gamma.group is group and gamma.ground is ground) and (
-            gamma.group != group or gamma.ground != ground
-        ):
-            raise ValueError("index and class live on different groups")
+    if not isinstance(classes, ClassShapes):
+        classes = class_shapes(classes)
+    if classes.classes and not _same_space(lam, classes.classes[0]):
+        raise ValueError("index and class live on different groups")
+    flat = []
+    for positions, members, labels in classes.shapes:
         q_exponent = inner
-        theta_arg = 0
-        for j, k, (entry,) in gamma.labels:
+        values = []
+        shared = []
+        for (j, k), entries in zip(positions, labels):
             cell = cells[j][k]
             if cell is None:
-                row.append(ZERO)
+                flat += [ZERO] * len(members)
                 break
             around, value = cell
             q_exponent -= around
-            theta_arg += value * entry
+            if value:
+                values.append(value)
+                shared.append(entries)
         else:
             if q_exponent < 0:
+                gamma = classes.classes[members[0]]
                 raise ConsistencyError(f"negative p-exponent {q_exponent} for {lam} on {gamma}")
-            row.append(q_exponent * p + theta_arg % p)
-    return tuple(row)
+            base = q_exponent * p
+            if not shared:
+                flat += [base] * len(members)
+            else:
+                # theta class by class: the first shared position's label
+                # products, plus each further position's, elementwise
+                thetas = map(values[0].__mul__, shared[0])
+                for value, entries in zip(values[1:], shared[1:]):
+                    thetas = map(add, thetas, map(value.__mul__, entries))
+                flat += [base + t % p for t in thetas]
+    if classes.order is None:
+        return tuple(flat)
+    # a permutation other than the identity moves two or more positions, and
+    # itemgetter of two or more returns a tuple
+    return itemgetter(*classes.order)(flat)
 
 
 def chi_on_class(lam: LabeledSetPartition, gamma: LabeledSetPartition) -> CycValue:
@@ -325,14 +389,23 @@ class CharTable:
     indices: tuple[LabeledSetPartition, ...]
     values: tuple[tuple[int, ...], ...]  # codes, see ``decode``
     group_order: int
+    shapes: ClassShapes = field(repr=False, compare=False)  # of ``classes``
 
     def norms(self) -> tuple[Fraction, ...]:
         """The inner product of each row with itself: a cell p^q zeta^t has
         |p^q zeta^t|^2 = p^(2q), so a norm is the sum of size * p^(2q) over
-        the row's nonzero cells, divided by the group order."""
+        the row's nonzero cells, divided by the group order.  A row is zero
+        on all of a shape's classes or on none, with one q, so the sum runs
+        over shapes, each weighted by its classes' total size."""
         p, sizes, order = self.p, self.class_sizes, self.group_order
+        weights = [
+            (shape.members[0], sum([sizes[c] for c in shape.members]))
+            for shape in self.shapes.shapes
+        ]
         return tuple(
-            Fraction(sum([s * p ** (2 * (v // p)) for v, s in zip(row, sizes) if v != ZERO]), order)
+            Fraction(
+                sum([w * p ** (2 * (row[c] // p)) for c, w in weights if row[c] != ZERO]), order
+            )
             for row in self.values
         )
 
@@ -407,8 +480,10 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
     sized by ``superclass_size``.
     The classes are sorted by ``labels`` and share the indices' group object
     (grounds are interned), so ``chi_row`` sees the same group and ground by
-    identity.  The sizes must add up to ``subgroup_order``.  Each row is one
-    ``chi_row`` pass over the classes; no cell is computed on its own.
+    identity.  They are grouped by shape once (``class_shapes``), and a
+    superclass size, which reads arc positions only, is computed once per
+    shape.  The sizes must add up to ``subgroup_order``.  Each row is one
+    ``chi_row`` pass over the shapes; no cell is computed on its own.
     """
     if p == 2 and kind != "A":
         raise ValueError("odd characteristic required")
@@ -417,11 +492,17 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
     indices = tuple(family_members(index_family(kind, n, p)))
     ambient = indices if kind == "A" else tuple(halve(lam) for lam in indices)
     classes = tuple(sorted(map(to_rook, indices), key=lambda c: c.labels))
-    sizes = tuple(superclass_size(c, kind) for c in classes)
+    shapes = class_shapes(classes)
+    sizes = [0] * len(classes)
+    for _, members, _ in shapes.shapes:
+        size = superclass_size(classes[members[0]], kind)
+        for c in members:
+            sizes[c] = size
+    sizes = tuple(sizes)
     if sum(sizes) != order:
         raise ConsistencyError(f"{kind}({n},{p}) class sizes add up to {sum(sizes)}, not {order}")
-    rows = tuple(chi_row(lam, classes) for lam in ambient)
-    return CharTable(kind, n, p, classes, sizes, indices, rows, order)
+    rows = tuple(chi_row(lam, shapes) for lam in ambient)
+    return CharTable(kind, n, p, classes, sizes, indices, rows, order, shapes)
 
 
 def expected_counts(kind: str, n: int, p: int) -> dict:

@@ -172,6 +172,9 @@ def test_vanishing_values_share_one_zero_and_groups_are_checked():
     ):
         with pytest.raises(ValueError):
             ut.chi_on_class(lam, bad)
+        # grouped, the classes are checked against each other once each
+        with pytest.raises(ValueError):
+            ut.class_shapes([gamma, bad])
 
 
 def test_chartable_classes_share_the_index_group_and_ground():
@@ -215,7 +218,9 @@ def test_inner_products():
     assert norm > 1 and norm.denominator == 1
 
 
-@pytest.mark.parametrize("kind, n, p", [("A", 4, 3), ("B", 2, 3), ("D", 3, 3)])
+@pytest.mark.parametrize(
+    "kind, n, p", [("A", 4, 3), ("A", 4, 5), ("B", 2, 3), ("B", 2, 5), ("D", 3, 3)]
+)
 def test_norms_are_the_inner_products_of_each_row_with_itself(kind, n, p):
     table = ut.build_chartable(kind, n, p)
     sizes, order = table.class_sizes, table.group_order
@@ -427,14 +432,21 @@ def _pair_loop_chi(lam, gamma):
 
 @pytest.mark.parametrize(
     "kind, n, p",
-    [("A", 4, 3), ("A", 3, 5), ("B", 2, 3), ("B", 3, 3), ("D", 3, 3), ("D", 4, 3)],
+    [("A", 4, 3), ("A", 3, 5), ("A", 4, 5), ("B", 2, 3), ("B", 3, 3), ("D", 3, 3), ("D", 4, 3)],
 )
 def test_row_pass_equals_the_pair_loop(kind, n, p):
     table = ut.build_chartable.__wrapped__(kind, n, p)
+    # classes are sorted by labels, not by shape, so some shape's classes
+    # are not contiguous and the codes must be put back in class order
+    assert any(
+        shape.members != tuple(range(shape.members[0], shape.members[0] + len(shape.members)))
+        for shape in table.shapes.shapes
+    )
     ambient = table.indices if kind == "A" else [halve(lam) for lam in table.indices]
     for lam, values in zip(ambient, table.values):
         decoded = [ut.decode(p, code) for code in values]
         assert decoded == [_pair_loop_chi(lam, c) for c in table.classes]
+        assert ut.chi_row(lam, table.classes) == values
     assert any(ut.ZERO in values for values in table.values)
 
 
