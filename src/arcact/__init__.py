@@ -54,6 +54,15 @@ from .unitriangular import (
     inner_product,
     superclass_reduce,
 )
-from .identities import run, run_all
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The check registry is the package's largest module and only ``verify``
+    # runs it, so ``run`` and ``run_all`` load it on their first use.
+    if name in ("run", "run_all"):
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

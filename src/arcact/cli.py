@@ -1,26 +1,32 @@
 """Command-line front end.
 
 Exit codes: 0 all good, 1 a verification failed, 2 usage error, 3 an
-input/output problem.
+input/output problem, a closed standard output among them.
 
 ``main`` may be called many times in one process: the parser is built on
 the first call, not at import, and reused by every later call.  Parsing
 keeps no state between calls, so each call sees only its own argv.
+
+The check registry (``identities``) and the b-file reader (``oeis``) are
+imported by the commands that run them, ``verify`` and ``oeis-check``, so
+no other command pays for loading them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from collections.abc import Iterator
 from functools import cache
 from itertools import chain, islice
 
-from . import identities, maps, oeis, poly, unitriangular
+from . import maps, poly, unitriangular
 from .action import acting_family, orbit_representative, plus_involution
 from .core import (
+    PROFILES,
     LabeledSetPartition,
     StructuralError,
     UnsupportedGroundError,
@@ -224,6 +230,8 @@ def _read_partition(path: str):
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     # argparse admits exactly one of --all and --id
     if args.id:
         unknown = set(args.id) - set(identities.registry_ids())
@@ -287,6 +295,8 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
+    from . import oeis
+
     if args.name not in FAMILY_NAMES:
         raise UsageError(f"unknown polynomial family {args.name!r}")
     if args.n_max < 0:
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true")
     which.add_argument("--id", action="append", help="run only this check id")
-    p.add_argument("--profile", default="desk", choices=identities.PROFILES)
+    p.add_argument("--profile", default="desk", choices=PROFILES)
     _common_flags(p, ("json", "table"))
 
     p = _command(sub, "chartable", cmd_chartable, "supercharacter value table")
@@ -374,6 +384,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # what is still buffered is written here, where a closed pipe
+            # is caught, and not in the interpreter's final flush
+            sys.stdout.flush()
+    except OSError as exc:
+        # a reader that stopped early has all it asked for: no message
+        if not isinstance(exc, BrokenPipeError):
+            print(f"arcact: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return EXIT_IO
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the output
+    still buffered goes nowhere and the interpreter's final flush raises
+    nothing (the recipe of the SIGPIPE note in the ``signal`` docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # an in-memory stream: nothing to point
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -24,6 +24,11 @@ from .groups import Element, GroupSpec, add_unchecked, neg
 
 Arc = tuple[int, int]
 
+# The parameter profiles of the registered checks, which ``identities``
+# reads: kept here so that the command-line parser offers them without
+# loading the registry.
+PROFILES = ("desk", "quick")
+
 
 class StructuralError(ValueError):
     """Blocks overlap, labels are malformed, or grounds/groups mismatch."""
@@ -222,9 +227,9 @@ class LabeledSetPartition:
 
         * ``from_triples``: checks the arc set with ``blocks_from_arcs`` and
           every label with the validating constructor's own loop, then sorts
-          the triples; the structural maps other than ``shift`` and
-          ``unshift``, ``to_rook``, ``from_rook``, ``negate`` and the
-          superclasses of ``unitriangular`` build through it;
+          the triples; the structural maps other than ``shift``,
+          ``unshift`` and ``halve``, ``to_rook``, ``from_rook``, ``negate``
+          and the superclasses of ``unitriangular`` build through it;
         * the family generators: the growers behind ``family_shapes`` make
           canonical shapes of the ground, each block sorted and the blocks
           sorted by minimum, so ``enumerate_family`` reads each shape's arcs
@@ -254,6 +259,8 @@ class LabeledSetPartition:
           blocks, sorted once, and the labels are all (1,) in Z2;
         * ``identities._embed_a``: a valid partition's blocks and triples,
           with labels ``DirectSum.embed_a`` checks, nonzero on the A side;
+        * ``maps.rook_half``, and so ``maps.halve``: a subsequence of a
+          valid rook placement's triples; no blocks;
         * ``maps.shift`` and ``maps.unshift``: a valid partition's triples,
           their left and right ends each moved by a strictly increasing map
           of positions, so they stay a valid arc set in arc order

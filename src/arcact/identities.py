@@ -44,6 +44,7 @@ from types import SimpleNamespace
 
 from . import action, maps, oeis, poly, unitriangular
 from .core import (
+    PROFILES,
     LabeledSetPartition,
     StructuralError,
     classify,
@@ -114,9 +115,6 @@ def _register(id, mode, statement, desk, quick=None):
 
 def registry_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-PROFILES = ("desk", "quick")
 
 
 def run(id: str, profile: str = "desk", **overrides) -> CheckResult:

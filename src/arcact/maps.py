@@ -187,9 +187,19 @@ def halve(p: LabeledSetPartition) -> LabeledSetPartition:
     """
     if p.ground.kind not in ("B", "D"):
         raise UnsupportedGroundError("halve needs a B or D ground")
-    rook = to_rook(p)
+    return rook_half(to_rook(p))
+
+
+def rook_half(rook: LabeledSetPartition) -> LabeledSetPartition:
+    """``halve`` of the B or D partition whose rook placement is ``rook``.
+
+    The arcs kept are a subset of a valid arc set, in arc order, with their
+    labels, so the half is built unchecked and its blocks left to their
+    first read.
+    """
     m = rook.ground.n
-    return from_triples(rook.ground, p.group, [t for t in rook.labels if t[0] + t[1] <= m])
+    half = tuple(t for t in rook.labels if t[0] + t[1] <= m)
+    return LabeledSetPartition._trusted(rook.ground, rook.group, None, half)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .core import InvalidArcSetError, LabeledSetPartition, from_triples, ground_
 from .cyclotomic import CycValue, theta
 from .families import LINEAR, FamilySpec, family_members
 from .groups import GroupSpec
-from .maps import halve
+from .maps import rook_half
 from .poly import (
     COUNTING_POLY,
     bell_univariate,
@@ -477,7 +477,8 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
     Types B and D need an odd p; ``check_table_size`` refuses an oversized
     request before any family is built.  No kind visits a group element:
     each index names the superclass of its rook placement (``to_rook``),
-    sized by ``superclass_size``.
+    sized by ``superclass_size``, and a B or D index's row is that of its
+    half, read off the same rook (``rook_half``).
     The classes are sorted by ``labels`` and share the indices' group object
     (grounds are interned), so ``chi_row`` sees the same group and ground by
     identity.  They are grouped by shape once (``class_shapes``), and a
@@ -490,8 +491,9 @@ def build_chartable(kind: str, n: int, p: int) -> CharTable:
     check_table_size(kind, n, p)
     order = subgroup_order(kind, n, p)
     indices = tuple(family_members(index_family(kind, n, p)))
-    ambient = indices if kind == "A" else tuple(halve(lam) for lam in indices)
-    classes = tuple(sorted(map(to_rook, indices), key=lambda c: c.labels))
+    rooks = tuple(map(to_rook, indices))
+    ambient = indices if kind == "A" else tuple(map(rook_half, rooks))
+    classes = tuple(sorted(rooks, key=lambda c: c.labels))
     shapes = class_shapes(classes)
     sizes = [0] * len(classes)
     for _, members, _ in shapes.shapes:

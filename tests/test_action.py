@@ -161,8 +161,8 @@ def _b_d_indices():
 
 
 # Each producer that builds through LabeledSetPartition._trusted, with a
-# stream of its outputs at desk scale.  The maps other than shift and
-# unshift, and the superclasses, build through the checked
+# stream of its outputs at desk scale.  The maps other than shift, unshift
+# and halve, and the superclasses, build through the checked
 # core.from_triples, the rest unchecked.
 TRUSTED_PRODUCERS = {
     "plus": _plus_outputs,

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from arcact import cli, families, poly, unitriangular
+from arcact import cli, families, identities, poly, unitriangular
 from arcact.cli import main
 from arcact.core import (
     LabeledSetPartition, StructuralError, partition_from_json, unlabeled, ground_a,
@@ -199,8 +200,8 @@ def test_verify_single_id(capsys):
 
 def test_verify_runs_a_repeated_id_once(capsys, monkeypatch):
     ran = []
-    run = cli.identities.run
-    monkeypatch.setattr(cli.identities, "run", lambda i, profile: ran.append(i) or run(i, profile))
+    run = identities.run
+    monkeypatch.setattr(identities, "run", lambda i, profile: ran.append(i) or run(i, profile))
     code, out = run_cli(
         capsys, "verify", "--id", "coker", "--id", "touchard", "--id", "coker",
         "--profile", "quick", "--format", "json",
@@ -217,8 +218,8 @@ def test_verify_reports_a_refusal_inside_a_check_as_a_failed_check(capsys, monke
             raise StructuralError("need an even number of self-negative blocks")
         return uncross_d_inverse(p)
 
-    uncross_d_inverse = cli.identities.maps.uncross_d_inverse
-    monkeypatch.setattr(cli.identities.maps, "uncross_d_inverse", refuse_self_negative_blocks)
+    uncross_d_inverse = identities.maps.uncross_d_inverse
+    monkeypatch.setattr(identities.maps, "uncross_d_inverse", refuse_self_negative_blocks)
     code, out = run_cli(capsys, "verify", "--id", "uncrossB-props")
     assert code == 1
     assert out.splitlines()[0].split("witness: ")[1] == (
@@ -233,7 +234,7 @@ def test_verify_reports_a_refusal_outside_bijection_as_a_failed_check(capsys, mo
     def refuse(p):
         raise StructuralError("refused for test")
 
-    monkeypatch.setattr(cli.identities, "negate", refuse)
+    monkeypatch.setattr(identities, "negate", refuse)
     code, out = run_cli(capsys, "verify", "--id", "NNB-counts")
     assert code == 1
     assert out.splitlines()[0].split("witness: ")[1] == (
@@ -294,7 +295,7 @@ def test_verify_unknown_id_is_usage_error(capsys):
     ids=["id-and-all", "neither"],
 )
 def test_verify_needs_exactly_one_of_all_and_id(capsys, monkeypatch, flags, message):
-    monkeypatch.setattr(cli.identities, "run", lambda *a, **k: pytest.fail("a check ran"))
+    monkeypatch.setattr(identities, "run", lambda *a, **k: pytest.fail("a check ran"))
     with pytest.raises(SystemExit) as err:
         main(["verify", *flags])
     assert err.value.code == 2
@@ -359,6 +360,114 @@ def test_io_error_exit_code(capsys):
         ["oeis-check", "--name", "Bell_B", "--id", "A999999", "--offset", "0"]
     )
     assert code == 3
+
+
+def _fresh_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--family", "PI", "--n", "4", "--group", "Z3", "--format", "jsonl"],
+        ["enum", "--family", "PI", "--n", "4", "--group", "Z3", "--format", "json"],
+        ["enum", "--family", "PI", "--n", "4", "--group", "Z3", "--format", "table"],
+        ["orbits", "--family", "PI_AB", "--n", "3", "--groupA", "Z2", "--groupB", "Z3"],
+        ["orbits", "--family", "PI_AB", "--n", "3", "--groupA", "Z2", "--groupB", "Z3",
+         "--format", "json"],
+        ["poly", "--family", "Bell", "--n", "5"],
+        ["chartable", "--kind", "A", "--n", "3", "--p", "3", "--format", "json"],
+        ["verify", "--id", "coker"],
+    ],
+    ids=["enum-jsonl", "enum-json", "enum-table", "orbits-table", "orbits-json", "poly",
+         "chartable", "verify"],
+)
+def test_a_closed_pipe_exits_3_without_a_traceback(argv):
+    # the pipe's read end is closed before the process starts, as by a
+    # reader that stopped early, so the first write of the output fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcact.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_fresh_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3 and proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+        (OSError(errno.ENOSPC, "No space left on device"),
+         "arcact: [Errno 28] No space left on device\n"),
+    ],
+    ids=["closed-pipe", "disk-full"],
+)
+def test_an_output_error_exits_3_with_at_most_one_line(capsys, monkeypatch, error, message):
+    class Failing(io.StringIO):
+        def write(self, text):
+            raise error
+
+    monkeypatch.setattr(sys, "stdout", Failing())
+    assert main(["poly", "--family", "Bell", "--n", "3"]) == 3
+    assert capsys.readouterr().err == message
+
+
+def test_start_up_loads_neither_the_registry_nor_the_bfile_reader():
+    # enum, chartable and poly run without identities and oeis; verify and
+    # the package's run and run_all load identities, and with it oeis, when
+    # first used
+    script = """if True:
+        import contextlib, io, sys
+        import arcact, arcact.cli
+        lazy = ("arcact.identities", "arcact.oeis")
+        for argv in (
+            ["enum", "--family", "PI", "--n", "4", "--group", "Z3", "--format", "jsonl"],
+            ["chartable", "--kind", "B", "--n", "2", "--p", "3", "--format", "json"],
+            ["poly", "--family", "Bell_B", "--n", "4", "--format", "json"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert arcact.cli.main(argv) == 0, argv
+        print(*[name for name in lazy if name in sys.modules], sep=",")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = arcact.cli.main(["verify", "--id", "coker", "--profile", "quick"])
+        print(code, out.getvalue().splitlines()[-1])
+        print(arcact.run("touchard", "quick").status)
+        print(arcact.run_all(profile="quick", ids=["riordan"]).ok)
+        print(*[name for name in lazy if name in sys.modules], sep=",")
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_fresh_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "", "0 ALL PASS", "pass", "True", "arcact.identities,arcact.oeis",
+    ]
+
+
+def test_help_texts_do_not_need_the_registry(capsys, monkeypatch):
+    # verify's --profile choices come from the one list of profiles, which
+    # the parser reads without loading identities
+    assert cli.PROFILES is identities.PROFILES
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["verify", "--help"]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "arcact.cli", *argv],
+            capture_output=True, text=True, env=_fresh_env(), timeout=60,
+        )
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0 and fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+    assert "  --profile {desk,quick}\n" in fresh.stdout
 
 
 @pytest.mark.parametrize(
